@@ -45,20 +45,6 @@ class ScgConfig:
             raise ValueError("lambda0 must be >= 0")
 
 
-@dataclass
-class ScgState:
-    """Loop state: weights, search direction, negative gradient, regulator."""
-
-    w: np.ndarray
-    p: np.ndarray
-    r: np.ndarray
-    lam: float
-    lam_bar: float
-    fw: float
-    success: bool = True
-    epoch: int = 0
-
-
 @dataclass(frozen=True)
 class ScgResult:
     w: np.ndarray
@@ -70,72 +56,77 @@ class ScgResult:
 
 def scg_minimize(fun, grad, w0, *, max_iterations: int,
                  cfg: ScgConfig = ScgConfig()) -> ScgResult:
-    """Minimize fun(w) from w0; one iteration = one candidate step."""
+    """Minimize fun(w) from w0; one iteration = one candidate step.
+
+    The state is the weights w, the search direction p, the negative
+    gradient r and the regulator pair (lam, lam_bar).  An accepted step
+    passes the very array fun was evaluated at to grad, so a (fun, grad)
+    pair may share work done at the same point."""
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1 (epochs >= 1)")
     w = np.asarray(w0, dtype=float).copy()
     n = w.size
     restart = cfg.restart_every if cfg.restart_every is not None else n
-    st = ScgState(w=w, p=np.empty(n), r=np.empty(n),
-                  lam=0.0 if cfg.freeze_lambda else cfg.lambda0,
-                  lam_bar=0.0, fw=_finite_fun(fun, w, 0))
-    st.r = -_finite_grad(grad, w, 0)
-    st.p = st.r.copy()
-    trace = [st.fw]
+    lam = 0.0 if cfg.freeze_lambda else cfg.lambda0
+    lam_bar = 0.0
+    fw = _finite_fun(fun, w, 0)
+    r = -_finite_grad(grad, w, 0)
+    p = r.copy()
+    success = True
+    trace = [fw]
     converged = False
     delta_raw = 0.0
     p_sq = 0.0
 
     for k in range(1, max_iterations + 1):
-        st.epoch = k
-        if float(np.sqrt(st.r @ st.r)) < cfg.grad_tol:
+        if float(np.sqrt(r @ r)) < cfg.grad_tol:
             converged = True
             break
-        if st.success:
-            p_sq = float(st.p @ st.p)
+        if success:
+            p_sq = float(p @ p)
             if p_sq == 0.0:
                 converged = True
                 break
             sigma_k = cfg.sigma0 / np.sqrt(p_sq)
-            g_here = -st.r
-            g_there = _finite_grad(grad, st.w + sigma_k * st.p, k)
-            delta_raw = float(st.p @ (g_there - g_here)) / sigma_k
-        delta = delta_raw + (st.lam - st.lam_bar) * p_sq
+            g_there = _finite_grad(grad, w + sigma_k * p, k)
+            delta_raw = float(p @ (g_there + r)) / sigma_k  # g_there - E'(w), E'(w) = -r
+        delta = delta_raw + (lam - lam_bar) * p_sq
         if delta <= 0.0 and not cfg.freeze_lambda:
             # raise lambda until the quadratic model is positive definite
-            st.lam_bar = 2.0 * (st.lam - delta / p_sq)
-            delta = -delta + st.lam * p_sq
-            st.lam = st.lam_bar
-        mu = float(st.p @ st.r)
+            lam_bar = 2.0 * (lam - delta / p_sq)
+            delta = -delta + lam * p_sq
+            lam = lam_bar
+        mu = float(p @ r)
         alpha = mu / delta
-        f_new = fun(st.w + alpha * st.p)
+        w_new = w + alpha * p
+        f_new = fun(w_new)
         if np.isfinite(f_new):
-            comparison = 2.0 * delta * (st.fw - f_new) / (mu * mu)
+            comparison = 2.0 * delta * (fw - f_new) / (mu * mu)
         else:
             comparison = -1.0  # force rejection; lambda will rise
         if comparison >= 0.0:
-            st.w = st.w + alpha * st.p
-            st.fw = _require_finite(f_new, k)
-            r_new = -_finite_grad(grad, st.w, k)
-            st.lam_bar = 0.0
-            st.success = True
+            w = w_new
+            fw = _require_finite(f_new, k)
+            r_new = -_finite_grad(grad, w, k)
+            lam_bar = 0.0
+            success = True
             if k % restart == 0:
-                st.p = r_new.copy()
+                p = r_new.copy()
             else:
-                beta = float(r_new @ r_new - r_new @ st.r) / mu
-                st.p = r_new + beta * st.p
-            st.r = r_new
+                beta = float(r_new @ r_new - r_new @ r) / mu
+                p = r_new + beta * p
+            r = r_new
             if comparison >= 0.75 and not cfg.freeze_lambda:
-                st.lam = 0.25 * st.lam
+                lam = 0.25 * lam
         else:
-            st.lam_bar = st.lam
-            st.success = False
+            lam_bar = lam
+            success = False
         if comparison < 0.25 and not cfg.freeze_lambda:
-            st.lam = st.lam + delta * (1.0 - comparison) / p_sq
-        trace.append(st.fw)
+            lam = lam + delta * (1.0 - comparison) / p_sq
+        trace.append(fw)
 
-    return ScgResult(w=st.w, fun_value=st.fw, trace=tuple(trace),
-                     iterations=st.epoch, converged=converged)
+    return ScgResult(w=w, fun_value=fw, trace=tuple(trace),
+                     iterations=k, converged=converged)
 
 
 def _require_finite(value: float, epoch: int) -> float:
@@ -165,6 +156,12 @@ class MlpNetwork:
     layer_sizes: tuple
     weights: tuple  # of (out, in) arrays
     biases: tuple   # of (out,) arrays
+
+    # [features, activations] of the last forward pass.  Only the view built
+    # by _training_view carries one, and scg_train clears it whenever it
+    # rewrites that view's weights; Dataset features are read-only, so the
+    # same features object means the same activations.
+    _memo = None
 
     def __post_init__(self):
         sizes = tuple(int(s) for s in self.layer_sizes)
@@ -206,28 +203,59 @@ def get_params(net: MlpNetwork) -> np.ndarray:
     return np.concatenate(parts)
 
 
+def _unflatten(net: MlpNetwork, flat: np.ndarray):
+    """Per-layer views into flat, laid out like get_params."""
+    weights, biases, at = [], [], 0
+    for w, b in zip(net.weights, net.biases):
+        weights.append(flat[at:at + w.size].reshape(w.shape))
+        at += w.size
+        biases.append(flat[at:at + b.size])
+        at += b.size
+    return weights, biases
+
+
 def set_params(net: MlpNetwork, flat: np.ndarray) -> MlpNetwork:
     flat = np.asarray(flat, dtype=float)
     if flat.size != net.n_params:
         raise ValueError(f"expected {net.n_params} parameters, got {flat.size}")
-    weights, biases, at = [], [], 0
-    for w, b in zip(net.weights, net.biases):
-        weights.append(flat[at:at + w.size].reshape(w.shape).copy())
-        at += w.size
-        biases.append(flat[at:at + b.size].copy())
-        at += b.size
-    return MlpNetwork(net.layer_sizes, tuple(weights), tuple(biases))
+    weights, biases = _unflatten(net, flat)
+    return MlpNetwork(net.layer_sizes, tuple(w.copy() for w in weights),
+                      tuple(b.copy() for b in biases))
+
+
+def _training_view(net: MlpNetwork):
+    """(buffer, network whose layers are views into the buffer) for scg_train.
+
+    The network skips validation and carries an activation memo, so it must
+    never reach a caller; whoever writes the buffer clears the memo.  The
+    buffer starts as NaN and the memo empty, so the first evaluation runs a
+    full forward pass."""
+    flat = np.full(net.n_params, np.nan)
+    weights, biases = _unflatten(net, flat)
+    view = object.__new__(MlpNetwork)
+    object.__setattr__(view, "layer_sizes", net.layer_sizes)
+    object.__setattr__(view, "weights", tuple(weights))
+    object.__setattr__(view, "biases", tuple(biases))
+    object.__setattr__(view, "_memo", [None, None])
+    return flat, view
 
 
 def _forward_cached(net: MlpNetwork, X: np.ndarray):
     """Activations per layer; hidden layers tanh, final layer identity."""
+    memo = net._memo
+    if memo is not None and memo[0] is X:
+        return memo[1]
     acts = [X]
     a = X
     last = len(net.weights) - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = a @ w.T + b
-        a = z if i == last else np.tanh(z)
+        a = np.matmul(a, w.T)
+        a += b
+        if i != last:
+            np.tanh(a, out=a)
         acts.append(a)
+    if memo is not None:
+        memo[:] = X, acts
     return acts
 
 
@@ -253,8 +281,9 @@ def error(net: MlpNetwork, batch: Dataset) -> float:
     """E = half the summed squared error over the batch."""
     if batch.n_rows == 0:
         raise ValueError("batch is empty")
-    resid = _forward_cached(net, batch.features)[-1] - _batch_targets(net, batch)
-    return 0.5 * float(np.sum(resid * resid))
+    sq = _forward_cached(net, batch.features)[-1] - _batch_targets(net, batch)
+    sq *= sq  # a fresh array, so squaring in place leaves the activations alone
+    return 0.5 * float(sq.sum())
 
 
 def gradient(net: MlpNetwork, batch: Dataset) -> np.ndarray:
@@ -263,18 +292,13 @@ def gradient(net: MlpNetwork, batch: Dataset) -> np.ndarray:
         raise ValueError("batch is empty")
     acts = _forward_cached(net, batch.features)
     delta = acts[-1] - _batch_targets(net, batch)
-    grads_w = [None] * len(net.weights)
-    grads_b = [None] * len(net.biases)
+    parts = []  # last layer first
     for i in range(len(net.weights) - 1, -1, -1):
-        grads_w[i] = delta.T @ acts[i]
-        grads_b[i] = delta.sum(axis=0)
+        parts.append(delta.sum(axis=0))
+        parts.append((delta.T @ acts[i]).ravel())
         if i > 0:
             delta = (delta @ net.weights[i]) * (1.0 - acts[i] ** 2)
-    parts = []
-    for gw, gb in zip(grads_w, grads_b):
-        parts.append(gw.ravel())
-        parts.append(gb)
-    return np.concatenate(parts)
+    return np.concatenate(parts[::-1])
 
 
 def hessian_vector_approx(net: MlpNetwork, batch: Dataset, p: np.ndarray,
@@ -295,19 +319,32 @@ def scg_train(net: MlpNetwork, train: Dataset, epochs: int,
               seed: int | None = None, cfg: ScgConfig = ScgConfig()):
     """Full-batch SCG training.  With a seed, weights are re-initialized from
     it first, so the whole trajectory is a function of (seed, data, epochs).
-    Returns (trained network, per-epoch error trace)."""
+    Returns (trained network, per-epoch error trace).
+
+    Every evaluation runs on one training view; w is copied into it only
+    when its bits differ from the view's, so grad at an accepted point
+    reuses the forward pass that fun just made there."""
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
     if train.n_rows == 0:
         raise ValueError("training set is empty")
     if seed is not None:
         net = init_network(net.layer_sizes, seed)
+    flat, view = _training_view(net)
+
+    def view_at(w):
+        # bitwise, not ==: a reused forward pass must be the one w itself
+        # would get, and 0.0 == -0.0
+        if w.tobytes() != flat.tobytes():
+            flat[:] = w
+            view._memo[0] = None
+        return view
 
     def fun(w):
-        return error(set_params(net, w), train)
+        return error(view_at(w), train)
 
     def grad(w):
-        return gradient(set_params(net, w), train)
+        return gradient(view_at(w), train)
 
     result = scg_minimize(fun, grad, get_params(net), max_iterations=epochs, cfg=cfg)
     return set_params(net, result.w), list(result.trace)
@@ -332,27 +369,55 @@ def dump_network(net: MlpNetwork) -> str:
 
 
 def load_network(text: str) -> MlpNetwork:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "mlp-network v1":
-        raise ValueError("not an mlp-network v1 dump")
-    if not lines[1].startswith("layers "):
-        raise ValueError("missing layers line")
-    sizes = tuple(int(tok) for tok in lines[1].split()[1:])
+    """Inverse of dump_network.  Truncated, garbled, misshapen or non-finite
+    input raises ValueError naming its 1-based line."""
+    lines = [(no, ln.split()) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    body = iter(lines)
+    end = lines[-1][0] + 1 if lines else 1
+
+    def take(what):
+        try:
+            return next(body)
+        except StopIteration:
+            raise ValueError(f"line {end}: dump ends before {what}") from None
+
+    no, head = take("the header")
+    if head != ["mlp-network", "v1"]:
+        raise ValueError(f"line {no}: not an mlp-network v1 dump")
+    no, head = take("the layers line")
+    try:
+        sizes = tuple(int(tok) for tok in head[1:])
+    except ValueError:
+        sizes = ()
+    if head[0] != "layers" or len(sizes) < 2 or min(sizes) < 1:
+        raise ValueError(f"line {no}: expected 'layers' and at least two sizes >= 1")
     weights, biases = [], []
-    at = 2
-    for i in range(len(sizes) - 1):
-        head = lines[at].split()
-        if head[:2] != ["weights", str(i)]:
-            raise ValueError(f"expected 'weights {i}' at line {at + 1}")
-        rows, cols = int(head[2]), int(head[3])
-        block = [[float(tok) for tok in lines[at + 1 + r].split()] for r in range(rows)]
-        weights.append(np.array(block, dtype=float).reshape(rows, cols))
-        at += 1 + rows
-        head = lines[at].split()
-        if head[:2] != ["biases", str(i)]:
-            raise ValueError(f"expected 'biases {i}' at line {at + 1}")
-        biases.append(np.array([float(tok) for tok in lines[at + 1].split()], dtype=float))
-        at += 2
-    if at != len(lines):
-        raise ValueError("trailing content after network body")
+    for i, (n_in, n_out) in enumerate(zip(sizes, sizes[1:])):
+        _expect_header(take(f"weights {i}"), f"weights {i} {n_out} {n_in}")
+        weights.append(np.array([_finite_row(take(f"row {r} of weights {i}"), n_in)
+                                 for r in range(n_out)]))
+        _expect_header(take(f"biases {i}"), f"biases {i} {n_out}")
+        biases.append(_finite_row(take(f"biases {i}"), n_out))
+    trailing = next(body, None)
+    if trailing is not None:
+        raise ValueError(f"line {trailing[0]}: trailing content after network body")
     return MlpNetwork(sizes, tuple(weights), tuple(biases))
+
+
+def _expect_header(numbered, header: str):
+    no, tokens = numbered
+    if tokens != header.split():
+        raise ValueError(f"line {no}: expected '{header}'")
+
+
+def _finite_row(numbered, count: int) -> np.ndarray:
+    no, tokens = numbered
+    if len(tokens) != count:
+        raise ValueError(f"line {no}: expected {count} values, got {len(tokens)}")
+    try:
+        row = np.array([float(tok) for tok in tokens])
+    except ValueError:
+        raise ValueError(f"line {no}: not a number") from None
+    if not np.all(np.isfinite(row)):
+        raise ValueError(f"line {no}: non-finite value")
+    return row

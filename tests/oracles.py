@@ -70,3 +70,53 @@ def gcv_score(mse: float, n_rows: int, n_bases: int, penalty: float) -> float:
     cost = n_bases + penalty * (n_bases - 1)
     denom = 1.0 - cost / n_rows
     return float("inf") if denom <= 0.0 else mse / denom ** 2
+
+
+class ReferenceMlp:
+    """Tanh MLP with identity output, evaluated the way the engine's first
+    version did: each point copied into fresh per-layer arrays, activations
+    kept in a list, per-layer gradients joined by concatenation.  Each
+    floating-point operation matches the engine's, so results must agree
+    bit for bit.  ``targets`` is (n,) for a single-output net, else (n, k)."""
+
+    def __init__(self, layer_sizes, features: np.ndarray, targets: np.ndarray):
+        self.sizes = tuple(int(s) for s in layer_sizes)
+        self.X = features
+        self.Y = targets[:, None] if targets.ndim == 1 else targets
+
+    def unflatten(self, flat: np.ndarray):
+        weights, biases, at = [], [], 0
+        for n_in, n_out in zip(self.sizes[:-1], self.sizes[1:]):
+            weights.append(flat[at:at + n_out * n_in].reshape(n_out, n_in).copy())
+            at += n_out * n_in
+            biases.append(flat[at:at + n_out].copy())
+            at += n_out
+        return weights, biases
+
+    def activations(self, flat: np.ndarray) -> list:
+        weights, biases = self.unflatten(flat)
+        acts = [self.X]
+        for i, (w, b) in enumerate(zip(weights, biases)):
+            z = acts[-1] @ w.T + b
+            acts.append(z if i == len(weights) - 1 else np.tanh(z))
+        return acts
+
+    def error(self, flat: np.ndarray) -> float:
+        resid = self.activations(flat)[-1] - self.Y
+        return 0.5 * float(np.sum(resid * resid))
+
+    def gradient(self, flat: np.ndarray) -> np.ndarray:
+        weights, _ = self.unflatten(flat)
+        acts = self.activations(flat)
+        delta = acts[-1] - self.Y
+        grads_w, grads_b = [None] * len(weights), [None] * len(weights)
+        for i in range(len(weights) - 1, -1, -1):
+            grads_w[i] = delta.T @ acts[i]
+            grads_b[i] = delta.sum(axis=0)
+            if i > 0:
+                delta = (delta @ weights[i]) * (1.0 - acts[i] ** 2)
+        parts = []
+        for gw, gb in zip(grads_w, grads_b):
+            parts.append(gw.ravel())
+            parts.append(gb)
+        return np.concatenate(parts)

@@ -1,15 +1,20 @@
 """Scaled conjugate gradients and the feedforward network it trains."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from forexkit.data import Dataset
-from forexkit.scg import (MlpNetwork, ScgConfig, ScgDivergence, dump_network,
-                          error, forward, get_params, gradient,
+from forexkit.bench import cell_seed
+from forexkit.data import (Dataset, FeatureSpec, apply_scaler, build_supervised,
+                           fit_scaler, split)
+from forexkit.scg import (MlpNetwork, ScgConfig, ScgDivergence, _training_view,
+                          dump_network, error, forward, get_params, gradient,
                           hessian_vector_approx, init_network, load_network,
                           scg_minimize, scg_train, set_params)
+from forexkit.synth import forex5_series
 
-from oracles import central_difference_gradient
+from oracles import ReferenceMlp, central_difference_gradient
 
 
 def _net(weights, biases, sizes):
@@ -267,6 +272,87 @@ class TestScgTrain:
             scg_train(net, train, epochs=0)
 
 
+class TestReferenceEquality:
+    """The engine performs ReferenceMlp's floating-point operations in the
+    same order, so results are compared for exact equality."""
+
+    def test_scg_train_matches_minimizer_on_reference(self):
+        series = forex5_series(seed=7)
+        train, _ = split(build_supervised(series, FeatureSpec("JPY", "mp5")), 0.7, 7)
+        train = apply_scaler(train, fit_scaler(train))
+        sizes = (train.n_features, 14, 14, 1)
+        key = cell_seed(7, "JPY", "mlp")
+        net, trace = scg_train(init_network(sizes, seed=0), train, epochs=250, seed=key)
+        ref = ReferenceMlp(sizes, train.features, train.targets)
+        res = scg_minimize(ref.error, ref.gradient, get_params(init_network(sizes, key)),
+                           max_iterations=250)
+        np.testing.assert_array_equal(get_params(net), res.w)
+        np.testing.assert_array_equal(trace, res.trace)
+
+    @pytest.mark.parametrize("sizes", [(3, 5, 1), (4, 6, 5, 1), (3, 4, 2)])
+    def test_error_gradient_forward_at_random_points(self, sizes):
+        rng = np.random.default_rng(sum(sizes))
+        X = rng.normal(size=(23, sizes[0]))
+        if sizes[-1] == 1:
+            y = rng.normal(size=23)
+            batch = Dataset(tuple("abcd"[:sizes[0]]), X, y)
+        else:
+            # Dataset targets are 1-d; only a duck-typed batch reaches the
+            # (n, k) targets of a multi-output net.
+            y = rng.normal(size=(23, sizes[-1]))
+            batch = SimpleNamespace(features=X, targets=y, n_rows=23)
+        ref = ReferenceMlp(sizes, X, y)
+        base = init_network(sizes, seed=1)
+        for _ in range(4):
+            w = rng.normal(scale=0.8, size=base.n_params)
+            net = set_params(base, w)
+            assert error(net, batch) == ref.error(w)
+            np.testing.assert_array_equal(gradient(net, batch), ref.gradient(w))
+            out = ref.activations(w)[-1]
+            np.testing.assert_array_equal(forward(net, X),
+                                          out[:, 0] if sizes[-1] == 1 else out)
+
+    def test_hessian_vector_unchanged(self):
+        rng = np.random.default_rng(4)
+        batch = Dataset(("a", "b"), rng.normal(size=(19, 2)), rng.normal(size=19))
+        net = init_network((2, 5, 1), seed=4)
+        p = rng.normal(size=net.n_params)
+        ref = ReferenceMlp((2, 5, 1), batch.features, batch.targets)
+        w = get_params(net)
+        expected = (ref.gradient(w + 1e-3 * p) - ref.gradient(w)) / 1e-3 + 0.25 * p
+        np.testing.assert_array_equal(
+            hessian_vector_approx(net, batch, p, sigma_k=1e-3, lambda_k=0.25), expected)
+
+
+class TestActivationMemo:
+    @staticmethod
+    def _batch(seed):
+        rng = np.random.default_rng(seed)
+        return Dataset(("a", "b"), rng.normal(size=(15, 2)), rng.normal(size=15))
+
+    def test_returned_networks_see_in_place_edits(self):
+        batch = self._batch(0)
+        trained, _ = scg_train(init_network((2, 4, 1), seed=3), batch, epochs=20)
+        for net in (trained, set_params(trained, get_params(trained)),
+                    init_network((2, 4, 1), seed=3), load_network(dump_network(trained))):
+            e_before, g_before = error(net, batch), gradient(net, batch)
+            net.weights[0][0, 0] += 0.5
+            fresh = set_params(net, get_params(net))
+            assert error(net, batch) != e_before
+            assert error(net, batch) == error(fresh, batch)
+            assert not np.array_equal(gradient(net, batch), g_before)
+            np.testing.assert_array_equal(gradient(net, batch), gradient(fresh, batch))
+
+    def test_training_view_keys_memo_on_features(self):
+        a, b = self._batch(1), self._batch(2)
+        net = init_network((2, 4, 1), seed=5)
+        flat, view = _training_view(net)
+        flat[:] = get_params(net)
+        for batch in (a, b, a):
+            assert error(view, batch) == error(net, batch)
+            np.testing.assert_array_equal(gradient(view, batch), gradient(net, batch))
+
+
 class TestSerialization:
     def test_round_trip_bit_identical(self):
         net = init_network((2, 5, 3, 1), seed=13)
@@ -285,3 +371,35 @@ class TestSerialization:
     def test_load_rejects_bad_header(self):
         with pytest.raises(ValueError, match="mlp-network"):
             load_network("weights 0\n")
+
+    def test_every_truncation_names_the_missing_line(self):
+        lines = dump_network(init_network((2, 3, 2), seed=4)).splitlines()
+        for cut in range(len(lines)):
+            with pytest.raises(ValueError, match=rf"^line {cut + 1}: "):
+                load_network("\n".join(lines[:cut]))
+
+    @pytest.mark.parametrize("index, token, message", [
+        (3, "nan", "non-finite"),      # a weight
+        (4, "inf", "non-finite"),
+        (7, "-inf", "non-finite"),     # a bias
+        (5, "0.5x", "not a number"),
+        (5, None, "expected 2 values"),
+        (1, "3.5", "layers"),
+        (2, "4", "expected 'weights 0 3 2'"),
+        (6, "2", "expected 'biases 0 3'"),
+    ])
+    def test_bad_token_names_its_line(self, index, token, message):
+        lines = dump_network(init_network((2, 3, 2), seed=4)).splitlines()
+        tokens = lines[index].split()
+        if token is None:
+            tokens.pop()
+        else:
+            tokens[-1] = token
+        lines[index] = " ".join(tokens)
+        with pytest.raises(ValueError, match=rf"^line {index + 1}: .*{message}"):
+            load_network("\n".join(lines))
+
+    def test_line_numbers_count_blank_lines(self):
+        lines = dump_network(init_network((2, 3, 1), seed=4)).splitlines()
+        with pytest.raises(ValueError, match=r"^line 14: trailing"):
+            load_network("\n".join(lines) + "\n\nextra\n")
