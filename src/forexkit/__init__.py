@@ -10,14 +10,15 @@ Five predictor families over a shared dataset pipeline:
 
 plus :mod:`forexkit.bench` (the experiment harness), :mod:`forexkit.data`
 (CSV loading, supervised table construction, splitting, scaling),
+:mod:`forexkit.kinds` (the table of the five families),
 :mod:`forexkit.synth` (synthetic datasets), :mod:`forexkit.charts`
 (deterministic SVG plots), and :mod:`forexkit.predictor` (self-contained
 predictor files for the CLI).
 """
 
-from . import anfis, bench, cart, charts, data, hybrid, mars, predictor, scg, synth
+from . import anfis, bench, cart, charts, data, hybrid, kinds, mars, predictor, scg, synth
 
 __version__ = "1.0.0"
 
-__all__ = ["anfis", "bench", "cart", "charts", "data", "hybrid", "mars",
+__all__ = ["anfis", "bench", "cart", "charts", "data", "hybrid", "kinds", "mars",
            "predictor", "scg", "synth", "__version__"]

@@ -272,14 +272,12 @@ def init_model(train: Dataset, cfg: AnfisConfig) -> AnfisModel:
     return AnfisModel(tuple(centers), tuple(widths), cons, cfg.consequent)
 
 
-def hybrid_train(train: Dataset, cfg: AnfisConfig = AnfisConfig(),
-                 seed: int | None = None, targets=None):
+def hybrid_train(train: Dataset, cfg: AnfisConfig = AnfisConfig(), targets=None):
     """Alternate LSE and premise descent for cfg.epochs, then realign the
     consequents with a final LSE pass so the returned model's consequents are
     optimal for its premises.  The learning rate halves whenever an epoch's
-    post-LSE RMSE worsens.  Training is deterministic; `seed` is accepted for
-    interface uniformity but unused.  Returns (model, per-epoch RMSE trace)."""
-    del seed
+    post-LSE RMSE worsens.  Training is deterministic.  Returns (model,
+    per-epoch RMSE trace)."""
     model = init_model(train, cfg)
     Y = _lse_targets(model, train, targets)
     n_values = Y.size

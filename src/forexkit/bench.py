@@ -19,16 +19,14 @@ from __future__ import annotations
 import configparser
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-import numpy as np
+from . import anfis, cart, charts, mars
+from .data import FeatureSpec, apply_scaler, build_supervised, fit_scaler, load_csv, rmse, split
+from .kinds import KINDS
 
-from . import anfis, cart, charts, hybrid, mars, scg
-from .data import (Dataset, FeatureSpec, apply_scaler, build_supervised,
-                   fit_scaler, load_csv, rmse, split)
-
-MODELS = ("mars", "cart", "hybrid", "mlp", "anfis")
+MODELS = tuple(KINDS)
 
 # Test-set RMSE figures reported by the original study (scaled rates; rows
 # align with MODELS, "mlp" being its neural network and "anfis" its
@@ -122,41 +120,16 @@ def cell_seed(seed: int, currency: str, model: str) -> list:
     return [seed, zlib.crc32(f"{currency}/{model}".encode())]
 
 
-def _fit_cell(model: str, cfg: ExperimentConfig, strain: Dataset, stest: Dataset,
-              seed_key: list) -> dict:
-    """Train one model; returns predictions, dump text, and extras."""
-    if model == "mars":
-        fitted = mars.fit(strain, cfg.mars_cfg)
-        return {"train": mars.predict(fitted, strain.features),
-                "test": mars.predict(fitted, stest.features),
-                "dump": mars.dump_model(fitted)}
-    if model == "cart":
-        seq = cart.prune_sequence(cart.grow(strain, cfg.cart_cfg), strain)
-        tree = cart.select_min_cost(seq, stest)
-        return {"train": cart.predict(tree, strain.features),
-                "test": cart.predict(tree, stest.features),
-                "dump": cart.dump_tree(tree),
-                "curve": cart.relative_error_curve(seq, stest)}
-    if model == "hybrid":
-        fitted = hybrid.fit_hybrid(strain, stest, cfg.cart_cfg, cfg.mars_cfg,
-                                   cfg.hybrid_encoding)
-        return {"train": hybrid.predict(fitted, strain.features),
-                "test": hybrid.predict(fitted, stest.features),
-                "dump": hybrid.dump_hybrid(fitted)}
-    if model == "mlp":
-        sizes = (strain.n_features, *cfg.mlp_hidden, 1)
-        net = scg.init_network(sizes, seed_key)
-        net, _ = scg.scg_train(net, strain, cfg.mlp_epochs, seed=seed_key)
-        return {"train": scg.forward(net, strain.features),
-                "test": scg.forward(net, stest.features),
-                "dump": scg.dump_network(net)}
-    if model == "anfis":
-        fitted, _ = anfis.hybrid_train(strain, cfg.anfis_cfg)
-        return {"train": anfis.predict(fitted, strain.features),
-                "test": anfis.predict(fitted, stest.features),
-                "dump": anfis.dump_model(fitted),
-                "rules": anfis.dump_rules(fitted)}
-    raise ValueError(f"unknown model {model!r}")
+def prepare_cell(cfg: ExperimentConfig, series: dict, code: str, model: str):
+    """Supervised table, split and training-side scaling of one cell.
+    Returns (scaler, scaled train, scaled test)."""
+    ds = build_supervised(series, FeatureSpec(code, cfg.recipe_for(model)))
+    train, test = split(ds, cfg.train_fraction, cfg.seed)
+    overlap = set(train.provenance) & set(test.provenance)
+    if overlap:
+        raise AssertionError(f"train/test overlap at rows {sorted(overlap)}")
+    scaler = fit_scaler(train)
+    return scaler, apply_scaler(train, scaler), apply_scaler(test, scaler)
 
 
 def run_experiment(cfg: ExperimentConfig) -> BenchReport:
@@ -166,45 +139,37 @@ def run_experiment(cfg: ExperimentConfig) -> BenchReport:
     if missing:
         raise BenchError(f"currencies {missing} not present in {cfg.data_path}")
 
-    report = BenchReport(currencies=tuple(currencies), models=cfg.models, cells=())
     cells = []
+    parts = {name: {} for name in ("months", "actual", "predicted", "error_curves",
+                                   "dumps", "rule_dumps", "tree_dumps")}
     for code in currencies:
         for model in cfg.models:
+            kind = KINDS[model]
             try:
-                spec = FeatureSpec(code, cfg.recipe_for(model))
-                ds = build_supervised(series, spec)
-                train, test = split(ds, cfg.train_fraction, cfg.seed)
-                overlap = set(train.provenance) & set(test.provenance)
-                if overlap:
-                    raise AssertionError(f"train/test overlap at rows {sorted(overlap)}")
-                scaler = fit_scaler(train)
-                strain, stest = apply_scaler(train, scaler), apply_scaler(test, scaler)
+                _, strain, stest = prepare_cell(cfg, series, code, model)
                 started = time.perf_counter()
-                out = _fit_cell(model, cfg, strain, stest, cell_seed(cfg.seed, code, model))
+                engine, extras = kind.fit(cfg, strain, stest,
+                                          cell_seed(cfg.seed, code, model))
+                train_pred = kind.predict(engine, strain.features)
+                test_pred = kind.predict(engine, stest.features)
+                dump = kind.dump(engine)
                 seconds = time.perf_counter() - started
             except Exception as exc:
                 raise BenchError(f"currency {code}, model {model}: {exc}") from exc
             cells.append(CellResult(code, model,
-                                    test_rmse=rmse(out["test"], stest.targets),
-                                    train_rmse=rmse(out["train"], strain.targets),
+                                    test_rmse=rmse(test_pred, stest.targets),
+                                    train_rmse=rmse(train_pred, strain.targets),
                                     train_seconds=seconds))
             # test rows are provenance-sorted, so sequences are month-ordered;
             # the forecast lands at feature month + 1 (1-based: provenance + 2)
-            report.months.setdefault(code, stest.provenance + 2)
-            report.actual.setdefault(code, stest.targets)
-            report.predicted[(code, model)] = np.asarray(out["test"], dtype=float)
-            report.dumps[(code, model)] = out["dump"]
-            if "curve" in out:
-                report.error_curves[code] = out["curve"]
-            if "rules" in out:
-                report.rule_dumps[code] = out["rules"]
-            if model == "cart":
-                report.tree_dumps[code] = out["dump"]
+            parts["months"].setdefault(code, stest.provenance + 2)
+            parts["actual"].setdefault(code, stest.targets)
+            parts["predicted"][(code, model)] = test_pred
+            parts["dumps"][(code, model)] = dump
+            for name, value in extras.items():
+                parts[name][code] = value
     return BenchReport(currencies=tuple(currencies), models=cfg.models,
-                       cells=tuple(cells), months=report.months,
-                       actual=report.actual, predicted=report.predicted,
-                       error_curves=report.error_curves, dumps=report.dumps,
-                       rule_dumps=report.rule_dumps, tree_dumps=report.tree_dumps)
+                       cells=tuple(cells), **parts)
 
 
 # --- emitters -------------------------------------------------------------------
@@ -303,22 +268,36 @@ def run_bench(cfg: ExperimentConfig) -> tuple:
 
 # --- configuration file ---------------------------------------------------------
 
-_CONFIG_KEYS = {
-    "data": {"path", "currencies"},
-    "split": {"fraction", "seed"},
-    "models": {"enabled"},
-    "mars": {"recipe", "max_basis_functions", "max_interaction", "pruning",
-             "gcv_penalty"},
-    "cart": {"recipe", "min_node_size", "min_split_gain", "max_depth"},
-    "mlp": {"recipe", "hidden", "epochs"},
-    "anfis": {"recipe", "mfs_per_input", "epochs", "rate", "consequent"},
-    "hybrid": {"recipe", "encoding"},
-    "output": {"dir"},
-}
-
-
 def _words(value: str) -> list:
     return value.replace(",", " ").split()
+
+
+# section -> key -> (ExperimentConfig field, parser); "mars_cfg.pruning" sets
+# one field of the nested config, whose other fields keep their defaults
+_INI = {
+    "data": {"path": ("data_path", str), "currencies": ("currencies", _words)},
+    "split": {"fraction": ("train_fraction", float), "seed": ("seed", int)},
+    "models": {"enabled": ("models", _words)},
+    "mars": {"recipe": ("mars_recipe", str),
+             "max_basis_functions": ("mars_cfg.max_basis_functions", int),
+             "max_interaction": ("mars_cfg.max_interaction", int),
+             "pruning": ("mars_cfg.pruning", str),
+             "gcv_penalty": ("mars_cfg.gcv_penalty", float)},
+    "cart": {"recipe": ("cart_recipe", str),
+             "min_node_size": ("cart_cfg.min_node_size", int),
+             "min_split_gain": ("cart_cfg.min_split_gain", float),
+             "max_depth": ("cart_cfg.max_depth", int)},
+    "mlp": {"recipe": ("mlp_recipe", str),
+            "hidden": ("mlp_hidden", lambda v: [int(w) for w in _words(v)]),
+            "epochs": ("mlp_epochs", int)},
+    "anfis": {"recipe": ("anfis_recipe", str),
+              "mfs_per_input": ("anfis_cfg.mfs_per_input", int),
+              "epochs": ("anfis_cfg.epochs", int),
+              "rate": ("anfis_cfg.rate", float),
+              "consequent": ("anfis_cfg.consequent", str)},
+    "hybrid": {"recipe": ("hybrid_recipe", str), "encoding": ("hybrid_encoding", str)},
+    "output": {"dir": ("out_dir", str)},
+}
 
 
 def load_config(path) -> ExperimentConfig:
@@ -332,82 +311,25 @@ def load_config(path) -> ExperimentConfig:
     with open(path) as fh:  # missing file raises with the path in the message
         parser.read_file(fh)
     for section in parser.sections():
-        if section not in _CONFIG_KEYS:
+        if section not in _INI:
             raise ValueError(f"unknown config section [{section}] in {path}")
         for key in parser[section]:
-            if key not in _CONFIG_KEYS[section]:
+            if key not in _INI[section]:
                 raise ValueError(f"unknown key {section}.{key} in {path}")
-    if "data" not in parser or "path" not in parser["data"]:
+    if not parser.has_option("data", "path"):
         raise ValueError(f"config {path} must set data.path")
 
-    kw: dict = {"data_path": parser["data"]["path"]}
-    if parser.has_option("data", "currencies"):
-        kw["currencies"] = tuple(_words(parser["data"]["currencies"]))
-    if "split" in parser:
-        sec = parser["split"]
-        if "fraction" in sec:
-            kw["train_fraction"] = sec.getfloat("fraction")
-        if "seed" in sec:
-            kw["seed"] = sec.getint("seed")
-    if parser.has_option("models", "enabled"):
-        kw["models"] = tuple(_words(parser["models"]["enabled"]))
-    if "mars" in parser:
-        sec = parser["mars"]
-        if "recipe" in sec:
-            kw["mars_recipe"] = sec["recipe"]
-        mars_kw = {}
-        if "max_basis_functions" in sec:
-            mars_kw["max_basis_functions"] = sec.getint("max_basis_functions")
-        if "max_interaction" in sec:
-            mars_kw["max_interaction"] = sec.getint("max_interaction")
-        if "pruning" in sec:
-            mars_kw["pruning"] = sec["pruning"]
-        if "gcv_penalty" in sec:
-            mars_kw["gcv_penalty"] = sec.getfloat("gcv_penalty")
-        if mars_kw:
-            kw["mars_cfg"] = mars.MarsConfig(**mars_kw)
-    if "cart" in parser:
-        sec = parser["cart"]
-        if "recipe" in sec:
-            kw["cart_recipe"] = sec["recipe"]
-        cart_kw = {}
-        if "min_node_size" in sec:
-            cart_kw["min_node_size"] = sec.getint("min_node_size")
-        if "min_split_gain" in sec:
-            cart_kw["min_split_gain"] = sec.getfloat("min_split_gain")
-        if "max_depth" in sec:
-            cart_kw["max_depth"] = sec.getint("max_depth")
-        if cart_kw:
-            kw["cart_cfg"] = cart.CartConfig(**cart_kw)
-    if "mlp" in parser:
-        sec = parser["mlp"]
-        if "recipe" in sec:
-            kw["mlp_recipe"] = sec["recipe"]
-        if "hidden" in sec:
-            kw["mlp_hidden"] = tuple(int(v) for v in _words(sec["hidden"]))
-        if "epochs" in sec:
-            kw["mlp_epochs"] = sec.getint("epochs")
-    if "anfis" in parser:
-        sec = parser["anfis"]
-        if "recipe" in sec:
-            kw["anfis_recipe"] = sec["recipe"]
-        anfis_kw = {}
-        if "mfs_per_input" in sec:
-            anfis_kw["mfs_per_input"] = sec.getint("mfs_per_input")
-        if "epochs" in sec:
-            anfis_kw["epochs"] = sec.getint("epochs")
-        if "rate" in sec:
-            anfis_kw["rate"] = sec.getfloat("rate")
-        if "consequent" in sec:
-            anfis_kw["consequent"] = sec["consequent"]
-        if anfis_kw:
-            kw["anfis_cfg"] = anfis.AnfisConfig(**anfis_kw)
-    if "hybrid" in parser:
-        sec = parser["hybrid"]
-        if "recipe" in sec:
-            kw["hybrid_recipe"] = sec["recipe"]
-        if "encoding" in sec:
-            kw["hybrid_encoding"] = sec["encoding"]
-    if parser.has_option("output", "dir"):
-        kw["out_dir"] = parser["output"]["dir"]
+    kw: dict = {}
+    for section, keys in _INI.items():
+        nested: dict = {}
+        for key, (name, parse) in keys.items():
+            if parser.has_option(section, key):
+                outer, _, inner = name.partition(".")
+                value = parse(parser[section][key])
+                if inner:
+                    nested.setdefault(outer, {})[inner] = value
+                else:
+                    kw[outer] = value
+        for outer, values in nested.items():
+            kw[outer] = replace(getattr(ExperimentConfig, outer), **values)
     return ExperimentConfig(**kw)

@@ -16,9 +16,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import anfis as anfis_mod
-from . import bench, cart, hybrid, mars, scg, synth
-from .data import FeatureSpec, apply_scaler, build_supervised, fit_scaler, load_csv, split
+from . import bench, synth
+from .data import load_csv
+from .kinds import KINDS
 from .predictor import Predictor, load_predictor, predict_rates, save_predictor
 
 
@@ -56,37 +56,15 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def _fit_one(model: str, cfg: bench.ExperimentConfig, code: str) -> Predictor:
-    series = load_csv(cfg.data_path)
-    if code not in series:
-        raise ValueError(f"currency {code!r} not in {cfg.data_path}")
-    ds = build_supervised(series, FeatureSpec(code, cfg.recipe_for(model)))
-    train, test = split(ds, cfg.train_fraction, cfg.seed)
-    scaler = fit_scaler(train)
-    strain, stest = apply_scaler(train, scaler), apply_scaler(test, scaler)
-    seed_key = bench.cell_seed(cfg.seed, code, model)
-    if model == "mars":
-        engine = mars.fit(strain, cfg.mars_cfg)
-    elif model == "cart":
-        seq = cart.prune_sequence(cart.grow(strain, cfg.cart_cfg), strain)
-        engine = cart.select_min_cost(seq, stest)
-    elif model == "hybrid":
-        engine = hybrid.fit_hybrid(strain, stest, cfg.cart_cfg, cfg.mars_cfg,
-                                   cfg.hybrid_encoding)
-    elif model == "mlp":
-        net = scg.init_network((strain.n_features, *cfg.mlp_hidden, 1), seed_key)
-        engine, _ = scg.scg_train(net, strain, cfg.mlp_epochs, seed=seed_key)
-    else:
-        engine, _ = anfis_mod.hybrid_train(strain, cfg.anfis_cfg)
-    return Predictor(model, code, cfg.recipe_for(model), scaler, engine)
-
-
 def _cmd_fit(args) -> int:
     cfg = bench.load_config(args.config)
     series = load_csv(cfg.data_path)
     configured = cfg.currencies if cfg.currencies is not None else tuple(series)
     code = args.currency or configured[0]
-    fitted = _fit_one(args.model, cfg, code)
+    scaler, strain, stest = bench.prepare_cell(cfg, series, code, args.model)
+    engine, _ = KINDS[args.model].fit(cfg, strain, stest,
+                                      bench.cell_seed(cfg.seed, code, args.model))
+    fitted = Predictor(args.model, code, cfg.recipe_for(args.model), scaler, engine)
     out = Path(args.output or f"{args.model}_{code}.model")
     out.write_text(save_predictor(fitted))
     print(f"wrote {out}")

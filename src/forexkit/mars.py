@@ -88,7 +88,6 @@ class MarsConfig:
     max_interaction: int = 1
     pruning: str = "gcv"
     gcv_penalty: float = 3.0
-    knot_candidates: str = "all_observed"
 
     def __post_init__(self):
         if self.max_basis_functions < 1:
@@ -97,8 +96,6 @@ class MarsConfig:
             raise ValueError("max_interaction must be >= 1")
         if self.pruning not in ("gcv", "holdout"):
             raise ValueError(f"pruning must be 'gcv' or 'holdout', got {self.pruning!r}")
-        if self.knot_candidates != "all_observed":
-            raise ValueError("only knot_candidates='all_observed' is supported")
 
 
 @dataclass(frozen=True)

@@ -14,24 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import anfis, cart, hybrid, mars, scg
 from .data import (FeatureSpec, ScalerParams, build_supervised,
                    scale_features, unscale_target)
-
-_DUMPERS = {
-    "mars": mars.dump_model,
-    "cart": cart.dump_tree,
-    "hybrid": hybrid.dump_hybrid,
-    "mlp": scg.dump_network,
-    "anfis": anfis.dump_model,
-}
-_LOADERS = {
-    "mars": mars.load_model,
-    "cart": cart.load_tree,
-    "hybrid": hybrid.load_hybrid,
-    "mlp": scg.load_network,
-    "anfis": anfis.load_model,
-}
+from .kinds import KINDS
 
 
 @dataclass(frozen=True)
@@ -43,21 +28,13 @@ class Predictor:
     engine: object
 
     def __post_init__(self):
-        if self.model_kind not in _DUMPERS:
+        if self.model_kind not in KINDS:
             raise ValueError(f"unknown model kind {self.model_kind!r}")
 
 
 def predict_scaled(p: Predictor, X: np.ndarray) -> np.ndarray:
     """Engine predictions on already-scaled feature rows."""
-    if p.model_kind == "mars":
-        return np.asarray(mars.predict(p.engine, X), dtype=float)
-    if p.model_kind == "cart":
-        return np.asarray(cart.predict(p.engine, X), dtype=float)
-    if p.model_kind == "hybrid":
-        return np.asarray(hybrid.predict(p.engine, X), dtype=float)
-    if p.model_kind == "mlp":
-        return np.asarray(scg.forward(p.engine, X), dtype=float)
-    return np.asarray(anfis.predict(p.engine, X), dtype=float)
+    return KINDS[p.model_kind].predict(p.engine, X)
 
 
 def predict_rates(p: Predictor, series_map: dict):
@@ -91,7 +68,7 @@ def save_predictor(p: Predictor) -> str:
         f"scale_target {int(scaler.scale_target)}",
         "[model]",
     ]
-    return "\n".join(lines) + "\n" + _DUMPERS[p.model_kind](p.engine)
+    return "\n".join(lines) + "\n" + KINDS[p.model_kind].dump(p.engine)
 
 
 def load_predictor(text: str) -> Predictor:
@@ -112,7 +89,7 @@ def load_predictor(text: str) -> Predictor:
                 "target_min", "target_max", "scale_target"):
         if key not in header:
             raise ValueError(f"missing {key} in predictor header")
-    if header["model"] not in _LOADERS:
+    if header["model"] not in KINDS:
         raise ValueError(f"unknown model kind {header['model']!r}")
     scaler = ScalerParams(
         feature_min=np.array([float(t) for t in header["feature_min"].split()]),
@@ -121,6 +98,6 @@ def load_predictor(text: str) -> Predictor:
         target_max=float(header["target_max"]),
         scale_target=bool(int(header["scale_target"])),
     )
-    engine = _LOADERS[header["model"]]("\n".join(lines[body_at:]))
+    engine = KINDS[header["model"]].load("\n".join(lines[body_at:]))
     return Predictor(header["model"], header["currency"], header["recipe"],
                      scaler, engine)
