@@ -21,6 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import Dataset
+from .dumpfmt import Lines, expect, floats, fmt, integer, keyed
 
 _WIDTH_FLOOR = 1e-6
 _LOG_UNDERFLOW = -745.0  # below this, exp() is exactly 0.0 in double precision
@@ -328,10 +329,6 @@ def dump_rules(model: AnfisModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
-
-
 def dump_model(model: AnfisModel) -> str:
     lines = ["anfis-model v1",
              f"inputs {model.n_inputs} outputs {model.n_outputs} "
@@ -339,38 +336,45 @@ def dump_model(model: AnfisModel) -> str:
              f"{int(model.lse_rank_deficient)}"]
     for i, (c, s) in enumerate(zip(model.centers, model.widths)):
         lines.append(f"input {i} mfs {c.size}")
-        lines.append("centers " + " ".join(_fmt(v) for v in c))
-        lines.append("widths " + " ".join(_fmt(v) for v in s))
+        lines.append("centers " + " ".join(fmt(v) for v in c))
+        lines.append("widths " + " ".join(fmt(v) for v in s))
     lines.append(f"consequents {model.n_rules} {model.consequents.shape[1]}")
     for r in range(model.n_rules):
-        lines.append(" ".join(_fmt(v) for v in model.consequents[r].ravel()))
+        lines.append(" ".join(fmt(v) for v in model.consequents[r].ravel()))
     return "\n".join(lines) + "\n"
 
 
 def load_model(text: str) -> AnfisModel:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "anfis-model v1":
-        raise ValueError("not an anfis-model v1 dump")
-    head = lines[1].split()
-    n_inputs, n_outputs = int(head[1]), int(head[3])
-    consequent = head[5]
-    deficient = bool(int(head[7]))
-    at = 2
+    """Inverse of dump_model.  Truncated, garbled or non-finite input raises
+    ValueError naming its 1-based line."""
+    lines = Lines(text)
+    expect(lines.take("the header"), "anfis-model v1")
+    no, line = lines.take("the shape line")
+    head = line.split()
+    if (head[::2] != ["inputs", "outputs", "consequent", "rank_deficient"]
+            or len(head) != 8 or head[5] not in ("linear", "constant")):
+        raise ValueError(f"line {no}: expected 'inputs <n> outputs <n> "
+                         "consequent linear|constant rank_deficient 0|1'")
+    n_inputs, n_outputs = integer(no, head[1], 1), integer(no, head[3], 1)
+    consequent, deficient = head[5], bool(integer(no, head[7], 0, 1))
     centers, widths = [], []
     for i in range(n_inputs):
-        if lines[at].split()[:2] != ["input", str(i)]:
-            raise ValueError(f"expected 'input {i}' at line {at + 1}")
-        centers.append(np.array([float(t) for t in lines[at + 1].split()[1:]]))
-        widths.append(np.array([float(t) for t in lines[at + 2].split()[1:]]))
-        at += 3
-    head = lines[at].split()
-    if head[0] != "consequents":
-        raise ValueError("missing consequents block")
-    n_rules, terms = int(head[1]), int(head[2])
-    at += 1
-    rows = [np.array([float(t) for t in lines[at + r].split()]).reshape(terms, n_outputs)
+        no, line = lines.take(f"input {i}")
+        head = line.split()
+        if head[:3] != ["input", str(i), "mfs"] or len(head) != 4:
+            raise ValueError(f"line {no}: expected 'input {i} mfs <count>'")
+        mfs = integer(no, head[3], 1)
+        centers.append(floats(keyed(lines.take(f"centers of input {i}"), "centers"), mfs))
+        no, rest = keyed(lines.take(f"widths of input {i}"), "widths")
+        widths.append(floats((no, rest), mfs))
+        if np.any(widths[-1] <= 0.0):
+            raise ValueError(f"line {no}: widths must be > 0")
+    n_rules = int(np.prod([c.size for c in centers]))
+    terms = n_inputs + 1 if consequent == "linear" else 1
+    expect(lines.take("the consequents block"), f"consequents {n_rules} {terms}")
+    rows = [floats(lines.take(f"consequents of rule {r}"), terms * n_outputs)
             for r in range(n_rules)]
-    at += n_rules
-    if at != len(lines):
-        raise ValueError("trailing content after model body")
-    return AnfisModel(tuple(centers), tuple(widths), np.stack(rows), consequent, deficient)
+    lines.finish("model body")
+    return AnfisModel(tuple(centers), tuple(widths),
+                      np.stack(rows).reshape(n_rules, terms, n_outputs),
+                      consequent, deficient)

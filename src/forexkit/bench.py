@@ -23,7 +23,8 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import anfis, cart, charts, mars
-from .data import FeatureSpec, apply_scaler, build_supervised, fit_scaler, load_csv, rmse, split
+from .data import (FeatureSpec, apply_scaler, build_supervised, fit_scaler, load_csv,
+                   rmse, split)
 from .kinds import KINDS
 
 MODELS = tuple(KINDS)

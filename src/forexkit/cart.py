@@ -16,11 +16,13 @@ Routing convention: x[var] <= threshold goes left.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .data import Dataset
+from .dumpfmt import Lines, expect, fmt, integer, keyed, number
 
 _TIE_REL = 1e-9  # SSE reductions closer than this (relative to parent SSE) tie
 
@@ -354,10 +356,6 @@ def relative_error_curve(seq: PruneSequence, test: Dataset):
 # --- plain-text serialization -------------------------------------------------
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
-
-
 def dump_tree(tree: CartTree) -> str:
     lines = ["cart-tree v1", f"features {tree.n_features}"]
     if tree.feature_names:
@@ -366,11 +364,11 @@ def dump_tree(tree: CartTree) -> str:
     def walk(node, depth):
         pad = "  " * depth
         if node.is_leaf:
-            lines.append(f"{pad}leaf id={node.leaf_id} mean={_fmt(node.mean)} "
-                         f"count={node.count} sse={_fmt(node.sse)}")
+            lines.append(f"{pad}leaf id={node.leaf_id} mean={fmt(node.mean)} "
+                         f"count={node.count} sse={fmt(node.sse)}")
         else:
-            lines.append(f"{pad}split var={node.var} threshold={_fmt(node.threshold)} "
-                         f"mean={_fmt(node.mean)} count={node.count} sse={_fmt(node.sse)}")
+            lines.append(f"{pad}split var={node.var} threshold={fmt(node.threshold)} "
+                         f"mean={fmt(node.mean)} count={node.count} sse={fmt(node.sse)}")
             walk(node.left, depth + 1)
             walk(node.right, depth + 1)
 
@@ -378,36 +376,49 @@ def dump_tree(tree: CartTree) -> str:
     return "\n".join(lines) + "\n"
 
 
+_NODE_FIELDS = {"leaf": ("id", "mean", "count", "sse"),
+                "split": ("var", "threshold", "mean", "count", "sse")}
+
+
 def load_tree(text: str) -> CartTree:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "cart-tree v1":
-        raise ValueError("not a cart-tree v1 dump")
-    n_features = int(lines[1].split()[1])
-    pos = 2
+    """Inverse of dump_tree.  Truncated, garbled or non-finite input raises
+    ValueError naming its 1-based line."""
+    lines = Lines(text)
+    expect(lines.take("the header"), "cart-tree v1")
+    n_features = integer(*keyed(lines.take("the features line"), "features"), 1)
     names: tuple = ()
-    if pos < len(lines) and lines[pos].startswith("names "):
-        names = tuple(lines[pos].split()[1:])
-        pos += 1
+    first = lines.take("the root node")
+    if first[1].startswith("names "):
+        names = tuple(first[1].split()[1:])
+        if len(names) != n_features:
+            raise ValueError(f"line {first[0]}: expected {n_features} names")
+        first = lines.take("the root node")
+    leaf_ids = itertools.count()
 
-    def parse(depth, at):
-        line = lines[at]
-        indent = (len(line) - len(line.lstrip())) // 2
-        if indent != depth:
-            raise ValueError(f"bad indentation at line {at + 1}")
-        fields = dict(tok.split("=", 1) for tok in line.split() if "=" in tok)
-        if line.lstrip().startswith("leaf"):
-            node = Node(float(fields["mean"]), int(fields["count"]), float(fields["sse"]),
-                        leaf_id=int(fields["id"]))
-            return node, at + 1
-        node = Node(float(fields["mean"]), int(fields["count"]), float(fields["sse"]),
-                    var=int(fields["var"]), threshold=float(fields["threshold"]))
-        node.left, nxt = parse(depth + 1, at + 1)
-        node.right, nxt = parse(depth + 1, nxt)
-        return node, nxt
+    def parse(numbered, depth):
+        no, line = numbered
+        if (len(line) - len(line.lstrip())) // 2 != depth:
+            raise ValueError(f"line {no}: bad indentation")
+        kind, *pairs = line.split()
+        fields = dict(pair.partition("=")[::2] for pair in pairs)
+        wanted = _NODE_FIELDS.get(kind, ())
+        if not wanted or len(pairs) != len(wanted) or set(fields) != set(wanted):
+            raise ValueError(f"line {no}: expected a leaf or split node")
+        node = Node(number(no, fields["mean"]), integer(no, fields["count"]),
+                    number(no, fields["sse"]))
+        if kind == "leaf":
+            node.leaf_id = integer(no, fields["id"])
+            if node.leaf_id != next(leaf_ids):
+                raise ValueError(f"line {no}: leaf ids must count up from 0")
+            return node
+        node.var = integer(no, fields["var"], 0, n_features - 1)
+        node.threshold = number(no, fields["threshold"])
+        node.left = parse(lines.take("a left child"), depth + 1)
+        node.right = parse(lines.take("a right child"), depth + 1)
+        return node
 
-    root, end = parse(0, pos)
-    if end != len(lines):
-        raise ValueError("trailing content after tree body")
+    root = parse(first, 0)
+    lines.finish("tree body")
     counter = {"node": 0}
 
     def index(node):

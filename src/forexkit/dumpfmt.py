@@ -1,0 +1,94 @@
+"""The plain-text format shared by the engine dumps and the predictor file.
+
+Floats are written with 17 significant digits, which round-trips every
+double, so a reloaded engine predicts bit for bit what the dumped one did.
+Loaders read a dump as numbered non-blank lines; truncated, garbled or
+non-finite input raises ValueError naming its 1-based line.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+
+def fmt(v: float) -> str:
+    return format(float(v), ".17g")
+
+
+class Lines:
+    """The non-blank lines of a dump as (1-based number, text), taken in order."""
+
+    def __init__(self, text: str):
+        numbered = list(enumerate(text.splitlines(), 1))
+        self._lines = [(no, line) for no, line in numbered if line.strip()]
+        self._next = 0
+        self._end = len(numbered) + 1
+
+    def take(self, what: str):
+        if self._next == len(self._lines):
+            raise ValueError(f"line {self._end}: dump ends before {what}")
+        self._next += 1
+        return self._lines[self._next - 1]
+
+    def finish(self, what: str):
+        if self._next < len(self._lines):
+            no = self._lines[self._next][0]
+            raise ValueError(f"line {no}: trailing content after {what}")
+
+
+def tail(lines: list, start: int, stop: int | None = None) -> str:
+    """``lines[start:stop]`` as a text that keeps the whole file's line
+    numbers: the lines before ``start`` become blank, and loaders skip those."""
+    return "\n" * start + "\n".join(lines[start:stop])
+
+
+def expect(numbered, header: str):
+    no, line = numbered
+    if line.split() != header.split():
+        raise ValueError(f"line {no}: expected '{header}'")
+
+
+def keyed(numbered, key: str):
+    """(number, rest) of a line whose first word must be ``key``."""
+    no, line = numbered
+    first, _, rest = line.strip().partition(" ")
+    if first != key:
+        raise ValueError(f"line {no}: expected '{key}'")
+    return no, rest
+
+
+def integer(no: int, token: str, low: int = 0, high: int | None = None) -> int:
+    try:
+        value = int(token)
+    except ValueError:
+        raise ValueError(f"line {no}: {token!r} is not an integer") from None
+    if value < low or (high is not None and value > high):
+        raise ValueError(f"line {no}: {value} is out of range")
+    return value
+
+
+def number(no: int, token: str) -> float:
+    try:
+        value = float(token)
+    except ValueError:
+        raise ValueError(f"line {no}: {token!r} is not a number") from None
+    if not math.isfinite(value):
+        raise ValueError(f"line {no}: non-finite value {token}")
+    return value
+
+
+def floats(numbered, count: int | None = None) -> np.ndarray:
+    """The line's finite numbers; ``count`` of them unless it is None."""
+    no, line = numbered
+    tokens = line.split()
+    if count is not None and len(tokens) != count:
+        raise ValueError(f"line {no}: expected {count} values, got {len(tokens)}")
+    try:
+        values = [float(tok) for tok in tokens]
+    except ValueError:
+        raise ValueError(f"line {no}: not a number") from None
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"line {no}: non-finite value")
+    return np.array(values)

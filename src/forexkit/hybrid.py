@@ -16,6 +16,7 @@ import numpy as np
 
 from . import cart, mars
 from .data import Dataset
+from .dumpfmt import Lines, expect, keyed, tail
 
 ENCODINGS = ("one_hot_leaf", "leaf_prediction")
 
@@ -100,20 +101,21 @@ def dump_hybrid(h: HybridModel) -> str:
 
 
 def load_hybrid(text: str) -> HybridModel:
+    """Inverse of dump_hybrid.  Truncated, garbled or non-finite input raises
+    ValueError naming its 1-based line."""
     lines = text.splitlines()
-    if not lines or lines[0] != "hybrid-cart-mars v1":
-        raise ValueError("not a hybrid-cart-mars v1 dump")
-    if not lines[1].startswith("encoding "):
-        raise ValueError("missing encoding line")
-    encoding = lines[1].split()[1]
-    if not lines[2].startswith("augmented_names"):
-        raise ValueError("missing augmented_names line")
-    names = tuple(lines[2].split()[1:])
-    try:
-        tree_at = lines.index("[tree]")
-        mars_at = lines.index("[mars]")
-    except ValueError as exc:
-        raise ValueError("missing [tree]/[mars] section") from exc
-    tree = cart.load_tree("\n".join(lines[tree_at + 1:mars_at]))
-    model = mars.load_model("\n".join(lines[mars_at + 1:]))
-    return HybridModel(tree, model, encoding, names)
+    head = Lines(text)
+    expect(head.take("the header"), "hybrid-cart-mars v1")
+    no, encoding = keyed(head.take("the encoding line"), "encoding")
+    if encoding not in ENCODINGS:
+        raise ValueError(f"line {no}: encoding must be one of {ENCODINGS}")
+    _, names = keyed(head.take("the augmented_names line"), "augmented_names")
+    section = head.take("the [tree] section")
+    expect(section, "[tree]")
+    tree_at = section[0]
+    if "[mars]" not in lines[tree_at:]:
+        raise ValueError(f"line {len(lines) + 1}: missing [mars] section")
+    mars_at = lines.index("[mars]", tree_at)
+    tree = cart.load_tree(tail(lines, tree_at, mars_at))
+    model = mars.load_model(tail(lines, mars_at + 1))
+    return HybridModel(tree, model, encoding, tuple(names.split()))

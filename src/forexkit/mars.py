@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset
+from .dumpfmt import Lines, expect, floats, fmt, integer, keyed, number
 
 _TIE_REL = 1e-10        # forward-search gains closer than this are tied
 _DEP_TOL = 1e-10        # column treated as linearly dependent below this
@@ -307,40 +308,39 @@ _DIR_CODE = {POSITIVE: "+", NEGATIVE: "-"}
 _CODE_DIR = {"+": POSITIVE, "-": NEGATIVE}
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
-
-
 def dump_model(model: MarsModel) -> str:
     lines = ["mars-model v1", f"features {model.n_features}", f"bases {len(model.bases)}"]
     for b in model.bases:
-        parts = [f"{f.var} {_DIR_CODE[f.direction]} {_fmt(f.knot)}" for f in b.factors]
+        parts = [f"{f.var} {_DIR_CODE[f.direction]} {fmt(f.knot)}" for f in b.factors]
         lines.append("basis " + (" ".join(parts) if parts else "const"))
     lines.append("coefficients")
-    lines.extend(_fmt(c) for c in model.coefficients)
-    lines.append(f"training_mse {_fmt(model.training_mse)}")
+    lines.extend(fmt(c) for c in model.coefficients)
+    lines.append(f"training_mse {fmt(model.training_mse)}")
     return "\n".join(lines) + "\n"
 
 
 def load_model(text: str) -> MarsModel:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "mars-model v1":
-        raise ValueError("not a mars-model v1 dump")
-    n_features = int(lines[1].split()[1])
-    n_bases = int(lines[2].split()[1])
+    """Inverse of dump_model.  Truncated, garbled or non-finite input raises
+    ValueError naming its 1-based line."""
+    lines = Lines(text)
+    expect(lines.take("the header"), "mars-model v1")
+    n_features = integer(*keyed(lines.take("the features line"), "features"), 1)
+    n_bases = integer(*keyed(lines.take("the bases line"), "bases"), 1)
     bases = []
-    for ln in lines[3:3 + n_bases]:
-        body = ln.split(None, 1)[1]
-        if body == "const":
+    for i in range(n_bases):
+        no, body = keyed(lines.take(f"basis {i}"), "basis")
+        toks = body.split()
+        if toks == ["const"]:
             bases.append(HingeBasis())
             continue
-        toks = body.split()
-        factors = tuple(Hinge(int(toks[i]), float(toks[i + 2]), _CODE_DIR[toks[i + 1]])
-                        for i in range(0, len(toks), 3))
-        bases.append(HingeBasis(factors))
-    pos = 3 + n_bases
-    if lines[pos] != "coefficients":
-        raise ValueError("malformed dump: expected coefficients block")
-    coef = np.array([float(ln) for ln in lines[pos + 1:pos + 1 + n_bases]])
-    mse = float(lines[pos + 1 + n_bases].split()[1])
+        if not toks or len(toks) % 3 or any(c not in _CODE_DIR for c in toks[1::3]):
+            raise ValueError(f"line {no}: expected 'const' or 'var +|- knot' factors")
+        bases.append(HingeBasis(tuple(
+            Hinge(integer(no, var, 0, n_features - 1), number(no, knot), _CODE_DIR[code])
+            for var, code, knot in zip(toks[::3], toks[1::3], toks[2::3]))))
+    expect(lines.take("the coefficients block"), "coefficients")
+    coef = np.concatenate([floats(lines.take(f"coefficient {i}"), 1)
+                           for i in range(n_bases)])
+    mse = number(*keyed(lines.take("the training_mse line"), "training_mse"))
+    lines.finish("model body")
     return MarsModel(tuple(bases), coef, n_features, mse)

@@ -16,6 +16,7 @@ import numpy as np
 
 from .data import (FeatureSpec, ScalerParams, build_supervised,
                    scale_features, unscale_target)
+from .dumpfmt import fmt, floats, integer, number, tail
 from .kinds import KINDS
 
 
@@ -50,10 +51,6 @@ def predict_rates(p: Predictor, series_map: dict):
     return ds.provenance + 1, preds
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
-
-
 def save_predictor(p: Predictor) -> str:
     scaler = p.scaler
     lines = [
@@ -61,10 +58,10 @@ def save_predictor(p: Predictor) -> str:
         f"model {p.model_kind}",
         f"currency {p.currency}",
         f"recipe {p.recipe}",
-        "feature_min " + " ".join(_fmt(v) for v in scaler.feature_min),
-        "feature_max " + " ".join(_fmt(v) for v in scaler.feature_max),
-        f"target_min {_fmt(scaler.target_min)}",
-        f"target_max {_fmt(scaler.target_max)}",
+        "feature_min " + " ".join(fmt(v) for v in scaler.feature_min),
+        "feature_max " + " ".join(fmt(v) for v in scaler.feature_max),
+        f"target_min {fmt(scaler.target_min)}",
+        f"target_max {fmt(scaler.target_max)}",
         f"scale_target {int(scaler.scale_target)}",
         "[model]",
     ]
@@ -72,32 +69,36 @@ def save_predictor(p: Predictor) -> str:
 
 
 def load_predictor(text: str) -> Predictor:
+    """Inverse of save_predictor.  Truncated, garbled or non-finite input, and
+    a scaler whose width is not the engine's, raise ValueError naming a line."""
     lines = text.splitlines()
     if not lines or lines[0] != "forexkit-predictor v1":
-        raise ValueError("not a forexkit-predictor v1 file")
+        raise ValueError("line 1: not a forexkit-predictor v1 file")
+    if "[model]" not in lines:
+        raise ValueError(f"line {len(lines) + 1}: missing [model] section")
+    body_at = lines.index("[model]")
     header: dict = {}
-    body_at = None
-    for i, line in enumerate(lines[1:], start=1):
-        if line == "[model]":
-            body_at = i + 1
-            break
+    for no, line in enumerate(lines[1:body_at], start=2):
         key, _, value = line.partition(" ")
-        header[key] = value
-    if body_at is None:
-        raise ValueError("missing [model] section")
+        header[key] = (no, value)
     for key in ("model", "currency", "recipe", "feature_min", "feature_max",
                 "target_min", "target_max", "scale_target"):
         if key not in header:
-            raise ValueError(f"missing {key} in predictor header")
-    if header["model"] not in KINDS:
-        raise ValueError(f"unknown model kind {header['model']!r}")
+            raise ValueError(f"line {body_at + 1}: missing {key} in predictor header")
+    no, kind = header["model"]
+    if kind not in KINDS:
+        raise ValueError(f"line {no}: unknown model kind {kind!r}")
+    feature_min = floats(header["feature_min"])
     scaler = ScalerParams(
-        feature_min=np.array([float(t) for t in header["feature_min"].split()]),
-        feature_max=np.array([float(t) for t in header["feature_max"].split()]),
-        target_min=float(header["target_min"]),
-        target_max=float(header["target_max"]),
-        scale_target=bool(int(header["scale_target"])),
+        feature_min=feature_min,
+        feature_max=floats(header["feature_max"], feature_min.size),
+        target_min=number(*header["target_min"]),
+        target_max=number(*header["target_max"]),
+        scale_target=bool(integer(*header["scale_target"], 0, 1)),
     )
-    engine = KINDS[header["model"]].load("\n".join(lines[body_at:]))
-    return Predictor(header["model"], header["currency"], header["recipe"],
-                     scaler, engine)
+    engine = KINDS[kind].load(tail(lines, body_at + 1))
+    width = KINDS[kind].width(engine)
+    if width != feature_min.size:
+        raise ValueError(f"line {header['feature_min'][0]}: {feature_min.size} scaled "
+                         f"features, but the {kind} engine takes {width}")
+    return Predictor(kind, header["currency"][1], header["recipe"][1], scaler, engine)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
+from .dumpfmt import Lines, expect, floats, fmt
 
 
 class ScgDivergence(RuntimeError):
@@ -353,38 +354,24 @@ def scg_train(net: MlpNetwork, train: Dataset, epochs: int,
 # --- plain-text serialization -------------------------------------------------
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
-
-
 def dump_network(net: MlpNetwork) -> str:
     lines = ["mlp-network v1", "layers " + " ".join(str(s) for s in net.layer_sizes)]
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
         lines.append(f"weights {i} {w.shape[0]} {w.shape[1]}")
         for row in w:
-            lines.append(" ".join(_fmt(v) for v in row))
+            lines.append(" ".join(fmt(v) for v in row))
         lines.append(f"biases {i} {b.size}")
-        lines.append(" ".join(_fmt(v) for v in b))
+        lines.append(" ".join(fmt(v) for v in b))
     return "\n".join(lines) + "\n"
 
 
 def load_network(text: str) -> MlpNetwork:
     """Inverse of dump_network.  Truncated, garbled, misshapen or non-finite
     input raises ValueError naming its 1-based line."""
-    lines = [(no, ln.split()) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
-    body = iter(lines)
-    end = lines[-1][0] + 1 if lines else 1
-
-    def take(what):
-        try:
-            return next(body)
-        except StopIteration:
-            raise ValueError(f"line {end}: dump ends before {what}") from None
-
-    no, head = take("the header")
-    if head != ["mlp-network", "v1"]:
-        raise ValueError(f"line {no}: not an mlp-network v1 dump")
-    no, head = take("the layers line")
+    lines = Lines(text)
+    expect(lines.take("the header"), "mlp-network v1")
+    no, line = lines.take("the layers line")
+    head = line.split()
     try:
         sizes = tuple(int(tok) for tok in head[1:])
     except ValueError:
@@ -393,31 +380,10 @@ def load_network(text: str) -> MlpNetwork:
         raise ValueError(f"line {no}: expected 'layers' and at least two sizes >= 1")
     weights, biases = [], []
     for i, (n_in, n_out) in enumerate(zip(sizes, sizes[1:])):
-        _expect_header(take(f"weights {i}"), f"weights {i} {n_out} {n_in}")
-        weights.append(np.array([_finite_row(take(f"row {r} of weights {i}"), n_in)
+        expect(lines.take(f"weights {i}"), f"weights {i} {n_out} {n_in}")
+        weights.append(np.array([floats(lines.take(f"row {r} of weights {i}"), n_in)
                                  for r in range(n_out)]))
-        _expect_header(take(f"biases {i}"), f"biases {i} {n_out}")
-        biases.append(_finite_row(take(f"biases {i}"), n_out))
-    trailing = next(body, None)
-    if trailing is not None:
-        raise ValueError(f"line {trailing[0]}: trailing content after network body")
+        expect(lines.take(f"biases {i}"), f"biases {i} {n_out}")
+        biases.append(floats(lines.take(f"biases {i}"), n_out))
+    lines.finish("network body")
     return MlpNetwork(sizes, tuple(weights), tuple(biases))
-
-
-def _expect_header(numbered, header: str):
-    no, tokens = numbered
-    if tokens != header.split():
-        raise ValueError(f"line {no}: expected '{header}'")
-
-
-def _finite_row(numbered, count: int) -> np.ndarray:
-    no, tokens = numbered
-    if len(tokens) != count:
-        raise ValueError(f"line {no}: expected {count} values, got {len(tokens)}")
-    try:
-        row = np.array([float(tok) for tok in tokens])
-    except ValueError:
-        raise ValueError(f"line {no}: not a number") from None
-    if not np.all(np.isfinite(row)):
-        raise ValueError(f"line {no}: non-finite value")
-    return row

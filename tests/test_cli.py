@@ -5,6 +5,7 @@ import pytest
 
 from forexkit.cli import main
 from forexkit.data import load_csv
+from forexkit.kinds import KINDS
 from forexkit.predictor import load_predictor
 from forexkit.synth import forex5_series, write_rates_csv
 
@@ -109,6 +110,29 @@ class TestFitPredict:
         assert first_month == "1981-02"
         float(first_value)  # parses as a number
         assert lines[-1].split(",")[0] == "2001-04"
+
+    def test_fit_engine_dump_equals_bench_dump(self, tmp_path, rates_csv):
+        out = tmp_path / "out"
+        cfg = _config(tmp_path, rates_csv,
+                      f"currencies = GBP\n[mlp]\nepochs = 20\n[anfis]\nepochs = 2\n"
+                      f"[output]\ndir = {out}\n")
+        assert main(["bench", str(cfg)]) == 0
+        for kind in KINDS:
+            saved = tmp_path / f"{kind}.model"
+            assert main(["fit", kind, str(cfg), "-o", str(saved)]) == 0
+            engine_dump = saved.read_text().split("[model]\n", 1)[1]
+            assert engine_dump == (out / "models" / f"{kind}_GBP.txt").read_text(), kind
+
+    def test_predict_truncated_predictor_names_line(self, tmp_path, rates_csv,
+                                                    capsys):
+        cfg = _config(tmp_path, rates_csv)
+        model_file = tmp_path / "m.model"
+        main(["fit", "cart", str(cfg), "-o", str(model_file)])
+        lines = model_file.read_text().splitlines()
+        model_file.write_text("\n".join(lines[:-3]))
+        capsys.readouterr()
+        assert main(["predict", str(model_file), str(rates_csv)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: line {len(lines) - 2}: ")
 
     def test_predict_missing_model_file(self, tmp_path, rates_csv, capsys):
         assert main(["predict", str(tmp_path / "nope.model"), str(rates_csv)]) == 1
