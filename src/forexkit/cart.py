@@ -417,7 +417,10 @@ def load_tree(text: str) -> CartTree:
         node.right = parse(lines.take("a right child"), depth + 1)
         return node
 
-    root = parse(first, 0)
+    try:
+        root = parse(first, 0)
+    except RecursionError:
+        raise ValueError(f"line {first[0]}: tree too deep to load") from None
     lines.finish("tree body")
     counter = {"node": 0}
 

@@ -14,6 +14,8 @@ from . import anfis, cart, hybrid, mars, scg
 
 
 class Kind:
+    """One model family; a subclass sets ``module`` and defines ``fit``."""
+
     predict_name, dump_name, load_name = "predict", "dump_model", "load_model"
 
     def predict(self, engine, X) -> np.ndarray:

@@ -209,6 +209,15 @@ class TestLoaderChecks:
                            "  leaf id=1 mean=0 count=1 sse=0\n"
                            "  leaf id=0 mean=0 count=1 sse=0\n")
 
+    def test_cart_too_deep_is_value_error(self):
+        lines = ["cart-tree v1", "features 1"]
+        for d in range(1200):  # a chain of splits deeper than the recursion limit
+            lines.append("  " * d + f"split var=0 threshold={d} mean=0 count=2 sse=0")
+            lines.append("  " * (d + 1) + f"leaf id={d} mean=0 count=1 sse=0")
+        lines.append("  " * 1200 + "leaf id=1200 mean=0 count=1 sse=0")
+        with pytest.raises(ValueError, match="^line 3: tree too deep"):
+            cart.load_tree("\n".join(lines))
+
     def test_anfis_width_must_be_positive(self):
         with pytest.raises(ValueError, match="^line 5: widths must be > 0"):
             anfis.load_model("anfis-model v1\n"
