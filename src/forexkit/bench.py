@@ -74,6 +74,9 @@ class ExperimentConfig:
         unknown = [m for m in self.models if m not in MODELS]
         if unknown:
             raise ValueError(f"unknown models {unknown}; choose from {MODELS}")
+        if self.mars_cfg.pruning != "gcv":
+            raise ValueError(f"[mars] pruning = {self.mars_cfg.pruning}: the bench and "
+                             "forexkit fit prune by gcv only, as they hold no holdout set")
         object.__setattr__(self, "models", tuple(self.models))
         if self.currencies is not None:
             object.__setattr__(self, "currencies", tuple(self.currencies))

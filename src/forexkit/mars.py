@@ -13,6 +13,18 @@ Knot candidates are every observed training value of a variable.  Ties in
 the forward search resolve to the lowest parent index, then lowest variable
 index, then smallest knot; near-ties within 1e-10 relative gain count as
 ties so float noise cannot flip the deterministic choice.
+
+Search cost.  Each variable is sorted once per forward pass.  A (parent,
+variable) block then gets the gain of every knot from running sums over that
+order (Friedman 1991, Ann. Statist. 19, sec. 3.9): O(n m) for n rows and m
+bases, where projecting all K ~ n hinge columns costs O(n K m).  Those fast
+gains only rank the knots.  The knots near the block's fast top, and any
+whose fast terms lost too many digits to cancellation, are re-scored with
+the dense projections, and the tie rule picks among the re-scored gains.  A
+GCV elimination step ranks every drop from one QR of the retained columns
+and refits exactly only the drops near the lowest SSE; holdout pruning
+refits every drop.  So every pick, and hence every coefficient and trace,
+is the one that scoring every candidate densely gives.
 """
 
 from __future__ import annotations
@@ -27,6 +39,13 @@ from .dumpfmt import Lines, expect, floats, fmt, integer, keyed, number
 _TIE_REL = 1e-10        # forward-search gains closer than this are tied
 _DEP_TOL = 1e-10        # column treated as linearly dependent below this
 _STOP_REL = 1e-12       # relative MSE reduction below this stops the forward pass
+_FEW_KNOTS = 8          # blocks with this many knots or fewer are scored densely
+_SWEEP_REL = 1e-6       # fast gains this close to a block's fast top are re-scored
+_SWEEP_CHECK = 1e-7     # re-scored gains further than this from the fast ones: rescore all
+_PRUNE_REL = 1e-6       # drop-one SSEs this close to the lowest are scored exactly
+_PRUNE_FLOOR = 1e-10    # ... as are those within this share of |y|^2 of it
+_PRUNE_COND = 1e8       # R with a Frobenius condition number above this: score every drop
+_SHAKY_REL = 1e-6       # fast a or c this small against its terms is too cancelled to rank
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -149,27 +168,138 @@ def _orthonormalize(u: np.ndarray, Q: np.ndarray):
     return v / norm_v
 
 
-def _best_candidate(X, r, Q, bases, cfg):
+def _knot_order(X):
+    """Per variable: sort order, unique knots, and where each knot's run of
+    equal values starts in the sorted order."""
+    out = []
+    for var in range(X.shape[1]):
+        order = np.argsort(X[:, var], kind="stable")
+        xs = X[order, var]
+        knots = np.unique(xs)
+        out.append((order, knots, np.searchsorted(xs, knots)))
+    return out
+
+
+def _sweep_terms(bp, x, Q, r, order, knots, starts):
+    """Projection terms of the hinge pair u+ = bp*(x - t)+, u- = bp*(t - x)+
+    at every knot t at once, from running sums over the sorted order of x.
+
+    vp, vm are u+, u- less their projections onto span(Q).  Returns
+    (a, b, c, rp, rm, |u+|^2, |u-|^2, det, num) with a = |vp|^2, b = vp.vm,
+    c = |vm|^2, rp = vp.r, rm = vm.r, det = ac - b^2 and num = c rp^2 -
+    2b rp rm + a rm^2, plus a mask of the knots whose a or c lost too many
+    digits to cancellation to be ranked.  bp must lie in span(Q), as every
+    parent basis does.
+
+    Over the rows above t, Q'u+ = S(bp x Q) - t S(bp Q), |u+|^2 and u+.r are
+    quadratic and linear in t, and the rows below t give u- alike: O(n m)
+    per block instead of O(n K m) for the dense projections.  As bp is in
+    span(Q), vp - vm = g, the part of bp*x off span(Q), for every t, so det
+    and num follow from the Lagrange identity with p = vp.g = u+.g:
+    det = a|g|^2 - p^2 and num = |g|^2 rp^2 - 2p rp (g.r) + a (g.r)^2.  Unlike
+    ac - b^2 these do not cancel when the pair is collinear.
+    """
+    n, m = Q.shape
+    mid = knots[len(knots) // 2]  # centring keeps the quadratics in t small
+    x, knots = x - mid, knots - mid
+    w, xs, qs = bp[order], x[order], Q[order]
+    g = bp * x
+    g = (g - Q @ (Q.T @ g))[order]
+    wx, wr = w * xs, w * r[order]
+    terms = np.empty((n, 2 * m + 7))
+    np.multiply(w[:, None], qs, out=terms[:, :m])
+    np.multiply(wx[:, None], qs, out=terms[:, m:2 * m])
+    for i, col in enumerate((w * w, w * wx, wx * wx, wr, wr * xs, w * g, wx * g)):
+        terms[:, 2 * m + i] = col
+    if len(knots) < n:  # ties: one row of sums per run of equal x
+        terms = np.add.reduceat(terms, starts, axis=0)
+    k = len(knots)
+    below = np.empty((k + 1, 2 * m + 7))  # below[j]: sum of runs < j
+    below[0] = 0.0
+    np.cumsum(terms, axis=0, out=below[1:])
+    above = np.empty_like(below)          # above[j]: sum of runs >= j
+    above[k] = 0.0
+    np.cumsum(terms[::-1], axis=0, out=above[k - 1::-1])
+    below, above = below[:-1], above[1:]  # the rows below and above each knot
+    t = knots[:, None]
+    qp = above[:, :m]                     # in place: S(bp x Q) - t S(bp Q)
+    qp *= -t
+    qp += above[:, m:2 * m]
+    qm = below[:, :m]                     # in place: t P(bp Q) - P(bp x Q)
+    qm *= t
+    qm -= below[:, m:2 * m]
+    t = knots
+    qr = Q.T @ r  # r's rounding-level part in span(Q), which vp and vm lack
+    s0, s1, s2, sr, srx, sg, sxg = above[:, 2 * m:].T
+    norm_p = s2 - 2.0 * t * s1 + t * t * s0
+    scale_p = s2 + np.abs(2.0 * t * s1) + t * t * s0
+    rp = srx - t * sr - qp @ qr
+    p = sxg - t * sg
+    s0, s1, s2, sr, srx, _, _ = below[:, 2 * m:].T
+    norm_m = t * t * s0 - 2.0 * t * s1 + s2
+    scale_m = t * t * s0 + np.abs(2.0 * t * s1) + s2
+    rm = t * sr - srx - qm @ qr
+    a = norm_p - np.einsum("ij,ij->i", qp, qp)
+    b = -np.einsum("ij,ij->i", qp, qm)
+    c = norm_m - np.einsum("ij,ij->i", qm, qm)
+    gg, gr = g @ g, g @ r[order]
+    # each of det and num from whichever form sums smaller terms
+    lagrange = a * gg + p * p < a * c + b * b
+    det = np.where(lagrange, a * gg - p * p, a * c - b * b)
+    lagrange = np.abs(gg * rp ** 2) + np.abs(2.0 * p * rp * gr) + a * gr ** 2 \
+        < np.abs(c * rp ** 2) + np.abs(2.0 * b * rp * rm) + a * rm ** 2
+    num = np.where(lagrange, gg * rp ** 2 - 2.0 * p * rp * gr + a * gr ** 2,
+                   c * rp ** 2 - 2.0 * b * rp * rm + a * rm ** 2)
+    # a and c are differences of terms up to scale_p and scale_m in size, and
+    # num / det multiplies their relative error by ac / det
+    paired = (a > 0.0) & (c > 0.0) & (det > 1e-12 * a * c)
+    collinear = np.where(paired, det / np.where(paired, a * c, 1.0), 1.0)
+    shaky = (a * collinear <= _SHAKY_REL * scale_p) & (scale_p > 0.0) \
+        | (c * collinear <= _SHAKY_REL * scale_m) & (scale_m > 0.0)
+    return (a, b, c, rp, rm, norm_p, norm_m, det, num), shaky
+
+
+def _block_gains(x, r, Q, bp, cached):
+    """Dense gains of the knots that can win one (parent, variable) block,
+    as (knots, gains) in ascending knot order.
+
+    Fast sweep gains rank the knots; those within _SWEEP_REL of the fast top,
+    and those whose fast terms are too cancelled to trust, are re-scored with
+    the dense projections, so the winner and its gain are the dense ones.
+    Few-knot blocks, degenerate blocks, and blocks whose re-scored gains
+    disagree with the fast ones are scored densely in full.
+    """
+    order, knots, starts = cached
+    if len(knots) > _FEW_KNOTS:
+        (a, _, c, rp, rm, norm_p, norm_m, det, num), shaky = _sweep_terms(
+            bp, x, Q, r, order, knots, starts)
+        fast = _gains(a, c, rp, rm, norm_p, norm_m, det, num)
+        top = float(fast[~shaky].max(initial=0.0))
+        if top > 0.0:
+            near = ~shaky & (fast >= top - _SWEEP_REL * top)
+            keep = np.flatnonzero(near | shaky)
+            gains = _pair_gains(x, bp, knots[keep], Q, r)
+            checked = near[keep]
+            if np.all(np.abs(gains[checked] - fast[keep][checked]) <= _SWEEP_CHECK * top):
+                return knots[keep], gains
+    return knots, _pair_gains(x, bp, knots, Q, r)
+
+
+def _best_candidate(X, r, Q, bases, cfg, knot_order):
     """Scan every (parent, variable, knot) pair; return the best SSE gain.
 
-    Gains for all knots of one (parent, variable) block are computed with a
-    handful of matrix products; the scan order (parent, variable, ascending
-    knot) breaks ties deterministically.
+    The scan order (parent, variable, ascending knot) breaks ties
+    deterministically.
     """
-    n, d = X.shape
     best = (0.0, None)  # (gain, (parent_idx, var, knot))
     for pi, parent in enumerate(bases):
         if parent.degree >= cfg.max_interaction:
             continue
         bp = parent.column(X)
-        for var in range(d):
+        for var in range(X.shape[1]):
             if parent.uses(var):
                 continue
-            knots = np.unique(X[:, var])
-            xv = X[:, var][:, None]
-            up = np.maximum(0.0, xv - knots[None, :]) * bp[:, None]
-            um = np.maximum(0.0, knots[None, :] - xv) * bp[:, None]
-            gains = _pair_gains(up, um, Q, r)
+            knots, gains = _block_gains(X[:, var], r, Q, bp, knot_order[var])
             top = float(gains.max())
             if top <= 0.0:
                 continue
@@ -182,8 +312,12 @@ def _best_candidate(X, r, Q, bases, cfg):
     return best
 
 
-def _pair_gains(up, um, Q, r):
-    """SSE reduction from adding each column pair, vectorized over knots."""
+def _pair_gains(x, bp, knots, Q, r):
+    """SSE reduction from adding each hinge pair bp*(x - t)+, bp*(t - x)+,
+    vectorized over the knots t by dense projections onto span(Q)."""
+    xv = x[:, None]
+    up = np.maximum(0.0, xv - knots[None, :]) * bp[:, None]
+    um = np.maximum(0.0, knots[None, :] - xv) * bp[:, None]
     vp = up - Q @ (Q.T @ up)
     vm = um - Q @ (Q.T @ um)
     a = np.einsum("ij,ij->j", vp, vp)
@@ -191,9 +325,15 @@ def _pair_gains(up, um, Q, r):
     c = np.einsum("ij,ij->j", vm, vm)
     rp = vp.T @ r
     rm = vm.T @ r
-    det = a * c - b * b
     norm_p = np.einsum("ij,ij->j", up, up)
     norm_m = np.einsum("ij,ij->j", um, um)
+    return _gains(a, c, rp, rm, norm_p, norm_m, a * c - b * b,
+                  c * rp ** 2 - 2.0 * b * rp * rm + a * rm ** 2)
+
+
+def _gains(a, c, rp, rm, norm_p, norm_m, det, num):
+    """Best SSE reduction from the pair, num / det, or from one member of it
+    when the other is dependent or the two are collinear."""
     ok_p = a > (_DEP_TOL ** 2) * norm_p
     ok_m = c > (_DEP_TOL ** 2) * norm_m
     # single-column gains cover the degenerate cases
@@ -202,7 +342,7 @@ def _pair_gains(up, um, Q, r):
     single = np.maximum(gain_p, gain_m)
     well = ok_p & ok_m & (det > 1e-12 * a * c)
     safe_det = np.where(well, det, 1.0)
-    pair = (c * rp ** 2 - 2.0 * b * rp * rm + a * rm ** 2) / safe_det
+    pair = num / safe_det
     return np.where(well, np.maximum(pair, single), single)
 
 
@@ -214,6 +354,7 @@ def forward_pass(train: Dataset, cfg: MarsConfig) -> MarsModel:
         raise ValueError("need at least 2 rows")
     X, y = train.features, train.targets
     n = train.n_rows
+    knot_order = _knot_order(X)
 
     bases = [HingeBasis()]
     B = np.ones((n, 1))
@@ -221,10 +362,10 @@ def forward_pass(train: Dataset, cfg: MarsConfig) -> MarsModel:
     ss0 = sse  # constant-model SSE sets the noise floor once sse reaches 0
     trace = [sse / n]
 
+    Q, _ = np.linalg.qr(B)  # refactored after each added column, so always B's
     while len(bases) - 1 + 2 <= cfg.max_basis_functions:
-        Q, _ = np.linalg.qr(B)
         r = y - Q @ (Q.T @ y)
-        gain, pick = _best_candidate(X, r, Q, bases, cfg)
+        gain, pick = _best_candidate(X, r, Q, bases, cfg, knot_order)
         if pick is None or gain <= _STOP_REL * sse + 1e-16 * ss0:
             break
         pi, var, knot = pick
@@ -257,6 +398,35 @@ def gcv(mse: float, n_rows: int, n_bases: int, penalty: float) -> float:
     return mse / (denom * denom)
 
 
+def _drop_one_sse(B: np.ndarray, y: np.ndarray):
+    """SSE of the least-squares fit of y on B after dropping each column, from
+    one QR: dropping column j adds coef_j^2 / |row j of R^-1|^2 to the SSE.
+    Returns None when R is too ill-conditioned for that to rank columns."""
+    q, R = np.linalg.qr(B)
+    if not np.all(np.diag(R)):
+        return None
+    r_inv = np.linalg.inv(R)
+    if not np.linalg.norm(R) * np.linalg.norm(r_inv) < _PRUNE_COND:
+        return None
+    qy = q.T @ y
+    coef = r_inv @ qy
+    resid = y - q @ qy
+    return resid @ resid + coef ** 2 / np.einsum("ij,ij->i", r_inv, r_inv)
+
+
+def _likely_drops(B: np.ndarray, y: np.ndarray) -> list:
+    """Columns 1.. of B whose removal may leave the lowest SSE: those within
+    _PRUNE_REL of the lowest drop-one SSE, plus column 1, which wins when
+    every subset scores inf.  All of them when R is ill-conditioned."""
+    sse = _drop_one_sse(B, y)
+    if sse is None:
+        return list(range(1, B.shape[1]))
+    sse = sse[1:]
+    low = float(sse.min())
+    near = sse <= low + _PRUNE_REL * low + _PRUNE_FLOOR * float(y @ y)
+    return sorted({1, *(1 + np.flatnonzero(near)).tolist()})
+
+
 def backward_prune(model: MarsModel, train: Dataset, cfg: MarsConfig,
                    holdout: Dataset | None = None) -> MarsModel:
     """Greedy backward elimination; returns the best-scoring visited subset.
@@ -282,8 +452,10 @@ def backward_prune(model: MarsModel, train: Dataset, cfg: MarsConfig,
     trace = [(len(retained), score(retained))]
     best_cols, best_score = list(retained), trace[0][1]
     while len(retained) > 1:
-        scored = [(score(retained[:j] + retained[j + 1:]), j)
-                  for j in range(1, len(retained))]
+        drops = range(1, len(retained))
+        if cfg.pruning == "gcv":
+            drops = _likely_drops(full[:, retained], y)
+        scored = [(score(retained[:j] + retained[j + 1:]), j) for j in drops]
         s, j = min(scored, key=lambda t: (t[0], t[1]))
         retained = retained[:j] + retained[j + 1:]
         trace.append((len(retained), s))
@@ -335,12 +507,19 @@ def load_model(text: str) -> MarsModel:
             continue
         if not toks or len(toks) % 3 or any(c not in _CODE_DIR for c in toks[1::3]):
             raise ValueError(f"line {no}: expected 'const' or 'var +|- knot' factors")
-        bases.append(HingeBasis(tuple(
+        factors = tuple(
             Hinge(integer(no, var, 0, n_features - 1), number(no, knot), _CODE_DIR[code])
-            for var, code, knot in zip(toks[::3], toks[1::3], toks[2::3]))))
+            for var, code, knot in zip(toks[::3], toks[1::3], toks[2::3]))
+        try:
+            bases.append(HingeBasis(factors))
+        except ValueError as err:
+            raise ValueError(f"line {no}: {err}") from None
     expect(lines.take("the coefficients block"), "coefficients")
     coef = np.concatenate([floats(lines.take(f"coefficient {i}"), 1)
                            for i in range(n_bases)])
-    mse = number(*keyed(lines.take("the training_mse line"), "training_mse"))
+    no, mse = keyed(lines.take("the training_mse line"), "training_mse")
+    mse = number(no, mse)
+    if mse < 0.0:
+        raise ValueError(f"line {no}: training_mse must be >= 0, got {mse}")
     lines.finish("model body")
     return MarsModel(tuple(bases), coef, n_features, mse)

@@ -2,12 +2,17 @@
 
 Everything here is deliberately written the slow, obvious way — direct
 enumeration and textbook formulas, no shared code with the package — so a
-bug in an engine cannot hide in its own oracle.
+bug in an engine cannot hide in its own oracle.  ``ReferenceMars`` is the
+one exception: it borrows the package's model containers and ``gcv`` so that
+its models dump in the engine's format.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from forexkit.mars import (NEGATIVE, POSITIVE, Hinge, HingeBasis, MarsModel, eval_hinge,
+                           gcv, predict)
 
 SPLIT_TIE_REL = 1e-9  # mirrors the engine's published tie tolerance
 
@@ -120,3 +125,147 @@ class ReferenceMlp:
             parts.append(gw.ravel())
             parts.append(gb)
         return np.concatenate(parts)
+
+
+class ReferenceMars:
+    """MARS as the engine's first version searched it: every (parent,
+    variable) block scores all of its knots with dense n x K hinge
+    projections, and every backward step refits every drop-one subset.  The
+    model containers and ``gcv`` come from the package; the search is copied
+    from that version unchanged, so ``fit`` must agree with ``mars.fit`` in
+    every dumped float and both traces."""
+
+    TIE_REL = 1e-10
+    DEP_TOL = 1e-10
+    STOP_REL = 1e-12
+
+    def __init__(self, cfg):
+        self.cfg = cfg
+
+    def fit(self, train, holdout=None):
+        return self.backward_prune(self.forward_pass(train), train, holdout)
+
+    @staticmethod
+    def _lstsq(B, y):
+        coef, _, _, _ = np.linalg.lstsq(B, y, rcond=None)
+        resid = y - B @ coef
+        return coef, float(resid @ resid)
+
+    def _orthonormalize(self, u, Q):
+        norm_u = np.linalg.norm(u)
+        if norm_u == 0.0:
+            return None
+        v = u - Q @ (Q.T @ u)
+        v = v - Q @ (Q.T @ v)
+        norm_v = np.linalg.norm(v)
+        if norm_v <= self.DEP_TOL * norm_u:
+            return None
+        return v / norm_v
+
+    def _best_candidate(self, X, r, Q, bases):
+        n, d = X.shape
+        best = (0.0, None)
+        for pi, parent in enumerate(bases):
+            if parent.degree >= self.cfg.max_interaction:
+                continue
+            bp = parent.column(X)
+            for var in range(d):
+                if parent.uses(var):
+                    continue
+                knots = np.unique(X[:, var])
+                xv = X[:, var][:, None]
+                up = np.maximum(0.0, xv - knots[None, :]) * bp[:, None]
+                um = np.maximum(0.0, knots[None, :] - xv) * bp[:, None]
+                gains = self._pair_gains(up, um, Q, r)
+                top = float(gains.max())
+                if top <= 0.0:
+                    continue
+                k = int(np.argmax(gains >= top - self.TIE_REL * top))
+                gain = float(gains[k])
+                if gain > best[0] + self.TIE_REL * max(gain, best[0]):
+                    best = (gain, (pi, var, float(knots[k])))
+        return best
+
+    def _pair_gains(self, up, um, Q, r):
+        vp = up - Q @ (Q.T @ up)
+        vm = um - Q @ (Q.T @ um)
+        a = np.einsum("ij,ij->j", vp, vp)
+        b = np.einsum("ij,ij->j", vp, vm)
+        c = np.einsum("ij,ij->j", vm, vm)
+        rp = vp.T @ r
+        rm = vm.T @ r
+        det = a * c - b * b
+        norm_p = np.einsum("ij,ij->j", up, up)
+        norm_m = np.einsum("ij,ij->j", um, um)
+        ok_p = a > (self.DEP_TOL ** 2) * norm_p
+        ok_m = c > (self.DEP_TOL ** 2) * norm_m
+        gain_p = np.where(ok_p, rp ** 2 / np.where(ok_p, a, 1.0), 0.0)
+        gain_m = np.where(ok_m, rm ** 2 / np.where(ok_m, c, 1.0), 0.0)
+        single = np.maximum(gain_p, gain_m)
+        well = ok_p & ok_m & (det > 1e-12 * a * c)
+        safe_det = np.where(well, det, 1.0)
+        pair = (c * rp ** 2 - 2.0 * b * rp * rm + a * rm ** 2) / safe_det
+        return np.where(well, np.maximum(pair, single), single)
+
+    def forward_pass(self, train):
+        X, y = train.features, train.targets
+        n = train.n_rows
+        bases = [HingeBasis()]
+        B = np.ones((n, 1))
+        coef, sse = self._lstsq(B, y)
+        ss0 = sse
+        trace = [sse / n]
+        while len(bases) - 1 + 2 <= self.cfg.max_basis_functions:
+            Q, _ = np.linalg.qr(B)
+            r = y - Q @ (Q.T @ y)
+            gain, pick = self._best_candidate(X, r, Q, bases)
+            if pick is None or gain <= self.STOP_REL * sse + 1e-16 * ss0:
+                break
+            pi, var, knot = pick
+            parent = bases[pi]
+            added = False
+            for direction in (POSITIVE, NEGATIVE):
+                u = parent.column(X) * eval_hinge(X[:, var], knot, direction)
+                if self._orthonormalize(u, Q) is None:
+                    continue
+                bases.append(HingeBasis(parent.factors + (Hinge(var, knot, direction),)))
+                B = np.column_stack([B, u])
+                Q, _ = np.linalg.qr(B)
+                added = True
+            if not added:
+                break
+            coef, sse = self._lstsq(B, y)
+            trace.append(sse / n)
+        return MarsModel(tuple(bases), coef, train.n_features, sse / n,
+                         forward_trace=tuple(trace))
+
+    def backward_prune(self, model, train, holdout=None):
+        cfg = self.cfg
+        X, y = train.features, train.targets
+        n = train.n_rows
+        full = model.design_matrix(X)
+
+        def score(cols):
+            coef, sse = self._lstsq(full[:, cols], y)
+            if cfg.pruning == "gcv":
+                return gcv(sse / n, n, len(cols), cfg.gcv_penalty)
+            sub = MarsModel(tuple(model.bases[i] for i in cols), coef,
+                            model.n_features, sse / n)
+            resid = predict(sub, holdout.features) - holdout.targets
+            return float(np.mean(resid ** 2))
+
+        retained = list(range(len(model.bases)))
+        trace = [(len(retained), score(retained))]
+        best_cols, best_score = list(retained), trace[0][1]
+        while len(retained) > 1:
+            scored = [(score(retained[:j] + retained[j + 1:]), j)
+                      for j in range(1, len(retained))]
+            s, j = min(scored, key=lambda t: (t[0], t[1]))
+            retained = retained[:j] + retained[j + 1:]
+            trace.append((len(retained), s))
+            if s <= best_score:
+                best_cols, best_score = list(retained), s
+        coef, sse = self._lstsq(full[:, best_cols], y)
+        return MarsModel(tuple(model.bases[i] for i in best_cols), coef,
+                         model.n_features, sse / n,
+                         forward_trace=model.forward_trace, pruning_trace=tuple(trace))

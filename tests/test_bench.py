@@ -269,6 +269,14 @@ dir = somewhere
         with pytest.raises(ValueError, match="data.path"):
             load_config(path)
 
+    def test_holdout_pruning_rejected(self, tmp_path, rates_csv):
+        # the bench and forexkit fit pass no holdout set to mars.fit, so
+        # the value would only fail later, inside every mars and hybrid cell
+        path = self._write(tmp_path, f"[data]\npath = {rates_csv}\n\n"
+                                     "[mars]\npruning = holdout\n")
+        with pytest.raises(ValueError, match=r"\[mars\] pruning"):
+            load_config(path)
+
     def test_missing_file_names_path(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="nope.ini"):
             load_config(tmp_path / "nope.ini")

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from forexkit import mars
+from forexkit import cart, data, hybrid, mars, synth
 from forexkit.data import Dataset
 from forexkit.mars import (Hinge, HingeBasis, MarsConfig, MarsModel,
                            backward_prune, eval_hinge, fit, forward_pass, gcv)
 
-from oracles import gcv_score, normal_equations
+from oracles import ReferenceMars, gcv_score, normal_equations
 
 
 def _dataset(x, y, names=("x",)):
@@ -219,3 +219,128 @@ class TestValidation:
     def test_forward_needs_rows(self):
         with pytest.raises(ValueError, match="2 rows"):
             forward_pass(_dataset(np.array([1.0]), np.array([1.0])), MarsConfig())
+
+
+def _scaled_split(series, code):
+    ds = data.build_supervised(series, data.FeatureSpec(code, "mp1"))
+    train, test = data.split(ds, 0.7, 7)
+    scaler = data.fit_scaler(train)
+    return data.apply_scaler(train, scaler), data.apply_scaler(test, scaler)
+
+
+def _synthetic(seed, n, kinds):
+    """Features of the given kinds and a target with hinges, an interaction
+    and noise; 'ties' columns hold one-decimal values, so runs of equal x."""
+    rng = np.random.default_rng(seed)
+    cols = {"uniform": lambda: rng.uniform(0, 1, n),
+            "ties": lambda: np.round(rng.uniform(0, 1, n), 1),
+            "binary": lambda: (rng.uniform(size=n) < 0.3).astype(float),
+            "constant": lambda: np.full(n, 0.7)}
+    X = np.column_stack([cols[k]() for k in kinds])
+    y = np.maximum(0, X[:, 0] - 0.4) - X[:, 0] * X[:, -1] + 0.1 * rng.normal(size=n)
+    names = tuple(f"x{i}" for i in range(len(kinds)))
+    return Dataset(names, X[: 2 * n // 3], y[: 2 * n // 3]), \
+        Dataset(names, X[2 * n // 3:], y[2 * n // 3:])
+
+
+def _exact_grid():
+    for inter in (1, 2):
+        for pruning in ("gcv", "holdout"):
+            for kinds in (("uniform", "ties", "ties"), ("ties", "binary", "constant", "uniform")):
+                yield (f"{'-'.join(kinds)}-i{inter}-{pruning}",
+                       lambda kinds=kinds: _synthetic(len(kinds), 240, kinds),
+                       MarsConfig(max_interaction=inter, pruning=pruning))
+            yield (f"step7-i{inter}-{pruning}",
+                   lambda: _scaled_split(synth.make_recipe("step7"), "STEP"),
+                   MarsConfig(max_interaction=inter, pruning=pruning))
+
+
+def _hybrid_forex5_976():
+    train, test = _scaled_split(synth.forex5_series(7, 976), "GBP")
+    tree = cart.select_min_cost(cart.prune_sequence(cart.grow(train), train), test)
+    return hybrid.augment(train, tree), hybrid.augment(test, tree)
+
+
+_GRID = list(_exact_grid()) + [
+    ("hybrid-forex5-976-i1-gcv", _hybrid_forex5_976, MarsConfig())]
+
+
+class TestExactSearch:
+    """The sweep-ranked forward search and the QR-ranked pruning re-score
+    their winners exactly, so they pick what scoring every candidate densely
+    picks: the same dump and traces, float for float."""
+
+    @staticmethod
+    def _assert_same(train, cfg, holdout=None):
+        got = fit(train, cfg, holdout=holdout)
+        want = ReferenceMars(cfg).fit(train, holdout)
+        assert mars.dump_model(got) == mars.dump_model(want)
+        assert got.forward_trace == want.forward_trace
+        assert got.pruning_trace == want.pruning_trace
+
+    @pytest.mark.parametrize("name,make,cfg", _GRID, ids=[g[0] for g in _GRID])
+    def test_grid_matches_reference(self, name, make, cfg):
+        train, test = make()
+        self._assert_same(train, cfg, test if cfg.pruning == "holdout" else None)
+
+    def test_random_small_fits_match_reference(self):
+        rng = np.random.default_rng(2024)
+        kinds = ("uniform", "ties", "binary", "constant")
+        for seed in range(30):
+            picked = tuple(rng.choice(kinds, size=int(rng.integers(1, 4))))
+            train, test = _synthetic(seed, int(rng.integers(12, 120)), ("uniform",) + picked)
+            cfg = MarsConfig(max_basis_functions=int(rng.integers(2, 20)),
+                             max_interaction=int(rng.integers(1, 3)),
+                             pruning=("gcv", "holdout")[seed % 2])
+            self._assert_same(train, cfg, test if cfg.pruning == "holdout" else None)
+
+
+class TestClosedForms:
+    """The sweep's running-sum terms and the one-QR drop-one SSE against the
+    dense projections and explicit refits they replace."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_sweep_terms_match_dense_projections(self, seed):
+        rng = np.random.default_rng(seed)
+        n, m = 150, 1 + seed
+        z = rng.uniform(0, 1, n)
+        # odd seeds: an interaction parent, zero on about 40% of the rows
+        bp = np.maximum(0.0, z - 0.4) if seed % 2 else np.ones(n)
+        Q, _ = np.linalg.qr(np.column_stack([bp, rng.normal(size=(n, m - 1))]))
+        x = np.round(rng.uniform(0, 1, n), 2)  # ties
+        r = rng.normal(size=n)  # need not be orthogonal to Q
+        (order, knots, starts), = mars._knot_order(x[:, None])
+        terms, shaky = mars._sweep_terms(bp, x, Q, r, order, knots, starts)
+
+        up = np.maximum(0.0, x[:, None] - knots) * bp[:, None]
+        um = np.maximum(0.0, knots - x[:, None]) * bp[:, None]
+        vp, vm = up - Q @ (Q.T @ up), um - Q @ (Q.T @ um)
+        a, b, c = (vp * vp).sum(0), (vp * vm).sum(0), (vm * vm).sum(0)
+        rp, rm = vp.T @ r, vm.T @ r
+        dense = (a, b, c, rp, rm, (up * up).sum(0), (um * um).sum(0),
+                 a * c - b * b, c * rp ** 2 - 2 * b * rp * rm + a * rm ** 2)
+        assert shaky.mean() < 0.2
+        for name, fast, want in zip("a b c rp rm norm_p norm_m det num".split(), terms, dense):
+            np.testing.assert_allclose(fast[~shaky], want[~shaky], rtol=1e-9, err_msg=name)
+            np.testing.assert_allclose(fast, want, rtol=0, atol=1e-9 * np.abs(want).max(),
+                                       err_msg=name)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_drop_one_sse_matches_refits(self, seed):
+        rng = np.random.default_rng(seed)
+        n, m = 80, 2 + 3 * seed
+        x = rng.uniform(0, 1, (n, 1))
+        knots = np.linspace(0.1, 0.9, m - 1) + rng.uniform(-0.02, 0.02, m - 1)
+        B = np.column_stack([np.ones(n), np.maximum(0.0, x - knots)])
+        y = np.sin(4 * x[:, 0]) + 0.1 * rng.normal(size=n)
+        want = [np.sum((y - np.delete(B, j, 1) @ np.linalg.lstsq(np.delete(B, j, 1), y,
+                                                                  rcond=None)[0]) ** 2)
+                for j in range(m)]
+        got = mars._drop_one_sse(B, y)
+        assert got is not None
+        np.testing.assert_allclose(got, want, rtol=1e-9)
+
+    def test_drop_one_sse_declines_ill_conditioned(self):
+        x = np.linspace(0, 1, 30)
+        B = np.column_stack([np.ones(30), x, x + 1e-12 * x ** 2])
+        assert mars._drop_one_sse(B, np.sin(x)) is None

@@ -202,6 +202,16 @@ class TestLoaderChecks:
             mars.load_model("mars-model v1\nfeatures 1\nbases 2\nbasis const\n"
                             "basis 1 + 0.5\ncoefficients\n1\n2\ntraining_mse 0\n")
 
+    def test_mars_repeated_variable_names_line(self):
+        with pytest.raises(ValueError, match="^line 5: a basis may use each variable"):
+            mars.load_model("mars-model v1\nfeatures 1\nbases 2\nbasis const\n"
+                            "basis 0 + 0.5 0 - 0.3\ncoefficients\n1\n2\ntraining_mse 0\n")
+
+    def test_mars_negative_training_mse(self):
+        with pytest.raises(ValueError, match="^line 8: training_mse must be >= 0"):
+            mars.load_model("mars-model v1\nfeatures 1\nbases 1\nbasis const\n"
+                            "coefficients\n1\n\ntraining_mse -0.5\n")
+
     def test_cart_leaf_ids_must_count_up(self):
         with pytest.raises(ValueError, match="^line 4: leaf ids"):
             cart.load_tree("cart-tree v1\nfeatures 1\n"
