@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from forexkit import cart, data, hybrid, mars, synth
+from forexkit import cart, data, hybrid, mars, marsrank, synth
 from forexkit.data import Dataset
 from forexkit.mars import (Hinge, HingeBasis, MarsConfig, MarsModel,
                            backward_prune, eval_hinge, fit, forward_pass, gcv)
@@ -309,8 +309,8 @@ class TestClosedForms:
         Q, _ = np.linalg.qr(np.column_stack([bp, rng.normal(size=(n, m - 1))]))
         x = np.round(rng.uniform(0, 1, n), 2)  # ties
         r = rng.normal(size=n)  # need not be orthogonal to Q
-        (order, knots, starts), = mars._knot_order(x[:, None])
-        terms, shaky = mars._sweep_terms(bp, x, Q, r, order, knots, starts)
+        (order, knots, starts), = marsrank.knot_order(x[:, None])
+        terms, shaky = marsrank.sweep_terms(bp, x, Q, r, order, knots, starts)
 
         up = np.maximum(0.0, x[:, None] - knots) * bp[:, None]
         um = np.maximum(0.0, knots - x[:, None]) * bp[:, None]
@@ -336,11 +336,11 @@ class TestClosedForms:
         want = [np.sum((y - np.delete(B, j, 1) @ np.linalg.lstsq(np.delete(B, j, 1), y,
                                                                   rcond=None)[0]) ** 2)
                 for j in range(m)]
-        got = mars._drop_one_sse(B, y)
+        got = marsrank.drop_one_sse(B, y)
         assert got is not None
         np.testing.assert_allclose(got, want, rtol=1e-9)
 
     def test_drop_one_sse_declines_ill_conditioned(self):
         x = np.linspace(0, 1, 30)
         B = np.column_stack([np.ones(30), x, x + 1e-12 * x ** 2])
-        assert mars._drop_one_sse(B, np.sin(x)) is None
+        assert marsrank.drop_one_sse(B, np.sin(x)) is None
