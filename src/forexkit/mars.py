@@ -18,14 +18,14 @@ Search cost.  Each variable is sorted once per forward pass.  A (parent,
 variable) block then gets the gain of every knot from running sums over that
 order (Friedman 1991, Ann. Statist. 19, sec. 3.9; the closed forms are in
 forexkit.marsrank): O(n m) for n rows and m bases, where projecting all
-K ~ n hinge columns costs O(n K m).  Those fast
-gains only rank the knots.  The knots near the block's fast top, and any
-whose fast terms lost too many digits to cancellation, are re-scored with
-the dense projections, and the tie rule picks among the re-scored gains.  A
-GCV elimination step ranks every drop from one QR of the retained columns
-and refits exactly only the drops near the lowest SSE; holdout pruning
-refits every drop.  So every pick, and hence every coefficient and trace,
-is the one that scoring every candidate densely gives.
+K ~ n hinge columns costs O(n K m).  Those fast gains only rank the knots.
+The knots near the block's fast top, and any whose fast terms lost too many
+digits to cancellation, are re-scored with the dense projections, and the
+tie rule picks among the re-scored gains.  A GCV elimination step ranks
+every drop from one QR of the retained columns and refits exactly only the
+drops near the lowest SSE; holdout pruning refits every drop.  So every
+pick, and hence every coefficient and trace, is the one that scoring every
+candidate densely gives.
 """
 
 from __future__ import annotations
@@ -410,8 +410,8 @@ def load_model(text: str) -> MarsModel:
     expect(lines.take("the coefficients block"), "coefficients")
     coef = np.concatenate([floats(lines.take(f"coefficient {i}"), 1)
                            for i in range(n_bases)])
-    no, mse = keyed(lines.take("the training_mse line"), "training_mse")
-    mse = number(no, mse)
+    no, token = keyed(lines.take("the training_mse line"), "training_mse")
+    mse = number(no, token)
     if mse < 0.0:
         raise ValueError(f"line {no}: training_mse must be >= 0, got {mse}")
     lines.finish("model body")
