@@ -6,18 +6,28 @@ keep ``min_node_size`` rows and the SSE reduction is strictly positive),
 recursing until no node admits a split.  Every node, internal or terminal,
 carries the mean of the training targets that reach it.
 
-Pruning: weakest-link cost-complexity.  Repeatedly collapse the internal
-node with the smallest SSE-gain-per-leaf, yielding a nested subtree sequence
-down to the root-only tree; the best subtree is then chosen by test-sample
-SSE (ties toward fewer leaves).
+Pruning: weakest-link cost-complexity (Breiman et al. 1984, ch. 3).
+Repeatedly collapse the internal node with the smallest SSE-gain-per-leaf
+g = (node SSE - leaf SSE) / (leaves - 1), the first in preorder on ties,
+yielding a nested subtree sequence down to the root-only tree; the best
+subtree is then chosen by test-sample SSE (ties toward fewer leaves).
 
-Routing convention: x[var] <= threshold goes left.
+Pruning, scoring and routing run on the tree's preorder arrays (``_Flat``),
+built once per tree; node i's subtree is the index range i..end[i]-1.  A
+collapse refreshes only its ancestors' leaf counts and leaf SSEs, and an
+entry's ``Node`` tree is built when first read.  Test rows are routed once to
+the maximal tree's leaves, and each collapse then resets the predictions of
+the rows under it, so every alpha and test cost keeps the bits that
+rebuilding and re-routing each subtree gives.
+
+Routing convention: x[var] <= threshold goes left; NaN goes right.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -63,50 +73,58 @@ class CartConfig:
 
 @dataclass(frozen=True)
 class CartTree:
+    """A grown, pruned or loaded tree.  Its nodes must not change once the
+    tree is used: the preorder arrays are built on first use and kept."""
+
     root: Node
     n_features: int
     feature_names: tuple = ()
 
+    @cached_property
+    def _flat(self) -> "_Flat":
+        return _Flat(self.root)
+
     def leaves(self) -> list:
-        out = []
-        _collect_leaves(self.root, out)
-        return out
+        return [node for node in self._flat.nodes if node.is_leaf]
 
     def internal_nodes(self) -> list:
-        out = []
-        _collect_internal(self.root, out)
-        return out
+        return [node for node in self._flat.nodes if not node.is_leaf]
 
     def node_indices(self) -> frozenset:
-        idx = set()
-        _collect_indices(self.root, idx)
-        return frozenset(idx)
+        return frozenset(node.index for node in self._flat.nodes)
 
     @property
     def n_leaves(self) -> int:
-        return len(self.leaves())
+        return int(np.count_nonzero(self._flat.left < 0))
 
 
-def _collect_leaves(node: Node, out: list):
-    if node.is_leaf:
-        out.append(node)
-    else:
-        _collect_leaves(node.left, out)
-        _collect_leaves(node.right, out)
+class _Flat:
+    """A tree's nodes in preorder as arrays.  Leaves have left = right = -1;
+    node i's subtree is the index range i..end[i]-1."""
 
-
-def _collect_internal(node: Node, out: list):
-    if not node.is_leaf:
-        out.append(node)
-        _collect_internal(node.left, out)
-        _collect_internal(node.right, out)
-
-
-def _collect_indices(node: Node, out: set):
-    out.add(node.index)
-    if not node.is_leaf:
-        _collect_indices(node.left, out)
-        _collect_indices(node.right, out)
+    def __init__(self, root: Node):
+        nodes, parent, stack = [], [], [(root, -1)]
+        while stack:
+            node, up = stack.pop()
+            parent.append(up)
+            nodes.append(node)
+            if not node.is_leaf:
+                stack += ((node.right, len(nodes) - 1), (node.left, len(nodes) - 1))
+        n = len(nodes)
+        self.nodes, self.parent = nodes, np.array(parent)
+        self.left, self.right, self.end = np.full(n, -1), np.full(n, -1), np.arange(1, n + 1)
+        self.var = np.array([node.var or 0 for node in nodes])
+        self.threshold = np.array([node.threshold or 0.0 for node in nodes], dtype=float)
+        self.mean = np.array([node.mean for node in nodes], dtype=float)
+        self.sse = np.array([node.sse for node in nodes], dtype=float)
+        self.leaf_id = np.array([node.leaf_id for node in nodes], dtype=int)
+        for j in reversed(range(1, n)):
+            i = parent[j]
+            if j == i + 1:
+                self.left[i] = j
+            else:
+                self.right[i] = j
+                self.end[i] = self.end[j]
 
 
 def _sse(y: np.ndarray) -> float:
@@ -156,16 +174,20 @@ def best_split(rows: Dataset, cfg: CartConfig = CartConfig()):
 
 
 def grow(train: Dataset, cfg: CartConfig = CartConfig()) -> CartTree:
-    """Grow the maximal tree by recursive best-split search."""
+    """Grow the maximal tree by recursive best-split search.  Nodes are
+    numbered in preorder and leaves get dense left-to-right ids."""
     if train.n_rows == 0:
         raise ValueError("cannot grow a tree on an empty dataset")
+    indices, leaf_ids = itertools.count(), itertools.count()
 
     def build(X, y, depth):
-        node = Node(mean=float(y.mean()), count=int(y.size), sse=_sse(y))
-        if cfg.max_depth is not None and depth >= cfg.max_depth:
-            return node
-        pick = _best_split_arrays(X, y, cfg)
+        node = Node(mean=float(y.mean()), count=int(y.size), sse=_sse(y),
+                    index=next(indices))
+        pick = None
+        if cfg.max_depth is None or depth < cfg.max_depth:
+            pick = _best_split_arrays(X, y, cfg)
         if pick is None:
+            node.leaf_id = next(leaf_ids)
             return node
         var, thr, _ = pick
         mask = X[:, var] <= thr
@@ -175,55 +197,43 @@ def grow(train: Dataset, cfg: CartConfig = CartConfig()) -> CartTree:
         return node
 
     root = build(train.features, train.targets, 0)
-    _finalize(root)
     return CartTree(root, train.n_features, train.feature_names)
 
 
-def _finalize(root: Node):
-    """Assign preorder node indices and dense left-to-right leaf ids."""
-    counter = {"node": 0, "leaf": 0}
-
-    def walk(node):
-        node.index = counter["node"]
-        counter["node"] += 1
-        if node.is_leaf:
-            node.leaf_id = counter["leaf"]
-            counter["leaf"] += 1
-        else:
-            node.leaf_id = -1
-            walk(node.left)
-            walk(node.right)
-
-    walk(root)
-
-
-def _route(node: Node, x: np.ndarray) -> Node:
-    while not node.is_leaf:
-        node = node.left if x[node.var] <= node.threshold else node.right
-    return node
-
-
-def _check_dim(tree: CartTree, x: np.ndarray):
+def _rows(tree: CartTree, x) -> np.ndarray:
+    """x as an (n, n_features) matrix; a 1-D x is one row."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim not in (1, 2):
+        raise ValueError(f"expected an array of shape (n, {tree.n_features}) or "
+                         f"({tree.n_features},), got shape {x.shape}")
     if x.shape[-1] != tree.n_features:
         raise ValueError(f"expected {tree.n_features} features, got {x.shape[-1]}")
+    return np.atleast_2d(x)
+
+
+def _route(f: _Flat, X: np.ndarray) -> np.ndarray:
+    """Preorder index of the leaf each row of X reaches, one tree level per
+    step over all rows still at an internal node."""
+    node = np.zeros(len(X), dtype=np.intp)
+    rows = np.arange(len(X))
+    while rows.size:
+        at = node[rows]
+        inner = f.left[at] >= 0
+        rows, at = rows[inner], at[inner]
+        node[rows] = np.where(X[rows, f.var[at]] <= f.threshold[at], f.left[at], f.right[at])
+    return node
 
 
 def predict(tree: CartTree, x):
     """Mean of the training targets at the reached leaf."""
-    x = np.asarray(x, dtype=float)
-    _check_dim(tree, x)
-    if x.ndim == 1:
-        return _route(tree.root, x).mean
-    return np.array([_route(tree.root, row).mean for row in x])
+    out = tree._flat.mean[_route(tree._flat, _rows(tree, x))]
+    return float(out[0]) if np.ndim(x) == 1 else out
 
 
 def node_id(tree: CartTree, x):
     """Dense id of the reached leaf; constant on each leaf's region."""
-    x = np.asarray(x, dtype=float)
-    _check_dim(tree, x)
-    if x.ndim == 1:
-        return _route(tree.root, x).leaf_id
-    return np.array([_route(tree.root, row).leaf_id for row in x], dtype=int)
+    out = tree._flat.leaf_id[_route(tree._flat, _rows(tree, x))]
+    return int(out[0]) if np.ndim(x) == 1 else out
 
 
 # --- cost-complexity pruning ---------------------------------------------------
@@ -231,9 +241,34 @@ def node_id(tree: CartTree, x):
 
 @dataclass(frozen=True)
 class PruneEntry:
-    tree: CartTree
+    """One subtree of a pruning sequence: the maximal tree with the nodes
+    ``collapsed`` (preorder indices, in collapse order) made leaves.  Its
+    ``tree`` is built when first read."""
+
     alpha: float
+    n_leaves: int
+    maximal: CartTree = field(repr=False)
+    collapsed: tuple = ()
     test_cost: float | None = None
+
+    @cached_property
+    def tree(self) -> CartTree:
+        if not self.collapsed:
+            return self.maximal
+        f, collapsed, leaf_ids = self.maximal._flat, set(self.collapsed), itertools.count()
+
+        def copy(i):
+            src = f.nodes[i]
+            node = Node(src.mean, src.count, src.sse, index=src.index)
+            if src.is_leaf or i in collapsed:
+                node.leaf_id = next(leaf_ids)
+            else:
+                node.var, node.threshold = src.var, src.threshold
+                node.left = copy(i + 1)
+                node.right = copy(int(f.right[i]))
+            return node
+
+        return CartTree(copy(0), self.maximal.n_features, self.maximal.feature_names)
 
 
 @dataclass(frozen=True)
@@ -250,81 +285,54 @@ class PruneSequence:
         return iter(self.entries)
 
 
-def _copy_subtree(node: Node, collapsed: frozenset) -> Node:
-    if node.is_leaf or node.index in collapsed:
-        return Node(node.mean, node.count, node.sse, index=node.index)
-    out = Node(node.mean, node.count, node.sse, index=node.index,
-               var=node.var, threshold=node.threshold)
-    out.left = _copy_subtree(node.left, collapsed)
-    out.right = _copy_subtree(node.right, collapsed)
-    return out
-
-
-def _subtree_stats(node: Node, table: dict):
-    """(leaf count, summed leaf SSE) per internal node index."""
-    if node.is_leaf:
-        return 1, node.sse
-    ln, ls = _subtree_stats(node.left, table)
-    rn, rs = _subtree_stats(node.right, table)
-    table[node.index] = (ln + rn, ls + rs)
-    return ln + rn, ls + rs
-
-
 def prune_sequence(tree: CartTree, train: Dataset) -> PruneSequence:
-    """Weakest-link pruning: nested subtrees from maximal down to the root."""
-    collapsed: set = set()
-    entries = [PruneEntry(tree, 0.0)]
-    current = tree.root
-    while not current.is_leaf:
-        stats: dict = {}
-        _subtree_stats(current, stats)
-        weakest, weakest_g = None, None
-        for internal in _internal_preorder(current):
-            leaves_n, leaves_sse = stats[internal.index]
-            g = (internal.sse - leaves_sse) / (leaves_n - 1)
-            if weakest_g is None or g < weakest_g:
-                weakest, weakest_g = internal, g
-        collapsed.add(weakest.index)
-        current = _copy_subtree(tree.root, frozenset(collapsed))
-        sub = CartTree(current, tree.n_features, tree.feature_names)
-        _finalize_leaf_ids(sub.root)
-        entries.append(PruneEntry(sub, float(weakest_g)))
+    """Weakest-link pruning: nested subtrees from maximal down to the root.  g
+    is inf off the live internal nodes; argmin's first minimum is first in preorder."""
+    f = tree._flat
+    left, right, parent, sse = (a.tolist() for a in (f.left, f.right, f.parent, f.sse))
+    leaves, leaf_sse = [1] * len(sse), list(sse)
+    g = np.full(len(sse), np.inf)
+
+    def refresh(i):
+        leaves[i] = leaves[left[i]] + leaves[right[i]]
+        leaf_sse[i] = leaf_sse[left[i]] + leaf_sse[right[i]]
+        g[i] = (sse[i] - leaf_sse[i]) / (leaves[i] - 1)
+
+    for i in reversed(np.flatnonzero(f.left >= 0).tolist()):
+        refresh(i)
+    entries, collapsed = [PruneEntry(0.0, leaves[0], tree)], ()
+    while leaves[0] > 1:
+        v = int(np.argmin(g))
+        alpha = float(g[v])
+        g[v:f.end[v]] = np.inf
+        leaves[v], leaf_sse[v], collapsed = 1, sse[v], collapsed + (v,)
+        u = parent[v]
+        while u >= 0:
+            refresh(u)
+            u = parent[u]
+        entries.append(PruneEntry(alpha, leaves[0], tree, collapsed))
     return PruneSequence(tuple(entries))
 
 
-def _internal_preorder(root: Node):
-    out: list = []
-    _collect_internal(root, out)
-    return out
-
-
-def _finalize_leaf_ids(root: Node):
-    """Reassign dense leaf ids without touching preorder node indices."""
-    counter = {"leaf": 0}
-
-    def walk(node):
-        if node.is_leaf:
-            node.leaf_id = counter["leaf"]
-            counter["leaf"] += 1
-        else:
-            node.leaf_id = -1
-            walk(node.left)
-            walk(node.right)
-
-    walk(root)
-
-
-def _test_sse(tree: CartTree, test: Dataset) -> float:
-    resid = predict(tree, test.features) - test.targets
-    return float(resid @ resid)
-
-
 def evaluate_sequence(seq: PruneSequence, test: Dataset) -> PruneSequence:
-    """Copy of the sequence with test-sample SSE filled in per subtree."""
+    """Copy of the sequence with test-sample SSE filled in per subtree.  The
+    rows are routed once to the maximal tree's leaves; each collapse then
+    sets the prediction of the rows under the collapsed node to its mean."""
     if test.n_rows == 0:
         raise ValueError("test sample is empty")
-    return PruneSequence(tuple(replace(e, test_cost=_test_sse(e.tree, test))
-                               for e in seq))
+    if not seq.entries:
+        return seq
+    maximal = seq.entries[0].maximal
+    f = maximal._flat
+    node = _route(f, _rows(maximal, test.features))
+    pred, done, scored = f.mean[node], 0, []
+    for entry in seq:
+        for v in entry.collapsed[done:]:
+            pred[(node >= v) & (node < f.end[v])] = f.mean[v]
+        done = len(entry.collapsed)
+        resid = pred - test.targets
+        scored.append(replace(entry, test_cost=float(resid @ resid)))
+    return PruneSequence(tuple(scored))
 
 
 def select_min_cost(seq: PruneSequence, test: Dataset) -> CartTree:
@@ -349,7 +357,7 @@ def relative_error_curve(seq: PruneSequence, test: Dataset):
             rel = entry.test_cost / base
         else:
             rel = 1.0 if entry.test_cost == 0.0 else float("inf")
-        curve.append((entry.tree.n_leaves, float(rel)))
+        curve.append((entry.n_leaves, float(rel)))
     return curve
 
 
@@ -393,7 +401,7 @@ def load_tree(text: str) -> CartTree:
         if len(names) != n_features:
             raise ValueError(f"line {first[0]}: expected {n_features} names")
         first = lines.take("the root node")
-    leaf_ids = itertools.count()
+    indices, leaf_ids = itertools.count(), itertools.count()
 
     def parse(numbered, depth):
         no, line = numbered
@@ -405,7 +413,9 @@ def load_tree(text: str) -> CartTree:
         if not wanted or len(pairs) != len(wanted) or set(fields) != set(wanted):
             raise ValueError(f"line {no}: expected a leaf or split node")
         node = Node(number(no, fields["mean"]), integer(no, fields["count"]),
-                    number(no, fields["sse"]))
+                    number(no, fields["sse"]), index=next(indices))
+        if node.sse < 0.0:
+            raise ValueError(f"line {no}: sse must be >= 0, got {fields['sse']}")
         if kind == "leaf":
             node.leaf_id = integer(no, fields["id"])
             if node.leaf_id != next(leaf_ids):
@@ -422,14 +432,4 @@ def load_tree(text: str) -> CartTree:
     except RecursionError:
         raise ValueError(f"line {first[0]}: tree too deep to load") from None
     lines.finish("tree body")
-    counter = {"node": 0}
-
-    def index(node):
-        node.index = counter["node"]
-        counter["node"] += 1
-        if not node.is_leaf:
-            index(node.left)
-            index(node.right)
-
-    index(root)
     return CartTree(root, n_features, names)

@@ -4,13 +4,15 @@ Everything here is deliberately written the slow, obvious way — direct
 enumeration and textbook formulas, no shared code with the package — so a
 bug in an engine cannot hide in its own oracle.  ``ReferenceMars`` is the
 one exception: it borrows the package's model containers and ``gcv`` so that
-its models dump in the engine's format.
+its models dump in the engine's format, and ``ReferenceCart`` likewise
+borrows the tree containers.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from forexkit.cart import CartTree, Node
 from forexkit.mars import (NEGATIVE, POSITIVE, Hinge, HingeBasis, MarsModel, eval_hinge,
                            gcv, predict)
 
@@ -269,3 +271,106 @@ class ReferenceMars:
         return MarsModel(tuple(model.bases[i] for i in best_cols), coef,
                          model.n_features, sse / n,
                          forward_trace=model.forward_trace, pruning_trace=tuple(trace))
+
+
+class ReferenceCart:
+    """CART weakest-link pruning and subtree scoring as the engine's first
+    version did them: after every collapse the whole tree is copied with the
+    collapsed nodes made leaves, and each subtree's test cost routes the rows
+    through that subtree one at a time.  ``Node`` and ``CartTree`` come from
+    the package; the rest is copied from that version unchanged, so every
+    alpha, test cost, leaf count and dump must equal the engine's."""
+
+    def __init__(self, tree):
+        self.tree = tree
+        self.entries = self._prune()  # [(subtree, alpha)], maximal to root
+
+    @staticmethod
+    def route(node, x):
+        while node.var is not None:
+            node = node.left if x[node.var] <= node.threshold else node.right
+        return node
+
+    @staticmethod
+    def _walk(node):
+        yield node
+        if node.var is not None:
+            yield from ReferenceCart._walk(node.left)
+            yield from ReferenceCart._walk(node.right)
+
+    @classmethod
+    def n_leaves(cls, tree):
+        return sum(node.var is None for node in cls._walk(tree.root))
+
+    @classmethod
+    def node_indices(cls, tree):
+        return {node.index for node in cls._walk(tree.root)}
+
+    @classmethod
+    def _copy_subtree(cls, node, collapsed):
+        if node.var is None or node.index in collapsed:
+            return Node(node.mean, node.count, node.sse, index=node.index)
+        out = Node(node.mean, node.count, node.sse, index=node.index,
+                   var=node.var, threshold=node.threshold)
+        out.left = cls._copy_subtree(node.left, collapsed)
+        out.right = cls._copy_subtree(node.right, collapsed)
+        return out
+
+    @classmethod
+    def _subtree_stats(cls, node, table):
+        if node.var is None:
+            return 1, node.sse
+        ln, ls = cls._subtree_stats(node.left, table)
+        rn, rs = cls._subtree_stats(node.right, table)
+        table[node.index] = (ln + rn, ls + rs)
+        return ln + rn, ls + rs
+
+    def _prune(self):
+        tree, collapsed = self.tree, set()
+        entries = [(tree, 0.0)]
+        current = tree.root
+        while current.var is not None:
+            stats = {}
+            self._subtree_stats(current, stats)
+            weakest, weakest_g = None, None
+            for internal in self._walk(current):
+                if internal.var is None:
+                    continue
+                leaves_n, leaves_sse = stats[internal.index]
+                g = (internal.sse - leaves_sse) / (leaves_n - 1)
+                if weakest_g is None or g < weakest_g:
+                    weakest, weakest_g = internal, g
+            collapsed.add(weakest.index)
+            current = self._copy_subtree(tree.root, frozenset(collapsed))
+            leaves = (node for node in self._walk(current) if node.var is None)
+            for leaf_id, leaf in enumerate(leaves):
+                leaf.leaf_id = leaf_id
+            entries.append((CartTree(current, tree.n_features, tree.feature_names),
+                            float(weakest_g)))
+        return entries
+
+    def test_costs(self, test):
+        out = []
+        for tree, _ in self.entries:
+            pred = np.array([self.route(tree.root, row).mean for row in test.features])
+            resid = pred - test.targets
+            out.append(float(resid @ resid))
+        return out
+
+    def select(self, test):
+        best = None
+        for (tree, _), cost in zip(self.entries, self.test_costs(test)):
+            if best is None or cost <= best[1]:
+                best = (tree, cost)
+        return best[0]
+
+    def curve(self, test):
+        costs = self.test_costs(test)
+        base, out = costs[-1], []
+        for (tree, _), cost in zip(self.entries, costs):
+            if base > 0.0:
+                rel = cost / base
+            else:
+                rel = 1.0 if cost == 0.0 else float("inf")
+            out.append((self.n_leaves(tree), float(rel)))
+        return out

@@ -5,13 +5,13 @@ import io
 import numpy as np
 import pytest
 
-from forexkit import cart
+from forexkit import cart, data, hybrid, synth
 from forexkit.cart import (CartConfig, best_split, dump_tree, evaluate_sequence,
                            grow, load_tree, prune_sequence, relative_error_curve,
                            select_min_cost)
 from forexkit.data import Dataset
 
-from oracles import brute_force_best_split, sse_of
+from oracles import ReferenceCart, brute_force_best_split, sse_of
 
 
 def _dataset(X, y, names=None):
@@ -159,6 +159,64 @@ class TestPredict:
         with pytest.raises(ValueError, match="expected 1 features"):
             cart.predict(tree, np.zeros((3, 2)))
 
+    @pytest.mark.parametrize("x", [2.0, np.zeros((2, 3, 2))], ids=["scalar", "3-d"])
+    @pytest.mark.parametrize("fn", [cart.predict, cart.node_id], ids=["predict", "node_id"])
+    def test_bad_shape_names_expected_shapes(self, fn, x):
+        rng = np.random.default_rng(14)
+        tree = grow(_dataset(rng.normal(size=(30, 2)), rng.normal(size=30)))
+        with pytest.raises(ValueError, match=r"shape \(n, 2\) or \(2,\), got shape"):
+            fn(tree, x)
+
+
+class TestRouting:
+    """Vectorised predict and node_id agree with routing one row at a time."""
+
+    @staticmethod
+    def _tree():
+        rng = np.random.default_rng(15)
+        X = np.round(rng.uniform(0, 1, size=(80, 3)), 1)
+        return grow(_dataset(X, X[:, 0] + 2 * X[:, 1] + rng.normal(size=80)),
+                    CartConfig(min_node_size=2))
+
+    def _assert_rows_agree(self, tree, X):
+        want = [ReferenceCart.route(tree.root, row) for row in X]
+        got_mean, got_id = cart.predict(tree, X), cart.node_id(tree, X)
+        assert got_mean.dtype == float and got_id.dtype == int
+        assert got_mean.tolist() == [node.mean for node in want]
+        assert got_id.tolist() == [node.leaf_id for node in want]
+
+    def test_rows_at_thresholds(self):
+        tree = self._tree()
+        X = np.full((len(tree.internal_nodes()), 3), 0.5)
+        for row, node in zip(X, tree.internal_nodes()):
+            row[node.var] = node.threshold
+        self._assert_rows_agree(tree, X)
+        self._assert_rows_agree(tree, np.nextafter(X, np.inf))
+
+    def test_nan_goes_right(self):
+        tree = self._tree()
+        X = np.random.default_rng(16).uniform(0, 1, size=(40, 3))
+        X[::2, 0] = np.nan
+        X[::3, 1] = np.nan
+        X[5] = np.nan
+        self._assert_rows_agree(tree, X)
+        rightmost = tree.root
+        while not rightmost.is_leaf:
+            rightmost = rightmost.right
+        assert cart.predict(tree, X[5]) == rightmost.mean
+
+    def test_zero_rows(self):
+        tree = self._tree()
+        self._assert_rows_agree(tree, np.zeros((0, 3)))
+
+    def test_one_row_returns_python_scalars(self):
+        tree = self._tree()
+        x = np.array([0.3, 0.7, 0.1])
+        mean, leaf = cart.predict(tree, x), cart.node_id(tree, x)
+        assert type(mean) is float and type(leaf) is int
+        node = ReferenceCart.route(tree.root, x)
+        assert (mean, leaf) == (node.mean, node.leaf_id)
+
 
 class TestPruneSequence:
     def _noisy_tree(self, seed=1):
@@ -271,6 +329,85 @@ class TestSelection:
         seq = prune_sequence(grow(ds, CartConfig(min_node_size=1)), ds)
         assert len(seq.entries) == 1
         assert select_min_cost(seq, ds).n_leaves == 1
+
+
+def _forex5_gbp_976():
+    ds = data.build_supervised(synth.forex5_series(7, 976), data.FeatureSpec("GBP", "mp1"))
+    train, test = data.split(ds, 0.7, 7)
+    scaler = data.fit_scaler(train)
+    return data.apply_scaler(train, scaler), data.apply_scaler(test, scaler)
+
+
+def _forex5_hybrid_augmented():
+    train, test = _forex5_gbp_976()
+    tree = select_min_cost(prune_sequence(grow(train), train), test)
+    return hybrid.augment(train, tree), hybrid.augment(test, tree)
+
+
+def _random_fit(seed):
+    """A small fit with duplicate features and targets in some seeds, and a
+    test sample with NaN features in others."""
+    rng = np.random.default_rng(100 + seed)
+    n, d = int(rng.integers(8, 120)), int(rng.integers(1, 4))
+    X = rng.normal(size=(n + 40, d))
+    y = X[:, 0] + np.sin(3 * X[:, -1]) + 0.5 * rng.normal(size=n + 40)
+    if seed % 3 == 0:
+        X = np.round(X, 1)
+    if seed % 4 == 0:
+        y = np.round(y)
+    if seed % 5 == 0:
+        X[n + 1::7, 0] = np.nan
+    depth = None if seed % 2 else int(rng.integers(2, 7))
+    cfg = CartConfig(min_node_size=int(rng.integers(1, 7)), max_depth=depth)
+    return _dataset(X[:n], y[:n]), _dataset(X[n:], y[n:]), cfg
+
+
+class TestExactPruning:
+    """The array pruning and single-pass scoring give what copying the tree
+    after every collapse and routing every row through every subtree gives
+    (``ReferenceCart``), bit for bit."""
+
+    @staticmethod
+    def _assert_same(train, test, cfg=CartConfig()):
+        tree = grow(train, cfg)
+        seq, ref = prune_sequence(tree, train), ReferenceCart(tree)
+        assert [e.alpha for e in seq] == [alpha for _, alpha in ref.entries]
+        assert [e.n_leaves for e in seq] == [ref.n_leaves(t) for t, _ in ref.entries]
+        assert [e.tree.n_leaves for e in seq] == [e.n_leaves for e in seq]
+        assert [e.tree.node_indices() for e in seq] == [
+            ref.node_indices(t) for t, _ in ref.entries]
+        assert [dump_tree(e.tree) for e in seq] == [dump_tree(t) for t, _ in ref.entries]
+        assert [e.test_cost for e in evaluate_sequence(seq, test)] == ref.test_costs(test)
+        assert dump_tree(select_min_cost(seq, test)) == dump_tree(ref.select(test))
+        assert relative_error_curve(seq, test) == ref.curve(test)
+        return seq
+
+    def test_weakest_link_ties_collapse_first_in_preorder(self):
+        ds = _dataset(np.arange(1.0, 9.0), [0, 0, 1, 1, 5, 5, 6, 6])
+        seq = self._assert_same(ds, ds, CartConfig(min_node_size=1))
+        assert [e.alpha for e in seq][1:3] == [1.0, 1.0]
+        assert seq.entries[1].collapsed == (1,)
+
+    def test_constant_target(self):
+        ds = _dataset(np.arange(6.0), [2.5] * 6)
+        assert len(self._assert_same(ds, _plateau_dataset(), CartConfig(min_node_size=1))) == 1
+
+    def test_min_node_size_one(self):
+        train, test = TestSelection()._split_problem(17)
+        self._assert_same(train, test, CartConfig(min_node_size=1))
+
+    def test_max_depth(self):
+        train, test = TestSelection()._split_problem(18)
+        self._assert_same(train, test, CartConfig(min_node_size=2, max_depth=3))
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_small_fits(self, seed):
+        self._assert_same(*_random_fit(seed))
+
+    @pytest.mark.parametrize("make", [_forex5_gbp_976, _forex5_hybrid_augmented],
+                             ids=["cart", "hybrid-augmented"])
+    def test_forex5_gbp_976_months(self, make):
+        assert len(self._assert_same(*make())) > 50
 
 
 class TestRelativeErrorCurve:

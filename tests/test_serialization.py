@@ -219,6 +219,14 @@ class TestLoaderChecks:
                            "  leaf id=1 mean=0 count=1 sse=0\n"
                            "  leaf id=0 mean=0 count=1 sse=0\n")
 
+    @pytest.mark.parametrize("line", [3, 4])
+    def test_cart_negative_sse_names_line(self, line):
+        nodes = ["split var=0 threshold=1 mean=0 count=2 sse=1",
+                 "  leaf id=0 mean=0 count=1 sse=0.5", "  leaf id=1 mean=0 count=1 sse=0.5"]
+        nodes[line - 3] = nodes[line - 3].replace("sse=", "sse=-")
+        with pytest.raises(ValueError, match=f"^line {line}: sse must be >= 0"):
+            cart.load_tree("cart-tree v1\nfeatures 1\n" + "\n".join(nodes) + "\n")
+
     def test_cart_too_deep_is_value_error(self):
         lines = ["cart-tree v1", "features 1"]
         for d in range(1200):  # a chain of splits deeper than the recursion limit
