@@ -9,7 +9,8 @@ explicit seed.
 
 from __future__ import annotations
 
-import csv
+import contextlib
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,66 +114,90 @@ class FeatureSpec:
 def load_csv(path) -> dict:
     """Load a monthly rates CSV into one RateSeries per currency column.
 
-    Schema: header ``date,<code1>,...,<codeN>``; one row per month with
-    ``date`` in ``YYYY-MM`` form; months must be consecutive.  Returns a dict
-    keyed by currency code, in file column order.
+    Schema: header ``date,<code1>,...,<codeN>`` of distinct, non-empty codes,
+    then one row per consecutive month: ``date`` as ``YYYY-MM`` (ASCII digits)
+    and per code one finite, positive rate that ``float`` parses.  Cells split
+    at every comma and quotes are not part of the schema: ``"1.0"`` is a
+    non-numeric rate.  Rows of only commas and whitespace are skipped; errors
+    name the 1-based file line.  Returns a dict keyed by code, in column order.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"empty file: {path}") from None
-        header = [h.strip() for h in header]
-        if not header or header[0] != "date":
-            raise ValueError(f"first column must be 'date', got {header[:1]}")
-        codes = header[1:]
-        if not codes:
-            raise ValueError("no rate columns in header")
-
-        months = []
-        columns = [[] for _ in codes]
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(header):
-                raise ValueError(f"row {lineno}: expected {len(header)} fields, got {len(row)}")
-            months.append(_parse_month(row[0].strip(), lineno))
-            for j, cell in enumerate(row[1:]):
-                try:
-                    columns[j].append(float(cell))
-                except ValueError:
-                    raise ValueError(
-                        f"row {lineno}: non-numeric rate {cell!r} for {codes[j]}") from None
-
-    if not months:
+    with open(path) as fh:
+        lines = fh.read().split("\n")
+    if lines == [""]:
         raise ValueError(f"empty file: {path}")
-    for i in range(1, len(months)):
-        if months[i] != months[i - 1] + 1:
-            raise ValueError(
-                f"non-consecutive months at row {i + 2}: "
-                f"{_month_str(months[i - 1])} then {_month_str(months[i])}")
+    header = [h.strip() for h in lines[0].split(",")] if lines[0] else []
+    if not header or header[0] != "date":
+        raise ValueError(f"first column must be 'date', got {header[:1]}")
+    codes = header[1:]
+    if not codes:
+        raise ValueError("no rate columns in header")
+    for col, code in enumerate(codes, start=2):
+        if not code or '"' in code or code in codes[:col - 2]:
+            fault = "empty" if not code else "quoted" if '"' in code else "duplicate"
+            raise ValueError(f"line 1: {fault} currency code {code!r} in column {col}")
 
-    year, month = divmod(months[0], 12)
-    return {
-        code: RateSeries(code, year, month + 1, np.array(col))
-        for code, col in zip(codes, columns)
-    }
+    # A row that starts with a digit holds data; the full test copies the row.
+    rows = [ln for ln in lines[1:] if ln[:1].isdigit() or _holds_data(ln)]
+    if not rows:
+        raise ValueError(f"empty file: {path}")
+    # Joined by ",\n", each row after the first starts its first field with a newline:
+    # with n * width fields, the date column has n lines only if each row has width.
+    n, width = len(rows), len(header)
+    fields = ",\n".join(rows).split(",")
+    dates = "".join(fields[::width])
+    ym = values = None
+    if len(fields) == n * width and dates.count("\n") == n - 1 and _DATES.fullmatch(dates):
+        del fields[::width]
+        digits = " ".join(dates.replace("-", " ").split())
+        ym = np.fromstring(digits, np.int64, sep=" ").reshape(n, 2)
+        with contextlib.suppress(ValueError):
+            values = np.fromiter(map(float, fields), float, len(fields))
+    if values is None or not np.all((ym[:, 1] >= 1) & (ym[:, 1] <= 12)):
+        _rescan(lines, codes)  # raises for the first row that failed above
+
+    gaps = np.flatnonzero(np.diff(ym[:, 0] * 12 + ym[:, 1]) != 1)
+    if gaps.size:
+        i = gaps[0] + 1
+        raise ValueError(f"non-consecutive months at row {_rescan(lines, codes)[i]}: "
+                         "{:04d}-{:02d} then {:04d}-{:02d}".format(*ym[i - 1], *ym[i]))
+    bad = np.flatnonzero(~((values > 0.0) & (values < np.inf)))
+    if bad.size:
+        row, col = divmod(bad[0], len(codes))
+        raise ValueError(f"row {_rescan(lines, codes)[row]}: rate {fields[bad[0]]!r} for "
+                         f"{codes[col]} must be finite and strictly positive")
+    return {code: RateSeries(code, int(ym[0, 0]), int(ym[0, 1]), values[j::len(codes)])
+            for j, code in enumerate(codes)}
 
 
-def _parse_month(text: str, lineno: int) -> int:
-    parts = text.split("-")
-    if len(parts) != 2 or not (parts[0].isdigit() and parts[1].isdigit()):
-        raise ValueError(f"row {lineno}: date {text!r} is not YYYY-MM")
-    year, month = int(parts[0]), int(parts[1])
-    if not 1 <= month <= 12:
-        raise ValueError(f"row {lineno}: month {month} out of range in {text!r}")
-    return year * 12 + (month - 1)
+# A date cell: ASCII-digit year and month; nine digits keep month indices in int64.
+_DATE = r"[0-9]{1,9}-[0-9]{1,9}"
+_DATES = re.compile(rf"(?:[^\S\n]*{_DATE}[^\S\n]*\n)*[^\S\n]*{_DATE}[^\S\n]*")
 
 
-def _month_str(index: int) -> str:
-    year, month = divmod(index, 12)
-    return f"{year:04d}-{month + 1:02d}"
+def _holds_data(line: str) -> bool:
+    """False for an empty row or one of only commas and whitespace."""
+    return bool(line.replace(",", "").strip())
+
+
+def _rescan(lines: list, codes: list) -> list:
+    """1-based file lines of the data rows; raises for the first bad row."""
+    numbers = [no for no, line in enumerate(lines[1:], start=2) if _holds_data(line)]
+    for no in numbers:
+        row = lines[no - 1].split(",")
+        if len(row) != len(codes) + 1:
+            raise ValueError(f"row {no}: expected {len(codes) + 1} fields, got {len(row)}")
+        text = row[0].strip()
+        if not re.fullmatch(_DATE, text):
+            raise ValueError(f"row {no}: date {text!r} is not YYYY-MM")
+        month = int(text.partition("-")[2])
+        if not 1 <= month <= 12:
+            raise ValueError(f"row {no}: month {month} out of range in {text!r}")
+        for code, cell in zip(codes, row[1:]):
+            try:
+                float(cell)
+            except ValueError:
+                raise ValueError(f"row {no}: non-numeric rate {cell!r} for {code}") from None
+    return numbers
 
 
 def build_supervised(series_map: dict, spec: FeatureSpec) -> Dataset:

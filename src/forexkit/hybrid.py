@@ -80,13 +80,9 @@ def fit_hybrid(train: Dataset, test: Dataset,
 
 def predict(h: HybridModel, x):
     """Equal to MARS prediction on the augmented feature vector."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != h.cart.n_features:
-        raise ValueError(f"expected {h.cart.n_features} features, got {x.shape[-1]}")
-    single = x.ndim == 1
-    X = x[None, :] if single else x
+    X = cart._rows(h.cart, x)
     out = mars.predict(h.mars, _augment_features(X, h.cart, h.encoding))
-    return float(out[0]) if single else out
+    return float(out[0]) if np.ndim(x) == 1 else out
 
 
 # --- composite serialization ----------------------------------------------------

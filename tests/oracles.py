@@ -5,14 +5,18 @@ enumeration and textbook formulas, no shared code with the package — so a
 bug in an engine cannot hide in its own oracle.  ``ReferenceMars`` is the
 one exception: it borrows the package's model containers and ``gcv`` so that
 its models dump in the engine's format, and ``ReferenceCart`` likewise
-borrows the tree containers.
+borrows the tree containers, and ``ReferenceCsv`` the ``RateSeries``
+container.
 """
 
 from __future__ import annotations
 
+import csv
+
 import numpy as np
 
 from forexkit.cart import CartTree, Node
+from forexkit.data import RateSeries
 from forexkit.mars import (NEGATIVE, POSITIVE, Hinge, HingeBasis, MarsModel, eval_hinge,
                            gcv, predict)
 
@@ -374,3 +378,70 @@ class ReferenceCart:
                 rel = 1.0 if cost == 0.0 else float("inf")
             out.append((self.n_leaves(tree), float(rel)))
         return out
+
+
+class ReferenceCsv:
+    """The rates-CSV loader as it was before the bulk parser: ``csv.reader``
+    row by row, one ``_parse_month`` and one ``float`` per cell.  Copied
+    unchanged, so on every file both accept, the series must be equal bit for
+    bit, and every error they share must carry the same message."""
+
+    @staticmethod
+    def load(path) -> dict:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise ValueError(f"empty file: {path}") from None
+            header = [h.strip() for h in header]
+            if not header or header[0] != "date":
+                raise ValueError(f"first column must be 'date', got {header[:1]}")
+            codes = header[1:]
+            if not codes:
+                raise ValueError("no rate columns in header")
+
+            months = []
+            columns = [[] for _ in codes]
+            for lineno, row in enumerate(reader, start=2):
+                if not row or all(not c.strip() for c in row):
+                    continue
+                if len(row) != len(header):
+                    raise ValueError(f"row {lineno}: expected {len(header)} fields, got {len(row)}")
+                months.append(ReferenceCsv._parse_month(row[0].strip(), lineno))
+                for j, cell in enumerate(row[1:]):
+                    try:
+                        columns[j].append(float(cell))
+                    except ValueError:
+                        raise ValueError(
+                            f"row {lineno}: non-numeric rate {cell!r} for {codes[j]}") from None
+
+        if not months:
+            raise ValueError(f"empty file: {path}")
+        for i in range(1, len(months)):
+            if months[i] != months[i - 1] + 1:
+                raise ValueError(
+                    f"non-consecutive months at row {i + 2}: "
+                    f"{ReferenceCsv._month_str(months[i - 1])} then "
+                    f"{ReferenceCsv._month_str(months[i])}")
+
+        year, month = divmod(months[0], 12)
+        return {
+            code: RateSeries(code, year, month + 1, np.array(col))
+            for code, col in zip(codes, columns)
+        }
+
+    @staticmethod
+    def _parse_month(text: str, lineno: int) -> int:
+        parts = text.split("-")
+        if len(parts) != 2 or not (parts[0].isdigit() and parts[1].isdigit()):
+            raise ValueError(f"row {lineno}: date {text!r} is not YYYY-MM")
+        year, month = int(parts[0]), int(parts[1])
+        if not 1 <= month <= 12:
+            raise ValueError(f"row {lineno}: month {month} out of range in {text!r}")
+        return year * 12 + (month - 1)
+
+    @staticmethod
+    def _month_str(index: int) -> str:
+        year, month = divmod(index, 12)
+        return f"{year:04d}-{month + 1:02d}"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from forexkit import synth
+from oracles import ReferenceCsv
 from forexkit.data import (Dataset, FeatureSpec, RateSeries, apply_scaler,
                            build_supervised, fit_scaler, invert_scaler,
                            load_csv, rmse, scale_features, scale_target, split,
@@ -83,6 +84,156 @@ class TestLoadCsv:
         series = load_csv(path)["USD"]
         assert (series.start_year, series.start_month) == (1999, 12)
         assert len(series) == 2
+
+
+class TestLoadCsvRows:
+    def test_gap_names_file_line_after_blank_rows(self, tmp_path):
+        path = _write(tmp_path, "date,USD\n2000-01,1.0\n\n\n2000-02,1.1\n2000-04,1.2\n")
+        with pytest.raises(ValueError, match="^non-consecutive months at row 6: "
+                                             "2000-02 then 2000-04$"):
+            load_csv(path)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-1", "0"])
+    def test_bad_rate_names_its_row(self, tmp_path, cell):
+        path = _write(tmp_path, f"date,GBP,USD\n2000-01,1.0,1.0\n\n2000-02,2.0,{cell}\n"
+                                f"2000-03,1.0,{cell}\n")
+        with pytest.raises(ValueError) as err:
+            load_csv(path)
+        assert str(err.value) == (f"row 4: rate {cell!r} for USD "
+                                  "must be finite and strictly positive")
+
+    def test_first_bad_rate_in_file_order(self, tmp_path):
+        path = _write(tmp_path, "date,GBP,USD\n2000-01,1.0,0\n2000-02,nan,1.0\n")
+        with pytest.raises(ValueError, match="^row 2: rate '0' for USD"):
+            load_csv(path)
+
+    @pytest.mark.parametrize("header, message", [
+        ("date,USD,USD", "line 1: duplicate currency code 'USD' in column 3"),
+        ("date, USD,GBP,USD ", "line 1: duplicate currency code 'USD' in column 4"),
+        ("date,USD,", "line 1: empty currency code '' in column 3"),
+        ("date,,USD", "line 1: empty currency code '' in column 2"),
+        ('date,"USD"', "line 1: quoted currency code '\"USD\"' in column 2"),
+    ])
+    def test_rejects_duplicate_empty_and_quoted_codes(self, tmp_path, header, message):
+        width = header.count(",")
+        path = _write(tmp_path, f"{header}\n2000-01{',1.0' * width}\n")
+        with pytest.raises(ValueError) as err:
+            load_csv(path)
+        assert str(err.value) == message
+
+    def test_rejects_quoted_rate(self, tmp_path):
+        path = _write(tmp_path, 'date,USD\n2000-01,1.0\n2000-02,"1.0"\n')
+        with pytest.raises(ValueError) as err:
+            load_csv(path)
+        assert str(err.value) == "row 3: non-numeric rate '\"1.0\"' for USD"
+
+    @pytest.mark.parametrize("date", ["2000-0\u00b2", "\u0662\u0660\u0660\u0660-01",
+                                      "2000-1e", "1234567890-01"])
+    def test_date_digits_are_ascii(self, tmp_path, date):
+        path = _write(tmp_path, f"date,USD\n1999-12,1.0\n{date},1.1\n")
+        with pytest.raises(ValueError) as err:
+            load_csv(path)
+        assert str(err.value) == f"row 3: date {date!r} is not YYYY-MM"
+
+    def test_short_and_long_rows_that_balance_are_rejected(self, tmp_path):
+        path = _write(tmp_path, "date,USD\n2000-01,1.0,\n1.5\n")
+        with pytest.raises(ValueError, match="^row 2: expected 2 fields, got 3$"):
+            load_csv(path)
+
+
+def _outcome(load, path):
+    """What a loader makes of a file: its error text, or per series the code,
+    start month and value bytes."""
+    try:
+        series = load(path)
+    except ValueError as err:
+        return str(err)
+    return [(code, s.start_year, s.start_month, s.values.tobytes())
+            for code, s in series.items()]
+
+
+def _synth_text(months):
+    text = ["date," + ",".join(synth.FOREX5_CODES)]
+    series = synth.forex5_series(11, months=months)
+    for i in range(months):
+        year, month = divmod(1981 * 12 + i, 12)
+        text.append(f"{year:04d}-{month + 1:02d}," +
+                    ",".join(f"{s.values[i]:.4f}" for s in series.values()))
+    return "\n".join(text) + "\n"
+
+
+_SAME_SERIES = {
+    **{f"forex5_{m}": _synth_text(m) for m in (2, 60, 244, 2440)},
+    "crlf": _synth_text(60).replace("\n", "\r\n"),
+    "cr": _synth_text(12).replace("\n", "\r"),
+    "padded": " date , USD ,GBP \n 2000-01 , 1.5 ,\t2.0\n2000-02  ,1.25 , 2.5 \n",
+    "blank_rows": "date,USD\n\n , \n2000-01,1.0\n,,\n\t\n2000-02,1.1\n \n,\n",
+    "no_final_newline": "date,USD\n2000-01,1.0\n2000-02,1.1",
+    "underscore_digits": "date,USD\n2000-01,1_0\n2000-02,1_000.5e-3\n",
+    "year_rollover": "date,USD\n1999-11,1.0\n1999-12,1.1\n2000-01,1.2\n",
+    "form_feed_in_cell": "date,USD\n2000-01,1.0\x0c\n2000-02,1.1\n",
+    "loose_date_digits": "date,USD\n987-9,1.0\n987-010,1.1\n",
+}
+
+_SAME_ERROR = {
+    "field_count": "date,USD\n2000-01,1.0\n2000-02,1.1,1.2\n",
+    "field_count_short": "date,USD,GBP\n2000-01,1.0,2.0\n2000-02,1.1\n",
+    "bad_date": "date,USD\n2000-01,1.0\n2000/02,1.1\n",
+    "empty_date": "date,USD\n2000-01,1.0\n ,1.1\n",
+    "month_13": "date,USD\n2000-12,1.0\n2000-13,1.1\n",
+    "month_0": "date,USD\n2000-00,1.0\n",
+    "non_numeric": "date,USD,GBP\n2000-01,1.0,2.0\n2000-02,1.1,two\n",
+    "first_error_in_file_order": "date,USD\n2000-01,x\n2000-13,1.0\n2000-03,1,2\n",
+    "gap": "date,USD\n2000-01,1.0\n2000-02,1.1\n2000-04,1.2\n",
+    "backwards": "date,USD\n2000-02,1.0\n2000-01,1.1\n",
+    "empty_file": "",
+    "header_only": "date,USD,GBP\n",
+    "header_and_blank_rows": "date,USD\n\n,\n",
+    "no_rate_columns": "date\n2000-01\n",
+    "first_column_not_date": "month,USD\n2000-01,1.0\n",
+    "blank_first_line": "\ndate,USD\n2000-01,1.0\n",
+}
+
+
+class TestLoadCsvMatchesReference:
+    """The loader against the ``csv.reader`` loader it replaced."""
+
+    @pytest.mark.parametrize("name", sorted(_SAME_SERIES))
+    def test_same_series(self, tmp_path, name):
+        path = tmp_path / "rates.csv"
+        path.write_bytes(_SAME_SERIES[name].encode())
+        got = _outcome(load_csv, path)
+        assert not isinstance(got, str), got
+        assert got == _outcome(ReferenceCsv.load, path)
+
+    @pytest.mark.parametrize("name", sorted(_SAME_ERROR))
+    def test_same_error(self, tmp_path, name):
+        path = tmp_path / "rates.csv"
+        path.write_bytes(_SAME_ERROR[name].encode())
+        got = _outcome(load_csv, path)
+        assert isinstance(got, str), name
+        assert got == _outcome(ReferenceCsv.load, path)
+
+    @pytest.mark.parametrize("text, reference", [
+        ("date,USD\n2000-01,1.0\n\n\n2000-02,1.1\n2000-04,1.2\n",
+         "non-consecutive months at row 4: 2000-02 then 2000-04"),
+        ("date,USD\n2000-01,nan\n", "rates for 'USD' must be finite and strictly positive"),
+        ('date,USD\n2000-01,"1.0"\n', [("USD", 2000, 1, np.array([1.0]).tobytes())]),
+        ("date,USD,USD\n2000-01,1.0,2.0\n", [("USD", 2000, 1, np.array([2.0]).tobytes())]),
+        ("date,USD,\n2000-01,1.0,2.0\n", [("USD", 2000, 1, np.array([1.0]).tobytes()),
+                                           ("", 2000, 1, np.array([2.0]).tobytes())]),
+        ('date,"USD"\n2000-01,1.0\n', [("USD", 2000, 1, np.array([1.0]).tobytes())]),
+        ("date,USD\n2000-0\u00b2,1.0\n", "invalid literal for int() with base 10: '0\u00b2'"),
+        ("date,USD\n\u0662\u0660\u0660\u0660-01,1.0\n",
+         [("USD", 2000, 1, np.array([1.0]).tobytes())]),
+        ("date,USD\n1234567890-01,1.0\n", [("USD", 1234567890, 1, np.array([1.0]).tobytes())]),
+    ])
+    def test_changed_on_purpose(self, tmp_path, text, reference):
+        """Each case the reference handles differently; the new outcome is
+        pinned by the tests in ``TestLoadCsvRows``."""
+        path = _write(tmp_path, text)
+        assert _outcome(ReferenceCsv.load, path) == reference
+        assert isinstance(_outcome(load_csv, path), str)
 
 
 class TestBuildSupervised:

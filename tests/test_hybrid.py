@@ -166,6 +166,13 @@ class TestComposition:
         with pytest.raises(ValueError, match="expected 1 features"):
             hybrid.predict(model, np.zeros((5, 2)))
 
+    def test_scalar_and_3d_input_get_the_tree_shape_error(self):
+        train, test = _steps_problem(15)
+        model = fit_hybrid(train, test)
+        for x in (2.0, np.zeros((2, 3, 1))):
+            with pytest.raises(ValueError, match=r"expected an array of shape \(n, 1\)"):
+                hybrid.predict(model, x)
+
 
 class TestSerialization:
     def test_round_trip_bit_identical(self):
