@@ -145,7 +145,7 @@ def load_csv(path) -> dict:
     n, width = len(rows), len(header)
     fields = ",\n".join(rows).split(",")
     dates = "".join(fields[::width])
-    ym = values = None
+    values = None
     if len(fields) == n * width and dates.count("\n") == n - 1 and _DATES.fullmatch(dates):
         del fields[::width]
         digits = " ".join(dates.replace("-", " ").split())

@@ -152,20 +152,19 @@ def _outcome(load, path):
             for code, s in series.items()]
 
 
-def _synth_text(months):
-    text = ["date," + ",".join(synth.FOREX5_CODES)]
-    series = synth.forex5_series(11, months=months)
-    for i in range(months):
-        year, month = divmod(1981 * 12 + i, 12)
-        text.append(f"{year:04d}-{month + 1:02d}," +
-                    ",".join(f"{s.values[i]:.4f}" for s in series.values()))
-    return "\n".join(text) + "\n"
+def _synth(months, newline="\n"):
+    """The text ``synth.write_rates_csv`` writes for forex5, with its line ends."""
+    def text(tmp_path):
+        path = tmp_path / "synth.csv"
+        synth.write_rates_csv(path, synth.forex5_series(11, months=months))
+        return path.read_text().replace("\n", newline)
+    return text
 
 
 _SAME_SERIES = {
-    **{f"forex5_{m}": _synth_text(m) for m in (2, 60, 244, 2440)},
-    "crlf": _synth_text(60).replace("\n", "\r\n"),
-    "cr": _synth_text(12).replace("\n", "\r"),
+    **{f"forex5_{m}": _synth(m) for m in (2, 60, 244, 2440)},
+    "crlf": _synth(60, "\r\n"),
+    "cr": _synth(12, "\r"),
     "padded": " date , USD ,GBP \n 2000-01 , 1.5 ,\t2.0\n2000-02  ,1.25 , 2.5 \n",
     "blank_rows": "date,USD\n\n , \n2000-01,1.0\n,,\n\t\n2000-02,1.1\n \n,\n",
     "no_final_newline": "date,USD\n2000-01,1.0\n2000-02,1.1",
@@ -200,8 +199,9 @@ class TestLoadCsvMatchesReference:
 
     @pytest.mark.parametrize("name", sorted(_SAME_SERIES))
     def test_same_series(self, tmp_path, name):
+        text = _SAME_SERIES[name]
         path = tmp_path / "rates.csv"
-        path.write_bytes(_SAME_SERIES[name].encode())
+        path.write_bytes((text(tmp_path) if callable(text) else text).encode())
         got = _outcome(load_csv, path)
         assert not isinstance(got, str), got
         assert got == _outcome(ReferenceCsv.load, path)
