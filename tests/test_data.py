@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from forexkit import synth
-from oracles import ReferenceCsv
 from forexkit.data import (Dataset, FeatureSpec, RateSeries, apply_scaler,
                            build_supervised, fit_scaler, invert_scaler,
                            load_csv, rmse, scale_features, scale_target, split,
                            unscale_target)
+
+from oracles import ReferenceCsv
 
 
 def _write(tmp_path, text, name="rates.csv"):
