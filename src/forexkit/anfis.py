@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, as_rows
 from .dumpfmt import Lines, expect, floats, fmt, integer, keyed
 
 _WIDTH_FLOOR = 1e-6
@@ -133,15 +133,12 @@ def _normalized_batch(model: AnfisModel, X: np.ndarray) -> np.ndarray:
     return shifted / shifted.sum(axis=1, keepdims=True)
 
 
-def _check_inputs(model: AnfisModel, X: np.ndarray):
-    if X.shape[-1] != model.n_inputs:
-        raise ValueError(f"expected {model.n_inputs} inputs, got {X.shape[-1]}")
-
-
 def firing_strengths(model: AnfisModel, x):
     """(raw, normalized) strengths per rule for one input vector."""
-    x = np.asarray(x, dtype=float)
-    _check_inputs(model, x)
+    X = as_rows(x, model.n_inputs, "inputs")
+    if len(X) != 1:
+        raise ValueError(f"expected one input vector, got {len(X)} rows")
+    x = X[0]
     log_w = _log_strengths(model, x[None, :])[0]
     if log_w.max() < _LOG_UNDERFLOW:
         raise NoRuleFires(f"no rule fires for input {x.tolist()}")
@@ -161,13 +158,10 @@ def _rule_outputs(model: AnfisModel, X: np.ndarray) -> np.ndarray:
 
 def predict(model: AnfisModel, x):
     """Convex combination of rule outputs under normalized strengths."""
-    x = np.asarray(x, dtype=float)
-    _check_inputs(model, x)
-    single = x.ndim == 1
-    X = x[None, :] if single else x
+    X = as_rows(x, model.n_inputs, "inputs")
     w = _normalized_batch(model, X)
     out = np.einsum("nr,nro->no", w, _rule_outputs(model, X))
-    if single:
+    if np.ndim(x) == 1:
         return float(out[0, 0]) if model.n_outputs == 1 else out[0]
     return out[:, 0] if model.n_outputs == 1 else out
 
@@ -195,8 +189,7 @@ def lse_consequents(model: AnfisModel, train: Dataset, targets=None) -> LseResul
     column with an (n, outputs) matrix."""
     if train.n_rows == 0:
         raise ValueError("training set is empty")
-    _check_inputs(model, train.features)
-    X = train.features
+    X = as_rows(train.features, model.n_inputs, "inputs")
     Y = _lse_targets(model, train, targets)
     w = _normalized_batch(model, X)  # (n, R)
     if model.consequent == "linear":
@@ -220,8 +213,7 @@ def premise_gradient(model: AnfisModel, train: Dataset, targets=None):
     (per-input center grads, per-input width grads)."""
     if train.n_rows == 0:
         raise ValueError("training set is empty")
-    _check_inputs(model, train.features)
-    X = train.features
+    X = as_rows(train.features, model.n_inputs, "inputs")
     Y = _lse_targets(model, train, targets)
     w = _normalized_batch(model, X)                     # (n, R)
     F = _rule_outputs(model, X)                         # (n, R, o)

@@ -31,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, as_rows
 from .dumpfmt import Lines, expect, fmt, integer, keyed, number
 
 _TIE_REL = 1e-9  # SSE reductions closer than this (relative to parent SSE) tie
@@ -200,17 +200,6 @@ def grow(train: Dataset, cfg: CartConfig = CartConfig()) -> CartTree:
     return CartTree(root, train.n_features, train.feature_names)
 
 
-def _rows(tree: CartTree, x) -> np.ndarray:
-    """x as an (n, n_features) matrix; a 1-D x is one row."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim not in (1, 2):
-        raise ValueError(f"expected an array of shape (n, {tree.n_features}) or "
-                         f"({tree.n_features},), got shape {x.shape}")
-    if x.shape[-1] != tree.n_features:
-        raise ValueError(f"expected {tree.n_features} features, got {x.shape[-1]}")
-    return np.atleast_2d(x)
-
-
 def _route(f: _Flat, X: np.ndarray) -> np.ndarray:
     """Preorder index of the leaf each row of X reaches, one tree level per
     step over all rows still at an internal node."""
@@ -226,13 +215,13 @@ def _route(f: _Flat, X: np.ndarray) -> np.ndarray:
 
 def predict(tree: CartTree, x):
     """Mean of the training targets at the reached leaf."""
-    out = tree._flat.mean[_route(tree._flat, _rows(tree, x))]
+    out = tree._flat.mean[_route(tree._flat, as_rows(x, tree.n_features))]
     return float(out[0]) if np.ndim(x) == 1 else out
 
 
 def node_id(tree: CartTree, x):
     """Dense id of the reached leaf; constant on each leaf's region."""
-    out = tree._flat.leaf_id[_route(tree._flat, _rows(tree, x))]
+    out = tree._flat.leaf_id[_route(tree._flat, as_rows(x, tree.n_features))]
     return int(out[0]) if np.ndim(x) == 1 else out
 
 
@@ -324,7 +313,7 @@ def evaluate_sequence(seq: PruneSequence, test: Dataset) -> PruneSequence:
         return seq
     maximal = seq.entries[0].maximal
     f = maximal._flat
-    node = _route(f, _rows(maximal, test.features))
+    node = _route(f, as_rows(test.features, maximal.n_features))
     pred, done, scored = f.mean[node], 0, []
     for entry in seq:
         for v in entry.collapsed[done:]:

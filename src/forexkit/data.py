@@ -93,6 +93,18 @@ class Dataset:
         return Dataset(self.feature_names, self.features[idx], self.targets[idx], prov)
 
 
+def as_rows(x, width: int, unit: str = "features") -> np.ndarray:
+    """x as an (n, width) float matrix for a model's predict; a 1-D x is one
+    row.  Any other shape, or another width, raises ValueError."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim not in (1, 2):
+        raise ValueError(f"expected an array of shape (n, {width}) or ({width},), "
+                         f"got shape {x.shape}")
+    if x.shape[-1] != width:
+        raise ValueError(f"expected {width} {unit}, got {x.shape[-1]}")
+    return np.atleast_2d(x)
+
+
 @dataclass(frozen=True)
 class FeatureSpec:
     """Names the currency to forecast and the feature recipe.
@@ -116,12 +128,13 @@ def load_csv(path) -> dict:
 
     Schema: header ``date,<code1>,...,<codeN>`` of distinct, non-empty codes,
     then one row per consecutive month: ``date`` as ``YYYY-MM`` (ASCII digits)
-    and per code one finite, positive rate that ``float`` parses.  Cells split
+    and per code one finite, positive rate that ``float`` parses.  The file is
+    UTF-8 and may start with a byte-order mark.  Cells split
     at every comma and quotes are not part of the schema: ``"1.0"`` is a
     non-numeric rate.  Rows of only commas and whitespace are skipped; errors
     name the 1-based file line.  Returns a dict keyed by code, in column order.
     """
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         lines = fh.read().split("\n")
     if lines == [""]:
         raise ValueError(f"empty file: {path}")

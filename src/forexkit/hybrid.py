@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cart, mars
-from .data import Dataset
+from .data import Dataset, as_rows
 from .dumpfmt import Lines, expect, keyed, tail
 
 ENCODINGS = ("one_hot_leaf", "leaf_prediction")
@@ -80,7 +80,7 @@ def fit_hybrid(train: Dataset, test: Dataset,
 
 def predict(h: HybridModel, x):
     """Equal to MARS prediction on the augmented feature vector."""
-    X = cart._rows(h.cart, x)
+    X = as_rows(x, h.cart.n_features)
     out = mars.predict(h.mars, _augment_features(X, h.cart, h.encoding))
     return float(out[0]) if np.ndim(x) == 1 else out
 

@@ -21,11 +21,15 @@ forexkit.marsrank): O(n m) for n rows and m bases, where projecting all
 K ~ n hinge columns costs O(n K m).  Those fast gains only rank the knots.
 The knots near the block's fast top, and any whose fast terms lost too many
 digits to cancellation, are re-scored with the dense projections, and the
-tie rule picks among the re-scored gains.  A GCV elimination step ranks
-every drop from one QR of the retained columns and refits exactly only the
-drops near the lowest SSE; holdout pruning refits every drop.  So every
-pick, and hence every coefficient and trace, is the one that scoring every
-candidate densely gives.
+tie rule picks among the re-scored gains.  Blocks of at most _FEW_KNOTS
+knots, such as the hybrid's one-hot leaf columns, are scored densely: all
+of one parent's in a single projection.  The orthonormal basis Q of the
+design grows by one Gram-Schmidt column per added basis, not a new QR.  A
+GCV elimination step ranks every drop from one QR of the retained columns
+and refits exactly only the drops near the lowest SSE, plus the first drop
+when every subset of the next size scores inf; holdout pruning refits every
+drop.  So every pick, and hence every coefficient and trace, is the one
+that scoring every candidate densely gives.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, as_rows
 from .dumpfmt import Lines, expect, floats, fmt, integer, keyed, number
 from .marsrank import drop_one_sse, knot_order, sweep_terms
 
@@ -140,13 +144,8 @@ class MarsModel:
 
 def predict(model: MarsModel, x):
     """Sum of coefficient times the product of factor hinge values."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    X = np.atleast_2d(x)
-    if X.shape[1] != model.n_features:
-        raise ValueError(f"expected {model.n_features} features, got {X.shape[1]}")
-    out = model.design_matrix(X) @ model.coefficients
-    return float(out[0]) if single else out
+    out = model.design_matrix(as_rows(x, model.n_features)) @ model.coefficients
+    return float(out[0]) if np.ndim(x) == 1 else out
 
 
 def _lstsq(B: np.ndarray, y: np.ndarray):
@@ -169,46 +168,52 @@ def _orthonormalize(u: np.ndarray, Q: np.ndarray):
 
 
 def _block_gains(x, r, Q, bp, cached):
-    """Dense gains of the knots that can win one (parent, variable) block,
-    as (knots, gains) in ascending knot order.
+    """Dense gains of the knots that can win one (parent, variable) block of
+    more than _FEW_KNOTS knots, as (knots, gains) in ascending knot order.
 
     Fast sweep gains rank the knots; those within _SWEEP_REL of the fast top,
     and those whose fast terms are too cancelled to trust, are re-scored with
     the dense projections, so the winner and its gain are the dense ones.
-    Few-knot blocks, degenerate blocks, and blocks whose re-scored gains
-    disagree with the fast ones are scored densely in full.
+    Degenerate blocks, and blocks whose re-scored gains disagree with the
+    fast ones, are scored densely in full.
     """
     order, knots, starts = cached
-    if len(knots) > _FEW_KNOTS:
-        (a, _, c, rp, rm, norm_p, norm_m, det, num), shaky = sweep_terms(
-            bp, x, Q, r, order, knots, starts)
-        fast = _gains(a, c, rp, rm, norm_p, norm_m, det, num)
-        top = float(fast[~shaky].max(initial=0.0))
-        if top > 0.0:
-            near = ~shaky & (fast >= top - _SWEEP_REL * top)
-            keep = np.flatnonzero(near | shaky)
-            gains = _pair_gains(x, bp, knots[keep], Q, r)
-            checked = near[keep]
-            if np.all(np.abs(gains[checked] - fast[keep][checked]) <= _SWEEP_CHECK * top):
-                return knots[keep], gains
-    return knots, _pair_gains(x, bp, knots, Q, r)
+    (a, _, c, rp, rm, norm_p, norm_m, det, num), shaky = sweep_terms(
+        bp, x, Q, r, order, knots, starts)
+    fast = _gains(a, c, rp, rm, norm_p, norm_m, det, num)
+    top = float(fast[~shaky].max(initial=0.0))
+    if top > 0.0:
+        near = ~shaky & (fast >= top - _SWEEP_REL * top)
+        keep = np.flatnonzero(near | shaky)
+        gains = _pair_gains(x[:, None], bp, knots[keep], Q, r)
+        checked = near[keep]
+        if np.all(np.abs(gains[checked] - fast[keep][checked]) <= _SWEEP_CHECK * top):
+            return knots[keep], gains
+    return knots, _pair_gains(x[:, None], bp, knots, Q, r)
 
 
 def _best_candidate(X, r, Q, bases, cfg, orders):
     """Scan every (parent, variable, knot) pair; return the best SSE gain.
 
     The scan order (parent, variable, ascending knot) breaks ties
-    deterministically.
+    deterministically.  A parent's blocks of _FEW_KNOTS knots or fewer are
+    scored together, by one dense projection of all their hinge columns.
     """
     best = (0.0, None)  # (gain, (parent_idx, var, knot))
     for pi, parent in enumerate(bases):
         if parent.degree >= cfg.max_interaction:
             continue
         bp = parent.column(X)
-        for var in range(X.shape[1]):
-            if parent.uses(var):
-                continue
-            knots, gains = _block_gains(X[:, var], r, Q, bp, orders[var])
+        free = [var for var in range(X.shape[1]) if not parent.uses(var)]
+        few = [var for var in free if len(orders[var][1]) <= _FEW_KNOTS]
+        scored = {}
+        if few:
+            knots = [orders[var][1] for var in few]
+            sizes = [len(k) for k in knots]
+            gains = _pair_gains(X[:, np.repeat(few, sizes)], bp, np.concatenate(knots), Q, r)
+            scored = dict(zip(few, zip(knots, np.split(gains, np.cumsum(sizes)[:-1]))))
+        for var in free:
+            knots, gains = scored.get(var) or _block_gains(X[:, var], r, Q, bp, orders[var])
             top = float(gains.max())
             if top <= 0.0:
                 continue
@@ -223,10 +228,10 @@ def _best_candidate(X, r, Q, bases, cfg, orders):
 
 def _pair_gains(x, bp, knots, Q, r):
     """SSE reduction from adding each hinge pair bp*(x - t)+, bp*(t - x)+,
-    vectorized over the knots t by dense projections onto span(Q)."""
-    xv = x[:, None]
-    up = np.maximum(0.0, xv - knots[None, :]) * bp[:, None]
-    um = np.maximum(0.0, knots[None, :] - xv) * bp[:, None]
+    vectorized over the knots t by dense projections onto span(Q).  Column j
+    of the (n, K) or (n, 1) matrix x is the variable that knot j splits."""
+    up = np.maximum(0.0, x - knots) * bp[:, None]
+    um = np.maximum(0.0, knots - x) * bp[:, None]
     vp = up - Q @ (Q.T @ up)
     vm = um - Q @ (Q.T @ um)
     a = np.einsum("ij,ij->j", vp, vp)
@@ -271,7 +276,7 @@ def forward_pass(train: Dataset, cfg: MarsConfig) -> MarsModel:
     ss0 = sse  # constant-model SSE sets the noise floor once sse reaches 0
     trace = [sse / n]
 
-    Q, _ = np.linalg.qr(B)  # refactored after each added column, so always B's
+    Q, _ = np.linalg.qr(B)  # grown by each added column's orthonormal part
     while len(bases) - 1 + 2 <= cfg.max_basis_functions:
         r = y - Q @ (Q.T @ y)
         gain, pick = _best_candidate(X, r, Q, bases, cfg, orders)
@@ -282,11 +287,12 @@ def forward_pass(train: Dataset, cfg: MarsConfig) -> MarsModel:
         added = False
         for direction in (POSITIVE, NEGATIVE):
             u = parent.column(X) * eval_hinge(X[:, var], knot, direction)
-            if _orthonormalize(u, Q) is None:
+            v = _orthonormalize(u, Q)
+            if v is None:
                 continue  # drop the linearly dependent member of the pair
             bases.append(HingeBasis(parent.factors + (Hinge(var, knot, direction),)))
             B = np.column_stack([B, u])
-            Q, _ = np.linalg.qr(B)
+            Q = np.column_stack([Q, v])
             added = True
         if not added:
             break
@@ -307,17 +313,20 @@ def gcv(mse: float, n_rows: int, n_bases: int, penalty: float) -> float:
     return mse / (denom * denom)
 
 
-def _likely_drops(B: np.ndarray, y: np.ndarray) -> list:
-    """Columns 1.. of B whose removal may leave the lowest SSE: those within
-    _PRUNE_REL of the lowest drop-one SSE, plus column 1, which wins when
-    every subset scores inf.  All of them when R is ill-conditioned."""
+def _likely_drops(B: np.ndarray, y: np.ndarray, penalty: float) -> list:
+    """Columns 1.. of B whose removal may leave the lowest GCV: those within
+    _PRUNE_REL of the lowest drop-one SSE, plus column 1 when GCV is inf at
+    the next subset size, as every drop then ties and the first wins.  All
+    of them when R is ill-conditioned."""
     sse = drop_one_sse(B, y)
     if sse is None:
         return list(range(1, B.shape[1]))
     sse = sse[1:]
     low = float(sse.min())
-    near = sse <= low + _PRUNE_REL * low + _PRUNE_FLOOR * float(y @ y)
-    return sorted({1, *(1 + np.flatnonzero(near)).tolist()})
+    near = 1 + np.flatnonzero(sse <= low + _PRUNE_REL * low + _PRUNE_FLOOR * float(y @ y))
+    if gcv(1.0, B.shape[0], B.shape[1] - 1, penalty) == float("inf"):
+        return sorted({1, *near.tolist()})
+    return near.tolist()
 
 
 def backward_prune(model: MarsModel, train: Dataset, cfg: MarsConfig,
@@ -347,7 +356,7 @@ def backward_prune(model: MarsModel, train: Dataset, cfg: MarsConfig,
     while len(retained) > 1:
         drops = range(1, len(retained))
         if cfg.pruning == "gcv":
-            drops = _likely_drops(full[:, retained], y)
+            drops = _likely_drops(full[:, retained], y, cfg.gcv_penalty)
         scored = [(score(retained[:j] + retained[j + 1:]), j) for j in drops]
         s, j = min(scored, key=lambda t: (t[0], t[1]))
         retained = retained[:j] + retained[j + 1:]

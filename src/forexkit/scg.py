@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, as_rows
 from .dumpfmt import Lines, expect, floats, fmt
 
 
@@ -262,13 +262,8 @@ def _forward_cached(net: MlpNetwork, X: np.ndarray):
 
 def forward(net: MlpNetwork, x):
     """Network output; scalar for a single sample of a single-output net."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    X = x[None, :] if single else x
-    if X.shape[1] != net.layer_sizes[0]:
-        raise ValueError(f"expected {net.layer_sizes[0]} inputs, got {X.shape[1]}")
-    out = _forward_cached(net, X)[-1]
-    if single:
+    out = _forward_cached(net, as_rows(x, net.layer_sizes[0], "inputs"))[-1]
+    if np.ndim(x) == 1:
         return float(out[0, 0]) if out.shape[1] == 1 else out[0]
     return out[:, 0] if out.shape[1] == 1 else out
 

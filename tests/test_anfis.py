@@ -121,6 +121,11 @@ class TestFiringStrengths:
         with pytest.raises(ValueError, match="expected 1 inputs"):
             firing_strengths(model, np.array([0.0, 1.0]))
 
+    def test_one_input_vector_only(self):
+        model = self._model()
+        with pytest.raises(ValueError, match="one input vector, got 2 rows"):
+            firing_strengths(model, np.zeros((2, 1)))
+
 
 class TestLse:
     def test_single_rule_constant_recovers_mean(self):
@@ -292,6 +297,13 @@ class TestPredict:
         pred = anfis.predict(model, X)
         assert np.all(pred <= rule_out.max(axis=1) + 1e-12)
         assert np.all(pred >= rule_out.min(axis=1) - 1e-12)
+
+    @pytest.mark.parametrize("x", [2.0, np.zeros((2, 3, 1))], ids=["scalar", "3-d"])
+    def test_bad_shape_names_expected_shapes(self, x):
+        model = init_model(_dataset(np.array([[0.0], [1.0]]), np.zeros(2)),
+                           AnfisConfig(mfs_per_input=2))
+        with pytest.raises(ValueError, match=r"shape \(n, 1\) or \(1,\), got shape"):
+            anfis.predict(model, x)
 
     def test_normalized_strengths_sum_to_one_in_bulk(self):
         ds = _grid_problem(seed=14)

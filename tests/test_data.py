@@ -80,6 +80,13 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="empty"):
             load_csv(path)
 
+    def test_accepts_utf8_byte_order_mark(self, tmp_path):
+        path = tmp_path / "rates.csv"
+        path.write_bytes(b"\xef\xbb\xbfdate,USD\n2000-01,1.0\n2000-02,1.5\n")
+        series = load_csv(path)
+        assert list(series) == ["USD"]
+        np.testing.assert_array_equal(series["USD"].values, [1.0, 1.5])
+
     def test_year_rollover_is_consecutive(self, tmp_path):
         path = _write(tmp_path, "date,USD\n1999-12,1.0\n2000-01,1.1\n")
         series = load_csv(path)["USD"]

@@ -206,6 +206,12 @@ class TestPredict:
         with pytest.raises(ValueError, match="expected 2 features"):
             mars.predict(model, np.array([1.0]))
 
+    @pytest.mark.parametrize("x", [2.0, np.zeros((2, 3, 2))], ids=["scalar", "3-d"])
+    def test_bad_shape_names_expected_shapes(self, x):
+        model = MarsModel((HingeBasis(),), np.array([1.0]), 2, 0.0)
+        with pytest.raises(ValueError, match=r"shape \(n, 2\) or \(2,\), got shape"):
+            mars.predict(model, x)
+
 
 class TestValidation:
     def test_config_bounds(self):
@@ -255,14 +261,20 @@ def _exact_grid():
                    MarsConfig(max_interaction=inter, pruning=pruning))
 
 
-def _hybrid_forex5_976():
-    train, test = _scaled_split(synth.forex5_series(7, 976), "GBP")
+def _hybrid_forex5(months, code):
+    """The hybrid's MARS input: features plus one-hot leaf columns, each a
+    block of two knots."""
+    train, test = _scaled_split(synth.forex5_series(7, months), code)
     tree = cart.select_min_cost(cart.prune_sequence(cart.grow(train), train), test)
-    return hybrid.augment(train, tree), hybrid.augment(test, tree)
+    return (hybrid.augment(train, tree, "one_hot_leaf"),
+            hybrid.augment(test, tree, "one_hot_leaf"))
 
 
 _GRID = list(_exact_grid()) + [
-    ("hybrid-forex5-976-i1-gcv", _hybrid_forex5_976, MarsConfig())]
+    ("hybrid-forex5-976-i1-gcv", lambda: _hybrid_forex5(976, "GBP"), MarsConfig()),
+    # 23 leaves; the fit multiplies leaf columns into most of its bases
+    ("hybrid-forex5-244-nzd-i2-gcv", lambda: _hybrid_forex5(244, "NZD"),
+     MarsConfig(max_interaction=2))]
 
 
 class TestExactSearch:
@@ -293,6 +305,17 @@ class TestExactSearch:
                              max_interaction=int(rng.integers(1, 3)),
                              pruning=("gcv", "holdout")[seed % 2])
             self._assert_same(train, cfg, test if cfg.pruning == "holdout" else None)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_inf_gcv_subsets_drop_the_first_column(self, seed):
+        """Eight rows: every subset of three or more bases has GCV inf, so
+        each of those steps drops column 1, near the lowest SSE or not."""
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(0, 1, 8)
+        train = _dataset(x, np.sin(6 * x) + 0.1 * rng.normal(size=8))
+        cfg = MarsConfig(max_basis_functions=6)
+        self._assert_same(train, cfg)
+        assert [s for _, s in fit(train, cfg).pruning_trace[:4]] == [float("inf")] * 4
 
 
 class TestClosedForms:
@@ -339,6 +362,26 @@ class TestClosedForms:
         got = marsrank.drop_one_sse(B, y)
         assert got is not None
         np.testing.assert_allclose(got, want, rtol=1e-9)
+
+    def test_pair_gains_of_joined_blocks_match_single_blocks(self):
+        """One projection of several few-knot blocks side by side gives each
+        block's gains as scoring it alone does."""
+        rng = np.random.default_rng(5)
+        n = 120
+        X = np.column_stack([(rng.uniform(size=n) < 0.3).astype(float),
+                             np.round(rng.uniform(0, 1, n), 1),
+                             rng.integers(0, 3, n).astype(float)])
+        bp = np.maximum(0.0, rng.uniform(0, 1, n) - 0.3)
+        Q, _ = np.linalg.qr(np.column_stack([np.ones(n), bp, rng.normal(size=(n, 2))]))
+        r = rng.normal(size=n)
+        r -= Q @ (Q.T @ r)
+        knots = [np.unique(X[:, v]) for v in range(3)]
+        cols = np.repeat(np.arange(3), [len(k) for k in knots])
+        joined = mars._pair_gains(X[:, cols], bp, np.concatenate(knots), Q, r)
+        single = np.concatenate([mars._pair_gains(X[:, [v]], bp, knots[v], Q, r)
+                                 for v in range(3)])
+        assert joined.shape == (len(cols),) and np.all(single > 0.0)
+        np.testing.assert_allclose(joined, single, rtol=1e-12)
 
     def test_drop_one_sse_declines_ill_conditioned(self):
         x = np.linspace(0, 1, 30)

@@ -69,6 +69,12 @@ class TestForward:
         with pytest.raises(ValueError, match="expected 2 inputs"):
             forward(net, np.array([1.0]))
 
+    @pytest.mark.parametrize("x", [2.0, np.zeros((2, 3, 2))], ids=["scalar", "3-d"])
+    def test_bad_shape_names_expected_shapes(self, x):
+        net = init_network((2, 3, 1), seed=0)
+        with pytest.raises(ValueError, match=r"shape \(n, 2\) or \(2,\), got shape"):
+            forward(net, x)
+
 
 class TestInitAndParams:
     def test_init_bounds_scale_with_fan_in(self):
