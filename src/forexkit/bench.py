@@ -312,7 +312,8 @@ def load_config(path) -> ExperimentConfig:
     typos fail loudly instead of silently running defaults.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    with open(path) as fh:  # missing file raises with the path in the message
+    # utf-8-sig drops a byte-order mark, which would hide the first section
+    with open(path, encoding="utf-8-sig") as fh:  # a missing file names its path
         parser.read_file(fh)
     for section in parser.sections():
         if section not in _INI:

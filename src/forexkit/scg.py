@@ -44,6 +44,8 @@ class ScgConfig:
             raise ValueError("sigma0 must be > 0")
         if self.lambda0 < 0.0:
             raise ValueError("lambda0 must be >= 0")
+        if self.restart_every is not None and self.restart_every < 1:
+            raise ValueError("restart_every must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -158,11 +160,10 @@ class MlpNetwork:
     weights: tuple  # of (out, in) arrays
     biases: tuple   # of (out,) arrays
 
-    # [features, activations] of the last forward pass.  Only the view built
-    # by _training_view carries one, and scg_train clears it whenever it
-    # rewrites that view's weights; Dataset features are read-only, so the
-    # same features object means the same activations.
-    _memo = None
+    # The _Workspace every evaluation writes into.  Only the view built by
+    # _training_view carries one; any other network gets a fresh workspace
+    # per call, so it never reuses activations.
+    _work = None
 
     def __post_init__(self):
         sizes = tuple(int(s) for s in self.layer_sizes)
@@ -224,48 +225,81 @@ def set_params(net: MlpNetwork, flat: np.ndarray) -> MlpNetwork:
                       tuple(b.copy() for b in biases))
 
 
-def _training_view(net: MlpNetwork):
+class _Workspace:
+    """Buffers for evaluating one network on batches of n_rows rows.
+
+    acts[1:] hold the activations of the features X, and acts[0] is X itself;
+    X is None while they are stale.  Dataset features are read-only, so the
+    same features object means the same activations.  resid holds the output
+    residual.  The backward buffers (a delta and a scratch array per hidden
+    layer, and the flat gradient with a view per layer block) are made by
+    the first gradient that needs them, so forward alone never allocates
+    them."""
+
+    def __init__(self, net: MlpNetwork, n_rows: int):
+        self.n_rows = n_rows
+        self.X = None
+        self.acts = [None] + [np.empty((n_rows, s)) for s in net.layer_sizes[1:]]
+        self.resid = np.empty_like(self.acts[-1])
+        self.grad = None
+
+    def backward_buffers(self, net: MlpNetwork):
+        if self.grad is None:
+            hidden = net.layer_sizes[1:-1]
+            self.deltas = [np.empty((self.n_rows, s)) for s in hidden]
+            self.scratch = [np.empty((self.n_rows, s)) for s in hidden]
+            self.grad = np.empty(net.n_params)
+            self.grad_w, self.grad_b = _unflatten(net, self.grad)
+        return self
+
+
+def _training_view(net: MlpNetwork, n_rows: int):
     """(buffer, network whose layers are views into the buffer) for scg_train.
 
-    The network skips validation and carries an activation memo, so it must
-    never reach a caller; whoever writes the buffer clears the memo.  The
-    buffer starts as NaN and the memo empty, so the first evaluation runs a
-    full forward pass."""
+    The network skips validation and carries one workspace for batches of
+    n_rows rows, so it must never reach a caller; whoever writes the buffer
+    marks the workspace's activations stale.  The buffer starts as NaN and
+    the activations stale, so the first evaluation runs a full forward
+    pass."""
     flat = np.full(net.n_params, np.nan)
     weights, biases = _unflatten(net, flat)
     view = object.__new__(MlpNetwork)
     object.__setattr__(view, "layer_sizes", net.layer_sizes)
     object.__setattr__(view, "weights", tuple(weights))
     object.__setattr__(view, "biases", tuple(biases))
-    object.__setattr__(view, "_memo", [None, None])
+    object.__setattr__(view, "_work", _Workspace(view, n_rows))
     return flat, view
 
 
-def _forward_cached(net: MlpNetwork, X: np.ndarray):
-    """Activations per layer; hidden layers tanh, final layer identity."""
-    memo = net._memo
-    if memo is not None and memo[0] is X:
-        return memo[1]
-    acts = [X]
-    a = X
+def _forward_cached(net: MlpNetwork, X: np.ndarray) -> _Workspace:
+    """The workspace holding net's activations on X; hidden layers tanh,
+    final layer identity.  A view evaluated on a batch of another height
+    gets a fresh workspace, as any other network does.  Products go through
+    np.dot, which makes the same BLAS call as np.matmul with less
+    dispatch."""
+    work = net._work
+    if work is None or work.n_rows != X.shape[0]:
+        work = _Workspace(net, X.shape[0])
+    elif work.X is X:
+        return work
+    acts = work.acts
+    acts[0] = a = X
     last = len(net.weights) - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        a = np.matmul(a, w.T)
-        a += b
+        a = np.dot(a, w.T, out=acts[i + 1])
+        np.add(a, b, out=a)
         if i != last:
             np.tanh(a, out=a)
-        acts.append(a)
-    if memo is not None:
-        memo[:] = X, acts
-    return acts
+    work.X = X
+    return work
 
 
 def forward(net: MlpNetwork, x):
     """Network output; scalar for a single sample of a single-output net."""
-    out = _forward_cached(net, as_rows(x, net.layer_sizes[0], "inputs"))[-1]
+    out = _forward_cached(net, as_rows(x, net.layer_sizes[0], "inputs")).acts[-1]
     if np.ndim(x) == 1:
-        return float(out[0, 0]) if out.shape[1] == 1 else out[0]
-    return out[:, 0] if out.shape[1] == 1 else out
+        return float(out[0, 0]) if out.shape[1] == 1 else out[0].copy()
+    return (out[:, 0] if out.shape[1] == 1 else out).copy()
 
 
 def _batch_targets(net: MlpNetwork, batch: Dataset) -> np.ndarray:
@@ -277,24 +311,32 @@ def error(net: MlpNetwork, batch: Dataset) -> float:
     """E = half the summed squared error over the batch."""
     if batch.n_rows == 0:
         raise ValueError("batch is empty")
-    sq = _forward_cached(net, batch.features)[-1] - _batch_targets(net, batch)
-    sq *= sq  # a fresh array, so squaring in place leaves the activations alone
-    return 0.5 * float(sq.sum())
+    work = _forward_cached(net, batch.features)
+    sq = np.subtract(work.acts[-1], _batch_targets(net, batch), out=work.resid)
+    np.multiply(sq, sq, out=sq)
+    return 0.5 * float(np.add.reduce(sq, axis=None))
 
 
 def gradient(net: MlpNetwork, batch: Dataset) -> np.ndarray:
-    """Exact backpropagation gradient of E, flattened like get_params."""
+    """Exact backpropagation gradient of E, flattened like get_params.
+
+    Each layer's block is written straight into the workspace's flat
+    gradient, and the caller gets a copy of it."""
     if batch.n_rows == 0:
         raise ValueError("batch is empty")
-    acts = _forward_cached(net, batch.features)
-    delta = acts[-1] - _batch_targets(net, batch)
-    parts = []  # last layer first
+    work = _forward_cached(net, batch.features).backward_buffers(net)
+    acts = work.acts
+    delta = np.subtract(acts[-1], _batch_targets(net, batch), out=work.resid)
     for i in range(len(net.weights) - 1, -1, -1):
-        parts.append(delta.sum(axis=0))
-        parts.append((delta.T @ acts[i]).ravel())
+        np.add.reduce(delta, axis=0, out=work.grad_b[i])
+        np.dot(delta.T, acts[i], out=work.grad_w[i])
         if i > 0:
-            delta = (delta @ net.weights[i]) * (1.0 - acts[i] ** 2)
-    return np.concatenate(parts[::-1])
+            # delta @ W_i times (1 - a_i ** 2); numpy squares as a_i * a_i
+            scratch = np.multiply(acts[i], acts[i], out=work.scratch[i - 1])
+            np.subtract(1.0, scratch, out=scratch)
+            delta = np.dot(delta, net.weights[i], out=work.deltas[i - 1])
+            np.multiply(delta, scratch, out=delta)
+    return work.grad.copy()
 
 
 def hessian_vector_approx(net: MlpNetwork, batch: Dataset, p: np.ndarray,
@@ -317,23 +359,28 @@ def scg_train(net: MlpNetwork, train: Dataset, epochs: int,
     it first, so the whole trajectory is a function of (seed, data, epochs).
     Returns (trained network, per-epoch error trace).
 
-    Every evaluation runs on one training view; w is copied into it only
-    when its bits differ from the view's, so grad at an accepted point
-    reuses the forward pass that fun just made there."""
+    Every evaluation runs on one training view, through the module-level
+    error and gradient; w is copied into the view only when its bits differ
+    from the view's, so grad at an accepted point reuses the forward pass
+    that fun just made there.  The view's workspace, allocated once per
+    call, holds every activation, delta and gradient buffer of the fit, so
+    the only new array an evaluation makes is the gradient copy it hands
+    back."""
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
     if train.n_rows == 0:
         raise ValueError("training set is empty")
     if seed is not None:
         net = init_network(net.layer_sizes, seed)
-    flat, view = _training_view(net)
+    flat, view = _training_view(net, train.n_rows)
+    work = view._work
 
     def view_at(w):
         # bitwise, not ==: a reused forward pass must be the one w itself
         # would get, and 0.0 == -0.0
         if w.tobytes() != flat.tobytes():
             flat[:] = w
-            view._memo[0] = None
+            work.X = None
         return view
 
     def fun(w):

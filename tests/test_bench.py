@@ -253,6 +253,14 @@ dir = somewhere
         assert cfg.hybrid_encoding == "leaf_prediction"
         assert cfg.out_dir == "somewhere"
 
+    def test_byte_order_mark_accepted(self, tmp_path, rates_csv):
+        path = tmp_path / "exp.ini"
+        path.write_bytes(f"[data]\npath = {rates_csv}\n\n[split]\nseed = 3\n"
+                         .encode("utf-8-sig"))
+        cfg = load_config(path)
+        assert cfg.data_path == str(rates_csv)
+        assert cfg.seed == 3
+
     def test_unknown_key_rejected(self, tmp_path, rates_csv):
         path = self._write(tmp_path, f"[data]\npath = {rates_csv}\nfmt = csv\n")
         with pytest.raises(ValueError, match="data.fmt"):

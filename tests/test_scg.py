@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from forexkit import scg
 from forexkit.bench import cell_seed
 from forexkit.data import (Dataset, FeatureSpec, apply_scaler, build_supervised,
                            fit_scaler, split)
@@ -251,6 +252,25 @@ class TestScgMinimize:
         assert abs(res.w[0] - 3.0) < 1e-6
 
 
+class TestScgConfig:
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"sigma0": 0.0}, "sigma0"),
+        ({"lambda0": -1e-6}, "lambda0"),
+        ({"restart_every": 0}, "restart_every"),
+        ({"restart_every": -3}, "restart_every"),
+    ], ids=["sigma0", "lambda0", "restart_zero", "restart_negative"])
+    def test_out_of_range_values_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            ScgConfig(**kwargs)
+
+    def test_restart_every_step_trains(self):
+        x = np.linspace(-1.0, 1.0, 20)
+        train = Dataset(("x",), x[:, None], x ** 2)
+        _, trace = scg_train(init_network((1, 3, 1), seed=2), train, epochs=30,
+                             cfg=ScgConfig(restart_every=1))
+        assert trace[-1] < trace[0]
+
+
 class TestScgTrain:
     def test_sin_fit_reaches_small_rmse(self):
         rng = np.random.default_rng(7)
@@ -286,14 +306,41 @@ class TestReferenceEquality:
         series = forex5_series(seed=7)
         train, _ = split(build_supervised(series, FeatureSpec("JPY", "mp5")), 0.7, 7)
         train = apply_scaler(train, fit_scaler(train))
-        sizes = (train.n_features, 14, 14, 1)
-        key = cell_seed(7, "JPY", "mlp")
-        net, trace = scg_train(init_network(sizes, seed=0), train, epochs=250, seed=key)
+        self._assert_train_matches_reference(train, (train.n_features, 14, 14, 1),
+                                             key=cell_seed(7, "JPY", "mlp"), epochs=250)
+
+    @staticmethod
+    def _batch(n_rows, n_features, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n_rows, n_features))
+        y = np.sin(X.sum(axis=1)) + 0.1 * rng.normal(size=n_rows)
+        return Dataset(tuple(f"x{j}" for j in range(n_features)), X, y)
+
+    @staticmethod
+    def _assert_train_matches_reference(train, sizes, key, epochs):
+        net, trace = scg_train(init_network(sizes, seed=0), train, epochs=epochs, seed=key)
         ref = ReferenceMlp(sizes, train.features, train.targets)
         res = scg_minimize(ref.error, ref.gradient, get_params(init_network(sizes, key)),
-                           max_iterations=250)
+                           max_iterations=epochs)
         np.testing.assert_array_equal(get_params(net), res.w)
         np.testing.assert_array_equal(trace, res.trace)
+        return net
+
+    @pytest.mark.parametrize("sizes, n_rows", [((3, 1), 40), ((4, 6, 5, 1), 40),
+                                               ((2, 4, 1), 1), ((4, 6, 5, 1), 1)],
+                             ids=["no-hidden", "deeper", "one-row", "deeper-one-row"])
+    def test_scg_train_matches_minimizer_across_shapes(self, sizes, n_rows):
+        train = self._batch(n_rows, sizes[0], seed=n_rows + len(sizes))
+        self._assert_train_matches_reference(train, sizes, key=11, epochs=120)
+
+    def test_back_to_back_fits_share_no_state(self):
+        # same sizes and row count, so a leaked workspace would be reusable
+        sizes = (3, 5, 1)
+        a, b = self._batch(30, 3, seed=1), self._batch(30, 3, seed=2)
+        first = self._assert_train_matches_reference(a, sizes, key=4, epochs=80)
+        self._assert_train_matches_reference(b, sizes, key=5, epochs=80)
+        again = self._assert_train_matches_reference(a, sizes, key=4, epochs=80)
+        np.testing.assert_array_equal(get_params(again), get_params(first))
 
     @pytest.mark.parametrize("sizes", [(3, 5, 1), (4, 6, 5, 1), (3, 4, 2)])
     def test_error_gradient_forward_at_random_points(self, sizes):
@@ -352,11 +399,71 @@ class TestActivationMemo:
     def test_training_view_keys_memo_on_features(self):
         a, b = self._batch(1), self._batch(2)
         net = init_network((2, 4, 1), seed=5)
-        flat, view = _training_view(net)
+        flat, view = _training_view(net, 15)
         flat[:] = get_params(net)
         for batch in (a, b, a):
             assert error(view, batch) == error(net, batch)
             np.testing.assert_array_equal(gradient(view, batch), gradient(net, batch))
+
+
+class TestTrainingEvaluations:
+    """scg_train evaluates only through the module attributes scg.error and
+    scg.gradient, which is where a tracer wraps them."""
+
+    @staticmethod
+    def _counting(monkeypatch):
+        calls = {"error": 0, "gradient": 0, "returned": []}
+        real_error, real_gradient = scg.error, scg.gradient
+
+        def counting_error(net, batch):
+            calls["error"] += 1
+            return real_error(net, batch)
+
+        def counting_gradient(net, batch):
+            calls["gradient"] += 1
+            g = real_gradient(net, batch)
+            calls["returned"].append((g, g.copy()))
+            return g
+
+        monkeypatch.setattr(scg, "error", counting_error)
+        monkeypatch.setattr(scg, "gradient", counting_gradient)
+        return calls
+
+    @staticmethod
+    def _train():
+        rng = np.random.default_rng(6)
+        return Dataset(("a", "b"), rng.normal(size=(25, 2)), rng.normal(size=25))
+
+    def test_every_evaluation_goes_through_module_attributes(self, monkeypatch):
+        train, sizes = self._train(), (2, 4, 1)
+        ref = ReferenceMlp(sizes, train.features, train.targets)
+        ref_calls = {"error": 0, "gradient": 0}
+
+        def ref_error(w):
+            ref_calls["error"] += 1
+            return ref.error(w)
+
+        def ref_gradient(w):
+            ref_calls["gradient"] += 1
+            return ref.gradient(w)
+
+        scg_minimize(ref_error, ref_gradient, get_params(init_network(sizes, 3)),
+                     max_iterations=60)
+        calls = self._counting(monkeypatch)
+        scg_train(init_network(sizes, seed=3), train, epochs=60)
+        assert ref_calls["error"] > 0 and ref_calls["gradient"] > 0
+        assert (calls["error"], calls["gradient"]) == (ref_calls["error"],
+                                                       ref_calls["gradient"])
+
+    def test_returned_gradients_are_never_overwritten(self, monkeypatch):
+        calls = self._counting(monkeypatch)
+        scg_train(init_network((2, 4, 1), seed=3), self._train(), epochs=60)
+        returned = calls["returned"]
+        assert len(returned) > 2
+        for g, at_return in returned:
+            np.testing.assert_array_equal(g, at_return)
+        for (g, _), (h, _) in zip(returned, returned[1:]):
+            assert not np.shares_memory(g, h)
 
 
 class TestSerialization:
