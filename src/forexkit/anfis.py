@@ -44,7 +44,7 @@ class AnfisConfig:
             raise ValueError("mfs_per_input must be >= 2")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.rate < 0.0:
+        if not self.rate >= 0.0:
             raise ValueError("rate must be >= 0")
         if self.outputs < 1:
             raise ValueError("outputs must be >= 1")

@@ -67,7 +67,7 @@ class CartConfig:
     def __post_init__(self):
         if self.min_node_size < 1:
             raise ValueError("min_node_size must be >= 1")
-        if self.min_split_gain < 0.0:
+        if not self.min_split_gain >= 0.0:
             raise ValueError("min_split_gain must be >= 0")
 
 
@@ -131,15 +131,15 @@ def _sse(y: np.ndarray) -> float:
     return float(np.sum((y - y.mean()) ** 2)) if y.size else 0.0
 
 
-def _best_split_arrays(X: np.ndarray, y: np.ndarray, cfg: CartConfig):
-    """Best (var, threshold, reduction) or None.  Near-tied reductions resolve
-    to the lowest variable index, then the smallest threshold."""
+def _best_split_arrays(X: np.ndarray, y: np.ndarray, cfg: CartConfig, parent_sse: float):
+    """Best (var, threshold, reduction) or None; parent_sse is ``_sse(y)``.
+    Near-tied reductions resolve to the lowest variable index, then the
+    smallest threshold."""
     n = y.size
     if n < 2 * cfg.min_node_size or n < 2:
         return None
     if y.max() == y.min():
         return None  # pure node: splitting cannot help
-    parent_sse = _sse(y)
     tol = _TIE_REL * parent_sse
     best = None
     for var in range(X.shape[1]):
@@ -170,7 +170,7 @@ def best_split(rows: Dataset, cfg: CartConfig = CartConfig()):
     """Split of a dataset node, or None when no admissible split exists."""
     if rows.n_rows == 0:
         raise ValueError("cannot split an empty node")
-    return _best_split_arrays(rows.features, rows.targets, cfg)
+    return _best_split_arrays(rows.features, rows.targets, cfg, _sse(rows.targets))
 
 
 def grow(train: Dataset, cfg: CartConfig = CartConfig()) -> CartTree:
@@ -185,7 +185,7 @@ def grow(train: Dataset, cfg: CartConfig = CartConfig()) -> CartTree:
                     index=next(indices))
         pick = None
         if cfg.max_depth is None or depth < cfg.max_depth:
-            pick = _best_split_arrays(X, y, cfg)
+            pick = _best_split_arrays(X, y, cfg, node.sse)
         if pick is None:
             node.leaf_id = next(leaf_ids)
             return node

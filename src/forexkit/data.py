@@ -9,7 +9,6 @@ explicit seed.
 
 from __future__ import annotations
 
-import contextlib
 import re
 from dataclasses import dataclass
 
@@ -149,24 +148,23 @@ def load_csv(path) -> dict:
             fault = "empty" if not code else "quoted" if '"' in code else "duplicate"
             raise ValueError(f"line 1: {fault} currency code {code!r} in column {col}")
 
-    # A row that starts with a digit holds data; the full test copies the row.
-    rows = [ln for ln in lines[1:] if ln[:1].isdigit() or _holds_data(ln)]
-    if not rows:
-        raise ValueError(f"empty file: {path}")
-    # Joined by ",\n", each row after the first starts its first field with a newline:
-    # with n * width fields, the date column has n lines only if each row has width.
-    n, width = len(rows), len(header)
-    fields = ",\n".join(rows).split(",")
-    dates = "".join(fields[::width])
-    values = None
-    if len(fields) == n * width and dates.count("\n") == n - 1 and _DATES.fullmatch(dates):
-        del fields[::width]
-        digits = " ".join(dates.replace("-", " ").split())
-        ym = np.fromstring(digits, np.int64, sep=" ").reshape(n, 2)
-        with contextlib.suppress(ValueError):
-            values = np.fromiter(map(float, fields), float, len(fields))
-    if values is None or not np.all((ym[:, 1] >= 1) & (ym[:, 1] <= 12)):
-        _rescan(lines, codes)  # raises for the first row that failed above
+    # Files often end in empty lines but seldom hold blank rows, so the rows
+    # are filtered only when the bulk parse of them as they stand fails.
+    end = len(lines)
+    while end > 1 and not lines[end - 1]:
+        end -= 1
+    rows = lines[1:end]
+    parsed = _bulk(rows, len(header))
+    if parsed is None:
+        # A row that starts with a digit holds data; the full test copies the row.
+        kept = [ln for ln in rows if ln[:1].isdigit() or _holds_data(ln)]
+        if not kept:
+            raise ValueError(f"empty file: {path}")
+        if len(kept) < len(rows):
+            parsed = _bulk(kept, len(header))
+        if parsed is None:
+            _rescan(lines, codes)  # raises for the first row that failed above
+    ym, values, fields = parsed
 
     gaps = np.flatnonzero(np.diff(ym[:, 0] * 12 + ym[:, 1]) != 1)
     if gaps.size:
@@ -184,7 +182,34 @@ def load_csv(path) -> dict:
 
 # A date cell: ASCII-digit year and month; nine digits keep month indices in int64.
 _DATE = r"[0-9]{1,9}-[0-9]{1,9}"
+_PLAIN_DATES = re.compile(rf"(?:{_DATE}\n)*{_DATE}")
 _DATES = re.compile(rf"(?:[^\S\n]*{_DATE}[^\S\n]*\n)*[^\S\n]*{_DATE}[^\S\n]*")
+
+
+def _bulk(rows: list, width: int):
+    """(year-month pairs, rates, rate cells) of rows of width cells each, or
+    None when any row fails a check."""
+    # Joined by ",\n", each row after the first starts its first field with a newline:
+    # with n * width fields, the date column has n lines only if each row has width.
+    n = len(rows)
+    fields = ",\n".join(rows).split(",")
+    dates = "".join(fields[::width])
+    if len(fields) != n * width or dates.count("\n") != n - 1:
+        return None
+    if not _PLAIN_DATES.fullmatch(dates):
+        if not _DATES.fullmatch(dates):
+            return None
+        # np.fromstring's separator knows only ASCII whitespace, str.split all of it
+        dates = " ".join(dates.split())
+    ym = np.fromstring(dates.replace("-", " "), np.int64, sep=" ").reshape(n, 2)
+    if not np.all((ym[:, 1] >= 1) & (ym[:, 1] <= 12)):
+        return None
+    del fields[::width]
+    try:
+        values = np.fromiter(map(float, fields), float, len(fields))
+    except ValueError:
+        return None
+    return ym, values, fields
 
 
 def _holds_data(line: str) -> bool:

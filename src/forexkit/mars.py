@@ -120,6 +120,8 @@ class MarsConfig:
             raise ValueError("max_interaction must be >= 1")
         if self.pruning not in ("gcv", "holdout"):
             raise ValueError(f"pruning must be 'gcv' or 'holdout', got {self.pruning!r}")
+        if not self.gcv_penalty >= 0.0:
+            raise ValueError("gcv_penalty must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ conjugate gradient — handy for convergence tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,9 +41,9 @@ class ScgConfig:
     restart_every: int | None = None  # None: every |w| iterations
 
     def __post_init__(self):
-        if self.sigma0 <= 0.0:
+        if not self.sigma0 > 0.0:
             raise ValueError("sigma0 must be > 0")
-        if self.lambda0 < 0.0:
+        if not self.lambda0 >= 0.0:
             raise ValueError("lambda0 must be >= 0")
         if self.restart_every is not None and self.restart_every < 1:
             raise ValueError("restart_every must be >= 1")
@@ -82,7 +83,7 @@ def scg_minimize(fun, grad, w0, *, max_iterations: int,
     p_sq = 0.0
 
     for k in range(1, max_iterations + 1):
-        if float(np.sqrt(r @ r)) < cfg.grad_tol:
+        if math.sqrt(r @ r) < cfg.grad_tol:
             converged = True
             break
         if success:
@@ -90,7 +91,7 @@ def scg_minimize(fun, grad, w0, *, max_iterations: int,
             if p_sq == 0.0:
                 converged = True
                 break
-            sigma_k = cfg.sigma0 / np.sqrt(p_sq)
+            sigma_k = cfg.sigma0 / math.sqrt(p_sq)
             g_there = _finite_grad(grad, w + sigma_k * p, k)
             delta_raw = float(p @ (g_there + r)) / sigma_k  # g_there - E'(w), E'(w) = -r
         delta = delta_raw + (lam - lam_bar) * p_sq
@@ -103,7 +104,7 @@ def scg_minimize(fun, grad, w0, *, max_iterations: int,
         alpha = mu / delta
         w_new = w + alpha * p
         f_new = fun(w_new)
-        if np.isfinite(f_new):
+        if math.isfinite(f_new):
             comparison = 2.0 * delta * (fw - f_new) / (mu * mu)
         else:
             comparison = -1.0  # force rejection; lambda will rise
@@ -133,7 +134,7 @@ def scg_minimize(fun, grad, w0, *, max_iterations: int,
 
 
 def _require_finite(value: float, epoch: int) -> float:
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise ScgDivergence(epoch, f"training error diverged at epoch {epoch}")
     return float(value)
 
@@ -144,7 +145,7 @@ def _finite_fun(fun, w, epoch):
 
 def _finite_grad(grad, w, epoch):
     g = np.asarray(grad(w), dtype=float)
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise ScgDivergence(epoch, f"gradient diverged at epoch {epoch}")
     return g
 

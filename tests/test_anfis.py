@@ -64,6 +64,10 @@ class TestConfig:
         with pytest.raises(ValueError):
             AnfisConfig(consequent="quadratic")
 
+    def test_nan_rate_rejected(self):
+        with pytest.raises(ValueError, match="rate"):
+            AnfisConfig(rate=float("nan"))
+
     def test_zero_rate_is_allowed(self):
         assert AnfisConfig(rate=0.0).rate == 0.0
 

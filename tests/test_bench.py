@@ -261,6 +261,15 @@ dir = somewhere
         assert cfg.data_path == str(rates_csv)
         assert cfg.seed == 3
 
+    @pytest.mark.parametrize("section, key", [("mars", "gcv_penalty"),
+                                              ("cart", "min_split_gain"),
+                                              ("anfis", "rate")])
+    def test_nan_value_rejected(self, tmp_path, rates_csv, section, key):
+        path = self._write(tmp_path,
+                           f"[data]\npath = {rates_csv}\n\n[{section}]\n{key} = nan\n")
+        with pytest.raises(ValueError, match=key):
+            load_config(path)
+
     def test_unknown_key_rejected(self, tmp_path, rates_csv):
         path = self._write(tmp_path, f"[data]\npath = {rates_csv}\nfmt = csv\n")
         with pytest.raises(ValueError, match="data.fmt"):

@@ -31,6 +31,13 @@ def _plateau_dataset(n_per=30, levels=(1.0, 2.0, 3.0, 4.0), seed=0):
     return _dataset(np.concatenate(xs), np.concatenate(ys))
 
 
+class TestCartConfig:
+    @pytest.mark.parametrize("gain", [-1.0, float("nan")])
+    def test_min_split_gain_must_be_nonnegative(self, gain):
+        with pytest.raises(ValueError, match="min_split_gain"):
+            CartConfig(min_split_gain=gain)
+
+
 class TestBestSplit:
     def test_matches_exhaustive_on_seeded_samples(self):
         cfg = CartConfig(min_node_size=1)

@@ -180,6 +180,10 @@ _SAME_SERIES = {
     "year_rollover": "date,USD\n1999-11,1.0\n1999-12,1.1\n2000-01,1.2\n",
     "form_feed_in_cell": "date,USD\n2000-01,1.0\x0c\n2000-02,1.1\n",
     "loose_date_digits": "date,USD\n987-9,1.0\n987-010,1.1\n",
+    "trailing_empty_lines": "date,USD\n2000-01,1.0\n2000-02,1.1\n\n\n",
+    "trailing_whitespace_row": "date,USD\n2000-01,1.0\n2000-02,1.1\n \t \n",
+    "nbsp_padded_date": "date,USD\n\u00a02000-01,1.0\n2000-02\u00a0,1.1\n",
+    "x1c_padded_date": "date,USD\n2000-01\x1c,1.0\n\x1c2000-02,1.1\n",
 }
 
 _SAME_ERROR = {
@@ -193,6 +197,8 @@ _SAME_ERROR = {
     "first_error_in_file_order": "date,USD\n2000-01,x\n2000-13,1.0\n2000-03,1,2\n",
     "gap": "date,USD\n2000-01,1.0\n2000-02,1.1\n2000-04,1.2\n",
     "backwards": "date,USD\n2000-02,1.0\n2000-01,1.1\n",
+    "gap_before_blank_rows": "date,USD\n2000-01,1.0\n2000-03,1.1\n\n,\n2000-04,1.2\n",
+    "non_numeric_among_blank_rows": "date,USD,GBP\n\n2000-01,1.0,2.0\n,,\n2000-02,x,2.1\n",
     "empty_file": "",
     "header_only": "date,USD,GBP\n",
     "header_and_blank_rows": "date,USD\n\n,\n",

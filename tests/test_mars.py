@@ -222,6 +222,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             MarsConfig(pruning="oob")
 
+    @pytest.mark.parametrize("penalty", [-1.0, float("nan")])
+    def test_gcv_penalty_must_be_nonnegative(self, penalty):
+        with pytest.raises(ValueError, match="gcv_penalty"):
+            MarsConfig(gcv_penalty=penalty)
+
     def test_forward_needs_rows(self):
         with pytest.raises(ValueError, match="2 rows"):
             forward_pass(_dataset(np.array([1.0]), np.array([1.0])), MarsConfig())

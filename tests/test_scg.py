@@ -251,6 +251,21 @@ class TestScgMinimize:
         res = scg_minimize(fun, grad, np.array([0.0]), max_iterations=100)
         assert abs(res.w[0] - 3.0) < 1e-6
 
+    @pytest.mark.parametrize("scalar", [np.float64, np.float32])
+    def test_numpy_scalar_values(self, scalar):
+        # fun may return numpy scalars, non-finite ones at a rejected trial point
+        def fun(w):
+            return scalar("inf") if w[0] > 10.0 else scalar((w[0] - 3.0) ** 2)
+
+        def grad(w):
+            return np.array([2.0 * (w[0] - 3.0)])
+
+        res = scg_minimize(fun, grad, np.array([0.0]), max_iterations=100)
+        assert abs(res.w[0] - 3.0) < 1e-3
+        assert all(type(f) is float for f in res.trace)
+        with pytest.raises(ScgDivergence, match="epoch 0"):
+            scg_minimize(lambda w: scalar("nan"), grad, np.array([0.0]), max_iterations=5)
+
 
 class TestScgConfig:
     @pytest.mark.parametrize("kwargs, message", [
@@ -258,7 +273,10 @@ class TestScgConfig:
         ({"lambda0": -1e-6}, "lambda0"),
         ({"restart_every": 0}, "restart_every"),
         ({"restart_every": -3}, "restart_every"),
-    ], ids=["sigma0", "lambda0", "restart_zero", "restart_negative"])
+        ({"sigma0": float("nan")}, "sigma0"),
+        ({"lambda0": float("nan")}, "lambda0"),
+    ], ids=["sigma0", "lambda0", "restart_zero", "restart_negative", "sigma0_nan",
+            "lambda0_nan"])
     def test_out_of_range_values_rejected(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             ScgConfig(**kwargs)
