@@ -148,10 +148,11 @@ def load_csv(path) -> dict:
             fault = "empty" if not code else "quoted" if '"' in code else "duplicate"
             raise ValueError(f"line 1: {fault} currency code {code!r} in column {col}")
 
-    # Files often end in empty lines but seldom hold blank rows, so the rows
-    # are filtered only when the bulk parse of them as they stand fails.
+    # Blank rows at the end (empty, whitespace or comma-only, as spreadsheets
+    # write them) are cut here, so only blank rows inside the data cost a
+    # failed bulk parse before the filter; README "CSV schema" has timings.
     end = len(lines)
-    while end > 1 and not lines[end - 1]:
+    while end > 1 and not _holds_data(lines[end - 1]):
         end -= 1
     rows = lines[1:end]
     parsed = _bulk(rows, len(header))

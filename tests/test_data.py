@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from forexkit import synth
+from forexkit import data, synth
 from forexkit.data import (Dataset, FeatureSpec, RateSeries, apply_scaler,
                            build_supervised, fit_scaler, invert_scaler,
                            load_csv, rmse, scale_features, scale_target, split,
@@ -148,6 +148,19 @@ class TestLoadCsvRows:
         with pytest.raises(ValueError, match="^row 2: expected 2 fields, got 3$"):
             load_csv(path)
 
+    @pytest.mark.parametrize("tail, passes", [
+        ("\n", 1), ("\n\n\n", 1), ("\n,\n", 1), ("\n , ,\n\n \n", 1),
+        ("\n\n2000-03,1.2\n", 2), ("\n,\n2000-03,1.2\n", 2),
+    ])
+    def test_only_inner_blank_rows_cost_a_second_pass(self, tmp_path, monkeypatch,
+                                                      tail, passes):
+        calls = []
+        bulk = data._bulk
+        monkeypatch.setattr(data, "_bulk", lambda *a: calls.append(1) or bulk(*a))
+        series = load_csv(_write(tmp_path, "date,USD\n2000-01,1.0\n2000-02,1.1" + tail))
+        assert len(calls) == passes
+        assert series["USD"].values.size == 2 + (passes == 2)
+
 
 def _outcome(load, path):
     """What a loader makes of a file: its error text, or per series the code,
@@ -184,6 +197,10 @@ _SAME_SERIES = {
     "trailing_whitespace_row": "date,USD\n2000-01,1.0\n2000-02,1.1\n \t \n",
     "nbsp_padded_date": "date,USD\n\u00a02000-01,1.0\n2000-02\u00a0,1.1\n",
     "x1c_padded_date": "date,USD\n2000-01\x1c,1.0\n\x1c2000-02,1.1\n",
+    "trailing_comma_rows": "date,USD,GBP\n2000-01,1.0,2.0\n2000-02,1.1,2.1\n,,\n , ,\n\n",
+    "leading_comma_row": "date,USD\n,\n2000-01,1.0\n2000-02,1.1\n",
+    "inner_empty_row": "date,USD\n2000-01,1.0\n\n2000-02,1.1\n",
+    "inner_whitespace_row": "date,USD\n2000-01,1.0\n \t\n2000-02,1.1\n",
 }
 
 _SAME_ERROR = {
@@ -199,6 +216,10 @@ _SAME_ERROR = {
     "backwards": "date,USD\n2000-02,1.0\n2000-01,1.1\n",
     "gap_before_blank_rows": "date,USD\n2000-01,1.0\n2000-03,1.1\n\n,\n2000-04,1.2\n",
     "non_numeric_among_blank_rows": "date,USD,GBP\n\n2000-01,1.0,2.0\n,,\n2000-02,x,2.1\n",
+    "non_numeric_before_trailing_comma_row": "date,USD\n2000-01,1.0\n2000-02,x\n,\n",
+    "gap_before_trailing_comma_row": "date,USD\n2000-01,1.0\n2000-03,1.1\n,\n",
+    "short_row_before_trailing_comma_row": "date,USD,GBP\n2000-01,1.0,2.0\n2000-02\n,,\n",
+    "empty_date_without_padding": "date,USD\n2000-01,1.0\n,1.1\n",
     "empty_file": "",
     "header_only": "date,USD,GBP\n",
     "header_and_blank_rows": "date,USD\n\n,\n",
