@@ -155,12 +155,12 @@ def load_csv(path) -> dict:
     while end > 1 and not _holds_data(lines[end - 1]):
         end -= 1
     rows = lines[1:end]
+    if not rows:
+        raise ValueError(f"empty file: {path}")
     parsed = _bulk(rows, len(header))
     if parsed is None:
         # A row that starts with a digit holds data; the full test copies the row.
         kept = [ln for ln in rows if ln[:1].isdigit() or _holds_data(ln)]
-        if not kept:
-            raise ValueError(f"empty file: {path}")
         if len(kept) < len(rows):
             parsed = _bulk(kept, len(header))
         if parsed is None:
