@@ -12,20 +12,19 @@ g = (node SSE - leaf SSE) / (leaves - 1), the first in preorder on ties,
 yielding a nested subtree sequence down to the root-only tree; the best
 subtree is then chosen by test-sample SSE (ties toward fewer leaves).
 
-Pruning, scoring and routing run on the tree's preorder arrays (``_Flat``),
-built once per tree; node i's subtree is the index range i..end[i]-1.  A
-collapse refreshes only its ancestors' leaf counts and leaf SSEs, and an
-entry's ``Node`` tree is built when first read.  Test rows are routed once to
-the maximal tree's leaves, and each collapse then resets the predictions of
-the rows under it, so every alpha and test cost keeps the bits that
-rebuilding and re-routing each subtree gives.
+A tree is one read-only array per node field, in preorder: node i's subtree
+is the index range i..end[i]-1, its children are i + 1 and end[i + 1], and
+leaves are numbered in preorder.  A collapse refreshes only its ancestors'
+leaf counts and leaf SSEs, and an entry's tree is sliced from the maximal
+tree when first read.  Test rows are routed once to the maximal tree's
+leaves, and each collapse resets the predictions of the rows under it, so
+every alpha and test cost keeps the bits of rebuilding and re-routing.
 
 Routing convention: x[var] <= threshold goes left; NaN goes right.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -35,27 +34,6 @@ from .data import Dataset, as_rows
 from .dumpfmt import Lines, expect, fmt, integer, keyed, number
 
 _TIE_REL = 1e-9  # SSE reductions closer than this (relative to parent SSE) tie
-
-
-@dataclass
-class Node:
-    """One tree node; ``var`` is None for leaves.  ``index`` is the preorder
-    position in the maximal tree and survives pruning, so subtree nesting can
-    be checked by index-set inclusion."""
-
-    mean: float
-    count: int
-    sse: float
-    index: int = -1
-    var: int | None = None
-    threshold: float | None = None
-    left: "Node | None" = None
-    right: "Node | None" = None
-    leaf_id: int = -1
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.var is None
 
 
 @dataclass(frozen=True)
@@ -69,62 +47,49 @@ class CartConfig:
             raise ValueError("min_node_size must be >= 1")
         if not self.min_split_gain >= 0.0:
             raise ValueError("min_split_gain must be >= 0")
+        if self.max_depth is not None and self.max_depth < 0:
+            raise ValueError("max_depth must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CartTree:
-    """A grown, pruned or loaded tree.  Its nodes must not change once the
-    tree is used: the preorder arrays are built on first use and kept."""
+    """A grown, pruned or loaded tree: one read-only array per node field, in
+    preorder.  ``var`` is -1 at a leaf, whose ``threshold`` is 0.  ``index``
+    is the node's preorder position in the maximal tree and survives pruning,
+    so subtree nesting can be checked by index-set inclusion."""
 
-    root: Node
     n_features: int
-    feature_names: tuple = ()
+    feature_names: tuple
+    var: np.ndarray
+    threshold: np.ndarray
+    mean: np.ndarray
+    count: np.ndarray
+    sse: np.ndarray
+    index: np.ndarray
+    end: np.ndarray
 
-    @cached_property
-    def _flat(self) -> "_Flat":
-        return _Flat(self.root)
-
-    def leaves(self) -> list:
-        return [node for node in self._flat.nodes if node.is_leaf]
-
-    def internal_nodes(self) -> list:
-        return [node for node in self._flat.nodes if not node.is_leaf]
+    def __post_init__(self):
+        for a in (self.var, self.threshold, self.mean, self.count, self.sse,
+                  self.index, self.end):
+            a.flags.writeable = False
 
     def node_indices(self) -> frozenset:
-        return frozenset(node.index for node in self._flat.nodes)
+        return frozenset(self.index.tolist())
 
     @property
     def n_leaves(self) -> int:
-        return int(np.count_nonzero(self._flat.left < 0))
+        return int(np.count_nonzero(self.var < 0))
 
 
-class _Flat:
-    """A tree's nodes in preorder as arrays.  Leaves have left = right = -1;
-    node i's subtree is the index range i..end[i]-1."""
-
-    def __init__(self, root: Node):
-        nodes, parent, stack = [], [], [(root, -1)]
-        while stack:
-            node, up = stack.pop()
-            parent.append(up)
-            nodes.append(node)
-            if not node.is_leaf:
-                stack += ((node.right, len(nodes) - 1), (node.left, len(nodes) - 1))
-        n = len(nodes)
-        self.nodes, self.parent = nodes, np.array(parent)
-        self.left, self.right, self.end = np.full(n, -1), np.full(n, -1), np.arange(1, n + 1)
-        self.var = np.array([node.var or 0 for node in nodes])
-        self.threshold = np.array([node.threshold or 0.0 for node in nodes], dtype=float)
-        self.mean = np.array([node.mean for node in nodes], dtype=float)
-        self.sse = np.array([node.sse for node in nodes], dtype=float)
-        self.leaf_id = np.array([node.leaf_id for node in nodes], dtype=int)
-        for j in reversed(range(1, n)):
-            i = parent[j]
-            if j == i + 1:
-                self.left[i] = j
-            else:
-                self.right[i] = j
-                self.end[i] = self.end[j]
+def _from_preorder(n_features: int, names: tuple, nodes: list) -> CartTree:
+    """A grown or loaded tree from its (var, threshold, mean, count, sse)
+    node tuples in preorder."""
+    var, threshold, mean, count, sse = (np.array(column) for column in zip(*nodes))
+    end = list(range(1, len(nodes) + 1))
+    for i in reversed(np.flatnonzero(var >= 0).tolist()):
+        end[i] = end[end[i + 1]]
+    return CartTree(n_features, names, var, threshold, mean, count, sse,
+                    np.arange(len(nodes)), np.array(end))
 
 
 def _sse(y: np.ndarray) -> float:
@@ -174,54 +139,52 @@ def best_split(rows: Dataset, cfg: CartConfig = CartConfig()):
 
 
 def grow(train: Dataset, cfg: CartConfig = CartConfig()) -> CartTree:
-    """Grow the maximal tree by recursive best-split search.  Nodes are
-    numbered in preorder and leaves get dense left-to-right ids."""
+    """Grow the maximal tree by recursive best-split search, writing each
+    node's fields as it is reached, so the nodes come out in preorder."""
     if train.n_rows == 0:
         raise ValueError("cannot grow a tree on an empty dataset")
-    indices, leaf_ids = itertools.count(), itertools.count()
+    nodes = []
 
     def build(X, y, depth):
-        node = Node(mean=float(y.mean()), count=int(y.size), sse=_sse(y),
-                    index=next(indices))
+        sse = _sse(y)
         pick = None
         if cfg.max_depth is None or depth < cfg.max_depth:
-            pick = _best_split_arrays(X, y, cfg, node.sse)
-        if pick is None:
-            node.leaf_id = next(leaf_ids)
-            return node
-        var, thr, _ = pick
-        mask = X[:, var] <= thr
-        node.var, node.threshold = var, thr
-        node.left = build(X[mask], y[mask], depth + 1)
-        node.right = build(X[~mask], y[~mask], depth + 1)
-        return node
+            pick = _best_split_arrays(X, y, cfg, sse)
+        var, thr, _ = pick or (-1, 0.0, None)
+        nodes.append((var, thr, float(y.mean()), int(y.size), sse))
+        if pick:
+            mask = X[:, var] <= thr
+            build(X[mask], y[mask], depth + 1)
+            build(X[~mask], y[~mask], depth + 1)
 
-    root = build(train.features, train.targets, 0)
-    return CartTree(root, train.n_features, train.feature_names)
+    build(train.features, train.targets, 0)
+    return _from_preorder(train.n_features, train.feature_names, nodes)
 
 
-def _route(f: _Flat, X: np.ndarray) -> np.ndarray:
+def _route(tree: CartTree, X: np.ndarray) -> np.ndarray:
     """Preorder index of the leaf each row of X reaches, one tree level per
     step over all rows still at an internal node."""
     node = np.zeros(len(X), dtype=np.intp)
     rows = np.arange(len(X))
     while rows.size:
         at = node[rows]
-        inner = f.left[at] >= 0
+        inner = tree.var[at] >= 0
         rows, at = rows[inner], at[inner]
-        node[rows] = np.where(X[rows, f.var[at]] <= f.threshold[at], f.left[at], f.right[at])
+        left = X[rows, tree.var[at]] <= tree.threshold[at]
+        node[rows] = np.where(left, at + 1, tree.end[at + 1])
     return node
 
 
 def predict(tree: CartTree, x):
     """Mean of the training targets at the reached leaf."""
-    out = tree._flat.mean[_route(tree._flat, as_rows(x, tree.n_features))]
+    out = tree.mean[_route(tree, as_rows(x, tree.n_features))]
     return float(out[0]) if np.ndim(x) == 1 else out
 
 
 def node_id(tree: CartTree, x):
     """Dense id of the reached leaf; constant on each leaf's region."""
-    out = tree._flat.leaf_id[_route(tree._flat, as_rows(x, tree.n_features))]
+    leaf_id = np.cumsum(tree.var < 0) - 1
+    out = leaf_id[_route(tree, as_rows(x, tree.n_features))]
     return int(out[0]) if np.ndim(x) == 1 else out
 
 
@@ -232,7 +195,7 @@ def node_id(tree: CartTree, x):
 class PruneEntry:
     """One subtree of a pruning sequence: the maximal tree with the nodes
     ``collapsed`` (preorder indices, in collapse order) made leaves.  Its
-    ``tree`` is built when first read."""
+    ``tree`` is sliced from the maximal tree when first read."""
 
     alpha: float
     n_leaves: int
@@ -244,20 +207,15 @@ class PruneEntry:
     def tree(self) -> CartTree:
         if not self.collapsed:
             return self.maximal
-        f, collapsed, leaf_ids = self.maximal._flat, set(self.collapsed), itertools.count()
-
-        def copy(i):
-            src = f.nodes[i]
-            node = Node(src.mean, src.count, src.sse, index=src.index)
-            if src.is_leaf or i in collapsed:
-                node.leaf_id = next(leaf_ids)
-            else:
-                node.var, node.threshold = src.var, src.threshold
-                node.left = copy(i + 1)
-                node.right = copy(int(f.right[i]))
-            return node
-
-        return CartTree(copy(0), self.maximal.n_features, self.maximal.feature_names)
+        t, collapsed = self.maximal, list(self.collapsed)
+        keep = np.ones(len(t.var), dtype=bool)
+        for v in collapsed:
+            keep[v + 1:t.end[v]] = False
+        var, threshold = t.var.copy(), t.threshold.copy()
+        var[collapsed], threshold[collapsed] = -1, 0.0
+        return CartTree(t.n_features, t.feature_names, var[keep], threshold[keep],
+                        t.mean[keep], t.count[keep], t.sse[keep], t.index[keep],
+                        np.cumsum(keep)[t.end[keep] - 1])
 
 
 @dataclass(frozen=True)
@@ -277,23 +235,25 @@ class PruneSequence:
 def prune_sequence(tree: CartTree, train: Dataset) -> PruneSequence:
     """Weakest-link pruning: nested subtrees from maximal down to the root.  g
     is inf off the live internal nodes; argmin's first minimum is first in preorder."""
-    f = tree._flat
-    left, right, parent, sse = (a.tolist() for a in (f.left, f.right, f.parent, f.sse))
+    sse, end = tree.sse.tolist(), tree.end.tolist()
+    internal, parent = np.flatnonzero(tree.var >= 0).tolist(), [-1] * len(sse)
+    for i in internal:
+        parent[i + 1] = parent[end[i + 1]] = i
     leaves, leaf_sse = [1] * len(sse), list(sse)
     g = np.full(len(sse), np.inf)
 
     def refresh(i):
-        leaves[i] = leaves[left[i]] + leaves[right[i]]
-        leaf_sse[i] = leaf_sse[left[i]] + leaf_sse[right[i]]
+        leaves[i] = leaves[i + 1] + leaves[end[i + 1]]
+        leaf_sse[i] = leaf_sse[i + 1] + leaf_sse[end[i + 1]]
         g[i] = (sse[i] - leaf_sse[i]) / (leaves[i] - 1)
 
-    for i in reversed(np.flatnonzero(f.left >= 0).tolist()):
+    for i in reversed(internal):
         refresh(i)
     entries, collapsed = [PruneEntry(0.0, leaves[0], tree)], ()
     while leaves[0] > 1:
         v = int(np.argmin(g))
         alpha = float(g[v])
-        g[v:f.end[v]] = np.inf
+        g[v:end[v]] = np.inf
         leaves[v], leaf_sse[v], collapsed = 1, sse[v], collapsed + (v,)
         u = parent[v]
         while u >= 0:
@@ -312,12 +272,11 @@ def evaluate_sequence(seq: PruneSequence, test: Dataset) -> PruneSequence:
     if not seq.entries:
         return seq
     maximal = seq.entries[0].maximal
-    f = maximal._flat
-    node = _route(f, as_rows(test.features, maximal.n_features))
-    pred, done, scored = f.mean[node], 0, []
+    node = _route(maximal, as_rows(test.features, maximal.n_features))
+    pred, done, scored = maximal.mean[node], 0, []
     for entry in seq:
         for v in entry.collapsed[done:]:
-            pred[(node >= v) & (node < f.end[v])] = f.mean[v]
+            pred[(node >= v) & (node < maximal.end[v])] = maximal.mean[v]
         done = len(entry.collapsed)
         resid = pred - test.targets
         scored.append(replace(entry, test_cost=float(resid @ resid)))
@@ -357,19 +316,17 @@ def dump_tree(tree: CartTree) -> str:
     lines = ["cart-tree v1", f"features {tree.n_features}"]
     if tree.feature_names:
         lines.append("names " + " ".join(tree.feature_names))
-
-    def walk(node, depth):
-        pad = "  " * depth
-        if node.is_leaf:
-            lines.append(f"{pad}leaf id={node.leaf_id} mean={fmt(node.mean)} "
-                         f"count={node.count} sse={fmt(node.sse)}")
+    var, threshold, mean, count, sse, end = (a.tolist() for a in (
+        tree.var, tree.threshold, tree.mean, tree.count, tree.sse, tree.end))
+    depth, leaf_id = [0] * len(var), 0
+    for i, v in enumerate(var):
+        pad, stats = "  " * depth[i], f"mean={fmt(mean[i])} count={count[i]} sse={fmt(sse[i])}"
+        if v < 0:
+            lines.append(f"{pad}leaf id={leaf_id} {stats}")
+            leaf_id += 1
         else:
-            lines.append(f"{pad}split var={node.var} threshold={fmt(node.threshold)} "
-                         f"mean={fmt(node.mean)} count={node.count} sse={fmt(node.sse)}")
-            walk(node.left, depth + 1)
-            walk(node.right, depth + 1)
-
-    walk(tree.root, 0)
+            lines.append(f"{pad}split var={v} threshold={fmt(threshold[i])} {stats}")
+            depth[i + 1] = depth[end[i + 1]] = depth[i] + 1
     return "\n".join(lines) + "\n"
 
 
@@ -390,10 +347,11 @@ def load_tree(text: str) -> CartTree:
         if len(names) != n_features:
             raise ValueError(f"line {first[0]}: expected {n_features} names")
         first = lines.take("the root node")
-    indices, leaf_ids = itertools.count(), itertools.count()
-
-    def parse(numbered, depth):
-        no, line = numbered
+    nodes, n_leaves = [], 0
+    pending = [(0, None)]  # (depth, what) of the nodes still to read, next last
+    while pending:
+        depth, what = pending.pop()
+        no, line = lines.take(what) if what else first
         if (len(line) - len(line.lstrip())) // 2 != depth:
             raise ValueError(f"line {no}: bad indentation")
         kind, *pairs = line.split()
@@ -401,24 +359,18 @@ def load_tree(text: str) -> CartTree:
         wanted = _NODE_FIELDS.get(kind, ())
         if not wanted or len(pairs) != len(wanted) or set(fields) != set(wanted):
             raise ValueError(f"line {no}: expected a leaf or split node")
-        node = Node(number(no, fields["mean"]), integer(no, fields["count"]),
-                    number(no, fields["sse"]), index=next(indices))
-        if node.sse < 0.0:
+        stats = (number(no, fields["mean"]), integer(no, fields["count"]),
+                 number(no, fields["sse"]))
+        if stats[2] < 0.0:
             raise ValueError(f"line {no}: sse must be >= 0, got {fields['sse']}")
         if kind == "leaf":
-            node.leaf_id = integer(no, fields["id"])
-            if node.leaf_id != next(leaf_ids):
+            if integer(no, fields["id"]) != n_leaves:
                 raise ValueError(f"line {no}: leaf ids must count up from 0")
-            return node
-        node.var = integer(no, fields["var"], 0, n_features - 1)
-        node.threshold = number(no, fields["threshold"])
-        node.left = parse(lines.take("a left child"), depth + 1)
-        node.right = parse(lines.take("a right child"), depth + 1)
-        return node
-
-    try:
-        root = parse(first, 0)
-    except RecursionError:
-        raise ValueError(f"line {first[0]}: tree too deep to load") from None
+            n_leaves += 1
+            nodes.append((-1, 0.0) + stats)
+        else:
+            nodes.append((integer(no, fields["var"], 0, n_features - 1),
+                          number(no, fields["threshold"])) + stats)
+            pending += ((depth + 1, "a right child"), (depth + 1, "a left child"))
     lines.finish("tree body")
-    return CartTree(root, n_features, names)
+    return _from_preorder(n_features, names, nodes)

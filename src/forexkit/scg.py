@@ -45,6 +45,8 @@ class ScgConfig:
             raise ValueError("sigma0 must be > 0")
         if not self.lambda0 >= 0.0:
             raise ValueError("lambda0 must be >= 0")
+        if not self.grad_tol >= 0.0:
+            raise ValueError("grad_tol must be >= 0")
         if self.restart_every is not None and self.restart_every < 1:
             raise ValueError("restart_every must be >= 1")
 

@@ -4,18 +4,18 @@ Everything here is deliberately written the slow, obvious way — direct
 enumeration and textbook formulas, no shared code with the package — so a
 bug in an engine cannot hide in its own oracle.  ``ReferenceMars`` is the
 one exception: it borrows the package's model containers and ``gcv`` so that
-its models dump in the engine's format, and ``ReferenceCart`` likewise
-borrows the tree containers, and ``ReferenceCsv`` the ``RateSeries``
-container.
+its models dump in the engine's format, ``ReferenceCart`` reads the
+engine's tree arrays into its own linked nodes, and ``ReferenceCsv`` borrows
+the ``RateSeries`` container.
 """
 
 from __future__ import annotations
 
 import csv
+from dataclasses import dataclass
 
 import numpy as np
 
-from forexkit.cart import CartTree, Node
 from forexkit.data import RateSeries
 from forexkit.mars import (NEGATIVE, POSITIVE, Hinge, HingeBasis, MarsModel, eval_hinge,
                            gcv, predict)
@@ -277,17 +277,52 @@ class ReferenceMars:
                          forward_trace=model.forward_trace, pruning_trace=tuple(trace))
 
 
+@dataclass
+class Node:
+    """One node of a linked tree, as the engine's first version stored it;
+    ``var`` is None for leaves."""
+
+    mean: float
+    count: int
+    sse: float
+    index: int = -1
+    var: int | None = None
+    threshold: float | None = None
+    left: "Node | None" = None
+    right: "Node | None" = None
+    leaf_id: int = -1
+
+
 class ReferenceCart:
     """CART weakest-link pruning and subtree scoring as the engine's first
-    version did them: after every collapse the whole tree is copied with the
-    collapsed nodes made leaves, and each subtree's test cost routes the rows
-    through that subtree one at a time.  ``Node`` and ``CartTree`` come from
-    the package; the rest is copied from that version unchanged, so every
-    alpha, test cost, leaf count and dump must equal the engine's."""
+    version did them, on linked ``Node``s: after every collapse the whole
+    tree is copied with the collapsed nodes made leaves, each subtree's test
+    cost routes the rows through that subtree one at a time, and a dump walks
+    the nodes recursively.  The engine's tree is read into nodes once, at the
+    input; the rest is copied from that version unchanged, so every alpha,
+    test cost, leaf count and dump must equal the engine's."""
 
     def __init__(self, tree):
-        self.tree = tree
-        self.entries = self._prune()  # [(subtree, alpha)], maximal to root
+        self.n_features, self.feature_names = tree.n_features, tree.feature_names
+        self.root = self.nodes(tree)
+        self.entries = self._prune()  # [(subtree root, alpha)], maximal to root
+
+    @classmethod
+    def nodes(cls, tree):
+        """The root of the engine tree's preorder arrays as linked nodes: an
+        internal node i has children i + 1 and end[i + 1]."""
+
+        def build(i):
+            node = Node(float(tree.mean[i]), int(tree.count[i]), float(tree.sse[i]),
+                        index=int(tree.index[i]))
+            if tree.var[i] >= 0:
+                node.var, node.threshold = int(tree.var[i]), float(tree.threshold[i])
+                node.left, node.right = build(i + 1), build(int(tree.end[i + 1]))
+            return node
+
+        root = build(0)
+        cls._number_leaves(root)
+        return root
 
     @staticmethod
     def route(node, x):
@@ -303,12 +338,40 @@ class ReferenceCart:
             yield from ReferenceCart._walk(node.right)
 
     @classmethod
-    def n_leaves(cls, tree):
-        return sum(node.var is None for node in cls._walk(tree.root))
+    def _number_leaves(cls, root):
+        leaves = (node for node in cls._walk(root) if node.var is None)
+        for leaf_id, leaf in enumerate(leaves):
+            leaf.leaf_id = leaf_id
 
     @classmethod
-    def node_indices(cls, tree):
-        return {node.index for node in cls._walk(tree.root)}
+    def n_leaves(cls, root):
+        return sum(node.var is None for node in cls._walk(root))
+
+    @classmethod
+    def node_indices(cls, root):
+        return {node.index for node in cls._walk(root)}
+
+    def dump(self, root):
+        def fmt(v):
+            return format(float(v), ".17g")
+
+        lines = ["cart-tree v1", f"features {self.n_features}"]
+        if self.feature_names:
+            lines.append("names " + " ".join(self.feature_names))
+
+        def walk(node, depth):
+            pad = "  " * depth
+            if node.var is None:
+                lines.append(f"{pad}leaf id={node.leaf_id} mean={fmt(node.mean)} "
+                             f"count={node.count} sse={fmt(node.sse)}")
+            else:
+                lines.append(f"{pad}split var={node.var} threshold={fmt(node.threshold)} "
+                             f"mean={fmt(node.mean)} count={node.count} sse={fmt(node.sse)}")
+                walk(node.left, depth + 1)
+                walk(node.right, depth + 1)
+
+        walk(root, 0)
+        return "\n".join(lines) + "\n"
 
     @classmethod
     def _copy_subtree(cls, node, collapsed):
@@ -330,9 +393,9 @@ class ReferenceCart:
         return ln + rn, ls + rs
 
     def _prune(self):
-        tree, collapsed = self.tree, set()
-        entries = [(tree, 0.0)]
-        current = tree.root
+        root, collapsed = self.root, set()
+        entries = [(root, 0.0)]
+        current = root
         while current.var is not None:
             stats = {}
             self._subtree_stats(current, stats)
@@ -345,18 +408,15 @@ class ReferenceCart:
                 if weakest_g is None or g < weakest_g:
                     weakest, weakest_g = internal, g
             collapsed.add(weakest.index)
-            current = self._copy_subtree(tree.root, frozenset(collapsed))
-            leaves = (node for node in self._walk(current) if node.var is None)
-            for leaf_id, leaf in enumerate(leaves):
-                leaf.leaf_id = leaf_id
-            entries.append((CartTree(current, tree.n_features, tree.feature_names),
-                            float(weakest_g)))
+            current = self._copy_subtree(root, frozenset(collapsed))
+            self._number_leaves(current)
+            entries.append((current, float(weakest_g)))
         return entries
 
     def test_costs(self, test):
         out = []
         for tree, _ in self.entries:
-            pred = np.array([self.route(tree.root, row).mean for row in test.features])
+            pred = np.array([self.route(tree, row).mean for row in test.features])
             resid = pred - test.targets
             out.append(float(resid @ resid))
         return out

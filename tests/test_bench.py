@@ -270,6 +270,12 @@ dir = somewhere
         with pytest.raises(ValueError, match=key):
             load_config(path)
 
+    def test_negative_max_depth_rejected(self, tmp_path, rates_csv):
+        path = self._write(tmp_path,
+                           f"[data]\npath = {rates_csv}\n\n[cart]\nmax_depth = -1\n")
+        with pytest.raises(ValueError, match="max_depth"):
+            load_config(path)
+
     def test_unknown_key_rejected(self, tmp_path, rates_csv):
         path = self._write(tmp_path, f"[data]\npath = {rates_csv}\nfmt = csv\n")
         with pytest.raises(ValueError, match="data.fmt"):

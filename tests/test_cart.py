@@ -37,6 +37,11 @@ class TestCartConfig:
         with pytest.raises(ValueError, match="min_split_gain"):
             CartConfig(min_split_gain=gain)
 
+    def test_max_depth_must_be_nonnegative(self):
+        with pytest.raises(ValueError, match="max_depth"):
+            CartConfig(max_depth=-1)
+        assert CartConfig(max_depth=0).max_depth == 0
+
 
 class TestBestSplit:
     def test_matches_exhaustive_on_seeded_samples(self):
@@ -95,14 +100,14 @@ class TestGrow:
         ds = _plateau_dataset()
         tree = grow(ds, CartConfig(min_node_size=5))
         assert tree.n_leaves == 4
-        assert sorted(leaf.mean for leaf in tree.leaves()) == [1.0, 2.0, 3.0, 4.0]
+        assert sorted(tree.mean[tree.var < 0]) == [1.0, 2.0, 3.0, 4.0]
         np.testing.assert_array_equal(cart.predict(tree, ds.features), ds.targets)
 
     def test_constant_target_is_single_leaf(self):
         ds = _dataset([1.0, 2.0, 3.0, 4.0, 5.0], [7.0] * 5)
         tree = grow(ds, CartConfig(min_node_size=1))
         assert tree.n_leaves == 1
-        assert tree.root.mean == 7.0
+        assert tree.mean.tolist() == [7.0]
 
     def test_two_rows_split_at_min_node_size_one(self):
         tree = grow(_dataset([1.0, 2.0], [0.0, 1.0]), CartConfig(min_node_size=1))
@@ -122,33 +127,32 @@ class TestGrow:
     def test_leaf_counts_partition_training_rows(self):
         ds = _plateau_dataset(seed=3)
         tree = grow(ds, CartConfig(min_node_size=5))
-        assert sum(leaf.count for leaf in tree.leaves()) == len(ds.targets)
+        assert tree.count[tree.var < 0].sum() == len(ds.targets)
 
     def test_leaf_ids_are_dense_left_to_right(self):
         ds = _plateau_dataset(seed=4)
         tree = grow(ds, CartConfig(min_node_size=5))
-        assert [leaf.leaf_id for leaf in tree.leaves()] == list(range(tree.n_leaves))
+        ids = cart.node_id(tree, np.sort(ds.features, axis=0))
+        assert np.all(np.diff(ids) >= 0)
+        assert sorted(set(ids.tolist())) == list(range(tree.n_leaves))
 
     def test_node_indices_are_preorder(self):
         ds = _plateau_dataset(seed=5)
         tree = grow(ds, CartConfig(min_node_size=5))
-        seen = []
-
-        def walk(node):
-            seen.append(node.index)
-            if node.var is not None:
-                walk(node.left)
-                walk(node.right)
-
-        walk(tree.root)
-        assert seen == sorted(seen) == list(range(len(seen)))
+        seen, stack = [], [0]
+        while stack:  # children of node i: i + 1 and end[i + 1]
+            i = stack.pop()
+            seen.append(int(tree.index[i]))
+            if tree.var[i] >= 0:
+                stack += [int(tree.end[i + 1]), i + 1]
+        assert seen == sorted(seen) == list(range(len(tree.var)))
 
 
 class TestPredict:
     def test_boundary_goes_left(self):
         ds = _dataset([1.0, 2.0, 3.0, 4.0], [0.0, 0.0, 1.0, 1.0])
         tree = grow(ds, CartConfig(min_node_size=1))
-        assert tree.root.threshold == pytest.approx(2.5)
+        assert tree.threshold[0] == pytest.approx(2.5)
         assert cart.predict(tree, np.array([[2.5]]))[0] == 0.0
         assert cart.predict(tree, np.array([[2.5000001]]))[0] == 1.0
 
@@ -157,7 +161,7 @@ class TestPredict:
         tree = grow(ds, CartConfig(min_node_size=5))
         X = np.linspace(0, 4, 23)[:, None]
         preds = cart.predict(tree, X)
-        leaves = {leaf.leaf_id: leaf.mean for leaf in tree.leaves()}
+        leaves = dict(enumerate(tree.mean[tree.var < 0]))
         for row, pred in zip(X, preds):
             assert leaves[cart.node_id(tree, row)] == pred
 
@@ -186,7 +190,8 @@ class TestRouting:
                     CartConfig(min_node_size=2))
 
     def _assert_rows_agree(self, tree, X):
-        want = [ReferenceCart.route(tree.root, row) for row in X]
+        root = ReferenceCart.nodes(tree)
+        want = [ReferenceCart.route(root, row) for row in X]
         got_mean, got_id = cart.predict(tree, X), cart.node_id(tree, X)
         assert got_mean.dtype == float and got_id.dtype == int
         assert got_mean.tolist() == [node.mean for node in want]
@@ -194,9 +199,9 @@ class TestRouting:
 
     def test_rows_at_thresholds(self):
         tree = self._tree()
-        X = np.full((len(tree.internal_nodes()), 3), 0.5)
-        for row, node in zip(X, tree.internal_nodes()):
-            row[node.var] = node.threshold
+        internal = np.flatnonzero(tree.var >= 0)
+        X = np.full((len(internal), 3), 0.5)
+        X[np.arange(len(internal)), tree.var[internal]] = tree.threshold[internal]
         self._assert_rows_agree(tree, X)
         self._assert_rows_agree(tree, np.nextafter(X, np.inf))
 
@@ -207,10 +212,10 @@ class TestRouting:
         X[::3, 1] = np.nan
         X[5] = np.nan
         self._assert_rows_agree(tree, X)
-        rightmost = tree.root
-        while not rightmost.is_leaf:
-            rightmost = rightmost.right
-        assert cart.predict(tree, X[5]) == rightmost.mean
+        rightmost = 0
+        while tree.var[rightmost] >= 0:
+            rightmost = tree.end[rightmost + 1]
+        assert cart.predict(tree, X[5]) == tree.mean[rightmost]
 
     def test_zero_rows(self):
         tree = self._tree()
@@ -221,7 +226,7 @@ class TestRouting:
         x = np.array([0.3, 0.7, 0.1])
         mean, leaf = cart.predict(tree, x), cart.node_id(tree, x)
         assert type(mean) is float and type(leaf) is int
-        node = ReferenceCart.route(tree.root, x)
+        node = ReferenceCart.route(ReferenceCart.nodes(tree), x)
         assert (mean, leaf) == (node.mean, node.leaf_id)
 
 
@@ -275,29 +280,17 @@ class TestPruneSequence:
         first = seq.entries[1].tree
         collapsed = set(tree.node_indices()) - set(first.node_indices())
 
-        def leaf_stats(node):
-            leaves = [n for n in _walk(node) if n.var is None]
-            return sum(n.sse for n in leaves), len(leaves)
-
-        def _walk(node):
-            yield node
-            if node.var is not None:
-                yield from _walk(node.left)
-                yield from _walk(node.right)
-
-        best_g, best_node = None, None
-        for node in _walk(tree.root):
-            if node.var is None:
-                continue
-            sub_sse, sub_leaves = leaf_stats(node)
-            g = (node.sse - sub_sse) / (sub_leaves - 1)
+        best_g, best = None, None
+        for i in np.flatnonzero(tree.var >= 0):
+            leaves = np.flatnonzero(tree.var[i:tree.end[i]] < 0) + i
+            g = (tree.sse[i] - sum(tree.sse[leaves].tolist())) / (len(leaves) - 1)
             if best_g is None or g < best_g - 1e-12:
-                best_g, best_node = g, node
+                best_g, best = g, i
         # The weakest node survives as a leaf; its descendants are removed.
-        assert best_node.left.index in collapsed
-        assert best_node.right.index in collapsed
-        survivors = {n.index: n for n in _walk(first.root)}
-        assert survivors[best_node.index].var is None
+        assert tree.index[best + 1] in collapsed
+        assert tree.index[tree.end[best + 1]] in collapsed
+        survivors = dict(zip(first.index.tolist(), first.var.tolist()))
+        assert survivors[tree.index[best]] == -1
         assert seq.entries[1].alpha == pytest.approx(best_g)
 
 
@@ -383,9 +376,9 @@ class TestExactPruning:
         assert [e.tree.n_leaves for e in seq] == [e.n_leaves for e in seq]
         assert [e.tree.node_indices() for e in seq] == [
             ref.node_indices(t) for t, _ in ref.entries]
-        assert [dump_tree(e.tree) for e in seq] == [dump_tree(t) for t, _ in ref.entries]
+        assert [dump_tree(e.tree) for e in seq] == [ref.dump(t) for t, _ in ref.entries]
         assert [e.test_cost for e in evaluate_sequence(seq, test)] == ref.test_costs(test)
-        assert dump_tree(select_min_cost(seq, test)) == dump_tree(ref.select(test))
+        assert dump_tree(select_min_cost(seq, test)) == ref.dump(ref.select(test))
         assert relative_error_curve(seq, test) == ref.curve(test)
         return seq
 
@@ -415,6 +408,40 @@ class TestExactPruning:
                              ids=["cart", "hybrid-augmented"])
     def test_forex5_gbp_976_months(self, make):
         assert len(self._assert_same(*make())) > 50
+
+
+class TestPreorderArrays:
+    """Every subtree of a pruning sequence survives a dump and reload array
+    for array.  The dump does not carry positions in the maximal tree, so a
+    reloaded tree numbers its nodes 0..n-1, in the order ``index`` keeps."""
+
+    _FIELDS = ("var", "threshold", "mean", "count", "sse", "end")
+
+    @pytest.mark.parametrize("seed", [None, *range(30)])  # None: forex5 GBP, 976 months
+    def test_entries_survive_dump_and_load(self, seed):
+        train, _, cfg = (*_forex5_gbp_976(), CartConfig()) if seed is None else _random_fit(seed)
+        seq = prune_sequence(grow(train, cfg), train)
+        for k, entry in enumerate(seq):
+            tree, clone = entry.tree, load_tree(dump_tree(entry.tree))
+            assert (clone.n_features, clone.feature_names) == (
+                tree.n_features, tree.feature_names)
+            for name in self._FIELDS:
+                np.testing.assert_array_equal(getattr(clone, name), getattr(tree, name),
+                                              err_msg=f"entry {k}: {name}")
+                assert getattr(clone, name).dtype == getattr(tree, name).dtype
+            np.testing.assert_array_equal(clone.index, np.arange(len(tree.var)))
+            assert np.all(np.diff(tree.index) > 0)
+            if k == 0:
+                np.testing.assert_array_equal(tree.index, clone.index)
+
+    def test_arrays_are_read_only(self):
+        ds = _plateau_dataset(seed=19)
+        seq = prune_sequence(grow(ds, CartConfig(min_node_size=2)), ds)
+        for tree in (seq.entries[0].tree, seq.entries[1].tree,
+                     load_tree(dump_tree(seq.entries[0].tree))):
+            for name in self._FIELDS + ("index",):
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(tree, name)[0] = 0
 
 
 class TestRelativeErrorCurve:
@@ -465,5 +492,5 @@ class TestSerialization:
         ds = _plateau_dataset(seed=13)
         tree = grow(ds, CartConfig(min_node_size=5))
         clone = load_tree(dump_tree(tree))
-        assert clone.root.sse == tree.root.sse == pytest.approx(
+        assert clone.sse[0] == tree.sse[0] == pytest.approx(
             sse_of(ds.targets), abs=1e-9)

@@ -275,8 +275,10 @@ class TestScgConfig:
         ({"restart_every": -3}, "restart_every"),
         ({"sigma0": float("nan")}, "sigma0"),
         ({"lambda0": float("nan")}, "lambda0"),
+        ({"grad_tol": -1.0}, "grad_tol"),
+        ({"grad_tol": float("nan")}, "grad_tol"),
     ], ids=["sigma0", "lambda0", "restart_zero", "restart_negative", "sigma0_nan",
-            "lambda0_nan"])
+            "lambda0_nan", "grad_tol_negative", "grad_tol_nan"])
     def test_out_of_range_values_rejected(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             ScgConfig(**kwargs)

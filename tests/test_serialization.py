@@ -227,14 +227,17 @@ class TestLoaderChecks:
         with pytest.raises(ValueError, match=f"^line {line}: sse must be >= 0"):
             cart.load_tree("cart-tree v1\nfeatures 1\n" + "\n".join(nodes) + "\n")
 
-    def test_cart_too_deep_is_value_error(self):
+    def test_cart_deep_chain_round_trips(self):
         lines = ["cart-tree v1", "features 1"]
         for d in range(1200):  # a chain of splits deeper than the recursion limit
             lines.append("  " * d + f"split var=0 threshold={d} mean=0 count=2 sse=0")
             lines.append("  " * (d + 1) + f"leaf id={d} mean=0 count=1 sse=0")
-        lines.append("  " * 1200 + "leaf id=1200 mean=0 count=1 sse=0")
-        with pytest.raises(ValueError, match="^line 3: tree too deep"):
-            cart.load_tree("\n".join(lines))
+        lines.append("  " * 1200 + "leaf id=1200 mean=7 count=1 sse=0")
+        text = "\n".join(lines) + "\n"
+        tree = cart.load_tree(text)
+        assert cart.dump_tree(tree) == text
+        assert cart.node_id(tree, [1e9]) == 1200
+        assert cart.predict(tree, [1e9]) == 7.0
 
     def test_anfis_width_must_be_positive(self):
         with pytest.raises(ValueError, match="^line 5: widths must be > 0"):
