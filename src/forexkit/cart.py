@@ -320,7 +320,8 @@ def dump_tree(tree: CartTree) -> str:
         tree.var, tree.threshold, tree.mean, tree.count, tree.sse, tree.end))
     depth, leaf_id = [0] * len(var), 0
     for i, v in enumerate(var):
-        pad, stats = "  " * depth[i], f"mean={fmt(mean[i])} count={count[i]} sse={fmt(sse[i])}"
+        pad = "  " * depth[i]
+        stats = f"mean={fmt(mean[i])} count={count[i]} sse={fmt(sse[i])}"
         if v < 0:
             lines.append(f"{pad}leaf id={leaf_id} {stats}")
             leaf_id += 1
@@ -359,7 +360,8 @@ def load_tree(text: str) -> CartTree:
         wanted = _NODE_FIELDS.get(kind, ())
         if not wanted or len(pairs) != len(wanted) or set(fields) != set(wanted):
             raise ValueError(f"line {no}: expected a leaf or split node")
-        stats = (number(no, fields["mean"]), integer(no, fields["count"]),
+        stats = (number(no, fields["mean"]),
+                 integer(no, fields["count"], 0, np.iinfo(np.int64).max),
                  number(no, fields["sse"]))
         if stats[2] < 0.0:
             raise ValueError(f"line {no}: sse must be >= 0, got {fields['sse']}")

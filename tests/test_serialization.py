@@ -227,6 +227,14 @@ class TestLoaderChecks:
         with pytest.raises(ValueError, match=f"^line {line}: sse must be >= 0"):
             cart.load_tree("cart-tree v1\nfeatures 1\n" + "\n".join(nodes) + "\n")
 
+    def test_cart_count_must_fit_the_count_array(self):
+        with pytest.raises(ValueError, match="^line 3: 9223372036854775808 is out of range"):
+            cart.load_tree("cart-tree v1\nfeatures 1\n"
+                           "leaf id=0 mean=0 count=9223372036854775808 sse=0\n")
+        tree = cart.load_tree("cart-tree v1\nfeatures 1\n"
+                              "leaf id=0 mean=0 count=9223372036854775807 sse=0\n")
+        assert tree.count.dtype == np.int64
+
     def test_cart_deep_chain_round_trips(self):
         lines = ["cart-tree v1", "features 1"]
         for d in range(1200):  # a chain of splits deeper than the recursion limit
