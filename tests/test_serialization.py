@@ -227,6 +227,14 @@ class TestLoaderChecks:
         with pytest.raises(ValueError, match=f"^line {line}: sse must be >= 0"):
             cart.load_tree("cart-tree v1\nfeatures 1\n" + "\n".join(nodes) + "\n")
 
+    @pytest.mark.parametrize("keep, what", [(1, "a left child"), (2, "a right child")])
+    def test_cart_truncation_names_the_missing_child(self, keep, what):
+        nodes = ["split var=0 threshold=1 mean=0 count=2 sse=1",
+                 "  leaf id=0 mean=0 count=1 sse=0.5", "  leaf id=1 mean=0 count=1 sse=0.5"]
+        text = "cart-tree v1\nfeatures 1\n" + "\n".join(nodes[:keep]) + "\n"
+        with pytest.raises(ValueError, match=f"^line {3 + keep}: dump ends before {what}$"):
+            cart.load_tree(text)
+
     def test_cart_count_must_fit_the_count_array(self):
         with pytest.raises(ValueError, match="^line 3: 9223372036854775808 is out of range"):
             cart.load_tree("cart-tree v1\nfeatures 1\n"
