@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import Dataset, as_rows
+from .data import Dataset, as_rows, require_finite
 from .dumpfmt import Lines, expect, floats, fmt, integer, keyed
 
 _WIDTH_FLOOR = 1e-6
@@ -271,6 +271,7 @@ def hybrid_train(train: Dataset, cfg: AnfisConfig = AnfisConfig(), targets=None)
     optimal for its premises.  The learning rate halves whenever an epoch's
     post-LSE RMSE worsens.  Training is deterministic.  Returns (model,
     per-epoch RMSE trace)."""
+    require_finite(train)
     model = init_model(train, cfg)
     Y = _lse_targets(model, train, targets)
     n_values = Y.size

@@ -81,6 +81,14 @@ class ExperimentConfig:
         if self.currencies is not None:
             object.__setattr__(self, "currencies", tuple(self.currencies))
         object.__setattr__(self, "mlp_hidden", tuple(self.mlp_hidden))
+        # checked here, not in the cells, which would fail only mid-run
+        if self.seed < 0:
+            raise ValueError(f"[split] seed = {self.seed}: must be >= 0")
+        if self.mlp_epochs < 1:
+            raise ValueError(f"[mlp] epochs = {self.mlp_epochs}: must be >= 1")
+        if any(units < 1 for units in self.mlp_hidden):
+            raise ValueError(f"[mlp] hidden = {' '.join(map(str, self.mlp_hidden))}: "
+                             "every hidden layer needs >= 1 unit")
 
     def recipe_for(self, model: str) -> str:
         return getattr(self, f"{model}_recipe")

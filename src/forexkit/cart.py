@@ -30,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .data import Dataset, as_rows
+from .data import Dataset, as_rows, require_finite
 from .dumpfmt import Lines, expect, fmt, integer, keyed, number
 
 _TIE_REL = 1e-9  # SSE reductions closer than this (relative to parent SSE) tie
@@ -143,6 +143,7 @@ def grow(train: Dataset, cfg: CartConfig = CartConfig()) -> CartTree:
     node's fields as it is reached, so the nodes come out in preorder."""
     if train.n_rows == 0:
         raise ValueError("cannot grow a tree on an empty dataset")
+    require_finite(train)
     nodes = []
 
     def build(X, y, depth):

@@ -92,6 +92,19 @@ class Dataset:
         return Dataset(self.feature_names, self.features[idx], self.targets[idx], prov)
 
 
+def require_finite(train: Dataset) -> None:
+    """Raise ValueError naming the first row (0-based) and column of a
+    training set that holds NaN or inf; every fit calls this first."""
+    table = np.column_stack([train.features, train.targets])
+    bad = np.argwhere(~np.isfinite(table))
+    if bad.size:
+        row, col = bad[0]
+        name = "target" if col == train.n_features else \
+            f"feature {train.feature_names[col]!r}"
+        raise ValueError(f"training row {row}, {name} is {table[row, col]}: "
+                         "a fit needs finite values")
+
+
 def as_rows(x, width: int, unit: str = "features") -> np.ndarray:
     """x as an (n, width) float matrix for a model's predict; a 1-D x is one
     row.  Any other shape, or another width, raises ValueError."""

@@ -16,20 +16,26 @@ ties so float noise cannot flip the deterministic choice.
 
 Search cost.  Each variable is sorted once per forward pass.  A (parent,
 variable) block then gets the gain of every knot from running sums over that
-order (Friedman 1991, Ann. Statist. 19, sec. 3.9; the closed forms are in
-forexkit.marsrank): O(n m) for n rows and m bases, where projecting all
-K ~ n hinge columns costs O(n K m).  Those fast gains only rank the knots.
+order (Friedman 1991, Ann. Statist. 19, sec. 3.9; the search state is in
+forexkit.marsrank), where projecting all K ~ n hinge columns costs O(n K m)
+for n rows and m bases.  The block keeps its sums for the whole forward
+pass, as Q only gains columns: a step adds the sums of the new columns,
+O(n) each, and those that follow the residual, O(n + K m).  Blocks are
+kept up to marsrank.SWEEP_CACHE_BYTES; one past that rebuilds its sums
+from all of Q, O(n m), at each step.  Those fast gains only rank the knots.
 The knots near the block's fast top, and any whose fast terms lost too many
 digits to cancellation, are re-scored with the dense projections, and the
 tie rule picks among the re-scored gains.  Blocks of at most _FEW_KNOTS
 knots, such as the hybrid's one-hot leaf columns, are scored densely: all
 of one parent's in a single projection.  The orthonormal basis Q of the
 design grows by one Gram-Schmidt column per added basis, not a new QR.  A
-GCV elimination step ranks every drop from one QR of the retained columns
-and refits exactly only the drops near the lowest SSE, plus the first drop
-when every subset of the next size scores inf; holdout pruning refits every
-drop.  So every pick, and hence every coefficient and trace, is the one
-that scoring every candidate densely gives.
+GCV elimination ranks every drop from R of the retained columns, which
+starts as one QR of the forward design and is downdated by a QR of k x k
+size as each column goes.  A step refits exactly only the drops near the
+lowest SSE, plus the first drop when every subset of the next size scores
+inf; holdout pruning refits every drop.  So every pick, and hence every
+coefficient and trace, is the one that scoring every candidate densely
+gives.
 """
 
 from __future__ import annotations
@@ -38,9 +44,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, as_rows
+from .data import Dataset, as_rows, require_finite
 from .dumpfmt import Lines, expect, floats, fmt, integer, keyed, number
-from .marsrank import drop_one_sse, knot_order, sweep_terms
+from .marsrank import DropRanker, SweepCache, knot_order
 
 _TIE_REL = 1e-10        # forward-search gains closer than this are tied
 _DEP_TOL = 1e-10        # column treated as linearly dependent below this
@@ -169,19 +175,18 @@ def _orthonormalize(u: np.ndarray, Q: np.ndarray):
     return v / norm_v
 
 
-def _block_gains(x, r, Q, bp, cached):
+def _block_gains(x, r, qr, Q, bp, knots, block):
     """Dense gains of the knots that can win one (parent, variable) block of
     more than _FEW_KNOTS knots, as (knots, gains) in ascending knot order.
 
-    Fast sweep gains rank the knots; those within _SWEEP_REL of the fast top,
-    and those whose fast terms are too cancelled to trust, are re-scored with
-    the dense projections, so the winner and its gain are the dense ones.
-    Degenerate blocks, and blocks whose re-scored gains disagree with the
-    fast ones, are scored densely in full.
+    Fast gains from the block's SweepBlock rank the knots (qr = Q'r); those
+    within _SWEEP_REL of the fast top, and those whose fast terms are too
+    cancelled to trust, are re-scored with the dense projections, so the
+    winner and its gain are the dense ones.  Degenerate blocks, and blocks
+    whose re-scored gains disagree with the fast ones, are scored densely in
+    full.
     """
-    order, knots, starts = cached
-    (a, _, c, rp, rm, norm_p, norm_m, det, num), shaky = sweep_terms(
-        bp, x, Q, r, order, knots, starts)
+    (a, _, c, rp, rm, norm_p, norm_m, det, num), shaky = block.terms(Q, r, qr)
     fast = _gains(a, c, rp, rm, norm_p, norm_m, det, num)
     top = float(fast[~shaky].max(initial=0.0))
     if top > 0.0:
@@ -194,14 +199,16 @@ def _block_gains(x, r, Q, bp, cached):
     return knots, _pair_gains(x[:, None], bp, knots, Q, r)
 
 
-def _best_candidate(X, r, Q, bases, cfg, orders):
+def _best_candidate(X, r, Q, bases, cfg, orders, sweeps):
     """Scan every (parent, variable, knot) pair; return the best SSE gain.
 
     The scan order (parent, variable, ascending knot) breaks ties
     deterministically.  A parent's blocks of _FEW_KNOTS knots or fewer are
-    scored together, by one dense projection of all their hinge columns.
+    scored together, by one dense projection of all their hinge columns;
+    each other block by its state in the SweepCache sweeps.
     """
     best = (0.0, None)  # (gain, (parent_idx, var, knot))
+    qr = Q.T @ r
     for pi, parent in enumerate(bases):
         if parent.degree >= cfg.max_interaction:
             continue
@@ -215,7 +222,10 @@ def _best_candidate(X, r, Q, bases, cfg, orders):
             gains = _pair_gains(X[:, np.repeat(few, sizes)], bp, np.concatenate(knots), Q, r)
             scored = dict(zip(few, zip(knots, np.split(gains, np.cumsum(sizes)[:-1]))))
         for var in free:
-            knots, gains = scored.get(var) or _block_gains(X[:, var], r, Q, bp, orders[var])
+            if var not in scored:
+                block = sweeps.block((pi, var), bp, X[:, var], orders[var], Q.shape[1])
+                scored[var] = _block_gains(X[:, var], r, qr, Q, bp, orders[var][1], block)
+            knots, gains = scored[var]
             top = float(gains.max())
             if top <= 0.0:
                 continue
@@ -268,9 +278,11 @@ def forward_pass(train: Dataset, cfg: MarsConfig) -> MarsModel:
         raise ValueError("no features")
     if train.n_rows < 2:
         raise ValueError("need at least 2 rows")
+    require_finite(train)
     X, y = train.features, train.targets
     n = train.n_rows
     orders = knot_order(X)
+    sweeps = SweepCache(min(cfg.max_basis_functions + 1, n))  # Q's most columns
 
     bases = [HingeBasis()]
     B = np.ones((n, 1))
@@ -281,7 +293,7 @@ def forward_pass(train: Dataset, cfg: MarsConfig) -> MarsModel:
     Q, _ = np.linalg.qr(B)  # grown by each added column's orthonormal part
     while len(bases) - 1 + 2 <= cfg.max_basis_functions:
         r = y - Q @ (Q.T @ y)
-        gain, pick = _best_candidate(X, r, Q, bases, cfg, orders)
+        gain, pick = _best_candidate(X, r, Q, bases, cfg, orders, sweeps)
         if pick is None or gain <= _STOP_REL * sse + 1e-16 * ss0:
             break
         pi, var, knot = pick
@@ -315,18 +327,19 @@ def gcv(mse: float, n_rows: int, n_bases: int, penalty: float) -> float:
     return mse / (denom * denom)
 
 
-def _likely_drops(B: np.ndarray, y: np.ndarray, penalty: float) -> list:
-    """Columns 1.. of B whose removal may leave the lowest GCV: those within
-    _PRUNE_REL of the lowest drop-one SSE, plus column 1 when GCV is inf at
-    the next subset size, as every drop then ties and the first wins.  All
-    of them when R is ill-conditioned."""
-    sse = drop_one_sse(B, y)
+def _likely_drops(ranker: DropRanker, y: np.ndarray, penalty: float) -> list:
+    """Retained columns 1.. whose removal may leave the lowest GCV: those
+    within _PRUNE_REL of the lowest drop-one SSE, plus column 1 when GCV is
+    inf at the next subset size, as every drop then ties and the first wins.
+    All of them when R is ill-conditioned."""
+    k = ranker.R.shape[1]
+    sse = ranker.drop_one_sse()
     if sse is None:
-        return list(range(1, B.shape[1]))
+        return list(range(1, k))
     sse = sse[1:]
     low = float(sse.min())
     near = 1 + np.flatnonzero(sse <= low + _PRUNE_REL * low + _PRUNE_FLOOR * float(y @ y))
-    if gcv(1.0, B.shape[0], B.shape[1] - 1, penalty) == float("inf"):
+    if gcv(1.0, len(y), k - 1, penalty) == float("inf"):
         return sorted({1, *near.tolist()})
     return near.tolist()
 
@@ -355,13 +368,16 @@ def backward_prune(model: MarsModel, train: Dataset, cfg: MarsConfig,
     retained = list(range(len(model.bases)))
     trace = [(len(retained), score(retained))]
     best_cols, best_score = list(retained), trace[0][1]
+    ranker = DropRanker(full, y) if cfg.pruning == "gcv" else None
     while len(retained) > 1:
         drops = range(1, len(retained))
-        if cfg.pruning == "gcv":
-            drops = _likely_drops(full[:, retained], y, cfg.gcv_penalty)
+        if ranker is not None:
+            drops = _likely_drops(ranker, y, cfg.gcv_penalty)
         scored = [(score(retained[:j] + retained[j + 1:]), j) for j in drops]
         s, j = min(scored, key=lambda t: (t[0], t[1]))
         retained = retained[:j] + retained[j + 1:]
+        if ranker is not None:
+            ranker.drop(j)
         trace.append((len(retained), s))
         if s <= best_score:
             best_cols, best_score = list(retained), s

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, as_rows
+from .data import Dataset, as_rows, require_finite
 from .dumpfmt import Lines, expect, floats, fmt
 
 
@@ -373,6 +373,7 @@ def scg_train(net: MlpNetwork, train: Dataset, epochs: int,
         raise ValueError("epochs must be >= 1")
     if train.n_rows == 0:
         raise ValueError("training set is empty")
+    require_finite(train)
     if seed is not None:
         net = init_network(net.layer_sizes, seed)
     flat, view = _training_view(net, train.n_rows)

@@ -277,6 +277,14 @@ class TestHybridTrain:
         final = float(np.sqrt(np.mean(resid ** 2)))
         assert final <= trace[-1] + 1e-12  # final realign can only help
 
+    def test_rejects_non_finite_training_data(self, capfd):
+        ds = _grid_problem()
+        X = ds.features.copy()
+        X[6, 0] = -np.inf
+        with pytest.raises(ValueError, match="training row 6, feature 'a' is -inf"):
+            hybrid_train(Dataset(ds.feature_names, X, ds.targets), AnfisConfig(epochs=1))
+        assert capfd.readouterr().err == ""  # no LAPACK complaint on the way
+
     def test_determinism(self):
         ds = _grid_problem(seed=11)
         cfg = AnfisConfig(mfs_per_input=3, epochs=5, rate=0.02)

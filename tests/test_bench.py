@@ -1,5 +1,6 @@
 """Benchmark harness: experiment loop, emitters, configuration files."""
 
+import re
 import zlib
 
 import numpy as np
@@ -28,6 +29,11 @@ def small_report(rates_csv):
     return run_experiment(cfg)
 
 
+# (ExperimentConfig field, value, INI key) that the config must reject
+_BAD_VALUES = [("mlp_epochs", 0, "[mlp] epochs"), ("mlp_epochs", -5, "[mlp] epochs"),
+               ("mlp_hidden", (0, 4), "[mlp] hidden"), ("seed", -1, "[split] seed")]
+
+
 class TestExperimentConfig:
     def test_defaults(self, rates_csv):
         cfg = ExperimentConfig(data_path=str(rates_csv))
@@ -47,6 +53,12 @@ class TestExperimentConfig:
     def test_empty_models_rejected(self, rates_csv):
         with pytest.raises(ValueError, match="at least one"):
             ExperimentConfig(data_path=str(rates_csv), models=())
+
+    @pytest.mark.parametrize("field, value, key", _BAD_VALUES,
+                             ids=[f"{f}={v}" for f, v, _ in _BAD_VALUES])
+    def test_bad_value_names_its_key(self, rates_csv, field, value, key):
+        with pytest.raises(ValueError, match=re.escape(key)):
+            ExperimentConfig(data_path=str(rates_csv), **{field: value})
 
 
 class TestCellSeed:
@@ -97,12 +109,13 @@ class TestRunExperiment:
         with pytest.raises(BenchError, match="EUR"):
             run_experiment(cfg)
 
-    def test_cell_failure_names_currency_and_model(self, rates_csv):
-        # Invalid epoch count only surfaces inside the training cell; the
-        # wrapped error must say which cell died.
-        cfg = ExperimentConfig(data_path=str(rates_csv), currencies=("JPY",),
-                               models=("mlp",), mlp_epochs=0)
-        with pytest.raises(BenchError, match="currency JPY, model mlp"):
+    def test_cell_failure_names_currency_and_model(self, tmp_path):
+        # Three months leave one training row, which MARS refuses only inside
+        # the training cell; the wrapped error must say which cell died.
+        path = tmp_path / "short.csv"
+        path.write_text("date,JPY\n2000-01,1.0\n2000-02,1.1\n2000-03,1.2\n")
+        cfg = ExperimentConfig(data_path=str(path), models=("mars",))
+        with pytest.raises(BenchError, match="currency JPY, model mars: need at least 2 rows"):
             run_experiment(cfg)
 
     def test_error_curve_recorded_when_cart_runs(self, small_report):
@@ -268,6 +281,16 @@ dir = somewhere
         path = self._write(tmp_path,
                            f"[data]\npath = {rates_csv}\n\n[{section}]\n{key} = nan\n")
         with pytest.raises(ValueError, match=key):
+            load_config(path)
+
+    @pytest.mark.parametrize("field, value, key", _BAD_VALUES,
+                             ids=[f"{f}={v}" for f, v, _ in _BAD_VALUES])
+    def test_bad_value_rejected_at_load(self, tmp_path, rates_csv, field, value, key):
+        section, name = key[1:].split("] ")
+        text = " ".join(map(str, value)) if isinstance(value, tuple) else value
+        path = self._write(tmp_path, f"[data]\npath = {rates_csv}\n\n"
+                                     f"[{section}]\n{name} = {text}\n")
+        with pytest.raises(ValueError, match=re.escape(key)):
             load_config(path)
 
     def test_negative_max_depth_rejected(self, tmp_path, rates_csv):

@@ -103,6 +103,12 @@ class TestGrow:
         assert sorted(tree.mean[tree.var < 0]) == [1.0, 2.0, 3.0, 4.0]
         np.testing.assert_array_equal(cart.predict(tree, ds.features), ds.targets)
 
+    def test_rejects_non_finite_training_data(self):
+        """Only training rows must be finite; rows routed through a grown
+        tree send NaN right (TestRouting)."""
+        with pytest.raises(ValueError, match="training row 2, target is nan"):
+            grow(_dataset([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, np.nan, 4.0]))
+
     def test_constant_target_is_single_leaf(self):
         ds = _dataset([1.0, 2.0, 3.0, 4.0, 5.0], [7.0] * 5)
         tree = grow(ds, CartConfig(min_node_size=1))

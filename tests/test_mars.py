@@ -231,9 +231,19 @@ class TestValidation:
         with pytest.raises(ValueError, match="2 rows"):
             forward_pass(_dataset(np.array([1.0]), np.array([1.0])), MarsConfig())
 
+    @pytest.mark.parametrize("where,value,message", [
+        ("target", np.inf, "training row 3, target is inf"),
+        ("feature", np.nan, "training row 3, feature 'x' is nan")])
+    def test_fit_rejects_non_finite_training_data(self, where, value, message):
+        x = np.linspace(0, 1, 20)
+        y = x ** 2
+        (y if where == "target" else x)[3] = value
+        with pytest.raises(ValueError, match=message):
+            fit(_dataset(x, y))
 
-def _scaled_split(series, code):
-    ds = data.build_supervised(series, data.FeatureSpec(code, "mp1"))
+
+def _scaled_split(series, code, recipe="mp1"):
+    ds = data.build_supervised(series, data.FeatureSpec(code, recipe))
     train, test = data.split(ds, 0.7, 7)
     scaler = data.fit_scaler(train)
     return data.apply_scaler(train, scaler), data.apply_scaler(test, scaler)
@@ -279,6 +289,10 @@ _GRID = list(_exact_grid()) + [
     ("hybrid-forex5-976-i1-gcv", lambda: _hybrid_forex5(976, "GBP"), MarsConfig()),
     # 23 leaves; the fit multiplies leaf columns into most of its bases
     ("hybrid-forex5-244-nzd-i2-gcv", lambda: _hybrid_forex5(244, "NZD"),
+     MarsConfig(max_interaction=2)),
+    # six variables, and a sweep block per (parent, variable) kept across steps
+    ("forex5-244-gbp-mp5-i2-gcv",
+     lambda: _scaled_split(synth.forex5_series(7, 244), "GBP", "mp5"),
      MarsConfig(max_interaction=2))]
 
 
@@ -311,6 +325,18 @@ class TestExactSearch:
                              pruning=("gcv", "holdout")[seed % 2])
             self._assert_same(train, cfg, test if cfg.pruning == "holdout" else None)
 
+    def test_blocks_past_the_cache_match_kept_blocks(self, monkeypatch):
+        """With no room to keep sweep blocks, every block is made afresh at
+        each step, and the fit is the same."""
+        train, _ = _synthetic(3, 240, ("uniform", "ties", "ties"))
+        cfg = MarsConfig(max_interaction=2)
+        kept = fit(train, cfg)
+        monkeypatch.setattr(marsrank, "SWEEP_CACHE_BYTES", 0)
+        fresh = fit(train, cfg)
+        assert mars.dump_model(fresh) == mars.dump_model(kept)
+        assert fresh.forward_trace == kept.forward_trace
+        assert fresh.pruning_trace == kept.pruning_trace
+
     @pytest.mark.parametrize("seed", range(6))
     def test_inf_gcv_subsets_drop_the_first_column(self, seed):
         """Eight rows: every subset of three or more bases has GCV inf, so
@@ -324,22 +350,12 @@ class TestExactSearch:
 
 
 class TestClosedForms:
-    """The sweep's running-sum terms and the one-QR drop-one SSE against the
-    dense projections and explicit refits they replace."""
+    """The sweep blocks' running-sum terms and the drop ranker's SSEs against
+    the dense projections and explicit refits they replace."""
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_sweep_terms_match_dense_projections(self, seed):
-        rng = np.random.default_rng(seed)
-        n, m = 150, 1 + seed
-        z = rng.uniform(0, 1, n)
-        # odd seeds: an interaction parent, zero on about 40% of the rows
-        bp = np.maximum(0.0, z - 0.4) if seed % 2 else np.ones(n)
-        Q, _ = np.linalg.qr(np.column_stack([bp, rng.normal(size=(n, m - 1))]))
-        x = np.round(rng.uniform(0, 1, n), 2)  # ties
-        r = rng.normal(size=n)  # need not be orthogonal to Q
-        (order, knots, starts), = marsrank.knot_order(x[:, None])
-        terms, shaky = marsrank.sweep_terms(bp, x, Q, r, order, knots, starts)
-
+    @staticmethod
+    def _assert_block_matches_dense(block, bp, x, knots, Q, r):
+        terms, shaky = block.terms(Q, r, Q.T @ r)
         up = np.maximum(0.0, x[:, None] - knots) * bp[:, None]
         um = np.maximum(0.0, knots - x[:, None]) * bp[:, None]
         vp, vm = up - Q @ (Q.T @ up), um - Q @ (Q.T @ um)
@@ -354,19 +370,84 @@ class TestClosedForms:
                                        err_msg=name)
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_drop_one_sse_matches_refits(self, seed):
+    def test_sweep_terms_match_dense_projections(self, seed):
         rng = np.random.default_rng(seed)
-        n, m = 80, 2 + 3 * seed
+        n, m = 150, 1 + seed
+        z = rng.uniform(0, 1, n)
+        # odd seeds: an interaction parent, zero on about 40% of the rows
+        bp = np.maximum(0.0, z - 0.4) if seed % 2 else np.ones(n)
+        Q, _ = np.linalg.qr(np.column_stack([bp, rng.normal(size=(n, m - 1))]))
+        x = np.round(rng.uniform(0, 1, n), 2)  # ties
+        r = rng.normal(size=n)  # need not be orthogonal to Q
+        (order, knots, starts), = marsrank.knot_order(x[:, None])
+        block = marsrank.SweepBlock(bp, x, order, knots, starts, m)
+        self._assert_block_matches_dense(block, bp, x, knots, Q, r)
+
+    def test_sweep_block_tracks_appended_columns(self):
+        """One block kept while Q gains eleven columns, one or two at a time,
+        matches the dense projections at every step."""
+        rng = np.random.default_rng(11)
+        n = 160
+        bp = np.maximum(0.0, rng.uniform(0, 1, n) - 0.3)  # non-constant parent
+        Q, _ = np.linalg.qr(np.column_stack([bp, rng.normal(size=(n, 11))]))
+        x = np.round(rng.uniform(0, 1, n), 2)  # ties
+        (order, knots, starts), = marsrank.knot_order(x[:, None])
+        block = marsrank.SweepBlock(bp, x, order, knots, starts, 12)
+        for m in (1, 3, 5, 6, 8, 10, 11, 12):
+            r = rng.normal(size=n)
+            self._assert_block_matches_dense(block, bp, x, knots, Q[:, :m], r)
+            assert block.m == m
+
+    @staticmethod
+    def _refit_sse(B, y):
+        return np.sum((y - B @ np.linalg.lstsq(B, y, rcond=None)[0]) ** 2)
+
+    @staticmethod
+    def _hinge_design(seed, m):
+        rng = np.random.default_rng(seed)
+        n = 80
         x = rng.uniform(0, 1, (n, 1))
         knots = np.linspace(0.1, 0.9, m - 1) + rng.uniform(-0.02, 0.02, m - 1)
         B = np.column_stack([np.ones(n), np.maximum(0.0, x - knots)])
-        y = np.sin(4 * x[:, 0]) + 0.1 * rng.normal(size=n)
-        want = [np.sum((y - np.delete(B, j, 1) @ np.linalg.lstsq(np.delete(B, j, 1), y,
-                                                                  rcond=None)[0]) ** 2)
-                for j in range(m)]
-        got = marsrank.drop_one_sse(B, y)
+        return B, np.sin(4 * x[:, 0]) + 0.1 * rng.normal(size=n)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_drop_one_sse_matches_refits(self, seed):
+        B, y = self._hinge_design(seed, 2 + 3 * seed)
+        want = [self._refit_sse(np.delete(B, j, 1), y) for j in range(B.shape[1])]
+        got = marsrank.DropRanker(B, y).drop_one_sse()
         assert got is not None
         np.testing.assert_allclose(got, want, rtol=1e-9)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_drop_one_sse_matches_refits_through_an_elimination(self, seed):
+        """Downdated column by column down to one, the ranker's SSEs match
+        refits of the retained columns at every step."""
+        B, y = self._hinge_design(seed, 16)
+        rng = np.random.default_rng(seed)
+        ranker = marsrank.DropRanker(B, y)
+        retained = list(range(B.shape[1]))
+        while len(retained) > 1:
+            sub = B[:, retained]
+            np.testing.assert_allclose(ranker.sse, self._refit_sse(sub, y), rtol=1e-9)
+            want = [self._refit_sse(np.delete(sub, j, 1), y) for j in range(len(retained))]
+            np.testing.assert_allclose(ranker.drop_one_sse(), want, rtol=1e-9)
+            j = int(rng.integers(len(retained)))
+            ranker.drop(j)
+            del retained[j]
+        np.testing.assert_allclose(ranker.sse, self._refit_sse(B[:, retained], y), rtol=1e-9)
+
+    def test_drop_one_sse_declines_ill_conditioned(self):
+        """An all but collinear pair is declined; once one of it is dropped,
+        the downdated R ranks the rest again."""
+        x = np.linspace(0, 1, 30)
+        B = np.column_stack([np.ones(30), x, x + 1e-12 * x ** 2])
+        y = np.sin(x)
+        ranker = marsrank.DropRanker(B, y)
+        assert ranker.drop_one_sse() is None
+        ranker.drop(2)
+        want = [self._refit_sse(B[:, [j]], y) for j in (1, 0)]
+        np.testing.assert_allclose(ranker.drop_one_sse(), want, rtol=1e-9)
 
     def test_pair_gains_of_joined_blocks_match_single_blocks(self):
         """One projection of several few-knot blocks side by side gives each
@@ -387,8 +468,3 @@ class TestClosedForms:
                                  for v in range(3)])
         assert joined.shape == (len(cols),) and np.all(single > 0.0)
         np.testing.assert_allclose(joined, single, rtol=1e-12)
-
-    def test_drop_one_sse_declines_ill_conditioned(self):
-        x = np.linspace(0, 1, 30)
-        B = np.column_stack([np.ones(30), x, x + 1e-12 * x ** 2])
-        assert marsrank.drop_one_sse(B, np.sin(x)) is None

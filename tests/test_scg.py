@@ -311,6 +311,13 @@ class TestScgTrain:
         b, _ = scg_train(init_network((1, 4, 1), seed=0), train, epochs=25, seed=5)
         np.testing.assert_array_equal(get_params(a), get_params(b))
 
+    def test_rejects_non_finite_training_data(self):
+        X = np.linspace(-1, 1, 10)[:, None].repeat(2, axis=1)
+        X[4, 1] = np.nan
+        train = Dataset(("a", "b"), X, X[:, 0] ** 2)
+        with pytest.raises(ValueError, match="training row 4, feature 'b' is nan"):
+            scg_train(init_network((2, 3, 1), seed=0), train, epochs=5)
+
     def test_epochs_validation(self):
         net = init_network((1, 1), seed=0)
         train = Dataset(("x",), np.array([[1.0]]), np.array([1.0]))
