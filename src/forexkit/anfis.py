@@ -36,7 +36,6 @@ class AnfisConfig:
     mfs_per_input: int = 4
     epochs: int = 30
     rate: float = 0.01
-    outputs: int = 1
     consequent: str = "linear"  # or "constant"
 
     def __post_init__(self):
@@ -46,8 +45,6 @@ class AnfisConfig:
             raise ValueError("epochs must be >= 1")
         if not self.rate >= 0.0:
             raise ValueError("rate must be >= 0")
-        if self.outputs < 1:
-            raise ValueError("outputs must be >= 1")
         if self.consequent not in ("linear", "constant"):
             raise ValueError("consequent must be 'linear' or 'constant'")
 
@@ -55,10 +52,10 @@ class AnfisConfig:
 @dataclass(frozen=True)
 class AnfisModel:
     """Premises (per-input Gaussian centers/widths), full rule grid, and
-    per-rule consequent coefficients of shape (rules, terms, outputs) where
-    terms = n_inputs+1 for linear consequents ([p1..pd, const]) or 1 for
-    constant ones.  Rules are ordered lexicographically by per-input MF index,
-    first input slowest."""
+    per-rule consequent coefficients of shape (rules, terms) for its one
+    output, where terms = n_inputs+1 for linear consequents ([p1..pd, const])
+    or 1 for constant ones.  Rules are ordered lexicographically by per-input
+    MF index, first input slowest."""
 
     centers: tuple   # per input, 1-d array of MF centers
     widths: tuple    # per input, matching array of strictly positive widths
@@ -79,8 +76,8 @@ class AnfisModel:
         n_rules = int(np.prod([c.size for c in centers]))
         terms = len(centers) + 1 if self.consequent == "linear" else 1
         cons = np.asarray(self.consequents, dtype=float)
-        if cons.shape[:2] != (n_rules, terms) or cons.ndim != 3:
-            raise ValueError(f"consequents must have shape ({n_rules}, {terms}, outputs)")
+        if cons.shape != (n_rules, terms):
+            raise ValueError(f"consequents must have shape ({n_rules}, {terms})")
         object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "widths", widths)
         object.__setattr__(self, "consequents", cons)
@@ -90,10 +87,6 @@ class AnfisModel:
         return len(self.centers)
 
     @property
-    def n_outputs(self) -> int:
-        return self.consequents.shape[2]
-
-    @property
     def n_rules(self) -> int:
         return int(np.prod([c.size for c in self.centers]))
 
@@ -101,15 +94,6 @@ class AnfisModel:
         """(n_rules, n_inputs) array of per-input MF indices."""
         return np.array(list(itertools.product(*(range(c.size) for c in self.centers))),
                         dtype=int)
-
-
-def gaussian_mf(x, c: float, s: float):
-    """exp(-(x-c)^2 / (2 s^2)): 1 at the center, symmetric, in (0, 1]."""
-    if s <= 0.0:
-        raise ValueError("width s must be > 0")
-    x = np.asarray(x, dtype=float)
-    value = np.exp(-((x - c) ** 2) / (2.0 * s * s))
-    return float(value) if value.ndim == 0 else value
 
 
 def _log_strengths(model: AnfisModel, X: np.ndarray) -> np.ndarray:
@@ -133,37 +117,21 @@ def _normalized_batch(model: AnfisModel, X: np.ndarray) -> np.ndarray:
     return shifted / shifted.sum(axis=1, keepdims=True)
 
 
-def firing_strengths(model: AnfisModel, x):
-    """(raw, normalized) strengths per rule for one input vector."""
-    X = as_rows(x, model.n_inputs, "inputs")
-    if len(X) != 1:
-        raise ValueError(f"expected one input vector, got {len(X)} rows")
-    x = X[0]
-    log_w = _log_strengths(model, x[None, :])[0]
-    if log_w.max() < _LOG_UNDERFLOW:
-        raise NoRuleFires(f"no rule fires for input {x.tolist()}")
-    raw = np.exp(log_w)
-    shifted = np.exp(log_w - log_w.max())
-    return raw, shifted / shifted.sum()
-
-
 def _rule_outputs(model: AnfisModel, X: np.ndarray) -> np.ndarray:
-    """(n, n_rules, n_outputs) per-rule linear outputs."""
+    """(n, n_rules) per-rule linear outputs."""
     if model.consequent == "linear":
         design = np.concatenate([X, np.ones((X.shape[0], 1))], axis=1)
     else:
         design = np.ones((X.shape[0], 1))
-    return np.einsum("nt,rto->nro", design, model.consequents)
+    return np.einsum("nt,rt->nr", design, model.consequents)
 
 
 def predict(model: AnfisModel, x):
     """Convex combination of rule outputs under normalized strengths."""
     X = as_rows(x, model.n_inputs, "inputs")
     w = _normalized_batch(model, X)
-    out = np.einsum("nr,nro->no", w, _rule_outputs(model, X))
-    if np.ndim(x) == 1:
-        return float(out[0, 0]) if model.n_outputs == 1 else out[0]
-    return out[:, 0] if model.n_outputs == 1 else out
+    out = np.einsum("nr,nr->n", w, _rule_outputs(model, X))
+    return float(out[0]) if np.ndim(x) == 1 else out
 
 
 class LseResult(NamedTuple):
@@ -172,25 +140,12 @@ class LseResult(NamedTuple):
     rank_deficient: bool
 
 
-def _lse_targets(model: AnfisModel, train: Dataset, targets) -> np.ndarray:
-    if targets is None:
-        targets = train.targets
-    Y = np.asarray(targets, dtype=float)
-    if Y.ndim == 1:
-        Y = Y[:, None]
-    if Y.shape[0] != train.n_rows:
-        raise ValueError("targets must have one row per training row")
-    return Y
-
-
-def lse_consequents(model: AnfisModel, train: Dataset, targets=None) -> LseResult:
-    """Least-squares consequents with premises fixed; minimum-norm on rank
-    deficiency (flagged).  `targets` may override the dataset's single target
-    column with an (n, outputs) matrix."""
+def lse_consequents(model: AnfisModel, train: Dataset) -> LseResult:
+    """Least-squares consequents, shape (rules, terms), for the dataset's
+    target with premises fixed; minimum-norm on rank deficiency (flagged)."""
     if train.n_rows == 0:
         raise ValueError("training set is empty")
     X = as_rows(train.features, model.n_inputs, "inputs")
-    Y = _lse_targets(model, train, targets)
     w = _normalized_batch(model, X)  # (n, R)
     if model.consequent == "linear":
         base = np.concatenate([X, np.ones((X.shape[0], 1))], axis=1)
@@ -198,8 +153,8 @@ def lse_consequents(model: AnfisModel, train: Dataset, targets=None) -> LseResul
         base = np.ones((X.shape[0], 1))
     terms = base.shape[1]
     design = (w[:, :, None] * base[:, None, :]).reshape(X.shape[0], -1)
-    coef, _, rank, _ = np.linalg.lstsq(design, Y, rcond=None)
-    cons = coef.reshape(model.n_rules, terms, Y.shape[1])
+    coef, _, rank, _ = np.linalg.lstsq(design, train.targets, rcond=None)
+    cons = coef.reshape(model.n_rules, terms)
     return LseResult(cons, int(rank), int(rank) < design.shape[1])
 
 
@@ -208,19 +163,18 @@ def with_consequents(model: AnfisModel, result: LseResult) -> AnfisModel:
                    lse_rank_deficient=model.lse_rank_deficient or result.rank_deficient)
 
 
-def premise_gradient(model: AnfisModel, train: Dataset, targets=None):
+def premise_gradient(model: AnfisModel, train: Dataset):
     """Gradient of the summed squared error w.r.t. centers and widths, as
     (per-input center grads, per-input width grads)."""
     if train.n_rows == 0:
         raise ValueError("training set is empty")
     X = as_rows(train.features, model.n_inputs, "inputs")
-    Y = _lse_targets(model, train, targets)
     w = _normalized_batch(model, X)                     # (n, R)
-    F = _rule_outputs(model, X)                         # (n, R, o)
-    yhat = np.einsum("nr,nro->no", w, F)                # (n, o)
-    err = yhat - Y                                      # (n, o)
-    # dSSE/d log mu_r = sum_o 2 err_o * w_r * (F_ro - yhat_o)
-    g = 2.0 * np.einsum("no,nro->nr", err, w[:, :, None] * (F - yhat[:, None, :]))
+    F = _rule_outputs(model, X)                         # (n, R)
+    yhat = np.einsum("nr,nr->n", w, F)                  # (n,)
+    err = yhat - train.targets                          # (n,)
+    # dSSE/d log mu_r = 2 err * w_r * (F_r - yhat)
+    g = 2.0 * np.einsum("n,nr->nr", err, w * (F - yhat[:, None]))
     grid = model.rule_grid()
     grad_c, grad_s = [], []
     for i, (c, s) in enumerate(zip(model.centers, model.widths)):
@@ -233,12 +187,11 @@ def premise_gradient(model: AnfisModel, train: Dataset, targets=None):
     return grad_c, grad_s
 
 
-def premise_step(model: AnfisModel, train: Dataset, rate: float,
-                 targets=None) -> AnfisModel:
+def premise_step(model: AnfisModel, train: Dataset, rate: float) -> AnfisModel:
     """One gradient-descent step on centers/widths; widths clamped >= 1e-6."""
     if rate <= 0.0:
         raise ValueError("rate must be > 0")
-    grad_c, grad_s = premise_gradient(model, train, targets)
+    grad_c, grad_s = premise_gradient(model, train)
     centers = tuple(c - rate * gc for c, gc in zip(model.centers, grad_c))
     widths = tuple(np.maximum(s - rate * gs, _WIDTH_FLOOR)
                    for s, gs in zip(model.widths, grad_s))
@@ -261,11 +214,11 @@ def init_model(train: Dataset, cfg: AnfisConfig) -> AnfisModel:
         widths.append(np.full(cfg.mfs_per_input, max(s, _WIDTH_FLOOR)))
     n_rules = cfg.mfs_per_input ** train.n_features
     terms = train.n_features + 1 if cfg.consequent == "linear" else 1
-    cons = np.zeros((n_rules, terms, cfg.outputs))
+    cons = np.zeros((n_rules, terms))
     return AnfisModel(tuple(centers), tuple(widths), cons, cfg.consequent)
 
 
-def hybrid_train(train: Dataset, cfg: AnfisConfig = AnfisConfig(), targets=None):
+def hybrid_train(train: Dataset, cfg: AnfisConfig = AnfisConfig()):
     """Alternate LSE and premise descent for cfg.epochs, then realign the
     consequents with a final LSE pass so the returned model's consequents are
     optimal for its premises.  The learning rate halves whenever an epoch's
@@ -273,21 +226,19 @@ def hybrid_train(train: Dataset, cfg: AnfisConfig = AnfisConfig(), targets=None)
     per-epoch RMSE trace)."""
     require_finite(train)
     model = init_model(train, cfg)
-    Y = _lse_targets(model, train, targets)
-    n_values = Y.size
     rate = cfg.rate
     trace = []
     for _ in range(cfg.epochs):
-        model = with_consequents(model, lse_consequents(model, train, targets))
-        resid = np.einsum("nr,nro->no", _normalized_batch(model, train.features),
-                          _rule_outputs(model, train.features)) - Y
-        epoch_rmse = float(np.sqrt(np.sum(resid * resid) / n_values))
+        model = with_consequents(model, lse_consequents(model, train))
+        resid = np.einsum("nr,nr->n", _normalized_batch(model, train.features),
+                          _rule_outputs(model, train.features)) - train.targets
+        epoch_rmse = float(np.sqrt(np.sum(resid * resid) / train.n_rows))
         if trace and epoch_rmse > trace[-1]:
             rate *= 0.5
         trace.append(epoch_rmse)
         if rate > 0.0:
-            model = premise_step(model, train, rate, targets)
-    model = with_consequents(model, lse_consequents(model, train, targets))
+            model = premise_step(model, train, rate)
+    model = with_consequents(model, lse_consequents(model, train))
     return model, trace
 
 
@@ -308,23 +259,19 @@ def dump_rules(model: AnfisModel) -> str:
             c = model.centers[i][grid[r, i]]
             s = model.widths[i][grid[r, i]]
             ifs.append(f"x{i + 1} is G({_coef_text(c)}, {_coef_text(s)})")
-        thens = []
-        for o in range(model.n_outputs):
-            coef = model.consequents[r, :, o]
-            if model.consequent == "linear":
-                parts = [f"{_coef_text(coef[i])}*x{i + 1}" for i in range(model.n_inputs)]
-                parts.append(_coef_text(coef[-1]))
-            else:
-                parts = [_coef_text(coef[0])]
-            label = "y" if model.n_outputs == 1 else f"y{o + 1}"
-            thens.append(f"{label} = " + " + ".join(parts))
-        lines.append("IF " + " AND ".join(ifs) + " THEN " + "; ".join(thens))
+        coef = model.consequents[r]
+        if model.consequent == "linear":
+            parts = [f"{_coef_text(coef[i])}*x{i + 1}" for i in range(model.n_inputs)]
+            parts.append(_coef_text(coef[-1]))
+        else:
+            parts = [_coef_text(coef[0])]
+        lines.append("IF " + " AND ".join(ifs) + " THEN y = " + " + ".join(parts))
     return "\n".join(lines) + "\n"
 
 
 def dump_model(model: AnfisModel) -> str:
     lines = ["anfis-model v1",
-             f"inputs {model.n_inputs} outputs {model.n_outputs} "
+             f"inputs {model.n_inputs} outputs 1 "
              f"consequent {model.consequent} rank_deficient "
              f"{int(model.lse_rank_deficient)}"]
     for i, (c, s) in enumerate(zip(model.centers, model.widths)):
@@ -333,7 +280,7 @@ def dump_model(model: AnfisModel) -> str:
         lines.append("widths " + " ".join(fmt(v) for v in s))
     lines.append(f"consequents {model.n_rules} {model.consequents.shape[1]}")
     for r in range(model.n_rules):
-        lines.append(" ".join(fmt(v) for v in model.consequents[r].ravel()))
+        lines.append(" ".join(fmt(v) for v in model.consequents[r]))
     return "\n".join(lines) + "\n"
 
 
@@ -345,10 +292,10 @@ def load_model(text: str) -> AnfisModel:
     no, line = lines.take("the shape line")
     head = line.split()
     if (head[::2] != ["inputs", "outputs", "consequent", "rank_deficient"]
-            or len(head) != 8 or head[5] not in ("linear", "constant")):
-        raise ValueError(f"line {no}: expected 'inputs <n> outputs <n> "
+            or len(head) != 8 or head[3] != "1" or head[5] not in ("linear", "constant")):
+        raise ValueError(f"line {no}: expected 'inputs <n> outputs 1 "
                          "consequent linear|constant rank_deficient 0|1'")
-    n_inputs, n_outputs = integer(no, head[1], 1), integer(no, head[3], 1)
+    n_inputs = integer(no, head[1], 1)
     consequent, deficient = head[5], bool(integer(no, head[7], 0, 1))
     centers, widths = [], []
     for i in range(n_inputs):
@@ -365,9 +312,7 @@ def load_model(text: str) -> AnfisModel:
     n_rules = int(np.prod([c.size for c in centers]))
     terms = n_inputs + 1 if consequent == "linear" else 1
     expect(lines.take("the consequents block"), f"consequents {n_rules} {terms}")
-    rows = [floats(lines.take(f"consequents of rule {r}"), terms * n_outputs)
+    rows = [floats(lines.take(f"consequents of rule {r}"), terms)
             for r in range(n_rules)]
     lines.finish("model body")
-    return AnfisModel(tuple(centers), tuple(widths),
-                      np.stack(rows).reshape(n_rules, terms, n_outputs),
-                      consequent, deficient)
+    return AnfisModel(tuple(centers), tuple(widths), np.stack(rows), consequent, deficient)

@@ -74,9 +74,6 @@ class ExperimentConfig:
         unknown = [m for m in self.models if m not in MODELS]
         if unknown:
             raise ValueError(f"unknown models {unknown}; choose from {MODELS}")
-        if self.mars_cfg.pruning != "gcv":
-            raise ValueError(f"[mars] pruning = {self.mars_cfg.pruning}: the bench and "
-                             "forexkit fit prune by gcv only, as they hold no holdout set")
         object.__setattr__(self, "models", tuple(self.models))
         if self.currencies is not None:
             object.__setattr__(self, "currencies", tuple(self.currencies))
@@ -284,7 +281,7 @@ def _words(value: str) -> list:
     return value.replace(",", " ").split()
 
 
-# section -> key -> (ExperimentConfig field, parser); "mars_cfg.pruning" sets
+# section -> key -> (ExperimentConfig field, parser); "mars_cfg.gcv_penalty" sets
 # one field of the nested config, whose other fields keep their defaults
 _INI = {
     "data": {"path": ("data_path", str), "currencies": ("currencies", _words)},
@@ -293,7 +290,6 @@ _INI = {
     "mars": {"recipe": ("mars_recipe", str),
              "max_basis_functions": ("mars_cfg.max_basis_functions", int),
              "max_interaction": ("mars_cfg.max_interaction", int),
-             "pruning": ("mars_cfg.pruning", str),
              "gcv_penalty": ("mars_cfg.gcv_penalty", float)},
     "cart": {"recipe": ("cart_recipe", str),
              "min_node_size": ("cart_cfg.min_node_size", int),

@@ -310,7 +310,6 @@ class ScalerParams:
     feature_max: np.ndarray
     target_min: float
     target_max: float
-    scale_target: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "feature_min", _readonly(np.asarray(self.feature_min, float)))
@@ -319,7 +318,7 @@ class ScalerParams:
             raise ValueError("feature_max must be >= feature_min per column")
 
 
-def fit_scaler(train: Dataset, scale_target: bool = True) -> ScalerParams:
+def fit_scaler(train: Dataset) -> ScalerParams:
     if train.n_rows == 0:
         raise ValueError("cannot fit a scaler on an empty dataset")
     return ScalerParams(
@@ -327,7 +326,6 @@ def fit_scaler(train: Dataset, scale_target: bool = True) -> ScalerParams:
         feature_max=train.features.max(axis=0),
         target_min=float(train.targets.min()),
         target_max=float(train.targets.max()),
-        scale_target=scale_target,
     )
 
 
@@ -345,14 +343,14 @@ def scale_features(X: np.ndarray, p: ScalerParams) -> np.ndarray:
 
 def scale_target(y: np.ndarray, p: ScalerParams) -> np.ndarray:
     y = np.asarray(y, float)
-    if not p.scale_target or p.target_max <= p.target_min:
+    if p.target_max <= p.target_min:
         return y.copy()
     return (y - p.target_min) / (p.target_max - p.target_min)
 
 
 def unscale_target(y: np.ndarray, p: ScalerParams) -> np.ndarray:
     y = np.asarray(y, float)
-    if not p.scale_target or p.target_max <= p.target_min:
+    if p.target_max <= p.target_min:
         return y.copy()
     return y * (p.target_max - p.target_min) + p.target_min
 
@@ -360,15 +358,6 @@ def unscale_target(y: np.ndarray, p: ScalerParams) -> np.ndarray:
 def apply_scaler(ds: Dataset, p: ScalerParams) -> Dataset:
     return Dataset(ds.feature_names, scale_features(ds.features, p),
                    scale_target(ds.targets, p), ds.provenance)
-
-
-def invert_scaler(ds: Dataset, p: ScalerParams) -> Dataset:
-    """Inverse of ``apply_scaler`` for non-degenerate columns."""
-    span = p.feature_max - p.feature_min
-    live = span > 0
-    X = ds.features.copy()
-    X[:, live] = X[:, live] * span[live] + p.feature_min[live]
-    return Dataset(ds.feature_names, X, unscale_target(ds.targets, p), ds.provenance)
 
 
 def rmse(predicted, actual) -> float:

@@ -6,8 +6,7 @@ primary/mirror hinge pair (optionally multiplied into an existing basis when
 interactions are enabled) that most reduces training MSE, refitting every
 coefficient by least squares after each addition.  The result deliberately
 overfits.  Backward stage: greedy elimination of the basis whose removal
-least degrades the criterion (GCV or holdout MSE), returning the best-scoring
-subset visited.
+leaves the lowest GCV, returning the best-scoring subset visited.
 
 Knot candidates are every observed training value of a variable.  Ties in
 the forward search resolve to the lowest parent index, then lowest variable
@@ -33,9 +32,8 @@ GCV elimination ranks every drop from R of the retained columns, which
 starts as one QR of the forward design and is downdated by a QR of k x k
 size as each column goes.  A step refits exactly only the drops near the
 lowest SSE, plus the first drop when every subset of the next size scores
-inf; holdout pruning refits every drop.  So every pick, and hence every
-coefficient and trace, is the one that scoring every candidate densely
-gives.
+inf.  So every pick, and hence every coefficient and trace, is the one that
+scoring every candidate densely gives.
 """
 
 from __future__ import annotations
@@ -110,13 +108,12 @@ class MarsConfig:
     """Knobs for the forward/backward fit.
 
     ``max_basis_functions`` caps the non-constant bases; a forward step needs
-    room for a full pair, so odd caps leave one slot unused.  ``pruning`` is
-    "gcv" (penalty ``gcv_penalty`` per non-constant basis) or "holdout".
+    room for a full pair, so odd caps leave one slot unused.  Pruning scores
+    a subset by GCV with ``gcv_penalty`` per non-constant basis.
     """
 
     max_basis_functions: int = 30
     max_interaction: int = 1
-    pruning: str = "gcv"
     gcv_penalty: float = 3.0
 
     def __post_init__(self):
@@ -124,8 +121,6 @@ class MarsConfig:
             raise ValueError("max_basis_functions must be >= 1")
         if self.max_interaction < 1:
             raise ValueError("max_interaction must be >= 1")
-        if self.pruning not in ("gcv", "holdout"):
-            raise ValueError(f"pruning must be 'gcv' or 'holdout', got {self.pruning!r}")
         if not self.gcv_penalty >= 0.0:
             raise ValueError("gcv_penalty must be >= 0")
 
@@ -344,40 +339,30 @@ def _likely_drops(ranker: DropRanker, y: np.ndarray, penalty: float) -> list:
     return near.tolist()
 
 
-def backward_prune(model: MarsModel, train: Dataset, cfg: MarsConfig,
-                   holdout: Dataset | None = None) -> MarsModel:
+def backward_prune(model: MarsModel, train: Dataset, cfg: MarsConfig) -> MarsModel:
     """Greedy backward elimination; returns the best-scoring visited subset.
 
     The constant term is never removed.  Ties prefer the smaller subset
     (visited later), so pruning errs toward parsimony.
     """
-    if cfg.pruning == "holdout" and holdout is None:
-        raise ValueError("holdout pruning requires a holdout dataset")
     X, y = train.features, train.targets
     n = train.n_rows
     full = model.design_matrix(X)
 
     def score(cols):
-        coef, sse = _lstsq(full[:, cols], y)
-        if cfg.pruning == "gcv":
-            return gcv(sse / n, n, len(cols), cfg.gcv_penalty)
-        sub = MarsModel(tuple(model.bases[i] for i in cols), coef, model.n_features, sse / n)
-        resid = predict(sub, holdout.features) - holdout.targets
-        return float(np.mean(resid ** 2))
+        _, sse = _lstsq(full[:, cols], y)
+        return gcv(sse / n, n, len(cols), cfg.gcv_penalty)
 
     retained = list(range(len(model.bases)))
     trace = [(len(retained), score(retained))]
     best_cols, best_score = list(retained), trace[0][1]
-    ranker = DropRanker(full, y) if cfg.pruning == "gcv" else None
+    ranker = DropRanker(full, y)
     while len(retained) > 1:
-        drops = range(1, len(retained))
-        if ranker is not None:
-            drops = _likely_drops(ranker, y, cfg.gcv_penalty)
+        drops = _likely_drops(ranker, y, cfg.gcv_penalty)
         scored = [(score(retained[:j] + retained[j + 1:]), j) for j in drops]
         s, j = min(scored, key=lambda t: (t[0], t[1]))
         retained = retained[:j] + retained[j + 1:]
-        if ranker is not None:
-            ranker.drop(j)
+        ranker.drop(j)
         trace.append((len(retained), s))
         if s <= best_score:
             best_cols, best_score = list(retained), s
@@ -388,10 +373,9 @@ def backward_prune(model: MarsModel, train: Dataset, cfg: MarsConfig,
                      forward_trace=model.forward_trace, pruning_trace=tuple(trace))
 
 
-def fit(train: Dataset, cfg: MarsConfig = MarsConfig(),
-        holdout: Dataset | None = None) -> MarsModel:
+def fit(train: Dataset, cfg: MarsConfig = MarsConfig()) -> MarsModel:
     """Forward pass then backward prune."""
-    return backward_prune(forward_pass(train, cfg), train, cfg, holdout)
+    return backward_prune(forward_pass(train, cfg), train, cfg)
 
 
 # --- plain-text serialization -------------------------------------------------

@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import (FeatureSpec, ScalerParams, build_supervised,
                    scale_features, unscale_target)
-from .dumpfmt import fmt, floats, integer, number, tail
+from .dumpfmt import fmt, floats, number, tail
 from .kinds import KINDS
 
 
@@ -62,7 +62,7 @@ def save_predictor(p: Predictor) -> str:
         "feature_max " + " ".join(fmt(v) for v in scaler.feature_max),
         f"target_min {fmt(scaler.target_min)}",
         f"target_max {fmt(scaler.target_max)}",
-        f"scale_target {int(scaler.scale_target)}",
+        "scale_target 1",
         "[model]",
     ]
     return "\n".join(lines) + "\n" + KINDS[p.model_kind].dump(p.engine)
@@ -88,13 +88,15 @@ def load_predictor(text: str) -> Predictor:
     no, kind = header["model"]
     if kind not in KINDS:
         raise ValueError(f"line {no}: unknown model kind {kind!r}")
+    no, flag = header["scale_target"]
+    if flag.strip() != "1":
+        raise ValueError(f"line {no}: expected 'scale_target 1'; targets are always scaled")
     feature_min = floats(header["feature_min"])
     scaler = ScalerParams(
         feature_min=feature_min,
         feature_max=floats(header["feature_max"], feature_min.size),
         target_min=number(*header["target_min"]),
         target_max=number(*header["target_max"]),
-        scale_target=bool(integer(*header["scale_target"], 0, 1)),
     )
     engine = KINDS[kind].load(tail(lines, body_at + 1))
     width = KINDS[kind].width(engine)

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from forexkit.data import RateSeries
-from forexkit.mars import (NEGATIVE, POSITIVE, Hinge, HingeBasis, MarsModel, eval_hinge,
-                           gcv, predict)
+from forexkit.mars import NEGATIVE, POSITIVE, Hinge, HingeBasis, MarsModel, eval_hinge, gcv
 
 SPLIT_TIE_REL = 1e-9  # mirrors the engine's published tie tolerance
 
@@ -148,8 +147,8 @@ class ReferenceMars:
     def __init__(self, cfg):
         self.cfg = cfg
 
-    def fit(self, train, holdout=None):
-        return self.backward_prune(self.forward_pass(train), train, holdout)
+    def fit(self, train):
+        return self.backward_prune(self.forward_pass(train), train)
 
     @staticmethod
     def _lstsq(B, y):
@@ -245,20 +244,15 @@ class ReferenceMars:
         return MarsModel(tuple(bases), coef, train.n_features, sse / n,
                          forward_trace=tuple(trace))
 
-    def backward_prune(self, model, train, holdout=None):
+    def backward_prune(self, model, train):
         cfg = self.cfg
         X, y = train.features, train.targets
         n = train.n_rows
         full = model.design_matrix(X)
 
         def score(cols):
-            coef, sse = self._lstsq(full[:, cols], y)
-            if cfg.pruning == "gcv":
-                return gcv(sse / n, n, len(cols), cfg.gcv_penalty)
-            sub = MarsModel(tuple(model.bases[i] for i in cols), coef,
-                            model.n_features, sse / n)
-            resid = predict(sub, holdout.features) - holdout.targets
-            return float(np.mean(resid ** 2))
+            _, sse = self._lstsq(full[:, cols], y)
+            return gcv(sse / n, n, len(cols), cfg.gcv_penalty)
 
         retained = list(range(len(model.bases)))
         trace = [(len(retained), score(retained))]

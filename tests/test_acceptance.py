@@ -245,7 +245,7 @@ def test_criterion_07_rule_grid_and_lse(verdict):
     base = np.concatenate([X, np.ones((n, 1))], axis=1)
     design = (w[:, :, None] * base[:, None, :]).reshape(n, -1)
     oracle = normal_equations(design, y)
-    lse_err = float(np.max(np.abs(res.consequents[:, :, 0].ravel() - oracle)))
+    lse_err = float(np.max(np.abs(res.consequents.ravel() - oracle)))
     lse_ok = lse_err <= 1e-8
 
     probe = np.random.default_rng(12).uniform(-0.5, 1.5, size=(10_000, 2))

@@ -5,8 +5,7 @@ import pytest
 
 from forexkit import anfis
 from forexkit.anfis import (AnfisConfig, NoRuleFires, dump_model, dump_rules,
-                            firing_strengths, gaussian_mf, hybrid_train,
-                            init_model, load_model, lse_consequents,
+                            hybrid_train, init_model, load_model, lse_consequents,
                             premise_gradient, premise_step, with_consequents)
 from forexkit.data import Dataset
 
@@ -26,26 +25,6 @@ def _grid_problem(n=120, seed=0):
     X = rng.uniform(0, 1, size=(n, 2))
     y = 1.5 * X[:, 0] - 0.7 * X[:, 1] + 0.3
     return Dataset(("a", "b"), X, y)
-
-
-class TestGaussianMf:
-    def test_peak_at_center(self):
-        assert gaussian_mf(2.0, 2.0, 0.5) == 1.0
-
-    def test_one_sigma_value(self):
-        assert gaussian_mf(1.0, 0.0, 1.0) == pytest.approx(
-            0.6065306597126334, abs=1e-15)
-
-    def test_symmetry(self):
-        assert gaussian_mf(1.3, 1.0, 0.4) == gaussian_mf(0.7, 1.0, 0.4)
-
-    def test_vectorized(self):
-        out = gaussian_mf(np.array([0.0, 1.0]), 0.0, 1.0)
-        np.testing.assert_allclose(out, [1.0, np.exp(-0.5)])
-
-    def test_width_must_be_positive(self):
-        with pytest.raises(ValueError, match="width"):
-            gaussian_mf(0.0, 0.0, 0.0)
 
 
 class TestConfig:
@@ -100,35 +79,24 @@ class TestFiringStrengths:
         return init_model(ds, AnfisConfig(mfs_per_input=2))
 
     def test_normalized_sums_to_one(self):
-        model = self._model()
-        _, norm = firing_strengths(model, np.array([0.3]))
+        norm = anfis._normalized_batch(self._model(), np.array([[0.3]]))
         assert norm.sum() == pytest.approx(1.0, abs=1e-15)
 
     def test_symmetric_point_fires_equally(self):
-        model = self._model()
-        _, norm = firing_strengths(model, np.array([0.5]))
-        np.testing.assert_allclose(norm, [0.5, 0.5], atol=1e-15)
+        norm = anfis._normalized_batch(self._model(), np.array([[0.5]]))
+        np.testing.assert_allclose(norm, [[0.5, 0.5]], atol=1e-15)
 
     def test_at_a_center_that_rule_dominates(self):
-        model = self._model()
-        raw, norm = firing_strengths(model, np.array([0.0]))
-        assert raw[0] == 1.0
-        assert norm[0] > norm[1]
+        norm = anfis._normalized_batch(self._model(), np.array([[0.0]]))
+        assert norm[0, 0] > norm[0, 1]
 
     def test_far_outside_raises_no_rule_fires(self):
-        model = self._model()
         with pytest.raises(NoRuleFires):
-            firing_strengths(model, np.array([1e6]))
+            anfis.predict(self._model(), np.array([1e6]))
 
     def test_input_width_checked(self):
-        model = self._model()
         with pytest.raises(ValueError, match="expected 1 inputs"):
-            firing_strengths(model, np.array([0.0, 1.0]))
-
-    def test_one_input_vector_only(self):
-        model = self._model()
-        with pytest.raises(ValueError, match="one input vector, got 2 rows"):
-            firing_strengths(model, np.zeros((2, 1)))
+            anfis.predict(self._model(), np.array([0.0, 1.0]))
 
 
 class TestLse:
@@ -142,7 +110,7 @@ class TestLse:
         # so instead check the normal-equations oracle on the actual design.
         w = anfis._normalized_batch(model, ds.features)
         coef = normal_equations(w, ds.targets)
-        np.testing.assert_allclose(res.consequents[:, 0, 0], coef, atol=1e-8)
+        np.testing.assert_allclose(res.consequents[:, 0], coef, atol=1e-8)
         assert np.isfinite(anfis.predict(fitted, ds.features)).all()
 
     def test_linear_target_recovered_exactly(self):
@@ -163,18 +131,7 @@ class TestLse:
         base = np.concatenate([X, np.ones((60, 1))], axis=1)
         design = (w[:, :, None] * base[:, None, :]).reshape(60, -1)
         oracle = normal_equations(design, y)
-        np.testing.assert_allclose(res.consequents[:, :, 0].ravel(), oracle,
-                                   atol=1e-8)
-
-    def test_multi_output_targets(self):
-        ds = _grid_problem()
-        Y = np.stack([ds.targets, 2.0 * ds.targets], axis=1)
-        cfg = AnfisConfig(mfs_per_input=2, outputs=2)
-        model = init_model(ds, cfg)
-        fitted = with_consequents(model, lse_consequents(model, ds, targets=Y))
-        out = anfis.predict(fitted, ds.features)
-        assert out.shape == (len(ds.targets), 2)
-        np.testing.assert_allclose(out[:, 1], 2.0 * out[:, 0], atol=1e-8)
+        np.testing.assert_allclose(res.consequents.ravel(), oracle, atol=1e-8)
 
     def test_rank_deficiency_flagged(self):
         # Two identical training rows cannot pin down 2 rules x 2 coefficients.
@@ -305,7 +262,7 @@ class TestPredict:
         model, _ = hybrid_train(ds, AnfisConfig(mfs_per_input=2, epochs=2,
                                                 rate=0.01))
         X = np.random.default_rng(13).uniform(0, 1, size=(40, 2))
-        rule_out = anfis._rule_outputs(model, X)[:, :, 0]
+        rule_out = anfis._rule_outputs(model, X)
         pred = anfis.predict(model, X)
         assert np.all(pred <= rule_out.max(axis=1) + 1e-12)
         assert np.all(pred >= rule_out.min(axis=1) - 1e-12)
@@ -358,3 +315,24 @@ class TestDumps:
     def test_load_rejects_bad_header(self):
         with pytest.raises(ValueError, match="anfis-model"):
             load_model("rules 16\n")
+
+    # hand-written numbers print the same on every BLAS, unlike a fitted model's
+    _ONE_INPUT = ("anfis-model v1\n"
+                  "inputs 1 outputs 1 consequent linear rank_deficient 0\n"
+                  "input 0 mfs 2\n"
+                  "centers 0 1\n"
+                  "widths 0.5 0.75\n"
+                  "consequents 2 2\n"
+                  "1.5 -0.25\n"
+                  "0.125 3\n")
+
+    def test_hand_written_dump_round_trips_byte_exact(self):
+        assert dump_model(load_model(self._ONE_INPUT)) == self._ONE_INPUT
+
+    def test_load_rejects_more_than_one_output(self):
+        two_outputs = ("anfis-model v1\n"
+                       "inputs 1 outputs 2 consequent linear rank_deficient 0\n"
+                       "input 0 mfs 2\ncenters 0 1\nwidths 0.5 0.75\n"
+                       "consequents 2 2\n1.5 -0.25 3 1\n0.125 3 -2 0\n")
+        with pytest.raises(ValueError, match="^line 2: expected 'inputs <n> outputs 1 "):
+            load_model(two_outputs)

@@ -2,6 +2,7 @@
 
 import re
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -315,13 +316,19 @@ dir = somewhere
         with pytest.raises(ValueError, match="data.path"):
             load_config(path)
 
-    def test_holdout_pruning_rejected(self, tmp_path, rates_csv):
-        # the bench and forexkit fit pass no holdout set to mars.fit, so
-        # the value would only fail later, inside every mars and hybrid cell
+    def test_mars_pruning_key_rejected(self, tmp_path, rates_csv):
+        # mars always prunes by GCV, so the key has no value left to choose
         path = self._write(tmp_path, f"[data]\npath = {rates_csv}\n\n"
-                                     "[mars]\npruning = holdout\n")
-        with pytest.raises(ValueError, match=r"\[mars\] pruning"):
+                                     "[mars]\npruning = gcv\n")
+        with pytest.raises(ValueError, match="unknown key mars.pruning"):
             load_config(path)
+
+    def test_readme_config_block_loads(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"^```ini\n(.*?)^```", readme, re.S | re.M).group(1)
+        path = self._write(tmp_path, block)
+        assert load_config(path) == ExperimentConfig(data_path="rates.csv",
+                                                     currencies=("JPY", "USD", "GBP"))
 
     def test_missing_file_names_path(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="nope.ini"):

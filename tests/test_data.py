@@ -5,9 +5,8 @@ import pytest
 
 from forexkit import data, synth
 from forexkit.data import (Dataset, FeatureSpec, RateSeries, apply_scaler,
-                           build_supervised, fit_scaler, invert_scaler,
-                           load_csv, rmse, scale_features, scale_target, split,
-                           unscale_target)
+                           build_supervised, fit_scaler, load_csv, rmse,
+                           scale_features, scale_target, split, unscale_target)
 
 from oracles import ReferenceCsv
 
@@ -371,20 +370,6 @@ class TestScaler:
         ds = self._dataset()
         scaled = apply_scaler(ds, fit_scaler(ds))
         np.testing.assert_array_equal(scaled.features[:, 1], ds.features[:, 1])
-
-    def test_invert_round_trip(self):
-        ds = self._dataset()
-        p = fit_scaler(ds)
-        back = invert_scaler(apply_scaler(ds, p), p)
-        np.testing.assert_allclose(back.features, ds.features, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(back.targets, ds.targets, rtol=0, atol=1e-10)
-
-    def test_target_scaling_optional(self):
-        ds = self._dataset()
-        p = fit_scaler(ds, scale_target=False)
-        scaled = apply_scaler(ds, p)
-        np.testing.assert_array_equal(scaled.targets, ds.targets)
-        np.testing.assert_array_equal(unscale_target(scaled.targets, p), ds.targets)
 
     def test_test_rows_may_leave_unit_interval(self):
         ds = self._dataset()

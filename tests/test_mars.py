@@ -167,22 +167,6 @@ class TestGcvAndPruning:
         assert sizes[0] >= sizes[-1] == 1
         assert sizes == sorted(sizes, reverse=True)
 
-    def test_holdout_pruning_uses_holdout_mse(self):
-        rng = np.random.default_rng(4)
-        x = rng.uniform(0, 1, 80)
-        y = 1.5 * np.maximum(0, x - 0.4) + 0.05 * rng.normal(size=80)
-        xh = rng.uniform(0, 1, 40)
-        yh = 1.5 * np.maximum(0, xh - 0.4) + 0.05 * rng.normal(size=40)
-        cfg = MarsConfig(max_basis_functions=10, pruning="holdout")
-        model = fit(_dataset(x, y), cfg, holdout=_dataset(xh, yh))
-        resid = mars.predict(model, xh[:, None]) - yh
-        assert float(np.mean(resid ** 2)) == pytest.approx(min(s for _, s in model.pruning_trace))
-
-    def test_holdout_mode_requires_holdout(self):
-        x = np.linspace(0, 1, 20)
-        with pytest.raises(ValueError, match="holdout"):
-            fit(_dataset(x, x), MarsConfig(pruning="holdout"))
-
     def test_coefficients_match_normal_equations(self):
         rng = np.random.default_rng(6)
         x = rng.uniform(0, 2, 70)
@@ -219,8 +203,6 @@ class TestValidation:
             MarsConfig(max_basis_functions=0)
         with pytest.raises(ValueError):
             MarsConfig(max_interaction=0)
-        with pytest.raises(ValueError):
-            MarsConfig(pruning="oob")
 
     @pytest.mark.parametrize("penalty", [-1.0, float("nan")])
     def test_gcv_penalty_must_be_nonnegative(self, penalty):
@@ -266,14 +248,13 @@ def _synthetic(seed, n, kinds):
 
 def _exact_grid():
     for inter in (1, 2):
-        for pruning in ("gcv", "holdout"):
-            for kinds in (("uniform", "ties", "ties"), ("ties", "binary", "constant", "uniform")):
-                yield (f"{'-'.join(kinds)}-i{inter}-{pruning}",
-                       lambda kinds=kinds: _synthetic(len(kinds), 240, kinds),
-                       MarsConfig(max_interaction=inter, pruning=pruning))
-            yield (f"step7-i{inter}-{pruning}",
-                   lambda: _scaled_split(synth.make_recipe("step7"), "STEP"),
-                   MarsConfig(max_interaction=inter, pruning=pruning))
+        for kinds in (("uniform", "ties", "ties"), ("ties", "binary", "constant", "uniform")):
+            yield (f"{'-'.join(kinds)}-i{inter}-gcv",
+                   lambda kinds=kinds: _synthetic(len(kinds), 240, kinds),
+                   MarsConfig(max_interaction=inter))
+        yield (f"step7-i{inter}-gcv",
+               lambda: _scaled_split(synth.make_recipe("step7"), "STEP"),
+               MarsConfig(max_interaction=inter))
 
 
 def _hybrid_forex5(months, code):
@@ -302,28 +283,27 @@ class TestExactSearch:
     picks: the same dump and traces, float for float."""
 
     @staticmethod
-    def _assert_same(train, cfg, holdout=None):
-        got = fit(train, cfg, holdout=holdout)
-        want = ReferenceMars(cfg).fit(train, holdout)
+    def _assert_same(train, cfg):
+        got = fit(train, cfg)
+        want = ReferenceMars(cfg).fit(train)
         assert mars.dump_model(got) == mars.dump_model(want)
         assert got.forward_trace == want.forward_trace
         assert got.pruning_trace == want.pruning_trace
 
     @pytest.mark.parametrize("name,make,cfg", _GRID, ids=[g[0] for g in _GRID])
     def test_grid_matches_reference(self, name, make, cfg):
-        train, test = make()
-        self._assert_same(train, cfg, test if cfg.pruning == "holdout" else None)
+        train, _ = make()
+        self._assert_same(train, cfg)
 
     def test_random_small_fits_match_reference(self):
         rng = np.random.default_rng(2024)
         kinds = ("uniform", "ties", "binary", "constant")
         for seed in range(30):
             picked = tuple(rng.choice(kinds, size=int(rng.integers(1, 4))))
-            train, test = _synthetic(seed, int(rng.integers(12, 120)), ("uniform",) + picked)
+            train, _ = _synthetic(seed, int(rng.integers(12, 120)), ("uniform",) + picked)
             cfg = MarsConfig(max_basis_functions=int(rng.integers(2, 20)),
-                             max_interaction=int(rng.integers(1, 3)),
-                             pruning=("gcv", "holdout")[seed % 2])
-            self._assert_same(train, cfg, test if cfg.pruning == "holdout" else None)
+                             max_interaction=int(rng.integers(1, 3)))
+            self._assert_same(train, cfg)
 
     def test_blocks_past_the_cache_match_kept_blocks(self, monkeypatch):
         """With no room to keep sweep blocks, every block is made afresh at

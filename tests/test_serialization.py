@@ -132,6 +132,16 @@ class TestPredictorFile:
         with pytest.raises(ValueError, match="missing"):
             load_predictor(text)
 
+    def test_unscaled_target_rejected(self):
+        text = ("forexkit-predictor v1\nmodel mars\ncurrency JPY\nrecipe mp1\n"
+                "feature_min 0\nfeature_max 1\ntarget_min 0\ntarget_max 1\n"
+                "scale_target 1\n[model]\n"
+                "mars-model v1\nfeatures 1\nbases 1\nbasis const\n"
+                "coefficients\n0\ntraining_mse 0\n")
+        assert load_predictor(text).model_kind == "mars"
+        with pytest.raises(ValueError, match="^line 9: expected 'scale_target 1'"):
+            load_predictor(text.replace("scale_target 1", "scale_target 0"))
+
     def test_missing_model_section_rejected(self):
         text = ("forexkit-predictor v1\nmodel mars\ncurrency JPY\nrecipe mp1\n"
                 "feature_min 0\nfeature_max 1\ntarget_min 0\ntarget_max 1\n"
