@@ -222,6 +222,7 @@ class PruneEntry:
 @dataclass(frozen=True)
 class PruneSequence:
     entries: tuple
+    scored_on: Dataset | None = field(default=None, repr=False, compare=False)  # test_cost's rows
 
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(self.entries))
@@ -265,12 +266,13 @@ def prune_sequence(tree: CartTree, train: Dataset) -> PruneSequence:
 
 
 def evaluate_sequence(seq: PruneSequence, test: Dataset) -> PruneSequence:
-    """Copy of the sequence with test-sample SSE filled in per subtree.  The
-    rows are routed once to the maximal tree's leaves; each collapse then
-    sets the prediction of the rows under the collapsed node to its mean."""
+    """Copy of the sequence with test-sample SSE filled in per subtree, or
+    the sequence itself when it was scored on this very test set.  The rows
+    are routed once to the maximal tree's leaves; each collapse then sets
+    the prediction of the rows under the collapsed node to its mean."""
     if test.n_rows == 0:
         raise ValueError("test sample is empty")
-    if not seq.entries:
+    if not seq.entries or seq.scored_on is test:
         return seq
     maximal = seq.entries[0].maximal
     node = _route(maximal, as_rows(test.features, maximal.n_features))
@@ -281,7 +283,7 @@ def evaluate_sequence(seq: PruneSequence, test: Dataset) -> PruneSequence:
         done = len(entry.collapsed)
         resid = pred - test.targets
         scored.append(replace(entry, test_cost=float(resid @ resid)))
-    return PruneSequence(tuple(scored))
+    return PruneSequence(tuple(scored), test)
 
 
 def select_min_cost(seq: PruneSequence, test: Dataset) -> CartTree:

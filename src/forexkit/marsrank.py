@@ -9,16 +9,53 @@ A ``DropRanker`` holds R and Q'y of the retained columns of a pruning design
 and gives the SSE after dropping each column; dropping one downdates R by a
 QR of the k x (k - 1) R that is left.  ``forexkit.mars`` ranks candidates
 with them and scores the winners exactly.  Both are approximations at
-rounding level, and both flag the inputs for which rounding could reorder
-candidates: a block marks knots whose terms lost too many digits to
-cancellation, and the ranker declines an ill-conditioned R.
+rounding level, and both say when rounding could reorder candidates: a block
+bounds how far each knot's fast gain can lie from its dense one, and the
+ranker declines an ill-conditioned R.
+
+The bound (``SweepBlock.gains``) is an interval that holds the dense gain,
+from first-order rounding bounds in the manner of Higham (Accuracy and
+Stability of Numerical Algorithms, 2nd ed., secs. 3-4): a sum of n terms is
+off by at most n u times the sum of their magnitudes, u = 2^-53, and
+gamma = ERR_SAFETY n u.  Up = |bp x| + |t| |bp| in root sums over the rows
+above the knot is at least |u+| and bounds the rounding of every entry of
+Q'u+ for unit columns of Q; Um alike below, and Ug over all rows.  So the
+fast and the dense a = |vp|^2 each lie within k Up^2 of the exact one, b
+within k Up Um and rp within k Up |r|, with k = (5 + 4 sqrt m) gamma for m
+columns of Q; the dense vp lies within (2 + 2 sqrt m) gamma Up of the exact
+one, and the block's g within (2m + 2) gamma Ug of vp - vm.  From these:
+
+- rp^2 / a and rm^2 / c get intervals once a and c are above twice their
+  bounds, which also settles pair_gain's dependence test on both sides;
+- |vp| is 0 for a member zero on every row and at most (2 + 2 sqrt m)
+  gamma Up for one the search appended to the design, as Gram-Schmidt
+  leaves it that close to span(Q), and vp - vm = g passes such a bound to
+  the other member: a dense a it puts under the dependence threshold adds
+  nothing to the dense gain;
+- the dense det is the Gram determinant of the dense vp, vm up to
+  (4n + 4) u ac for its sums (the textbook dot-product bound, taken without
+  ERR_SAFETY), and the exact one is at most min(a, c) |g|^2, so a pair
+  collinear for the block is collinear for the dense gain too, which is
+  then the single one, even where ac - b^2 cancels;
+- for the other knots, det and num take the bounds of their factors
+  exactly, through (|x| + e)(|y| + f) - |x||y| for a product, and
+  num / det gets an interval where det clears pair_gain's collinearity
+  test for both.
+
+Any other knot's bound is inf.  ERR_SAFETY on gamma covers the rest: Q
+orthonormal and bp in span(Q) to within gamma, the rounding of the final
+products, and that of the bound's own arithmetic.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-SHAKY_REL = 1e-6     # fast a or c this small against its terms is too cancelled to rank
+ERR_SAFETY = 4.0     # factor on gamma = n 2^-53 in the fast gains' error bound
+DEP_TOL = 1e-10      # column whose part off span(Q) is at most this share of it: dependent
+PAIR_TOL = 1e-12     # pair with det at most this share of ac: collinear
 PRUNE_COND = 1e8     # R with a Frobenius condition number above this: declined
 SWEEP_CACHE_BYTES = 16 << 20  # sweep blocks one forward pass keeps (SweepCache)
 
@@ -42,9 +79,10 @@ class SweepBlock:
     vp, vm are u+, u- less their projections onto span(Q).  ``terms`` returns
     (a, b, c, rp, rm, |u+|^2, |u-|^2, det, num) with a = |vp|^2, b = vp.vm,
     c = |vm|^2, rp = vp.r, rm = vm.r, det = ac - b^2 and num = c rp^2 -
-    2b rp rm + a rm^2, plus a mask of the knots whose a or c lost too many
-    digits to cancellation to be ranked.  bp must lie in span(Q), as every
-    parent basis does, and Q may only gain columns between calls.
+    2b rp rm + a rm^2; ``gains`` returns pair_gain of them and a bound on
+    how far each lies from the dense gain (see the module docstring).  bp
+    must lie in span(Q), as every parent basis does, and Q may only gain
+    columns between calls.
 
     Over the rows above t, Q'u+ = S(bp x Q) - t S(bp Q), |u+|^2 and u+.r are
     quadratic and linear in t, and the rows below t give u- alike: O(n m)
@@ -69,22 +107,26 @@ class SweepBlock:
         self.g = self.wx.copy()  # bp*x, projected off each column of Q as it comes
         below, above = self._runs(np.column_stack(
             (self.w * self.w, self.w * self.wx, self.wx * self.wx)))
-        t = self.t
-        s0, s1, s2 = above.T
-        self.norm_p = s2 - 2.0 * t * s1 + t * t * s0
-        self.scale_p = s2 + np.abs(2.0 * t * s1) + t * t * s0
-        s0, s1, s2 = below.T
-        self.norm_m = t * t * s0 - 2.0 * t * s1 + s2
-        self.scale_m = t * t * s0 + np.abs(2.0 * t * s1) + s2
+        t, at = self.t, np.abs(self.t)
+        # rows for the + and - member: |u+|^2 and |u-|^2, and Up, Um, root
+        # sums >= |u+|, |u-| that bound the rounding of their terms
+        (a0, a1, a2), (b0, b1, b2) = above.T, below.T
+        self.norm = np.stack((a2 - 2.0 * t * a1 + t * t * a0, t * t * b0 - 2.0 * t * b1 + b2))
+        self.mag = np.stack((np.sqrt(a2) + at * np.sqrt(a0), np.sqrt(b2) + at * np.sqrt(b0)))
+        self.mag2 = self.mag * self.mag
+        self.mag_g = np.sqrt(self.wx @ self.wx) + at * np.sqrt(self.w @ self.w)  # >= |bp (x - t)|
+        self.knots, self.zero = knots, self.mag == 0.0  # a member zero on every row
+        self.in_span = np.zeros_like(self.zero)  # members the search made columns of B
+        self._known = None  # _dense_range's columns of zero or appended members
         k = len(knots)
         self.qp, self.qm = np.empty((k, capacity)), np.empty((k, capacity))
-        self.pp, self.pm, self.mm = np.zeros(k), np.zeros(k), np.zeros(k)
+        self.sq, self.pm = np.zeros((2, k)), np.zeros(k)  # rows |qp|^2, |qm|^2
         self.m = 0
 
     @staticmethod
     def nbytes(n_rows: int, n_knots: int, capacity: int) -> int:
         """Bytes a block of this shape holds."""
-        return 8 * (4 * n_rows + (2 * capacity + 7) * n_knots)
+        return 8 * (5 * n_rows + (2 * capacity + 11) * n_knots)
 
     def _runs(self, cols):
         """Column sums over the rows below and above each knot: one row of
@@ -100,6 +142,12 @@ class SweepBlock:
         np.cumsum(cols[::-1], axis=0, out=above[k - 1::-1])
         return below[:-1], above[1:]
 
+    def appended(self, knot, member):
+        """Note that the hinge of knot's member (0 for u+, 1 for u-) became
+        a column of the design, so it lies in span(Q) up to rounding."""
+        self.in_span[member, np.searchsorted(self.knots, knot)] = True
+        self._known = None
+
     def _advance(self, Q):
         """Take in the columns of Q beyond the m the block holds."""
         m0, m = self.m, Q.shape[1]
@@ -114,14 +162,14 @@ class SweepBlock:
         qm = self.qm[:, m0:m]  # t P(bp Q) - P(bp x Q)
         np.multiply(below[:, :d], t, out=qm)
         qm -= below[:, d:]
-        self.pp += np.einsum("ij,ij->i", qp, qp)
+        self.sq[0] += np.einsum("ij,ij->i", qp, qp)
         self.pm += np.einsum("ij,ij->i", qp, qm)
-        self.mm += np.einsum("ij,ij->i", qm, qm)
+        self.sq[1] += np.einsum("ij,ij->i", qm, qm)
         self.m = m
 
-    def terms(self, Q, r, qr):
-        """The block's terms at every knot for the current Q and residual r;
-        qr is Q'r, r's rounding-level part in span(Q), which vp and vm lack."""
+    def _terms(self, Q, r, qr):
+        """The terms, and for gains: rows (a, c) and (rp, rm), p, |g|^2, g.r,
+        r in sorted order and which of det and num took the Lagrange form."""
         if Q.shape[1] > self.m:
             self._advance(Q)
         m, t, g = self.m, self.t, self.g
@@ -129,28 +177,180 @@ class SweepBlock:
         wr = self.w * rs
         below, above = self._runs(np.column_stack((wr, wr * self.xs, self.w * g, self.wx * g)))
         sr, srx, sg, sxg = above.T
-        rp = srx - t * sr - self.qp[:, :m] @ qr
+        r_pm = np.empty_like(self.norm)  # rows rp, rm
+        np.subtract(srx, t * sr, out=r_pm[0])
+        r_pm[0] -= self.qp[:, :m] @ qr
         p = sxg - t * sg
         sr, srx, _, _ = below.T
-        rm = t * sr - srx - self.qm[:, :m] @ qr
-        a = self.norm_p - self.pp
-        b = -self.pm
-        c = self.norm_m - self.mm
+        np.subtract(t * sr, srx, out=r_pm[1])
+        r_pm[1] -= self.qm[:, :m] @ qr
+        ac = self.norm - self.sq
+        (a, c), (rp, rm), b = ac, r_pm, -self.pm
         gg, gr = g @ g, g @ rs
         # each of det and num from whichever form sums smaller terms
-        lagrange = a * gg + p * p < a * c + b * b
-        det = np.where(lagrange, a * gg - p * p, a * c - b * b)
-        lagrange = np.abs(gg * rp ** 2) + np.abs(2.0 * p * rp * gr) + a * gr ** 2 \
-            < np.abs(c * rp ** 2) + np.abs(2.0 * b * rp * rm) + a * rm ** 2
-        num = np.where(lagrange, gg * rp ** 2 - 2.0 * p * rp * gr + a * gr ** 2,
-                       c * rp ** 2 - 2.0 * b * rp * rm + a * rm ** 2)
-        # a and c are differences of terms up to scale_p and scale_m in size, and
-        # num / det multiplies their relative error by ac / det
-        paired = (a > 0.0) & (c > 0.0) & (det > 1e-12 * a * c)
-        collinear = np.where(paired, det / np.where(paired, a * c, 1.0), 1.0)
-        shaky = (a * collinear <= SHAKY_REL * self.scale_p) & (self.scale_p > 0.0) \
-            | (c * collinear <= SHAKY_REL * self.scale_m) & (self.scale_m > 0.0)
-        return (a, b, c, rp, rm, self.norm_p, self.norm_m, det, num), shaky
+        ag, pp, a_c, bb = a * gg, p * p, a * c, b * b
+        lag_det = ag + pp < a_c + bb
+        det = np.where(lag_det, ag - pp, a_c - bb)
+        rp2 = rp * rp
+        l1, l2, l3 = gg * rp2, 2.0 * p * rp * gr, a * gr ** 2
+        n1, n2, n3 = c * rp2, 2.0 * b * rp * rm, a * rm ** 2
+        lag_num = np.abs(l1) + np.abs(l2) + l3 < np.abs(n1) + np.abs(n2) + n3
+        num = np.where(lag_num, l1 - l2 + l3, n1 - n2 + n3)
+        return (a, b, c, rp, rm, self.norm[0], self.norm[1], det, num), \
+            (ac, r_pm, p, gg, gr, rs, lag_det, lag_num)
+
+    def terms(self, Q, r, qr):
+        """The block's terms at every knot for the current Q and residual r;
+        qr is Q'r, r's rounding-level part in span(Q), which vp and vm lack."""
+        return self._terms(Q, r, qr)[0]
+
+    def gains(self, Q, r, qr):
+        """pair_gain of the terms at every knot, and err, a bound on how far
+        each lies from the gain the dense projections give: inf where either
+        could be non-finite or the bound cannot tell."""
+        terms, extra = self._terms(Q, r, qr)
+        a, _, c, rp, rm, norm_p, norm_m, det, num = terms
+        fast = pair_gain(a, c, rp, rm, norm_p, norm_m, det, num)
+        lo, hi = self._dense_range(terms, extra)
+        err = np.maximum(hi - fast, fast - lo)
+        return fast, np.where(np.isfinite(err), err, np.inf)
+
+    def _known_members(self, gamma):
+        """Columns with a member zero on every row or appended to the design,
+        and there: |vp|, |vm| over (2 + 2 sqrt m) gamma Up, Um (0 or 1; inf
+        where unknown), Up, Um, Ug, and pair_gain's dependence threshold on
+        a dense member at its lowest."""
+        if self._known is None:
+            j = np.flatnonzero((self.zero | self.in_span).any(0))
+            v = np.where(self.zero[:, j], 0.0, np.where(self.in_span[:, j], 1.0, np.inf))
+            mag_j = self.mag[:, j]
+            dep_lo = (DEP_TOL ** 2) * (1.0 - 4.0 * 2.0 ** -53) \
+                * (self.norm[:, j] - 3.0 * gamma * mag_j * mag_j)
+            self._known = (j, v, mag_j, self.mag_g[j], dep_lo)
+        return self._known
+
+    def _dense_range(self, terms, extra):
+        """Per knot, an interval that holds the dense gain; the bounds are
+        set out in the module docstring."""
+        ac, r_pm, _, gg, gr, rs, _, _ = extra
+        u, n, m, mag = 2.0 ** -53, len(rs), self.m, self.mag
+        gamma = ERR_SAFETY * n * u
+        k = (5.0 + 4.0 * math.sqrt(m)) * gamma
+        c_v, c_g = (2.0 + 2.0 * math.sqrt(m)) * gamma, (2.0 * m + 2.0) * gamma
+        ur, gn = math.sqrt(rs @ rs), math.sqrt(gg)
+        # A dense a (or c) and rp (or rm) lie within 2k Up^2 and 2k Up |r| of
+        # the fast one; once a is above twice that, pair_gain's dependence
+        # test passes.
+        e_ac = 2.0 * k * self.mag2
+        ac_lo, ac_hi = ac - e_ac, ac + e_ac
+        sure = ac_lo > e_ac
+        r_abs, e_r = np.abs(r_pm), 2.0 * k * ur * mag
+        s_lo = np.maximum(r_abs - e_r, 0.0)
+        s_lo = np.divide(s_lo * s_lo, ac_hi, out=np.zeros_like(ac), where=sure)
+        s_hi = r_abs + e_r
+        s_hi = np.divide(s_hi * s_hi, ac_lo, out=np.full_like(ac, np.inf), where=sure)
+        dead = self.zero
+        # However far a cancels, |vp| is 0 for a member zero on every row and
+        # at most dp = (2 + 2 sqrt m) gamma Up for one appended to the design
+        # (Gram-Schmidt leaves it that close to span(Q)), and vp - vm = g,
+        # with |g| from the block's g, passes a bound from one member to the
+        # other.  A dense member whose |vp| + dp puts its a under pair_gain's
+        # dependence threshold is dependent there too and adds nothing.
+        j, v_hi, mag_j, mag_gj, dep_lo = self._known_members(gamma)
+        if len(j):
+            v_hi = v_hi * (c_v * mag_j)
+            v_hi = np.minimum(v_hi, v_hi[::-1] + gn + c_g * mag_gj) + c_v * mag_j
+            rows, cols = np.nonzero(v_hi * v_hi * (1.0 + gamma) <= dep_lo)
+            if len(rows):
+                cols = j[cols]
+                s_lo[rows, cols] = s_hi[rows, cols] = 0.0
+                dead = dead.copy()
+                dead[rows, cols] = True
+        lo, single_hi = s_lo.max(0), s_hi.max(0)
+        # The dense det is the Gram determinant of the dense vp, vm, which lie
+        # within dp, dm of the exact ones, up to rho for its sums; the exact
+        # one is at most min(a, c) |vp - vm|^2 = min(a, c) |g|^2.  A pair
+        # whose bound from these fails pair_gain's test det > PAIR_TOL ac is
+        # collinear for the dense gain too, which is then the single one.
+        root, dpm = np.sqrt(np.abs(ac_hi)), c_v * mag
+        w = (root + dpm).prod(0) - root.prod(0)
+        e_g = c_g * self.mag_g
+        root_cap = root.min(0) * (gn + e_g)
+        cap = root_cap + w
+        cap *= cap
+        cap += (4.0 * n + 4.0) * u * ac_hi.prod(0)
+        ill = (cap <= PAIR_TOL * (1.0 - 4.0 * u) * np.maximum(ac_lo, 0.0).prod(0)) | dead.any(0)
+        hi = np.where(ill, single_hi, np.inf)
+        i = np.flatnonzero(~ill & (single_hi < np.inf))
+        if len(i):
+            pair_lo, pair_hi = self._pair_range(
+                [x[i] for x in terms], extra, i, (gamma, k, ur, gn, e_g[i]),
+                (ac_lo[:, i], ac_hi[:, i], w[i], root_cap[i]))
+            lo[i] = np.maximum(lo[i], pair_lo)
+            hi[i] = np.maximum(single_hi[i], pair_hi)
+        return lo, hi
+
+    def _pair_range(self, terms, extra, i, scales, det_bounds):
+        """For the knots i that no certificate settles, given their terms:
+        an interval for the dense pair gain num / det where det clears
+        pair_gain's collinearity test for both the fast and the dense terms,
+        [0, 0] where it fails it for both, and an unbounded one otherwise.
+        det and num of the fast terms lie within the bounds of their factors,
+        in the form each took, of the exact ones; the dense ones, always
+        ac - b^2 and c rp^2 - 2b rp rm + a rm^2, within twice those."""
+        a, b, c, rp, rm, _, _, det, num = terms
+        _, _, p, gg, gr, rs, lag_det, lag_num = extra
+        p, lag_det, lag_num = p[i], lag_det[i], lag_num[i]
+        (gamma, k, ur, gn, e_g), (ac_lo, ac_hi, w, root_cap) = scales, det_bounds
+        u, n, (up, um), ug = 2.0 ** -53, len(rs), self.mag[:, i], self.mag_g[i]
+        A, B, C = (a, k * up * up), (b, k * up * um), (c, k * um * um)
+        RP, RM = (rp, k * up * ur), (rm, k * um * ur)
+        P = (p, up * (gamma * (gn + ug) + 2.0 * e_g))
+        GG = (gg, gn * (gamma * gn + 2.0 * e_g) + e_g * e_g)
+        GR = (gr, ur * (gamma * gn + e_g))
+        d_fast = np.where(lag_det, _spread(A, GG) + _spread(P, P), _spread(A, C) + _spread(B, B)) \
+            + 3.0 * u * (np.abs(a * c) + b * b + np.abs(a * gg) + p * p)
+        n_dev = np.where(lag_num, _spread(GG, RP, RP) + 2.0 * _spread(P, RP, GR) + _spread(A, GR, GR),
+                         _spread(C, RP, RP) + 2.0 * _spread(B, RP, RM) + _spread(A, RM, RM))
+        A, B, C, RP, RM = ((x, 2.0 * e) for x, e in (A, B, C, RP, RM))
+        d_dev = d_fast + _spread(A, C) + _spread(B, B)
+        n_dev = n_dev + _spread(C, RP, RP) + 2.0 * _spread(B, RP, RM) + _spread(A, RM, RM) \
+            + 6.0 * u * (np.abs(c * rp * rp) + np.abs(2.0 * b * rp * rm) + np.abs(a * rm * rm)
+                         + np.abs(gg * rp * rp) + np.abs(2.0 * p * rp * gr) + np.abs(a * gr * gr))
+        rho = (4.0 * n + 4.0) * u * ac_hi[0] * ac_hi[1]
+        root_hi = np.minimum(np.sqrt(np.maximum(det + d_fast, 0.0)), root_cap)
+        det_hi = np.minimum(det + d_dev, (root_hi + w) ** 2 + rho)
+        det_lo = np.maximum(det - d_dev,
+                            np.maximum(np.sqrt(np.maximum(det - d_fast, 0.0)) - w, 0.0) ** 2 - rho)
+        well = det_lo > PAIR_TOL * (1.0 + 4.0 * u) * ac_hi[0] * ac_hi[1]
+        ill = det_hi <= PAIR_TOL * (1.0 - 4.0 * u) * np.maximum(ac_lo[0], 0.0) * ac_lo[1]
+        pair_lo = np.divide(np.maximum(num - n_dev, 0.0), det_hi, out=np.zeros_like(det), where=well)
+        pair_hi = np.divide(num + n_dev, det_lo, out=np.where(ill, 0.0, np.inf), where=well)
+        return pair_lo, pair_hi
+
+
+def _spread(*factors):
+    """Bound on |prod x' - prod x| over the (x, e) factors with |x' - x| <= e."""
+    hi = lo = 1.0
+    for x, e in factors:
+        x = np.abs(x)
+        hi, lo = hi * (x + e), lo * x
+    return hi - lo
+
+
+def pair_gain(a, c, rp, rm, norm_p, norm_m, det, num):
+    """Best SSE reduction from a hinge pair with the terms of
+    SweepBlock.terms: num / det, or from one member when the other is
+    dependent or the two are collinear."""
+    ok_p = a > (DEP_TOL ** 2) * norm_p
+    ok_m = c > (DEP_TOL ** 2) * norm_m
+    # single-column gains cover the degenerate cases
+    gain_p = np.where(ok_p, rp ** 2 / np.where(ok_p, a, 1.0), 0.0)
+    gain_m = np.where(ok_m, rm ** 2 / np.where(ok_m, c, 1.0), 0.0)
+    single = np.maximum(gain_p, gain_m)
+    well = ok_p & ok_m & (det > PAIR_TOL * a * c)
+    pair = num / np.where(well, det, 1.0)
+    return np.where(well, np.maximum(pair, single), single)
 
 
 class SweepCache:
@@ -161,6 +361,14 @@ class SweepCache:
 
     def __init__(self, capacity: int):
         self.capacity, self.room, self.blocks = capacity, SWEEP_CACHE_BYTES, {}
+        self.columns = []  # (key, knot, member) of every hinge appended to the design
+
+    def appended(self, key, knot, member):
+        """Note that the search appended the hinge of knot's member (0 for
+        u+, 1 for u-) of the block of key to the design."""
+        self.columns.append((key, knot, member))
+        if key in self.blocks:
+            self.blocks[key].appended(knot, member)
 
     def block(self, key, bp, x, cached, m: int) -> SweepBlock:
         """The block of key, for a parent column bp, variable x with its
@@ -169,10 +377,14 @@ class SweepCache:
         if block is None:
             order, knots, starts = cached
             size = SweepBlock.nbytes(len(x), len(knots), self.capacity)
-            if size > self.room:
-                return SweepBlock(bp, x, order, knots, starts, m)
-            self.room -= size
-            block = self.blocks[key] = SweepBlock(bp, x, order, knots, starts, self.capacity)
+            kept = size <= self.room
+            block = SweepBlock(bp, x, order, knots, starts, self.capacity if kept else m)
+            for column_key, knot, member in self.columns:
+                if column_key == key:
+                    block.appended(knot, member)
+            if kept:
+                self.room -= size
+                self.blocks[key] = block
         return block
 
 

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from forexkit import cart, data, hybrid, synth
+from forexkit.bench import ExperimentConfig
 from forexkit.cart import (CartConfig, best_split, dump_tree, evaluate_sequence,
                            grow, load_tree, prune_sequence, relative_error_curve,
                            select_min_cost)
 from forexkit.data import Dataset
+from forexkit.kinds import KINDS
 
 from oracles import ReferenceCart, brute_force_best_split, sse_of
 
@@ -329,6 +331,36 @@ class TestSelection:
         tied = [e.tree.n_leaves for e, c in zip(seq.entries, costs)
                 if c <= min(costs) + 1e-15]
         assert chosen.n_leaves == min(tied)
+
+    def test_sequence_scored_on_a_test_set_is_not_scored_again(self):
+        train, test = self._split_problem()
+        seq = prune_sequence(grow(train, CartConfig(min_node_size=5)), train)
+        scored = evaluate_sequence(seq, test)
+        assert scored.scored_on is test and seq.scored_on is None
+        assert evaluate_sequence(scored, test) is scored
+        # another test set, even with the same rows, is scored afresh
+        again = evaluate_sequence(scored, _dataset(test.features[:, 0], test.targets))
+        assert again is not scored
+        assert [e.test_cost for e in again] == [e.test_cost for e in scored]
+        assert dump_tree(select_min_cost(scored, test)) == dump_tree(select_min_cost(seq, test))
+        assert relative_error_curve(scored, test) == relative_error_curve(seq, test)
+
+    def test_cart_cell_routes_its_selection_rows_once(self, monkeypatch):
+        train, test = self._split_problem()
+        routed = []
+        route = cart._route
+
+        def counted(tree, X):
+            routed.append(len(X))
+            return route(tree, X)
+
+        monkeypatch.setattr(cart, "_route", counted)
+        cfg = ExperimentConfig(data_path="rates.csv", cart_cfg=CartConfig(min_node_size=5))
+        tree, extras = KINDS["cart"].fit(cfg, train, test, None)
+        assert routed == [test.n_rows]
+        seq = evaluate_sequence(prune_sequence(grow(train, cfg.cart_cfg), train), test)
+        assert dump_tree(tree) == dump_tree(select_min_cost(seq, test))
+        assert extras["error_curves"] == relative_error_curve(seq, test)
 
     def test_single_entry_sequence(self):
         ds = _dataset([1.0, 2.0, 3.0], [4.0, 4.0, 4.0])

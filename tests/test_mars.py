@@ -329,13 +329,31 @@ class TestExactSearch:
         assert [s for _, s in fit(train, cfg).pruning_trace[:4]] == [float("inf")] * 4
 
 
+def _shaky(x, bp, knots, Q):
+    """Knots whose dense a or c, scaled by how collinear the pair is, keep
+    at most 1e-6 of |u+|^2 or |u-|^2: their fast terms lost that share of
+    their digits to cancellation."""
+    up = np.maximum(0.0, x[:, None] - knots) * bp[:, None]
+    um = np.maximum(0.0, knots - x[:, None]) * bp[:, None]
+    vp, vm = up - Q @ (Q.T @ up), um - Q @ (Q.T @ um)
+    a, b, c = (vp * vp).sum(0), (vp * vm).sum(0), (vm * vm).sum(0)
+    norm_p, norm_m = (up * up).sum(0), (um * um).sum(0)
+    det = a * c - b * b
+    paired = (a > 0) & (c > 0) & (det > 1e-12 * a * c)
+    collinear = np.where(paired, det / np.where(paired, a * c, 1.0), 1.0)
+    return (a * collinear <= 1e-6 * norm_p) & (norm_p > 0) \
+        | (c * collinear <= 1e-6 * norm_m) & (norm_m > 0)
+
+
 class TestClosedForms:
     """The sweep blocks' running-sum terms and the drop ranker's SSEs against
     the dense projections and explicit refits they replace."""
 
     @staticmethod
     def _assert_block_matches_dense(block, bp, x, knots, Q, r):
-        terms, shaky = block.terms(Q, r, Q.T @ r)
+        """Every term near the dense one, and every fast gain within its
+        bound err of the dense gain."""
+        terms = block.terms(Q, r, Q.T @ r)
         up = np.maximum(0.0, x[:, None] - knots) * bp[:, None]
         um = np.maximum(0.0, knots - x[:, None]) * bp[:, None]
         vp, vm = up - Q @ (Q.T @ up), um - Q @ (Q.T @ um)
@@ -343,11 +361,16 @@ class TestClosedForms:
         rp, rm = vp.T @ r, vm.T @ r
         dense = (a, b, c, rp, rm, (up * up).sum(0), (um * um).sum(0),
                  a * c - b * b, c * rp ** 2 - 2 * b * rp * rm + a * rm ** 2)
+        shaky = _shaky(x, bp, knots, Q)
         assert shaky.mean() < 0.2
         for name, fast, want in zip("a b c rp rm norm_p norm_m det num".split(), terms, dense):
             np.testing.assert_allclose(fast[~shaky], want[~shaky], rtol=1e-9, err_msg=name)
             np.testing.assert_allclose(fast, want, rtol=0, atol=1e-9 * np.abs(want).max(),
                                        err_msg=name)
+        fast, err = block.gains(Q, r, Q.T @ r)
+        want = mars._pair_gains(x[:, None], bp, knots, Q, r)
+        assert np.all(np.abs(fast - want) <= err)
+        assert np.isfinite(err).mean() > 0.8
 
     @pytest.mark.parametrize("seed", range(6))
     def test_sweep_terms_match_dense_projections(self, seed):
@@ -448,3 +471,86 @@ class TestClosedForms:
                                  for v in range(3)])
         assert joined.shape == (len(cols),) and np.all(single > 0.0)
         np.testing.assert_allclose(joined, single, rtol=1e-12)
+
+
+class TestSweepBound:
+    """SweepBlock.gains bounds each fast gain's distance from the dense
+    gain, and the search re-scores only the knots whose bound reaches the
+    block's top."""
+
+    @staticmethod
+    def _watch_blocks(monkeypatch, check):
+        """Run check(x, r, qr, Q, bp, knots, block) at every many-knot block
+        of a forward pass before the block is searched."""
+        search = mars._block_gains
+
+        def watched(x, r, qr, Q, bp, knots, block):
+            check(x, r, qr, Q, bp, knots, block)
+            return search(x, r, qr, Q, bp, knots, block)
+
+        monkeypatch.setattr(mars, "_block_gains", watched)
+
+    def test_bound_holds_at_every_block_of_a_forex5_fit(self, monkeypatch):
+        """|fast - dense| <= err at every knot of every block of every step,
+        with a finite err for over nine in ten knots of each block."""
+        train, _ = _scaled_split(synth.forex5_series(7, 976), "GBP")
+        assert train.n_rows == 682
+        seen = []
+
+        def check(x, r, qr, Q, bp, knots, block):
+            fast, err = block.gains(Q, r, qr)
+            dense = mars._pair_gains(x[:, None], bp, knots, Q, r)
+            assert np.all(np.abs(fast - dense) <= err)
+            seen.append(np.isfinite(err).mean())
+
+        self._watch_blocks(monkeypatch, check)
+        forward_pass(train, MarsConfig())
+        assert len(seen) > 20 and min(seen) > 0.9
+
+    def test_shaky_winner_beside_an_inflated_shaky_knot(self, monkeypatch):
+        """x in [0, 1] and one row at 1e5, so every knot's fast terms cancel.
+        At some step the dense winner is shaky, and another shaky knot's
+        fast gain, inflated by cancellation, lies more than 1e-3 above the
+        winner's dense gain, so a band set from fast gains would drop the
+        winner.  The fit is still the reference's."""
+        rng = np.random.default_rng(4)
+        x = np.sort(rng.uniform(0, 1, 120))
+        x[-1] = 1e5
+        y = np.maximum(0, x - 0.5) * (x < 2) + 0.05 * rng.normal(size=120)
+        y[-1] = 3.0
+        train = _dataset(x, y)
+        cfg = MarsConfig(max_basis_functions=10)
+        trapped = []
+
+        def check(x, r, qr, Q, bp, knots, block):
+            fast, err = block.gains(Q, r, qr)
+            dense = mars._pair_gains(x[:, None], bp, knots, Q, r)
+            shaky = _shaky(x, bp, knots, Q)
+            win = int(np.argmax(dense))
+            inflated = shaky & (fast > (1 + 1e-3) * dense[win])
+            inflated[win] = False
+            trapped.append(bool(shaky[win] and inflated.any() and fast[win] < fast.max()))
+
+        self._watch_blocks(monkeypatch, check)
+        got = fit(train, cfg)
+        assert any(trapped)
+        want = ReferenceMars(cfg).fit(train)
+        assert mars.dump_model(got) == mars.dump_model(want)
+        assert got.forward_trace == want.forward_trace
+        assert got.pruning_trace == want.pruning_trace
+
+    def test_dense_rescores_stay_under_the_recorded_count(self, monkeypatch):
+        """The 682-row forex5 GBP forward pass scores 185 knots densely with
+        numpy 2.4 and OpenBLAS on x86-64 (1,884 when every shaky knot was
+        re-scored)."""
+        train, _ = _scaled_split(synth.forex5_series(7, 976), "GBP")
+        scored = []
+        dense = mars._pair_gains
+
+        def counted(x, bp, knots, Q, r):
+            scored.append(len(knots))
+            return dense(x, bp, knots, Q, r)
+
+        monkeypatch.setattr(mars, "_pair_gains", counted)
+        forward_pass(train, MarsConfig())
+        assert 0 < sum(scored) <= 200
