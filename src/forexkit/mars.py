@@ -13,32 +13,46 @@ the forward search resolve to the lowest parent index, then lowest variable
 index, then smallest knot; near-ties within 1e-10 relative gain count as
 ties so float noise cannot flip the deterministic choice.
 
-Search cost.  Each variable is sorted once per forward pass.  A (parent,
-variable) block then gets the gain of every knot from running sums over that
-order (Friedman 1991, Ann. Statist. 19, sec. 3.9; the search state is in
-forexkit.marsrank), where projecting all K ~ n hinge columns costs O(n K m)
-for n rows and m bases.  The block keeps its sums for the whole forward
-pass, as Q only gains columns: a step adds the sums of the new columns,
-O(n) each, and those that follow the residual, O(n + K m).  Blocks are
-kept up to marsrank.SWEEP_CACHE_BYTES; one past that rebuilds its sums
-from all of Q, O(n m), at each step.  Those fast gains only rank the knots.
-Each comes with a rounding bound on its distance from the dense gain (see
-forexkit.marsrank); the largest fast gain less its bound is a gain the block
-surely reaches, and only the knots whose fast gain plus bound comes within
-_SWEEP_REL of it are re-scored with the dense projections, so a knot whose
-fast terms lost digits to cancellation is re-scored only if it can still
-win.  The tie rule picks among the re-scored gains.  On the perfbench long
-workload that re-scores 2,142 knots a batch, not 18,367, and takes run_s
-from 1.42 to 1.23 s.  Blocks of at most _FEW_KNOTS
-knots, such as the hybrid's one-hot leaf columns, are scored densely: all
-of one parent's in a single projection.  The orthonormal basis Q of the
-design grows by one Gram-Schmidt column per added basis, not a new QR.  A
-GCV elimination ranks every drop from R of the retained columns, which
-starts as one QR of the forward design and is downdated by a QR of k x k
-size as each column goes.  A step refits exactly only the drops near the
-lowest SSE, plus the first drop when every subset of the next size scores
-inf.  So every pick, and hence every coefficient and trace, is the one that
-scoring every candidate densely gives.
+Search cost.  Each variable is sorted once per forward pass, and a step
+scores its candidates in two phases.  Phase 1 (_sweep) gives each knot of a
+parent's variables of more than _FEW_KNOTS knots a fast gain from running
+sums over the variable's order (Friedman 1991, Ann. Statist. 19, sec. 3.9;
+the search state is in forexkit.marsrank), where projecting all K ~ n hinge
+columns costs O(n K m) for n rows and m bases.  One block per parent holds
+all of those variables side by side, so a step pays numpy's per-call cost
+once per parent, not once per (parent, variable).  The block keeps its sums
+for the whole forward pass, as Q only gains columns: a step adds the sums of
+the new columns, O(n) per variable each, and those that follow the residual,
+O(n + K m).  Blocks are kept up to marsrank.SWEEP_CACHE_BYTES; one past that
+rebuilds its sums from all of Q, O(n m) per variable, at each step.  Each
+fast gain comes with a rounding bound err on its distance from the dense
+gain (see forexkit.marsrank), and the largest fast - err of the step is a
+gain some knot surely reaches.  Phase 2 (_rescored) makes one dense
+projection per parent: every knot of its few-knot variables, such as the
+hybrid's one-hot leaf columns, and the swept knots whose fast + err lies
+above that gain less _SWEEP_REL of it (above 0 when no gain is sure).  The
+members zero on every row, u- at a variable's lowest knot and u+ at its
+highest, are left out of it.  A variable with no knot above the line is not
+re-scored, and one whose re-scored gains lie outside their bounds is scored
+in full.  The tie rule picks among the dense gains.
+
+A knot under the line cannot change the pick.  Its dense gain is at most
+its fast + err, so at least _SWEEP_REL (1e-6) of the sure gain below a gain
+some knot reaches, far outside the 1e-10 tie window.  Leaving it out can
+change only a block whose gain is that far below the best; as the scan
+takes a new best only more than 1e-10 above the old, the first near-best
+block in scan order replaces any such lower best, and no block that far
+below replaces it after.  On the perfbench long workload (two variables of
+up to 682 knots on one parent per step, plus 10-19 one-hot columns in the
+hybrid) the two phases take run_s from 1.21 to 1.04 s.
+
+The orthonormal basis Q of the design grows by one Gram-Schmidt column per
+added basis, not a new QR.  A GCV elimination ranks every drop from R of
+the retained columns, which starts as one QR of the forward design and is
+downdated by a QR of k x k size as each column goes.  A step refits exactly
+only the drops near the lowest SSE, plus the first drop when every subset of
+the next size scores inf.  So every pick, and hence every coefficient and
+trace, is the one that scoring every candidate densely gives.
 """
 
 from __future__ import annotations
@@ -54,7 +68,7 @@ from .marsrank import DEP_TOL, DropRanker, SweepCache, knot_order, pair_gain
 _TIE_REL = 1e-10        # forward-search gains closer than this are tied
 _STOP_REL = 1e-12       # relative MSE reduction below this stops the forward pass
 _FEW_KNOTS = 8          # blocks with this many knots or fewer are scored densely
-_SWEEP_REL = 1e-6       # knots whose fast gain can come this close to a block's top are re-scored
+_SWEEP_REL = 1e-6       # knots whose fast gain can come this close to a step's sure gain are re-scored
 _PRUNE_REL = 1e-6       # drop-one SSEs this close to the lowest are scored exactly
 _PRUNE_FLOOR = 1e-10    # ... as are those within this share of |y|^2 of it
 
@@ -173,55 +187,70 @@ def _orthonormalize(u: np.ndarray, Q: np.ndarray):
     return v / norm_v
 
 
-def _block_gains(x, r, qr, Q, bp, knots, block):
-    """Dense gains of the knots that can win one (parent, variable) block of
-    more than _FEW_KNOTS knots, as (knots, gains) in ascending knot order.
+def _sweep(X, r, qr, Q, bases, cfg, orders, sweeps):
+    """Phase 1 of a forward step: for each parent that may take another
+    factor, (pi, bp, free variables, its SweepBlock or None, fast, err).
+    The block holds the parent's free variables of more than _FEW_KNOTS
+    knots side by side and gives each knot's fast gain and the bound err on
+    its distance from the dense gain (qr = Q'r)."""
+    swept = []
+    for pi, parent in enumerate(bases):
+        if parent.degree >= cfg.max_interaction:
+            continue
+        bp = parent.column(X)
+        free = [var for var in range(X.shape[1]) if not parent.uses(var)]
+        many = [var for var in free if len(orders[var][1]) > _FEW_KNOTS]
+        block, fast, err = None, np.empty(0), np.empty(0)
+        if many:
+            block = sweeps.block(pi, bp, X, many, orders, Q.shape[1])
+            fast, err = block.gains(Q, r, qr)
+        swept.append((pi, bp, free, block, fast, err))
+    return swept
 
-    The block's SweepBlock gives every knot a fast gain and a bound err on
-    its distance from the dense gain (qr = Q'r).  The largest fast - err is
-    a gain some knot surely reaches, and only knots whose fast + err comes
-    within _SWEEP_REL of it are re-scored with the dense projections, so the
-    winner and its gain are the dense ones.  Blocks with no surely positive
-    gain, and blocks whose re-scored gains lie outside their bounds, are
-    scored densely in full.
-    """
-    fast, err = block.gains(Q, r, qr)
-    top = float(np.max(fast - err, where=np.isfinite(err), initial=0.0))
-    if top > 0.0:
-        keep = np.flatnonzero(fast + err >= top - _SWEEP_REL * top)
-        gains = _pair_gains(x[:, None], bp, knots[keep], Q, r)
-        if np.all(np.abs(gains - fast[keep]) <= err[keep]):
-            return knots[keep], gains
-    return knots, _pair_gains(x[:, None], bp, knots, Q, r)
+
+def _rescored(X, r, Q, bp, free, orders, block, fast, err, line):
+    """Phase 2 for one parent: (var, knots, dense gains) per free variable
+    in ascending order, from one dense projection of every knot of its
+    few-knot variables and of the block's knots whose fast + err is not at
+    or under line.  A variable with no such knot is left out; one whose
+    re-scored gains lie outside their bounds is scored again in full."""
+    picked = {var: (orders[var][1], None) for var in free}
+    for var, span in zip(block.variables, block.spans) if block else ():
+        idx = span.start + np.flatnonzero(~(fast[span] + err[span] <= line))
+        picked[var] = (block.knots[idx], idx)
+    picked = [(var, *picked[var]) for var in free if len(picked[var][0])]
+    if not picked:
+        return []
+    sizes = [len(knots) for _, knots, _ in picked]
+    gains = _pair_gains(X, np.repeat([var for var, _, _ in picked], sizes), bp,
+                        np.concatenate([knots for _, knots, _ in picked]), Q, r)
+    scored = []
+    for (var, knots, idx), g in zip(picked, np.split(gains, np.cumsum(sizes)[:-1])):
+        if idx is not None and np.any(np.abs(g - fast[idx]) > err[idx]):
+            knots = orders[var][1]
+            g = _pair_gains(X, np.full(len(knots), var), bp, knots, Q, r)
+        scored.append((var, knots, g))
+    return scored
 
 
 def _best_candidate(X, r, Q, bases, cfg, orders, sweeps):
     """Scan every (parent, variable, knot) pair; return the best SSE gain.
 
     The scan order (parent, variable, ascending knot) breaks ties
-    deterministically.  A parent's blocks of _FEW_KNOTS knots or fewer are
-    scored together, by one dense projection of all their hinge columns;
-    each other block by its state in the SweepCache sweeps.
+    deterministically.  Phase 1 (_sweep) gives every swept knot a fast gain
+    and a bound; the largest fast - err over the step is a gain some knot
+    surely reaches.  Phase 2 (_rescored) scores densely, per parent, only
+    the knots whose fast + err comes within _SWEEP_REL of it, with the
+    few-knot variables, so the winner and its gain are the dense ones.
     """
-    best = (0.0, None)  # (gain, (parent_idx, var, knot))
     qr = Q.T @ r
-    for pi, parent in enumerate(bases):
-        if parent.degree >= cfg.max_interaction:
-            continue
-        bp = parent.column(X)
-        free = [var for var in range(X.shape[1]) if not parent.uses(var)]
-        few = [var for var in free if len(orders[var][1]) <= _FEW_KNOTS]
-        scored = {}
-        if few:
-            knots = [orders[var][1] for var in few]
-            sizes = [len(k) for k in knots]
-            gains = _pair_gains(X[:, np.repeat(few, sizes)], bp, np.concatenate(knots), Q, r)
-            scored = dict(zip(few, zip(knots, np.split(gains, np.cumsum(sizes)[:-1]))))
-        for var in free:
-            if var not in scored:
-                block = sweeps.block((pi, var), bp, X[:, var], orders[var], Q.shape[1])
-                scored[var] = _block_gains(X[:, var], r, qr, Q, bp, orders[var][1], block)
-            knots, gains = scored[var]
+    swept = _sweep(X, r, qr, Q, bases, cfg, orders, sweeps)
+    sure = max((float(np.max(fast - err, where=np.isfinite(err), initial=0.0))
+                for *_, fast, err in swept), default=0.0)
+    line = sure - _SWEEP_REL * sure
+    best = (0.0, None)  # (gain, (parent_idx, var, knot))
+    for pi, bp, free, block, fast, err in swept:
+        for var, knots, gains in _rescored(X, r, Q, bp, free, orders, block, fast, err, line):
             top = float(gains.max())
             if top <= 0.0:
                 continue
@@ -234,21 +263,31 @@ def _best_candidate(X, r, Q, bases, cfg, orders, sweeps):
     return best
 
 
-def _pair_gains(x, bp, knots, Q, r):
+def _pair_gains(X, cols, bp, knots, Q, r):
     """SSE reduction from adding each hinge pair bp*(x - t)+, bp*(t - x)+,
-    vectorized over the knots t by dense projections onto span(Q).  Column j
-    of the (n, K) or (n, 1) matrix x is the variable that knot j splits."""
-    up = np.maximum(0.0, x - knots) * bp[:, None]
-    um = np.maximum(0.0, knots - x) * bp[:, None]
-    vp = up - Q @ (Q.T @ up)
-    vm = um - Q @ (Q.T @ um)
-    a = np.einsum("ij,ij->j", vp, vp)
-    b = np.einsum("ij,ij->j", vp, vm)
-    c = np.einsum("ij,ij->j", vm, vm)
-    rp = vp.T @ r
-    rm = vm.T @ r
-    norm_p = np.einsum("ij,ij->j", up, up)
-    norm_m = np.einsum("ij,ij->j", um, um)
+    vectorized over the knots t, where knot j splits column cols[j] of X,
+    by one dense projection onto span(Q) of the pairs' members.  A member
+    zero on every row, u- at its variable's lowest knot or u+ at its
+    highest, adds nothing and is left out."""
+    k = len(knots)
+    plus = np.flatnonzero(knots < X.max(0)[cols])
+    minus = np.flatnonzero(knots > X.min(0)[cols])
+    split = len(plus)
+    u = X[:, np.concatenate((cols[plus], cols[minus]))]
+    u[:, :split] -= knots[plus]
+    np.subtract(knots[minus], u[:, split:], out=u[:, split:])
+    np.maximum(u, 0.0, out=u)
+    u *= bp[:, None]
+    norm = np.einsum("ij,ij->j", u, u)
+    u -= Q @ (Q.T @ u)
+    sq, ru = np.einsum("ij,ij->j", u, u), u.T @ r
+    terms = np.zeros((7, k))  # a, c, rp, rm, |u+|^2, |u-|^2, b
+    a, c, rp, rm, norm_p, norm_m, b = terms
+    a[plus], rp[plus], norm_p[plus] = sq[:split], ru[:split], norm[:split]
+    c[minus], rm[minus], norm_m[minus] = sq[split:], ru[split:], norm[split:]
+    both = np.intersect1d(plus, minus, assume_unique=True)
+    b[both] = np.einsum("ij,ij->j", u[:, np.searchsorted(plus, both)],
+                        u[:, split + np.searchsorted(minus, both)])
     return pair_gain(a, c, rp, rm, norm_p, norm_m, a * c - b * b,
                      c * rp ** 2 - 2.0 * b * rp * rm + a * rm ** 2)
 
@@ -286,7 +325,7 @@ def forward_pass(train: Dataset, cfg: MarsConfig) -> MarsModel:
             if v is None:
                 continue  # drop the linearly dependent member of the pair
             bases.append(HingeBasis(parent.factors + (Hinge(var, knot, direction),)))
-            sweeps.appended((pi, var), knot, int(direction == NEGATIVE))
+            sweeps.appended(pi, var, knot, int(direction == NEGATIVE))
             B = np.column_stack([B, u])
             Q = np.column_stack([Q, v])
             added = True

@@ -1,10 +1,12 @@
 """Search state that ranks MARS candidates without refitting them.
 
-A ``SweepBlock`` holds the running sums of one (parent, variable) block of
-the forward search and gives the projection terms of a hinge pair at every
-knot of the variable.  Q only gains columns between forward steps, and the
-parent column and the variable's sort order never change, so a block adds
-the sums of Q's new columns to those it holds instead of rebuilding them.
+A ``SweepBlock`` holds the running sums of one parent's swept variables in
+the forward search, side by side, and gives the projection terms of a hinge
+pair at every knot of each, in one call per step for all of them: the first
+of the search's two phases.  Q only gains columns between forward steps,
+and the parent column and each variable's sort order never change, so a
+block adds the sums of Q's new columns to those it holds instead of
+rebuilding them.
 A ``DropRanker`` holds R and Q'y of the retained columns of a pruning design
 and gives the SSE after dropping each column; dropping one downdates R by a
 QR of the k x (k - 1) R that is left.  ``forexkit.mars`` ranks candidates
@@ -74,7 +76,8 @@ def knot_order(X):
 
 class SweepBlock:
     """Projection terms of the hinge pair u+ = bp*(x - t)+, u- = bp*(t - x)+
-    at every knot t at once, from running sums over the sorted order of x.
+    at every knot t of one or more variables x of one parent bp at once,
+    from running sums over each variable's sorted order.
 
     vp, vm are u+, u- less their projections onto span(Q).  ``terms`` returns
     (a, b, c, rp, rm, |u+|^2, |u-|^2, det, num) with a = |vp|^2, b = vp.vm,
@@ -82,13 +85,17 @@ class SweepBlock:
     2b rp rm + a rm^2; ``gains`` returns pair_gain of them and a bound on
     how far each lies from the dense gain (see the module docstring).  bp
     must lie in span(Q), as every parent basis does, and Q may only gain
-    columns between calls.
+    columns between calls.  The variables' knots lie side by side in that
+    order, variable j's at ``spans[j]``.  Each variable keeps its own sort
+    order, tie runs, running sums and g, so its terms and bounds are those
+    of a block of it alone, but for the order BLAS sums qp'(Q'r) in; one
+    call serves them all.
 
     Over the rows above t, Q'u+ = S(bp x Q) - t S(bp Q), |u+|^2 and u+.r are
     quadratic and linear in t, and the rows below t give u- alike: O(n m)
-    per block instead of O(n K m) for the dense projections.  The block keeps
-    those sums of Q's columns, qp = Q'u+ and qm = Q'u- (k x capacity), and
-    the row sums |qp|^2, qp.qm and |qm|^2, so a call costs O(n) per new
+    per variable instead of O(n K m) for the dense projections.  The block
+    keeps those sums of Q's columns, qp = Q'u+ and qm = Q'u- (k x capacity),
+    and the row sums |qp|^2, qp.qm and |qm|^2, so a call costs O(n) per new
     column of Q, O(n) for the sums that follow r, and O(k m) for qp'(Q'r)
     and qm'(Q'r).  As bp is in span(Q), vp - vm = g, the part of bp*x off
     span(Q), for every t, so det and num follow from the Lagrange identity
@@ -97,12 +104,27 @@ class SweepBlock:
     pair is collinear.
     """
 
-    def __init__(self, bp, x, order, knots, starts, capacity):
-        mid = knots[len(knots) // 2]  # centring keeps the quadratics in t small
-        self.order, self.t = order, knots - mid
-        self.starts = starts if len(knots) < len(x) else None
-        self.w = bp[order]
-        self.xs = x[order] - mid
+    def __init__(self, bp, X, variables, orders, capacity):
+        n = X.shape[0]
+        self.variables = list(variables)  # columns of X, with knot_order entries orders[var]
+        cached = [orders[var] for var in self.variables]
+        knots = [k for _, k, _ in cached]
+        mids = [k[len(k) // 2] for k in knots]  # centring keeps the quadratics in t small
+        sizes = [len(k) for k in knots]
+        ends = np.cumsum(sizes).tolist()
+        self.spans = [slice(e - s, e) for s, e in zip(sizes, ends)]
+        self.rows = [slice(j * n, (j + 1) * n) for j in range(len(sizes))]
+        self.n, self.sizes = n, sizes
+        self.order = np.concatenate([o for o, _, _ in cached])
+        self.t = np.concatenate([k - mid for k, mid in zip(knots, mids)])
+        # each knot's run of equal x: its first row and the row past it, as
+        # rows of its variable's n + 1 running sums in _runs
+        self.first = np.concatenate([s + j * (n + 1) for j, (_, _, s) in enumerate(cached)])
+        self.past = np.concatenate([np.append(s[1:], n) + j * (n + 1)
+                                    for j, (_, _, s) in enumerate(cached)])
+        self.w = bp[self.order]
+        self.xs = np.concatenate([X[o, var] - mid for (o, _, _), var, mid
+                                  in zip(cached, self.variables, mids)])
         self.wx = self.w * self.xs
         self.g = self.wx.copy()  # bp*x, projected off each column of Q as it comes
         below, above = self._runs(np.column_stack(
@@ -114,38 +136,43 @@ class SweepBlock:
         self.norm = np.stack((a2 - 2.0 * t * a1 + t * t * a0, t * t * b0 - 2.0 * t * b1 + b2))
         self.mag = np.stack((np.sqrt(a2) + at * np.sqrt(a0), np.sqrt(b2) + at * np.sqrt(b0)))
         self.mag2 = self.mag * self.mag
-        self.mag_g = np.sqrt(self.wx @ self.wx) + at * np.sqrt(self.w @ self.w)  # >= |bp (x - t)|
-        self.knots, self.zero = knots, self.mag == 0.0  # a member zero on every row
+        # >= |bp (x - t)|
+        self.mag_g = np.sqrt(self._dots(self.wx, self.wx)) + at * np.sqrt(self._dots(self.w, self.w))
+        self.knots, self.zero = np.concatenate(knots), self.mag == 0.0  # a member zero on every row
         self.in_span = np.zeros_like(self.zero)  # members the search made columns of B
         self._known = None  # _dense_range's columns of zero or appended members
-        k = len(knots)
+        k = len(self.t)
         self.qp, self.qm = np.empty((k, capacity)), np.empty((k, capacity))
         self.sq, self.pm = np.zeros((2, k)), np.zeros(k)  # rows |qp|^2, |qm|^2
         self.m = 0
 
     @staticmethod
     def nbytes(n_rows: int, n_knots: int, capacity: int) -> int:
-        """Bytes a block of this shape holds."""
+        """Bytes a block of n_rows sorted rows (n per variable) and n_knots
+        knots holds."""
         return 8 * (5 * n_rows + (2 * capacity + 11) * n_knots)
 
-    def _runs(self, cols):
-        """Column sums over the rows below and above each knot: one row of
-        sums per run of equal x, then running sums up and down."""
-        if self.starts is not None:  # ties
-            cols = np.add.reduceat(cols, self.starts, axis=0)
-        k = len(self.t)
-        below = np.empty((k + 1, cols.shape[1]))  # below[j]: sum of runs < j
-        below[0] = 0.0
-        np.cumsum(cols, axis=0, out=below[1:])
-        above = np.empty_like(below)              # above[j]: sum of runs >= j
-        above[k] = 0.0
-        np.cumsum(cols[::-1], axis=0, out=above[k - 1::-1])
-        return below[:-1], above[1:]
+    def _dots(self, x, y):
+        """Each variable's x.y over its own rows, at each of its knots."""
+        return np.repeat([x[rows] @ y[rows] for rows in self.rows], self.sizes)
 
-    def appended(self, knot, member):
-        """Note that the hinge of knot's member (0 for u+, 1 for u-) became
-        a column of the design, so it lies in span(Q) up to rounding."""
-        self.in_span[member, np.searchsorted(self.knots, knot)] = True
+    def _runs(self, cols):
+        """Column sums over the rows of each knot's variable below and
+        above its run of equal x, from running sums up and down the
+        variable's sorted rows."""
+        c = cols.shape[1]
+        cols = cols.reshape(len(self.rows), self.n, c)
+        below, above = np.zeros((2, len(self.rows), self.n + 1, c))
+        np.cumsum(cols, axis=1, out=below[:, 1:])           # rows < i
+        np.cumsum(cols[:, ::-1], axis=1, out=above[:, -2::-1])  # rows >= i
+        return below.reshape(-1, c)[self.first], above.reshape(-1, c)[self.past]
+
+    def appended(self, var, knot, member):
+        """Note that the hinge of variable var's knot's member (0 for u+, 1
+        for u-) became a column of the design, so it lies in span(Q) up to
+        rounding."""
+        s = self.spans[self.variables.index(var)]
+        self.in_span[member, s.start + np.searchsorted(self.knots[s], knot)] = True
         self._known = None
 
     def _advance(self, Q):
@@ -153,7 +180,9 @@ class SweepBlock:
         m0, m = self.m, Q.shape[1]
         d = m - m0
         qs = Q[self.order, m0:]
-        self.g -= qs @ (qs.T @ self.g)
+        for rows in self.rows:
+            q = qs[rows]
+            self.g[rows] -= q @ (q.T @ self.g[rows])
         below, above = self._runs(np.hstack((self.w[:, None] * qs, self.wx[:, None] * qs)))
         t = self.t[:, None]
         qp = self.qp[:, m0:m]  # S(bp x Q) - t S(bp Q)
@@ -169,7 +198,7 @@ class SweepBlock:
 
     def _terms(self, Q, r, qr):
         """The terms, and for gains: rows (a, c) and (rp, rm), p, |g|^2, g.r,
-        r in sorted order and which of det and num took the Lagrange form."""
+        |r|^2 and which of det and num took the Lagrange form."""
         if Q.shape[1] > self.m:
             self._advance(Q)
         m, t, g = self.m, self.t, self.g
@@ -186,7 +215,7 @@ class SweepBlock:
         r_pm[1] -= self.qm[:, :m] @ qr
         ac = self.norm - self.sq
         (a, c), (rp, rm), b = ac, r_pm, -self.pm
-        gg, gr = g @ g, g @ rs
+        gg, gr = self._dots(g, g), self._dots(g, rs)
         # each of det and num from whichever form sums smaller terms
         ag, pp, a_c, bb = a * gg, p * p, a * c, b * b
         lag_det = ag + pp < a_c + bb
@@ -197,7 +226,7 @@ class SweepBlock:
         lag_num = np.abs(l1) + np.abs(l2) + l3 < np.abs(n1) + np.abs(n2) + n3
         num = np.where(lag_num, l1 - l2 + l3, n1 - n2 + n3)
         return (a, b, c, rp, rm, self.norm[0], self.norm[1], det, num), \
-            (ac, r_pm, p, gg, gr, rs, lag_det, lag_num)
+            (ac, r_pm, p, gg, gr, self._dots(rs, rs), lag_det, lag_num)
 
     def terms(self, Q, r, qr):
         """The block's terms at every knot for the current Q and residual r;
@@ -232,12 +261,12 @@ class SweepBlock:
     def _dense_range(self, terms, extra):
         """Per knot, an interval that holds the dense gain; the bounds are
         set out in the module docstring."""
-        ac, r_pm, _, gg, gr, rs, _, _ = extra
-        u, n, m, mag = 2.0 ** -53, len(rs), self.m, self.mag
+        ac, r_pm, _, gg, _, rr, _, _ = extra
+        u, n, m, mag = 2.0 ** -53, self.n, self.m, self.mag
         gamma = ERR_SAFETY * n * u
         k = (5.0 + 4.0 * math.sqrt(m)) * gamma
         c_v, c_g = (2.0 + 2.0 * math.sqrt(m)) * gamma, (2.0 * m + 2.0) * gamma
-        ur, gn = math.sqrt(rs @ rs), math.sqrt(gg)
+        ur, gn = np.sqrt(rr), np.sqrt(gg)  # |r| and |g| of each knot's variable
         # A dense a (or c) and rp (or rm) lie within 2k Up^2 and 2k Up |r| of
         # the fast one; once a is above twice that, pair_gain's dependence
         # test passes.
@@ -259,7 +288,7 @@ class SweepBlock:
         j, v_hi, mag_j, mag_gj, dep_lo = self._known_members(gamma)
         if len(j):
             v_hi = v_hi * (c_v * mag_j)
-            v_hi = np.minimum(v_hi, v_hi[::-1] + gn + c_g * mag_gj) + c_v * mag_j
+            v_hi = np.minimum(v_hi, v_hi[::-1] + gn[j] + c_g * mag_gj) + c_v * mag_j
             rows, cols = np.nonzero(v_hi * v_hi * (1.0 + gamma) <= dep_lo)
             if len(rows):
                 cols = j[cols]
@@ -284,7 +313,7 @@ class SweepBlock:
         i = np.flatnonzero(~ill & (single_hi < np.inf))
         if len(i):
             pair_lo, pair_hi = self._pair_range(
-                [x[i] for x in terms], extra, i, (gamma, k, ur, gn, e_g[i]),
+                [x[i] for x in terms], extra, i, (gamma, k, ur[i], gn[i], e_g[i]),
                 (ac_lo[:, i], ac_hi[:, i], w[i], root_cap[i]))
             lo[i] = np.maximum(lo[i], pair_lo)
             hi[i] = np.maximum(single_hi[i], pair_hi)
@@ -299,10 +328,10 @@ class SweepBlock:
         in the form each took, of the exact ones; the dense ones, always
         ac - b^2 and c rp^2 - 2b rp rm + a rm^2, within twice those."""
         a, b, c, rp, rm, _, _, det, num = terms
-        _, _, p, gg, gr, rs, lag_det, lag_num = extra
-        p, lag_det, lag_num = p[i], lag_det[i], lag_num[i]
+        _, _, p, gg, gr, _, lag_det, lag_num = extra
+        p, gg, gr, lag_det, lag_num = p[i], gg[i], gr[i], lag_det[i], lag_num[i]
         (gamma, k, ur, gn, e_g), (ac_lo, ac_hi, w, root_cap) = scales, det_bounds
-        u, n, (up, um), ug = 2.0 ** -53, len(rs), self.mag[:, i], self.mag_g[i]
+        u, n, (up, um), ug = 2.0 ** -53, self.n, self.mag[:, i], self.mag_g[i]
         A, B, C = (a, k * up * up), (b, k * up * um), (c, k * um * um)
         RP, RM = (rp, k * up * ur), (rm, k * um * ur)
         P = (p, up * (gamma * (gn + ug) + 2.0 * e_g))
@@ -354,34 +383,35 @@ def pair_gain(a, c, rp, rm, norm_p, norm_m, det, num):
 
 
 class SweepCache:
-    """One forward pass's sweep blocks by (parent, variable), made on first
-    use.  A block is kept while the blocks' total stays within
-    SWEEP_CACHE_BYTES; a block past that is made afresh from all of Q at
-    each step, and dropped after it."""
+    """One forward pass's sweep blocks by parent, made on first use, each
+    over the parent's variables that the search sweeps.  A block is kept
+    while the blocks' total stays within SWEEP_CACHE_BYTES; a block past
+    that is made afresh from all of Q at each step, and dropped after it."""
 
     def __init__(self, capacity: int):
         self.capacity, self.room, self.blocks = capacity, SWEEP_CACHE_BYTES, {}
-        self.columns = []  # (key, knot, member) of every hinge appended to the design
+        self.columns = []  # (key, var, knot, member) of every hinge appended to the design
 
-    def appended(self, key, knot, member):
-        """Note that the search appended the hinge of knot's member (0 for
-        u+, 1 for u-) of the block of key to the design."""
-        self.columns.append((key, knot, member))
-        if key in self.blocks:
-            self.blocks[key].appended(knot, member)
+    def appended(self, key, var, knot, member):
+        """Note that the search appended the hinge of variable var's knot's
+        member (0 for u+, 1 for u-) on the parent of key to the design."""
+        self.columns.append((key, var, knot, member))
+        block = self.blocks.get(key)
+        if block is not None and var in block.variables:
+            block.appended(var, knot, member)
 
-    def block(self, key, bp, x, cached, m: int) -> SweepBlock:
-        """The block of key, for a parent column bp, variable x with its
-        knot_order entry, and a Q of m columns."""
+    def block(self, key, bp, X, variables, orders, m: int) -> SweepBlock:
+        """The block of key, for a parent column bp and the given columns of
+        X with their knot_order entries orders, and a Q of m columns."""
         block = self.blocks.get(key)
         if block is None:
-            order, knots, starts = cached
-            size = SweepBlock.nbytes(len(x), len(knots), self.capacity)
+            size = SweepBlock.nbytes(len(X) * len(variables),
+                                     sum(len(orders[var][1]) for var in variables), self.capacity)
             kept = size <= self.room
-            block = SweepBlock(bp, x, order, knots, starts, self.capacity if kept else m)
-            for column_key, knot, member in self.columns:
-                if column_key == key:
-                    block.appended(knot, member)
+            block = SweepBlock(bp, X, variables, orders, self.capacity if kept else m)
+            for column_key, var, knot, member in self.columns:
+                if column_key == key and var in block.variables:
+                    block.appended(var, knot, member)
             if kept:
                 self.room -= size
                 self.blocks[key] = block

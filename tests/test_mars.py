@@ -329,6 +329,11 @@ class TestExactSearch:
         assert [s for _, s in fit(train, cfg).pruning_trace[:4]] == [float("inf")] * 4
 
 
+def _dense(x, bp, knots, Q, r):
+    """The dense gains of one variable x's knots."""
+    return mars._pair_gains(x[:, None], np.zeros(len(knots), int), bp, knots, Q, r)
+
+
 def _shaky(x, bp, knots, Q):
     """Knots whose dense a or c, scaled by how collinear the pair is, keep
     at most 1e-6 of |u+|^2 or |u-|^2: their fast terms lost that share of
@@ -368,7 +373,7 @@ class TestClosedForms:
             np.testing.assert_allclose(fast, want, rtol=0, atol=1e-9 * np.abs(want).max(),
                                        err_msg=name)
         fast, err = block.gains(Q, r, Q.T @ r)
-        want = mars._pair_gains(x[:, None], bp, knots, Q, r)
+        want = _dense(x, bp, knots, Q, r)
         assert np.all(np.abs(fast - want) <= err)
         assert np.isfinite(err).mean() > 0.8
 
@@ -382,9 +387,9 @@ class TestClosedForms:
         Q, _ = np.linalg.qr(np.column_stack([bp, rng.normal(size=(n, m - 1))]))
         x = np.round(rng.uniform(0, 1, n), 2)  # ties
         r = rng.normal(size=n)  # need not be orthogonal to Q
-        (order, knots, starts), = marsrank.knot_order(x[:, None])
-        block = marsrank.SweepBlock(bp, x, order, knots, starts, m)
-        self._assert_block_matches_dense(block, bp, x, knots, Q, r)
+        orders = marsrank.knot_order(x[:, None])
+        block = marsrank.SweepBlock(bp, x[:, None], [0], orders, m)
+        self._assert_block_matches_dense(block, bp, x, orders[0][1], Q, r)
 
     def test_sweep_block_tracks_appended_columns(self):
         """One block kept while Q gains eleven columns, one or two at a time,
@@ -394,12 +399,42 @@ class TestClosedForms:
         bp = np.maximum(0.0, rng.uniform(0, 1, n) - 0.3)  # non-constant parent
         Q, _ = np.linalg.qr(np.column_stack([bp, rng.normal(size=(n, 11))]))
         x = np.round(rng.uniform(0, 1, n), 2)  # ties
-        (order, knots, starts), = marsrank.knot_order(x[:, None])
-        block = marsrank.SweepBlock(bp, x, order, knots, starts, 12)
+        orders = marsrank.knot_order(x[:, None])
+        block = marsrank.SweepBlock(bp, x[:, None], [0], orders, 12)
         for m in (1, 3, 5, 6, 8, 10, 11, 12):
             r = rng.normal(size=n)
-            self._assert_block_matches_dense(block, bp, x, knots, Q[:, :m], r)
+            self._assert_block_matches_dense(block, bp, x, orders[0][1], Q[:, :m], r)
             assert block.m == m
+
+    def test_stacked_block_matches_single_variable_blocks(self):
+        """A block over three variables of 160, 79 and 11 knots, the last two
+        with ties, gives each variable the terms and bounds of a block of it
+        alone, as Q grows and the search appends some of its hinges."""
+        rng = np.random.default_rng(13)
+        n = 160
+        X = np.column_stack([rng.uniform(0, 1, n), np.round(rng.uniform(0, 1, n), 2),
+                             np.round(rng.uniform(0, 1, n), 1)])
+        bp = np.maximum(0.0, rng.uniform(0, 1, n) - 0.3)
+        Q, _ = np.linalg.qr(np.column_stack([bp, rng.normal(size=(n, 7))]))
+        orders = marsrank.knot_order(X)
+        assert len({len(k) for _, k, _ in orders}) == 3
+        stacked = marsrank.SweepBlock(bp, X, [0, 1, 2], orders, 8)
+        single = [marsrank.SweepBlock(bp, X, [v], orders, 8) for v in range(3)]
+        for m in (1, 4, 8):
+            if m == 8:  # hinges that became columns of the design
+                for v, (_, knots, _) in enumerate(orders):
+                    stacked.appended(v, knots[3], v % 2)
+                    single[v].appended(v, knots[3], v % 2)
+            r = rng.normal(size=n)
+            qr = Q[:, :m].T @ r
+            terms = stacked.terms(Q[:, :m], r, qr)
+            gains = stacked.gains(Q[:, :m], r, qr)
+            for v, block in enumerate(single):
+                span = stacked.spans[v]
+                for got, want in zip(terms, block.terms(Q[:, :m], r, qr)):
+                    np.testing.assert_allclose(got[span], want, rtol=1e-9)
+                for got, want in zip(gains, block.gains(Q[:, :m], r, qr)):
+                    np.testing.assert_allclose(got[span], want, rtol=1e-9)
 
     @staticmethod
     def _refit_sse(B, y):
@@ -453,42 +488,59 @@ class TestClosedForms:
         np.testing.assert_allclose(ranker.drop_one_sse(), want, rtol=1e-9)
 
     def test_pair_gains_of_joined_blocks_match_single_blocks(self):
-        """One projection of several few-knot blocks side by side gives each
-        block's gains as scoring it alone does."""
+        """One projection of several blocks side by side gives each block's
+        gains as scoring it alone does, and as the reference's projection
+        of both members at every knot does.  The blocks: a binary column,
+        ties, three levels, a one-hot leaf column and a block of all the
+        knots of a continuous column, whose end knots sit at its extremes,
+        so one member there is zero on every row and is left out."""
         rng = np.random.default_rng(5)
         n = 120
+        z = rng.uniform(0, 1, n)
         X = np.column_stack([(rng.uniform(size=n) < 0.3).astype(float),
                              np.round(rng.uniform(0, 1, n), 1),
-                             rng.integers(0, 3, n).astype(float)])
+                             rng.integers(0, 3, n).astype(float),
+                             ((z > 0.2) & (z <= 0.6)).astype(float),
+                             rng.uniform(-1, 1, n)])
         bp = np.maximum(0.0, rng.uniform(0, 1, n) - 0.3)
         Q, _ = np.linalg.qr(np.column_stack([np.ones(n), bp, rng.normal(size=(n, 2))]))
         r = rng.normal(size=n)
         r -= Q @ (Q.T @ r)
-        knots = [np.unique(X[:, v]) for v in range(3)]
-        cols = np.repeat(np.arange(3), [len(k) for k in knots])
-        joined = mars._pair_gains(X[:, cols], bp, np.concatenate(knots), Q, r)
-        single = np.concatenate([mars._pair_gains(X[:, [v]], bp, knots[v], Q, r)
-                                 for v in range(3)])
+        knots = [np.unique(X[:, v]) for v in range(5)]
+        cols = np.repeat(np.arange(5), [len(k) for k in knots])
+        joined = mars._pair_gains(X, cols, bp, np.concatenate(knots), Q, r)
+        single = np.concatenate([_dense(X[:, v], bp, knots[v], Q, r) for v in range(5)])
+        reference = ReferenceMars(MarsConfig())
+        want = np.concatenate([reference._pair_gains(
+            np.maximum(0.0, X[:, [v]] - knots[v]) * bp[:, None],
+            np.maximum(0.0, knots[v] - X[:, [v]]) * bp[:, None], Q, r) for v in range(5)])
         assert joined.shape == (len(cols),) and np.all(single > 0.0)
         np.testing.assert_allclose(joined, single, rtol=1e-12)
+        np.testing.assert_allclose(joined, want, rtol=1e-12)
 
 
 class TestSweepBound:
     """SweepBlock.gains bounds each fast gain's distance from the dense
     gain, and the search re-scores only the knots whose bound reaches the
-    block's top."""
+    step's surely reached gain."""
 
     @staticmethod
     def _watch_blocks(monkeypatch, check):
-        """Run check(x, r, qr, Q, bp, knots, block) at every many-knot block
-        of a forward pass before the block is searched."""
-        search = mars._block_gains
+        """Run check(x, r, Q, bp, knots, fast, err) at every many-knot
+        variable of every parent's sweep block at each step of a forward
+        pass, before the step is searched."""
+        sweep = mars._sweep
 
-        def watched(x, r, qr, Q, bp, knots, block):
-            check(x, r, qr, Q, bp, knots, block)
-            return search(x, r, qr, Q, bp, knots, block)
+        def watched(X, r, qr, Q, bases, cfg, orders, sweeps):
+            swept = sweep(X, r, qr, Q, bases, cfg, orders, sweeps)
+            for _, bp, _, block, fast, err in swept:
+                if block is None:
+                    continue
+                for var, span in zip(block.variables, block.spans):
+                    check(X[:, var], r, Q, bp, block.knots[span], fast[span], err[span])
+            return swept
 
-        monkeypatch.setattr(mars, "_block_gains", watched)
+        monkeypatch.setattr(mars, "_sweep", watched)
 
     def test_bound_holds_at_every_block_of_a_forex5_fit(self, monkeypatch):
         """|fast - dense| <= err at every knot of every block of every step,
@@ -497,9 +549,8 @@ class TestSweepBound:
         assert train.n_rows == 682
         seen = []
 
-        def check(x, r, qr, Q, bp, knots, block):
-            fast, err = block.gains(Q, r, qr)
-            dense = mars._pair_gains(x[:, None], bp, knots, Q, r)
+        def check(x, r, Q, bp, knots, fast, err):
+            dense = _dense(x, bp, knots, Q, r)
             assert np.all(np.abs(fast - dense) <= err)
             seen.append(np.isfinite(err).mean())
 
@@ -522,9 +573,8 @@ class TestSweepBound:
         cfg = MarsConfig(max_basis_functions=10)
         trapped = []
 
-        def check(x, r, qr, Q, bp, knots, block):
-            fast, err = block.gains(Q, r, qr)
-            dense = mars._pair_gains(x[:, None], bp, knots, Q, r)
+        def check(x, r, Q, bp, knots, fast, err):
+            dense = _dense(x, bp, knots, Q, r)
             shaky = _shaky(x, bp, knots, Q)
             win = int(np.argmax(dense))
             inflated = shaky & (fast > (1 + 1e-3) * dense[win])
@@ -539,18 +589,31 @@ class TestSweepBound:
         assert got.forward_trace == want.forward_trace
         assert got.pruning_trace == want.pruning_trace
 
-    def test_dense_rescores_stay_under_the_recorded_count(self, monkeypatch):
-        """The 682-row forex5 GBP forward pass scores 185 knots densely with
-        numpy 2.4 and OpenBLAS on x86-64 (1,884 when every shaky knot was
-        re-scored)."""
-        train, _ = _scaled_split(synth.forex5_series(7, 976), "GBP")
+    @staticmethod
+    def _dense_count(monkeypatch, train, cfg):
+        """Knots a forward pass scores densely."""
         scored = []
         dense = mars._pair_gains
 
-        def counted(x, bp, knots, Q, r):
+        def counted(X, cols, bp, knots, Q, r):
             scored.append(len(knots))
-            return dense(x, bp, knots, Q, r)
+            return dense(X, cols, bp, knots, Q, r)
 
         monkeypatch.setattr(mars, "_pair_gains", counted)
-        forward_pass(train, MarsConfig())
-        assert 0 < sum(scored) <= 200
+        forward_pass(train, cfg)
+        return sum(scored)
+
+    def test_dense_rescores_stay_under_the_recorded_count(self, monkeypatch):
+        """The 682-row forex5 GBP forward pass scores 158 knots densely with
+        numpy 2.4 and OpenBLAS on x86-64 (185 with a line per block, 1,884
+        when every shaky knot was re-scored)."""
+        train, _ = _scaled_split(synth.forex5_series(7, 976), "GBP")
+        assert 0 < self._dense_count(monkeypatch, train, MarsConfig()) <= 170
+
+    def test_interaction_rescores_stay_under_the_recorded_count(self, monkeypatch):
+        """The 682-row forex5 GBP mp5 interaction-2 forward pass, whose
+        steps sweep up to nine parents over six variables, scores 86 knots
+        densely with numpy 2.4 and OpenBLAS on x86-64 (1,332 with a line
+        per block)."""
+        train, _ = _scaled_split(synth.forex5_series(7, 976), "GBP", "mp5")
+        assert 0 < self._dense_count(monkeypatch, train, MarsConfig(max_interaction=2)) <= 100
