@@ -23,8 +23,9 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import anfis, cart, charts, mars
-from .data import (FeatureSpec, apply_scaler, build_supervised, fit_scaler, load_csv,
-                   rmse, split)
+from .data import (RECIPES, FeatureSpec, apply_scaler, build_supervised, fit_scaler,
+                   load_csv, rmse, split)
+from .hybrid import ENCODINGS
 from .kinds import KINDS
 
 MODELS = tuple(KINDS)
@@ -86,6 +87,18 @@ class ExperimentConfig:
         if any(units < 1 for units in self.mlp_hidden):
             raise ValueError(f"[mlp] hidden = {' '.join(map(str, self.mlp_hidden))}: "
                              "every hidden layer needs >= 1 unit")
+        for model in MODELS:
+            if self.recipe_for(model) not in RECIPES:
+                raise ValueError(f"[{model}] recipe = {self.recipe_for(model)}: "
+                                 f"must be one of {' '.join(RECIPES)}")
+        if self.hybrid_encoding not in ENCODINGS:
+            raise ValueError(f"[hybrid] encoding = {self.hybrid_encoding}: "
+                             f"must be one of {' '.join(ENCODINGS)}")
+        for key, names, what in (("[models] enabled", self.models, "model"),
+                                 ("[data] currencies", self.currencies or (), "currency code")):
+            repeated = [name for i, name in enumerate(names) if name in names[:i]]
+            if repeated:
+                raise ValueError(f"{key} = {' '.join(names)}: duplicate {what} {repeated[0]!r}")
 
     def recipe_for(self, model: str) -> str:
         return getattr(self, f"{model}_recipe")

@@ -3,8 +3,14 @@
 Growth: exhaustive best-split search (thresholds at midpoints between
 consecutive distinct sorted values, split accepted only when both children
 keep ``min_node_size`` rows and the SSE reduction is strictly positive),
-recursing until no node admits a split.  Every node, internal or terminal,
-carries the mean of the training targets that reach it.
+until no node admits a split.  The tree grows one level at a time from one
+stable sort per variable: at each level a stable partition of that order by
+node gives every node its rows sorted by x, ties in row order, and all of
+the level's nodes are scored together, each in its own zero-padded row, so
+every running sum and pick has the bits of searching that node alone.
+Every node, internal or terminal, carries the mean and SSE of the training
+targets that reach it, summed in row order.  The nodes are emitted in
+preorder once the last level is done.
 
 Pruning: weakest-link cost-complexity (Breiman et al. 1984, ch. 3).
 Repeatedly collapse the internal node with the smallest SSE-gain-per-leaf
@@ -92,74 +98,119 @@ def _from_preorder(n_features: int, names: tuple, nodes: list) -> CartTree:
                     np.arange(len(nodes)), np.array(end))
 
 
-def _sse(y: np.ndarray) -> float:
-    return float(np.sum((y - y.mean()) ** 2)) if y.size else 0.0
+def _mean_sse(y: np.ndarray) -> tuple:
+    """A node's mean and SSE, both pairwise sums over its targets in row order."""
+    mean = y.mean()
+    return float(mean), float(((y - mean) ** 2).sum())
 
 
-def _best_split_arrays(X: np.ndarray, y: np.ndarray, cfg: CartConfig, parent_sse: float):
-    """Best (var, threshold, reduction) or None; parent_sse is ``_sse(y)``.
-    Near-tied reductions resolve to the lowest variable index, then the
-    smallest threshold."""
-    n = y.size
-    if n < 2 * cfg.min_node_size or n < 2:
-        return None
-    if y.max() == y.min():
-        return None  # pure node: splitting cannot help
+def _splittable(y: np.ndarray, cfg: CartConfig) -> bool:
+    """Whether a node with targets y is searched: it has room for two children
+    of ``min_node_size`` rows and is not pure (splitting cannot help)."""
+    return y.size >= max(2, 2 * cfg.min_node_size) and y.max() != y.min()
+
+
+def _splits(X: np.ndarray, y: np.ndarray, order: np.ndarray, label: np.ndarray,
+            parent_sse: np.ndarray, cfg: CartConfig):
+    """Best split of every node of a level, as (var, threshold, reduction)
+    arrays with var -1 where a node has none.  Row r is in node ``label[r]``,
+    or in none when that is ``len(parent_sse)``; ``order[v]`` holds every row
+    stable-sorted by variable v.  Partitioning each order by label with a
+    stable sort gives every node its rows sorted by x, ties in row order.
+    Each node's sorted x and y sit in their own zero-padded row, so its running
+    sums start from zero.  Near-tied reductions resolve to the lowest variable
+    index, then the smallest threshold."""
+    n_nodes, d = parent_sse.size, order.shape[0]
+    counts = np.bincount(label, minlength=n_nodes + 1)[:n_nodes]
+    width, by_var, by_node = int(counts.max()), np.arange(d)[:, None], np.arange(n_nodes)
+    rank = np.argsort(label[order], axis=1, kind="stable")[:, :counts.sum()]
+    rows = order[by_var, rank]
+    slot = np.arange(rows.shape[1]) + np.repeat(
+        by_node * width - (np.cumsum(counts) - counts), counts)
+    xs, ys = np.zeros((2, d, n_nodes * width))
+    xs[:, slot] = X[rows, by_var]
+    ys[:, slot] = y[rows]
+    xs, ys = xs.reshape(d, n_nodes, width), ys.reshape(d, n_nodes, width)
+    csum, csq = np.cumsum(ys, axis=2), np.cumsum(ys * ys, axis=2)
+    i, n = np.arange(1, width), counts[:, None]
+    ok = (xs[..., :-1] < xs[..., 1:]) & (i >= cfg.min_node_size) & (n - i >= cfg.min_node_size)
+    left_sse = csq[..., :-1] - csum[..., :-1] ** 2 / i
+    # the last column holds the node's totals; n - i < 1 only where not ok
+    right_sse = ((csq[..., -1:] - csq[..., :-1])
+                 - (csum[..., -1:] - csum[..., :-1]) ** 2 / np.maximum(n - i, 1))
+    red = np.where(ok, parent_sse[:, None] - left_sse - right_sse, -np.inf)
+    top = red.max(axis=2)
     tol = _TIE_REL * parent_sse
-    best = None
-    for var in range(X.shape[1]):
-        order = np.argsort(X[:, var], kind="stable")
-        xs = X[order, var]
-        ys = y[order]
-        csum = np.cumsum(ys)
-        csq = np.cumsum(ys * ys)
-        i = np.arange(1, n)
-        ok = (xs[:-1] < xs[1:]) & (i >= cfg.min_node_size) & (n - i >= cfg.min_node_size)
-        if not ok.any():
-            continue
-        left_sse = csq[:-1] - csum[:-1] ** 2 / i
-        right_sse = (csq[-1] - csq[:-1]) - (csum[-1] - csum[:-1]) ** 2 / (n - i)
-        red = np.where(ok, parent_sse - left_sse - right_sse, -np.inf)
-        top = red.max()
-        if top <= 0.0 or top < cfg.min_split_gain:
-            continue
-        k = int(np.argmax(red >= top - tol))  # first near-tied = smallest threshold
-        reduction = float(red[k])
-        threshold = float(0.5 * (xs[k] + xs[k + 1]))
-        if best is None or reduction > best[2] + tol:
-            best = (var, threshold, reduction)
-    return best
+    k = np.argmax(red >= (top - tol)[..., None], axis=2)  # first near-tied: smallest threshold
+    reduction = red[by_var, by_node, k]
+    threshold = 0.5 * (xs[by_var, by_node, k] + xs[by_var, by_node, k + 1])
+    var, thr, best = np.full(n_nodes, -1), np.zeros(n_nodes), np.zeros(n_nodes)
+    for v in range(d):
+        take = ~((top[v] <= 0.0) | (top[v] < cfg.min_split_gain))
+        take &= (var < 0) | (reduction[v] > best + tol)
+        var[take], thr[take], best[take] = v, threshold[v, take], reduction[v, take]
+    return var, thr, best
 
 
 def best_split(rows: Dataset, cfg: CartConfig = CartConfig()):
     """Split of a dataset node, or None when no admissible split exists."""
     if rows.n_rows == 0:
         raise ValueError("cannot split an empty node")
-    return _best_split_arrays(rows.features, rows.targets, cfg, _sse(rows.targets))
+    X, y = rows.features, rows.targets
+    if not _splittable(y, cfg):
+        return None
+    var, thr, red = _splits(X, y, np.argsort(X, axis=0, kind="stable").T,
+                            np.zeros(y.size, dtype=np.intp), np.array([_mean_sse(y)[1]]), cfg)
+    return None if var[0] < 0 else (int(var[0]), float(thr[0]), float(red[0]))
 
 
 def grow(train: Dataset, cfg: CartConfig = CartConfig()) -> CartTree:
-    """Grow the maximal tree by recursive best-split search, writing each
-    node's fields as it is reached, so the nodes come out in preorder."""
+    """Grow the maximal tree one level at a time from one stable sort per
+    variable, then emit its nodes in preorder.  Each node's mean and SSE are
+    taken over its targets in row order."""
     if train.n_rows == 0:
         raise ValueError("cannot grow a tree on an empty dataset")
     require_finite(train)
-    nodes = []
-
-    def build(X, y, depth):
-        sse = _sse(y)
-        pick = None
-        if cfg.max_depth is None or depth < cfg.max_depth:
-            pick = _best_split_arrays(X, y, cfg, sse)
-        var, thr, _ = pick or (-1, 0.0, None)
-        nodes.append((var, thr, float(y.mean()), int(y.size), sse))
-        if pick:
-            mask = X[:, var] <= thr
-            build(X[mask], y[mask], depth + 1)
-            build(X[~mask], y[~mask], depth + 1)
-
-    build(train.features, train.targets, 0)
-    return _from_preorder(train.n_features, train.feature_names, nodes)
+    X, y = train.features, train.targets
+    order = np.argsort(X, axis=0, kind="stable").T
+    nodes, left = [], {}  # left[i]: left child of split node i; its right child follows
+    label = np.zeros(y.size, dtype=np.intp)  # row's node in the level; n_level for none
+    n_level, depth = 1, 0
+    while n_level:
+        deeper = cfg.max_depth is None or depth < cfg.max_depth
+        base = len(nodes)
+        counts = np.bincount(label, minlength=n_level + 1)[:n_level]
+        ends = np.cumsum(counts)
+        targets = y[np.argsort(label, kind="stable")]  # node by node, each in row order
+        sse, searched = np.zeros(n_level), np.zeros(n_level, dtype=bool)
+        for f, (lo, hi) in enumerate(zip((ends - counts).tolist(), ends.tolist())):
+            part = targets[lo:hi]
+            mean, sse[f] = _mean_sse(part)
+            nodes.append([-1, 0.0, mean, hi - lo, sse[f]])
+            searched[f] = deeper and _splittable(part, cfg)
+        var, thr = np.full(n_level + 1, -1), np.zeros(n_level + 1)
+        if searched.any():
+            at = np.flatnonzero(searched)
+            search_label = np.full(n_level + 1, at.size)
+            search_label[at] = np.arange(at.size)
+            var[at], thr[at], _ = _splits(X, y, order, search_label[label], sse[at], cfg)
+        split = np.flatnonzero(var >= 0)
+        child = np.zeros(n_level + 1, dtype=np.intp)
+        child[split] = 2 * np.arange(split.size)
+        for j, f in enumerate(split.tolist()):
+            nodes[base + f][:2] = int(var[f]), float(thr[f])
+            left[base + f] = base + n_level + 2 * j
+        at_var = var[label]
+        right = X[np.arange(y.size), at_var] > thr[label]  # training rows are finite
+        label = np.where(at_var >= 0, child[label] + right, 2 * split.size)
+        n_level, depth = 2 * split.size, depth + 1
+    preorder, stack = [], [0]
+    while stack:
+        i = stack.pop()
+        preorder.append(nodes[i])
+        if i in left:
+            stack += (left[i] + 1, left[i])
+    return _from_preorder(train.n_features, train.feature_names, preorder)
 
 
 def _route(tree: CartTree, X: np.ndarray) -> np.ndarray:

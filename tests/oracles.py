@@ -5,8 +5,9 @@ enumeration and textbook formulas, no shared code with the package — so a
 bug in an engine cannot hide in its own oracle.  ``ReferenceMars`` is the
 one exception: it borrows the package's model containers and ``gcv`` so that
 its models dump in the engine's format, ``ReferenceCart`` reads the
-engine's tree arrays into its own linked nodes, and ``ReferenceCsv`` borrows
-the ``RateSeries`` container.
+engine's tree arrays into its own linked nodes and builds its grown trees
+with the engine's preorder constructor, and ``ReferenceCsv`` borrows the
+``RateSeries`` container.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from forexkit.data import RateSeries
+from forexkit.cart import _from_preorder
+from forexkit.data import RateSeries, require_finite
 from forexkit.mars import NEGATIVE, POSITIVE, Hinge, HingeBasis, MarsModel, eval_hinge, gcv
 
 SPLIT_TIE_REL = 1e-9  # mirrors the engine's published tie tolerance
@@ -288,13 +290,74 @@ class Node:
 
 
 class ReferenceCart:
-    """CART weakest-link pruning and subtree scoring as the engine's first
-    version did them, on linked ``Node``s: after every collapse the whole
-    tree is copied with the collapsed nodes made leaves, each subtree's test
-    cost routes the rows through that subtree one at a time, and a dump walks
-    the nodes recursively.  The engine's tree is read into nodes once, at the
-    input; the rest is copied from that version unchanged, so every alpha,
+    """CART growth, weakest-link pruning and subtree scoring as the engine's
+    first versions did them.  ``grow`` searches each node on its own,
+    argsorting every variable again at every node, and recurses.  Pruning
+    works on linked ``Node``s: after every collapse the whole tree is copied
+    with the collapsed nodes made leaves, each subtree's test cost routes the
+    rows through that subtree one at a time, and a dump walks the nodes
+    recursively.  The engine's tree is read into nodes once, at the input; the
+    rest is copied from those versions unchanged, so every grown tree, alpha,
     test cost, leaf count and dump must equal the engine's."""
+
+    @staticmethod
+    def _best_split_arrays(X, y, cfg, parent_sse):
+        """Best (var, threshold, reduction) or None; parent_sse is ``sse_of(y)``.
+        Near-tied reductions resolve to the lowest variable index, then the
+        smallest threshold."""
+        n = y.size
+        if n < 2 * cfg.min_node_size or n < 2:
+            return None
+        if y.max() == y.min():
+            return None  # pure node: splitting cannot help
+        tol = SPLIT_TIE_REL * parent_sse
+        best = None
+        for var in range(X.shape[1]):
+            order = np.argsort(X[:, var], kind="stable")
+            xs = X[order, var]
+            ys = y[order]
+            csum = np.cumsum(ys)
+            csq = np.cumsum(ys * ys)
+            i = np.arange(1, n)
+            ok = (xs[:-1] < xs[1:]) & (i >= cfg.min_node_size) & (n - i >= cfg.min_node_size)
+            if not ok.any():
+                continue
+            left_sse = csq[:-1] - csum[:-1] ** 2 / i
+            right_sse = (csq[-1] - csq[:-1]) - (csum[-1] - csum[:-1]) ** 2 / (n - i)
+            red = np.where(ok, parent_sse - left_sse - right_sse, -np.inf)
+            top = red.max()
+            if top <= 0.0 or top < cfg.min_split_gain:
+                continue
+            k = int(np.argmax(red >= top - tol))  # first near-tied = smallest threshold
+            reduction = float(red[k])
+            threshold = float(0.5 * (xs[k] + xs[k + 1]))
+            if best is None or reduction > best[2] + tol:
+                best = (var, threshold, reduction)
+        return best
+
+    @classmethod
+    def grow(cls, train, cfg):
+        """Grow the maximal tree by recursive best-split search, writing each
+        node's fields as it is reached, so the nodes come out in preorder."""
+        if train.n_rows == 0:
+            raise ValueError("cannot grow a tree on an empty dataset")
+        require_finite(train)
+        nodes = []
+
+        def build(X, y, depth):
+            sse = sse_of(y)
+            pick = None
+            if cfg.max_depth is None or depth < cfg.max_depth:
+                pick = cls._best_split_arrays(X, y, cfg, sse)
+            var, thr, _ = pick or (-1, 0.0, None)
+            nodes.append((var, thr, float(y.mean()), int(y.size), sse))
+            if pick:
+                mask = X[:, var] <= thr
+                build(X[mask], y[mask], depth + 1)
+                build(X[~mask], y[~mask], depth + 1)
+
+        build(train.features, train.targets, 0)
+        return _from_preorder(train.n_features, train.feature_names, nodes)
 
     def __init__(self, tree):
         self.n_features, self.feature_names = tree.n_features, tree.feature_names

@@ -32,7 +32,11 @@ def small_report(rates_csv):
 
 # (ExperimentConfig field, value, INI key) that the config must reject
 _BAD_VALUES = [("mlp_epochs", 0, "[mlp] epochs"), ("mlp_epochs", -5, "[mlp] epochs"),
-               ("mlp_hidden", (0, 4), "[mlp] hidden"), ("seed", -1, "[split] seed")]
+               ("mlp_hidden", (0, 4), "[mlp] hidden"), ("seed", -1, "[split] seed"),
+               *((f"{m}_recipe", "mp7", f"[{m}] recipe") for m in MODELS),
+               ("hybrid_encoding", "onehot", "[hybrid] encoding"),
+               ("models", ("mars", "mars", "cart"), "[models] enabled"),
+               ("currencies", ("GBP", "GBP"), "[data] currencies")]
 
 
 class TestExperimentConfig:
@@ -289,8 +293,9 @@ dir = somewhere
     def test_bad_value_rejected_at_load(self, tmp_path, rates_csv, field, value, key):
         section, name = key[1:].split("] ")
         text = " ".join(map(str, value)) if isinstance(value, tuple) else value
-        path = self._write(tmp_path, f"[data]\npath = {rates_csv}\n\n"
-                                     f"[{section}]\n{name} = {text}\n")
+        line = f"{name} = {text}\n"
+        path = self._write(tmp_path, f"[data]\npath = {rates_csv}\n"
+                           + (line if section == "data" else f"\n[{section}]\n{line}"))
         with pytest.raises(ValueError, match=re.escape(key)):
             load_config(path)
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from forexkit import cart, data, hybrid, synth
-from forexkit.bench import ExperimentConfig
+from forexkit.bench import ExperimentConfig, prepare_cell
 from forexkit.cart import (CartConfig, best_split, dump_tree, evaluate_sequence,
                            grow, load_tree, prune_sequence, relative_error_curve,
                            select_min_cost)
@@ -154,6 +154,51 @@ class TestGrow:
             if tree.var[i] >= 0:
                 stack += [int(tree.end[i + 1]), i + 1]
         assert seen == sorted(seen) == list(range(len(tree.var)))
+
+
+def _grow_fit(seed):
+    """A small growth problem: features and targets rounded so runs of equal
+    values and pure nodes occur, with every size, depth and gain limit.  In
+    every fourth seed the targets are 1e8 higher where x0 < 0, so a node's
+    running sums must not carry those of the nodes before it."""
+    rng = np.random.default_rng(500 + seed)
+    n, d = int(rng.integers(1, 160)), int(rng.integers(1, 5))
+    X = np.round(rng.normal(size=(n, d)), int(rng.integers(0, 3)))
+    y = np.round(X[:, 0] + rng.normal(size=n), int(rng.integers(0, 3)))
+    if seed % 4 == 1:
+        y = y + 1e8 * (X[:, 0] < 0)
+    cfg = CartConfig(min_node_size=int(rng.integers(1, 6)),
+                     min_split_gain=(0.0, 0.05, 0.5)[seed % 3],
+                     max_depth=(None, 0, 1, 3, 6)[seed % 5])
+    return _dataset(X, y), cfg
+
+
+class TestGrowMatchesReference:
+    """Growing level by level from one sort per variable gives the tree that
+    searching each node on its own and recursing gives
+    (``ReferenceCart.grow``): every array, dtype and dumped float."""
+
+    @staticmethod
+    def _assert_same(train, cfg):
+        got, want = grow(train, cfg), ReferenceCart.grow(train, cfg)
+        for name in ("var", "threshold", "mean", "count", "sse", "index", "end"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+            assert a.tobytes() == b.tobytes(), name
+        assert dump_tree(got) == dump_tree(want)
+
+    @pytest.mark.parametrize("recipe", ["mp1", "mp5"])
+    @pytest.mark.parametrize("months", [244, 976, 2440])
+    def test_forex5(self, months, recipe):
+        series = synth.forex5_series(7, months)
+        cfg = ExperimentConfig(data_path="unused.csv", cart_recipe=recipe)
+        for code in series:
+            _, train, _ = prepare_cell(cfg, series, code, "cart")
+            self._assert_same(train, cfg.cart_cfg)
+
+    @pytest.mark.parametrize("seed", range(45))
+    def test_random_fits_with_ties(self, seed):
+        self._assert_same(*_grow_fit(seed))
 
 
 class TestPredict:

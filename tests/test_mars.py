@@ -328,6 +328,26 @@ class TestExactSearch:
         self._assert_same(train, cfg)
         assert [s for _, s in fit(train, cfg).pruning_trace[:4]] == [float("inf")] * 4
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="with one x orders of magnitude beyond the rest, the grown Q "
+                              "can judge a hinge dependent that a fresh QR keeps")
+    def test_far_outlier_forward_pass_matches_reference(self):
+        """x uniform on (0, 1) but its largest value at 1e4, 1e5 or 1e6: a
+        known divergence from the dense search.  A change that mends it makes
+        this test pass, which the strict mark reports."""
+        cfg, differ = MarsConfig(max_basis_functions=10), []
+        for seed in range(6):
+            for far in (1e4, 1e5, 1e6):
+                rng = np.random.default_rng(seed)
+                x = np.sort(rng.uniform(0, 1, 120))
+                y = np.maximum(0.0, x - 0.5) + 0.05 * rng.normal(size=120)
+                x[-1], y[-1] = far, 3.0
+                train = _dataset(x, y)
+                if mars.dump_model(forward_pass(train, cfg)) != \
+                        mars.dump_model(ReferenceMars(cfg).forward_pass(train)):
+                    differ.append((seed, far))
+        assert not differ
+
 
 def _dense(x, bp, knots, Q, r):
     """The dense gains of one variable x's knots."""
