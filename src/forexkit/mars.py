@@ -20,21 +20,23 @@ sums over the variable's order (Friedman 1991, Ann. Statist. 19, sec. 3.9;
 the search state is in forexkit.marsrank), where projecting all K ~ n hinge
 columns costs O(n K m) for n rows and m bases.  One block per parent holds
 all of those variables side by side, so a step pays numpy's per-call cost
-once per parent, not once per (parent, variable).  The block keeps its sums
-for the whole forward pass, as Q only gains columns: a step adds the sums of
-the new columns, O(n) per variable each, and those that follow the residual,
-O(n + K m).  Blocks are kept up to marsrank.SWEEP_CACHE_BYTES; one past that
-rebuilds its sums from all of Q, O(n m) per variable, at each step.  Each
-fast gain comes with a rounding bound err on its distance from the dense
-gain (see forexkit.marsrank), and the largest fast - err of the step is a
-gain some knot surely reaches.  Phase 2 (_rescored) makes one dense
-projection per parent: every knot of its few-knot variables, such as the
-hybrid's one-hot leaf columns, and the swept knots whose fast + err lies
-above that gain less _SWEEP_REL of it (above 0 when no gain is sure).  The
-members zero on every row, u- at a variable's lowest knot and u+ at its
-highest, are left out of it.  A variable with no knot above the line is not
-re-scored, and one whose re-scored gains lie outside their bounds is scored
-in full.  The tie rule picks among the dense gains.
+once per parent, not once per (parent, variable).  A parent's block is made
+the first time a step scans it, with room for Q's most columns, and kept for
+the whole forward pass: its variables and their orders never change, and as
+Q only gains columns, a step adds the sums of the new columns, O(n) per
+variable each, and those that follow the residual, O(n + K m).  A hinge joins
+the design only on a parent that its step scanned, so the parent's block is
+there to note it.  Each fast gain comes with a rounding bound err on its
+distance from the dense gain (see forexkit.marsrank), and the largest
+fast - err of the step is a gain some knot surely reaches.  Phase 2
+(_rescored) makes one dense projection per parent: every knot of its
+few-knot variables, such as the hybrid's one-hot leaf columns, and the swept
+knots whose fast + err lies above that gain less _SWEEP_REL of it (above 0
+when no gain is sure).  The members zero on every row, u- at a variable's
+lowest knot and u+ at its highest, are left out of it.  A variable with no
+knot above the line is not re-scored, and one whose re-scored gains lie
+outside their bounds is scored in full.  The tie rule picks among the dense
+gains.
 
 A knot under the line cannot change the pick.  Its dense gain is at most
 its fast + err, so at least _SWEEP_REL (1e-6) of the sure gain below a gain
@@ -67,7 +69,7 @@ import numpy as np
 
 from .data import Dataset, as_rows, require_finite
 from .dumpfmt import Lines, expect, floats, fmt, integer, keyed, number
-from .marsrank import DEP_TOL, DropRanker, SweepCache, knot_order, pair_gain
+from .marsrank import DEP_TOL, DropRanker, SweepBlock, knot_order, pair_gain
 
 _TIE_REL = 1e-10        # forward-search gains closer than this are tied
 _STOP_REL = 1e-12       # relative MSE reduction below this stops the forward pass
@@ -196,7 +198,8 @@ def _sweep(X, r, qr, Q, bases, cfg, orders, sweeps):
     factor, (pi, bp, free variables, its SweepBlock or None, fast, err).
     The block holds the parent's free variables of more than _FEW_KNOTS
     knots side by side and gives each knot's fast gain and the bound err on
-    its distance from the dense gain (qr = Q'r)."""
+    its distance from the dense gain (qr = Q'r); sweeps keeps each parent's
+    block, by index, from its first scan to the end of the forward pass."""
     swept = []
     for pi, parent in enumerate(bases):
         if parent.degree >= cfg.max_interaction:
@@ -206,7 +209,10 @@ def _sweep(X, r, qr, Q, bases, cfg, orders, sweeps):
         many = [var for var in free if len(orders[var][1]) > _FEW_KNOTS]
         block, fast, err = None, np.empty(0), np.empty(0)
         if many:
-            block = sweeps.block(pi, bp, X, many, orders, Q.shape[1])
+            if pi not in sweeps:  # room for Q's most columns
+                sweeps[pi] = SweepBlock(bp, X, many, orders,
+                                        min(cfg.max_basis_functions + 1, len(X)))
+            block = sweeps[pi]
             fast, err = block.gains(Q, r, qr)
         swept.append((pi, bp, free, block, fast, err))
     return swept
@@ -306,7 +312,7 @@ def forward_pass(train: Dataset, cfg: MarsConfig) -> MarsModel:
     X, y = train.features, train.targets
     n = train.n_rows
     orders = knot_order(X)
-    sweeps = SweepCache(min(cfg.max_basis_functions + 1, n))  # Q's most columns
+    sweeps = {}  # parent index: SweepBlock
 
     bases = [HingeBasis()]
     B = np.ones((n, 1))
@@ -329,7 +335,9 @@ def forward_pass(train: Dataset, cfg: MarsConfig) -> MarsModel:
             if v is None:
                 continue  # drop the linearly dependent member of the pair
             bases.append(HingeBasis(parent.factors + (Hinge(var, knot, direction),)))
-            sweeps.appended(pi, var, knot, int(direction == NEGATIVE))
+            block = sweeps.get(pi)  # made when the step scanned the parent
+            if block is not None and var in block.variables:
+                block.appended(var, knot, int(direction == NEGATIVE))
             B = np.column_stack([B, u])
             Q = np.column_stack([Q, v])
             added = True

@@ -59,7 +59,6 @@ ERR_SAFETY = 4.0     # factor on gamma = n 2^-53 in the fast gains' error bound
 DEP_TOL = 1e-10      # column whose part off span(Q) is at most this share of it: dependent
 PAIR_TOL = 1e-12     # pair with det at most this share of ac: collinear
 PRUNE_COND = 1e8     # R with a Frobenius condition number above this: declined
-SWEEP_CACHE_BYTES = 16 << 20  # sweep blocks one forward pass keeps (SweepCache)
 
 
 def knot_order(X):
@@ -145,12 +144,6 @@ class SweepBlock:
         self.qp, self.qm = np.empty((k, capacity)), np.empty((k, capacity))
         self.sq, self.pm = np.zeros((2, k)), np.zeros(k)  # rows |qp|^2, |qm|^2
         self.m = 0
-
-    @staticmethod
-    def nbytes(n_rows: int, n_knots: int, capacity: int) -> int:
-        """Bytes a block of n_rows sorted rows (n per variable) and n_knots
-        knots holds."""
-        return 8 * (5 * n_rows + (2 * capacity + 11) * n_knots)
 
     def _dots(self, x, y):
         """Each variable's x.y over its own rows, at each of its knots."""
@@ -380,42 +373,6 @@ def pair_gain(a, c, rp, rm, norm_p, norm_m, det, num):
     well = ok_p & ok_m & (det > PAIR_TOL * a * c)
     pair = num / np.where(well, det, 1.0)
     return np.where(well, np.maximum(pair, single), single)
-
-
-class SweepCache:
-    """One forward pass's sweep blocks by parent, made on first use, each
-    over the parent's variables that the search sweeps.  A block is kept
-    while the blocks' total stays within SWEEP_CACHE_BYTES; a block past
-    that is made afresh from all of Q at each step, and dropped after it."""
-
-    def __init__(self, capacity: int):
-        self.capacity, self.room, self.blocks = capacity, SWEEP_CACHE_BYTES, {}
-        self.columns = []  # (key, var, knot, member) of every hinge appended to the design
-
-    def appended(self, key, var, knot, member):
-        """Note that the search appended the hinge of variable var's knot's
-        member (0 for u+, 1 for u-) on the parent of key to the design."""
-        self.columns.append((key, var, knot, member))
-        block = self.blocks.get(key)
-        if block is not None and var in block.variables:
-            block.appended(var, knot, member)
-
-    def block(self, key, bp, X, variables, orders, m: int) -> SweepBlock:
-        """The block of key, for a parent column bp and the given columns of
-        X with their knot_order entries orders, and a Q of m columns."""
-        block = self.blocks.get(key)
-        if block is None:
-            size = SweepBlock.nbytes(len(X) * len(variables),
-                                     sum(len(orders[var][1]) for var in variables), self.capacity)
-            kept = size <= self.room
-            block = SweepBlock(bp, X, variables, orders, self.capacity if kept else m)
-            for column_key, var, knot, member in self.columns:
-                if column_key == key and var in block.variables:
-                    block.appended(var, knot, member)
-            if kept:
-                self.room -= size
-                self.blocks[key] = block
-        return block
 
 
 class DropRanker:

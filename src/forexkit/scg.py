@@ -306,8 +306,11 @@ def forward(net: MlpNetwork, x):
 
 
 def _batch_targets(net: MlpNetwork, batch: Dataset) -> np.ndarray:
-    y = batch.targets
-    return y[:, None] if net.layer_sizes[-1] == 1 else y
+    """The batch's one target as a column; a Dataset has no other."""
+    if net.layer_sizes[-1] != 1:
+        raise ValueError(f"a network with {net.layer_sizes[-1]} outputs cannot be scored "
+                         "against a Dataset's one target")
+    return batch.targets[:, None]
 
 
 def error(net: MlpNetwork, batch: Dataset) -> float:

@@ -89,12 +89,12 @@ class ReferenceMlp:
     version did: each point copied into fresh per-layer arrays, activations
     kept in a list, per-layer gradients joined by concatenation.  Each
     floating-point operation matches the engine's, so results must agree
-    bit for bit.  ``targets`` is (n,) for a single-output net, else (n, k)."""
+    bit for bit.  ``targets`` is (n,): a Dataset's one target."""
 
     def __init__(self, layer_sizes, features: np.ndarray, targets: np.ndarray):
         self.sizes = tuple(int(s) for s in layer_sizes)
         self.X = features
-        self.Y = targets[:, None] if targets.ndim == 1 else targets
+        self.Y = targets[:, None]
 
     def unflatten(self, flat: np.ndarray):
         weights, biases, at = [], [], 0

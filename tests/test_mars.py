@@ -305,18 +305,6 @@ class TestExactSearch:
                              max_interaction=int(rng.integers(1, 3)))
             self._assert_same(train, cfg)
 
-    def test_blocks_past_the_cache_match_kept_blocks(self, monkeypatch):
-        """With no room to keep sweep blocks, every block is made afresh at
-        each step, and the fit is the same."""
-        train, _ = _synthetic(3, 240, ("uniform", "ties", "ties"))
-        cfg = MarsConfig(max_interaction=2)
-        kept = fit(train, cfg)
-        monkeypatch.setattr(marsrank, "SWEEP_CACHE_BYTES", 0)
-        fresh = fit(train, cfg)
-        assert mars.dump_model(fresh) == mars.dump_model(kept)
-        assert fresh.forward_trace == kept.forward_trace
-        assert fresh.pruning_trace == kept.pruning_trace
-
     @pytest.mark.parametrize("seed", range(6))
     def test_inf_gcv_subsets_drop_the_first_column(self, seed):
         """Eight rows: every subset of three or more bases has GCV inf, so
@@ -608,6 +596,30 @@ class TestSweepBound:
         assert mars.dump_model(got) == mars.dump_model(want)
         assert got.forward_trace == want.forward_trace
         assert got.pruning_trace == want.pruning_trace
+
+    def test_each_parent_builds_one_block_per_forward_pass(self, monkeypatch):
+        """Over the forex5 GBP mp5 interaction-2 forward pass, a SweepBlock
+        is made once for each swept parent with a many-knot free variable
+        and kept across the steps that scan that parent again."""
+        train, _ = _scaled_split(synth.forex5_series(7, 244), "GBP", "mp5")
+        made, scans = [], []
+        block, sweep = mars.SweepBlock, mars._sweep
+
+        def counted(*args):
+            made.append(args)
+            return block(*args)
+
+        def watched(X, r, qr, Q, bases, cfg, orders, sweeps):
+            swept = sweep(X, r, qr, Q, bases, cfg, orders, sweeps)
+            scans.extend(pi for pi, _, free, _, _, _ in swept
+                         if any(len(orders[var][1]) > mars._FEW_KNOTS for var in free))
+            return swept
+
+        monkeypatch.setattr(mars, "SweepBlock", counted)
+        monkeypatch.setattr(mars, "_sweep", watched)
+        forward_pass(train, MarsConfig(max_interaction=2))
+        assert len(set(scans)) > 1 and len(scans) > 2 * len(set(scans))
+        assert len(made) == len(set(scans))
 
     @staticmethod
     def _dense_count(monkeypatch, train, cfg):

@@ -1,7 +1,5 @@
 """Scaled conjugate gradients and the feedforward network it trains."""
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -318,6 +316,18 @@ class TestScgTrain:
         with pytest.raises(ValueError, match="training row 4, feature 'b' is nan"):
             scg_train(init_network((2, 3, 1), seed=0), train, epochs=5)
 
+    @pytest.mark.parametrize("n_rows", [5, 2])
+    def test_rejects_a_multi_output_network(self, n_rows):
+        """A Dataset has one target, so a (2, 3, 2) net cannot be scored on
+        it: on five rows its targets used not to broadcast, and on two they
+        broadcast across the outputs into a wrong error."""
+        rng = np.random.default_rng(n_rows)
+        train = Dataset(("a", "b"), rng.normal(size=(n_rows, 2)), rng.normal(size=n_rows))
+        net = init_network((2, 3, 2), seed=0)
+        for evaluate in (error, gradient, lambda net, train: scg_train(net, train, epochs=5)):
+            with pytest.raises(ValueError, match="network with 2 outputs"):
+                evaluate(net, train)
+
     def test_epochs_validation(self):
         net = init_network((1, 1), seed=0)
         train = Dataset(("x",), np.array([[1.0]]), np.array([1.0]))
@@ -371,26 +381,27 @@ class TestReferenceEquality:
 
     @pytest.mark.parametrize("sizes", [(3, 5, 1), (4, 6, 5, 1), (3, 4, 2)])
     def test_error_gradient_forward_at_random_points(self, sizes):
+        """A multi-output net only forecasts: a Dataset has one target, so
+        error and gradient refuse it."""
         rng = np.random.default_rng(sum(sizes))
         X = rng.normal(size=(23, sizes[0]))
-        if sizes[-1] == 1:
-            y = rng.normal(size=23)
-            batch = Dataset(tuple("abcd"[:sizes[0]]), X, y)
-        else:
-            # Dataset targets are 1-d; only a duck-typed batch reaches the
-            # (n, k) targets of a multi-output net.
-            y = rng.normal(size=(23, sizes[-1]))
-            batch = SimpleNamespace(features=X, targets=y, n_rows=23)
+        y = rng.normal(size=23)
+        batch = Dataset(tuple("abcd"[:sizes[0]]), X, y)
         ref = ReferenceMlp(sizes, X, y)
         base = init_network(sizes, seed=1)
         for _ in range(4):
             w = rng.normal(scale=0.8, size=base.n_params)
             net = set_params(base, w)
-            assert error(net, batch) == ref.error(w)
-            np.testing.assert_array_equal(gradient(net, batch), ref.gradient(w))
             out = ref.activations(w)[-1]
             np.testing.assert_array_equal(forward(net, X),
                                           out[:, 0] if sizes[-1] == 1 else out)
+            if sizes[-1] == 1:
+                assert error(net, batch) == ref.error(w)
+                np.testing.assert_array_equal(gradient(net, batch), ref.gradient(w))
+            else:
+                for evaluate in (error, gradient):
+                    with pytest.raises(ValueError, match="2 outputs"):
+                        evaluate(net, batch)
 
     def test_hessian_vector_unchanged(self):
         rng = np.random.default_rng(4)
