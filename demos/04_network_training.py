@@ -23,10 +23,10 @@ expected = np.linalg.solve(A, b)
 result = scg.scg_minimize(lambda w: 0.5 * w @ A @ w - b @ w,
                           lambda w: A @ w - b,
                           np.zeros(n), max_iterations=n + 2,
-                          cfg=scg.ScgConfig(lambda0=0.0, freeze_lambda=True))
+                          freeze_lambda=True)
 print(f"quadratic in R^{n}: reached the minimizer to "
       f"{np.max(np.abs(result.w - expected)):.2e} "
-      f"in {result.iterations} iterations")
+      f"in {len(result.trace) - 1} iterations")
 
 # --- network on a sine wave -------------------------------------------------
 x = np.linspace(0.0, 2.0 * np.pi, 200)

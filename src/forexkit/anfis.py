@@ -53,7 +53,7 @@ class AnfisConfig:
 class AnfisModel:
     """Premises (per-input Gaussian centers/widths), full rule grid, and
     per-rule consequent coefficients of shape (rules, terms) for its one
-    output, where terms = n_inputs+1 for linear consequents ([p1..pd, const])
+    output, where terms = n_features+1 for linear consequents ([p1..pd, const])
     or 1 for constant ones.  Rules are ordered lexicographically by per-input
     MF index, first input slowest."""
 
@@ -83,7 +83,7 @@ class AnfisModel:
         object.__setattr__(self, "consequents", cons)
 
     @property
-    def n_inputs(self) -> int:
+    def n_features(self) -> int:
         return len(self.centers)
 
     @property
@@ -91,7 +91,7 @@ class AnfisModel:
         return int(np.prod([c.size for c in self.centers]))
 
     def rule_grid(self) -> np.ndarray:
-        """(n_rules, n_inputs) array of per-input MF indices."""
+        """(n_rules, n_features) array of per-input MF indices."""
         return np.array(list(itertools.product(*(range(c.size) for c in self.centers))),
                         dtype=int)
 
@@ -128,7 +128,7 @@ def _rule_outputs(model: AnfisModel, X: np.ndarray) -> np.ndarray:
 
 def predict(model: AnfisModel, x):
     """Convex combination of rule outputs under normalized strengths."""
-    X = as_rows(x, model.n_inputs, "inputs")
+    X = as_rows(x, model.n_features, "inputs")
     w = _normalized_batch(model, X)
     out = np.einsum("nr,nr->n", w, _rule_outputs(model, X))
     return float(out[0]) if np.ndim(x) == 1 else out
@@ -145,7 +145,7 @@ def lse_consequents(model: AnfisModel, train: Dataset) -> LseResult:
     target with premises fixed; minimum-norm on rank deficiency (flagged)."""
     if train.n_rows == 0:
         raise ValueError("training set is empty")
-    X = as_rows(train.features, model.n_inputs, "inputs")
+    X = as_rows(train.features, model.n_features, "inputs")
     w = _normalized_batch(model, X)  # (n, R)
     if model.consequent == "linear":
         base = np.concatenate([X, np.ones((X.shape[0], 1))], axis=1)
@@ -168,7 +168,7 @@ def premise_gradient(model: AnfisModel, train: Dataset):
     (per-input center grads, per-input width grads)."""
     if train.n_rows == 0:
         raise ValueError("training set is empty")
-    X = as_rows(train.features, model.n_inputs, "inputs")
+    X = as_rows(train.features, model.n_features, "inputs")
     w = _normalized_batch(model, X)                     # (n, R)
     F = _rule_outputs(model, X)                         # (n, R)
     yhat = np.einsum("nr,nr->n", w, F)                  # (n,)
@@ -255,13 +255,13 @@ def dump_rules(model: AnfisModel) -> str:
     lines = []
     for r in range(grid.shape[0]):
         ifs = []
-        for i in range(model.n_inputs):
+        for i in range(model.n_features):
             c = model.centers[i][grid[r, i]]
             s = model.widths[i][grid[r, i]]
             ifs.append(f"x{i + 1} is G({_coef_text(c)}, {_coef_text(s)})")
         coef = model.consequents[r]
         if model.consequent == "linear":
-            parts = [f"{_coef_text(coef[i])}*x{i + 1}" for i in range(model.n_inputs)]
+            parts = [f"{_coef_text(coef[i])}*x{i + 1}" for i in range(model.n_features)]
             parts.append(_coef_text(coef[-1]))
         else:
             parts = [_coef_text(coef[0])]
@@ -271,7 +271,7 @@ def dump_rules(model: AnfisModel) -> str:
 
 def dump_model(model: AnfisModel) -> str:
     lines = ["anfis-model v1",
-             f"inputs {model.n_inputs} outputs 1 "
+             f"inputs {model.n_features} outputs 1 "
              f"consequent {model.consequent} rank_deficient "
              f"{int(model.lse_rank_deficient)}"]
     for i, (c, s) in enumerate(zip(model.centers, model.widths)):

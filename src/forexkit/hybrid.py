@@ -26,12 +26,19 @@ class HybridModel:
     cart: cart.CartTree
     mars: mars.MarsModel
     encoding: str
-    augmented_names: tuple
 
     def __post_init__(self):
         if self.encoding not in ENCODINGS:
             raise ValueError(f"encoding must be one of {ENCODINGS}")
-        object.__setattr__(self, "augmented_names", tuple(self.augmented_names))
+
+    @property
+    def n_features(self) -> int:
+        return self.cart.n_features
+
+    @property
+    def augmented_names(self) -> tuple:
+        """The names of the columns MARS was fitted on."""
+        return _augmented_names(self.cart.feature_names, self.cart, self.encoding)
 
 
 def _augment_features(X: np.ndarray, tree: cart.CartTree, encoding: str) -> np.ndarray:
@@ -75,7 +82,7 @@ def fit_hybrid(train: Dataset, test: Dataset,
     tree = cart.select_min_cost(seq, test)
     augmented = augment(train, tree, encoding)
     model = mars.fit(augmented, mars_cfg)
-    return HybridModel(tree, model, encoding, augmented.feature_names)
+    return HybridModel(tree, model, encoding)
 
 
 def predict(h: HybridModel, x):
@@ -97,15 +104,16 @@ def dump_hybrid(h: HybridModel) -> str:
 
 
 def load_hybrid(text: str) -> HybridModel:
-    """Inverse of dump_hybrid.  Truncated, garbled or non-finite input raises
-    ValueError naming its 1-based line."""
+    """Inverse of dump_hybrid.  Truncated, garbled or non-finite input, and
+    an augmented_names line or a MARS features count that does not match the
+    tree and encoding, raise ValueError naming its 1-based line."""
     lines = text.splitlines()
     head = Lines(text)
     expect(head.take("the header"), "hybrid-cart-mars v1")
     no, encoding = keyed(head.take("the encoding line"), "encoding")
     if encoding not in ENCODINGS:
         raise ValueError(f"line {no}: encoding must be one of {ENCODINGS}")
-    _, names = keyed(head.take("the augmented_names line"), "augmented_names")
+    names_at, names = keyed(head.take("the augmented_names line"), "augmented_names")
     section = head.take("the [tree] section")
     expect(section, "[tree]")
     tree_at = section[0]
@@ -114,4 +122,13 @@ def load_hybrid(text: str) -> HybridModel:
     mars_at = lines.index("[mars]", tree_at)
     tree = cart.load_tree(tail(lines, tree_at, mars_at))
     model = mars.load_model(tail(lines, mars_at + 1))
-    return HybridModel(tree, model, encoding, tuple(names.split()))
+    h = HybridModel(tree, model, encoding)
+    if tuple(names.split()) != h.augmented_names:
+        raise ValueError(f"line {names_at}: expected 'augmented_names "
+                         f"{' '.join(h.augmented_names)}' for the tree and encoding")
+    if model.n_features != len(h.augmented_names):
+        # the features line is the second non-blank line of the MARS part
+        no = [i for i in range(mars_at + 1, len(lines)) if lines[i].strip()][1] + 1
+        raise ValueError(f"line {no}: MARS takes {model.n_features} features, but the "
+                         f"tree and encoding give {len(h.augmented_names)}")
+    return h

@@ -2,8 +2,10 @@
 
 ``fit(cfg, train, selection, seed_key)`` returns ``(engine, extras)``: CART
 selects its subtree on ``selection``, and ``extras`` maps BenchReport fields
-to the cell's entries.  Engine functions are named, not held, and looked up
-on their module at call time, so a wrapper on a module attribute sees every call.
+to the cell's entries.  Every engine reports the number of scaled features
+it takes as ``n_features``.  Engine functions are named, not held, and
+looked up on their module at call time, so a wrapper on a module attribute
+sees every call.
 """
 
 from __future__ import annotations
@@ -26,10 +28,6 @@ class Kind:
 
     def load(self, text: str):
         return getattr(self.module, self.load_name)(text)
-
-    def width(self, engine) -> int:
-        """Number of scaled features the engine takes."""
-        return engine.n_features
 
 
 class _Mars(Kind):
@@ -57,9 +55,6 @@ class _Hybrid(Kind):
         return hybrid.fit_hybrid(train, selection, cfg.cart_cfg, cfg.mars_cfg,
                                  cfg.hybrid_encoding), {}
 
-    def width(self, engine) -> int:
-        return engine.cart.n_features
-
 
 class _Mlp(Kind):
     module, predict_name = scg, "forward"
@@ -67,10 +62,7 @@ class _Mlp(Kind):
 
     def fit(self, cfg, train, selection, seed_key):
         net = scg.init_network((train.n_features, *cfg.mlp_hidden, 1), seed_key)
-        return scg.scg_train(net, train, cfg.mlp_epochs, seed=seed_key)[0], {}
-
-    def width(self, engine) -> int:
-        return engine.layer_sizes[0]
+        return scg.scg_train(net, train, cfg.mlp_epochs)[0], {}
 
 
 class _Anfis(Kind):
@@ -79,9 +71,6 @@ class _Anfis(Kind):
     def fit(self, cfg, train, selection, seed_key):
         model, _ = anfis.hybrid_train(train, cfg.anfis_cfg)
         return model, {"rule_dumps": anfis.dump_rules(model)}
-
-    def width(self, engine) -> int:
-        return engine.n_inputs
 
 
 KINDS = {"mars": _Mars(), "cart": _Cart(), "hybrid": _Hybrid(), "mlp": _Mlp(),

@@ -119,8 +119,7 @@ def load_predictor(text: str) -> Predictor:
         target_max=number(*header["target_max"]),
     )
     engine = KINDS[kind].load(tail(lines, body_at + 1))
-    width = KINDS[kind].width(engine)
-    if width != feature_min.size:
+    if engine.n_features != feature_min.size:
         raise ValueError(f"line {header['feature_min'][0]}: {feature_min.size} scaled "
-                         f"features, but the {kind} engine takes {width}")
+                         f"features, but the {kind} engine takes {engine.n_features}")
     return Predictor(kind, header["currency"][1], recipe, scaler, engine)

@@ -6,11 +6,14 @@ product, s_k = (E'(w_k + sigma_k p_k) - E'(w_k)) / sigma_k + lambda_k p_k,
 where lambda_k is raised or lowered from the comparison parameter so that
 the local quadratic model stays positive definite.  The core minimizer is
 generic over (fun, grad) callables; `scg_train` binds it to the batch
-half-SSE error of an MlpNetwork.
+half-SSE error of an MlpNetwork, whose one output is scored against a
+Dataset's one target.  SIGMA0 and LAMBDA0 sit at the bounds Moller
+recommends (sigma <= 1e-4, lambda_1 <= 1e-6).
 
-With `freeze_lambda` the regulator is pinned at zero, which on a quadratic
-makes every step an exact line minimum and the direction update plain
-conjugate gradient — handy for convergence tests.
+With `scg_minimize(..., freeze_lambda=True)` the regulator is pinned at
+zero, which on a quadratic makes every step an exact line minimum and the
+direction update plain conjugate gradient — handy for convergence tests.
+The number of iterations a run took is len(result.trace) - 1.
 """
 
 from __future__ import annotations
@@ -32,48 +35,32 @@ class ScgDivergence(RuntimeError):
         self.epoch = epoch
 
 
-@dataclass(frozen=True)
-class ScgConfig:
-    sigma0: float = 1e-4
-    lambda0: float = 1e-6
-    grad_tol: float = 1e-10
-    freeze_lambda: bool = False
-    restart_every: int | None = None  # None: every |w| iterations
-
-    def __post_init__(self):
-        if not self.sigma0 > 0.0:
-            raise ValueError("sigma0 must be > 0")
-        if not self.lambda0 >= 0.0:
-            raise ValueError("lambda0 must be >= 0")
-        if not self.grad_tol >= 0.0:
-            raise ValueError("grad_tol must be >= 0")
-        if self.restart_every is not None and self.restart_every < 1:
-            raise ValueError("restart_every must be >= 1")
+SIGMA0 = 1e-4      # finite-difference step along p, over |p|
+LAMBDA0 = 1e-6     # starting regulator
+GRAD_TOL = 1e-10   # converged once |E'(w)| falls below this
 
 
 @dataclass(frozen=True)
 class ScgResult:
     w: np.ndarray
-    fun_value: float
     trace: tuple  # fun value before iteration 1, then after each iteration
-    iterations: int
     converged: bool
 
 
 def scg_minimize(fun, grad, w0, *, max_iterations: int,
-                 cfg: ScgConfig = ScgConfig()) -> ScgResult:
+                 freeze_lambda: bool = False) -> ScgResult:
     """Minimize fun(w) from w0; one iteration = one candidate step.
 
     The state is the weights w, the search direction p, the negative
-    gradient r and the regulator pair (lam, lam_bar).  An accepted step
-    passes the very array fun was evaluated at to grad, so a (fun, grad)
-    pair may share work done at the same point."""
+    gradient r and the regulator pair (lam, lam_bar).  The direction
+    restarts along r every w.size iterations.  An accepted step passes the
+    very array fun was evaluated at to grad, so a (fun, grad) pair may share
+    work done at the same point."""
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1 (epochs >= 1)")
     w = np.asarray(w0, dtype=float).copy()
     n = w.size
-    restart = cfg.restart_every if cfg.restart_every is not None else n
-    lam = 0.0 if cfg.freeze_lambda else cfg.lambda0
+    lam = 0.0 if freeze_lambda else LAMBDA0
     lam_bar = 0.0
     fw = _finite_fun(fun, w, 0)
     r = -_finite_grad(grad, w, 0)
@@ -85,7 +72,7 @@ def scg_minimize(fun, grad, w0, *, max_iterations: int,
     p_sq = 0.0
 
     for k in range(1, max_iterations + 1):
-        if math.sqrt(r @ r) < cfg.grad_tol:
+        if math.sqrt(r @ r) < GRAD_TOL:
             converged = True
             break
         if success:
@@ -93,11 +80,11 @@ def scg_minimize(fun, grad, w0, *, max_iterations: int,
             if p_sq == 0.0:
                 converged = True
                 break
-            sigma_k = cfg.sigma0 / math.sqrt(p_sq)
+            sigma_k = SIGMA0 / math.sqrt(p_sq)
             g_there = _finite_grad(grad, w + sigma_k * p, k)
             delta_raw = float(p @ (g_there + r)) / sigma_k  # g_there - E'(w), E'(w) = -r
         delta = delta_raw + (lam - lam_bar) * p_sq
-        if delta <= 0.0 and not cfg.freeze_lambda:
+        if delta <= 0.0 and not freeze_lambda:
             # raise lambda until the quadratic model is positive definite
             lam_bar = 2.0 * (lam - delta / p_sq)
             delta = -delta + lam * p_sq
@@ -116,23 +103,22 @@ def scg_minimize(fun, grad, w0, *, max_iterations: int,
             r_new = -_finite_grad(grad, w, k)
             lam_bar = 0.0
             success = True
-            if k % restart == 0:
+            if k % n == 0:
                 p = r_new.copy()
             else:
                 beta = float(r_new @ r_new - r_new @ r) / mu
                 p = r_new + beta * p
             r = r_new
-            if comparison >= 0.75 and not cfg.freeze_lambda:
+            if comparison >= 0.75 and not freeze_lambda:
                 lam = 0.25 * lam
         else:
             lam_bar = lam
             success = False
-        if comparison < 0.25 and not cfg.freeze_lambda:
+        if comparison < 0.25 and not freeze_lambda:
             lam = lam + delta * (1.0 - comparison) / p_sq
         trace.append(fw)
 
-    return ScgResult(w=w, fun_value=fw, trace=tuple(trace),
-                     iterations=k, converged=converged)
+    return ScgResult(w=w, trace=tuple(trace), converged=converged)
 
 
 def _require_finite(value: float, epoch: int) -> float:
@@ -172,6 +158,8 @@ class MlpNetwork:
         sizes = tuple(int(s) for s in self.layer_sizes)
         if len(sizes) < 2 or any(s < 1 for s in sizes):
             raise ValueError("need at least input and output layers, all sizes >= 1")
+        if sizes[-1] != 1:
+            raise ValueError(f"a network has one output, not {sizes[-1]}")
         if len(self.weights) != len(sizes) - 1 or len(self.biases) != len(sizes) - 1:
             raise ValueError("one weight matrix and bias vector per layer transition")
         for i, (wm, bv) in enumerate(zip(self.weights, self.biases)):
@@ -182,6 +170,10 @@ class MlpNetwork:
         object.__setattr__(self, "layer_sizes", sizes)
         object.__setattr__(self, "weights", tuple(self.weights))
         object.__setattr__(self, "biases", tuple(self.biases))
+
+    @property
+    def n_features(self) -> int:
+        return self.layer_sizes[0]
 
     @property
     def n_params(self) -> int:
@@ -298,19 +290,9 @@ def _forward_cached(net: MlpNetwork, X: np.ndarray) -> _Workspace:
 
 
 def forward(net: MlpNetwork, x):
-    """Network output; scalar for a single sample of a single-output net."""
-    out = _forward_cached(net, as_rows(x, net.layer_sizes[0], "inputs")).acts[-1]
-    if np.ndim(x) == 1:
-        return float(out[0, 0]) if out.shape[1] == 1 else out[0].copy()
-    return (out[:, 0] if out.shape[1] == 1 else out).copy()
-
-
-def _batch_targets(net: MlpNetwork, batch: Dataset) -> np.ndarray:
-    """The batch's one target as a column; a Dataset has no other."""
-    if net.layer_sizes[-1] != 1:
-        raise ValueError(f"a network with {net.layer_sizes[-1]} outputs cannot be scored "
-                         "against a Dataset's one target")
-    return batch.targets[:, None]
+    """Network output; a float for a single sample."""
+    out = _forward_cached(net, as_rows(x, net.n_features, "inputs")).acts[-1]
+    return float(out[0, 0]) if np.ndim(x) == 1 else out[:, 0].copy()
 
 
 def error(net: MlpNetwork, batch: Dataset) -> float:
@@ -318,7 +300,7 @@ def error(net: MlpNetwork, batch: Dataset) -> float:
     if batch.n_rows == 0:
         raise ValueError("batch is empty")
     work = _forward_cached(net, batch.features)
-    sq = np.subtract(work.acts[-1], _batch_targets(net, batch), out=work.resid)
+    sq = np.subtract(work.acts[-1], batch.targets[:, None], out=work.resid)
     np.multiply(sq, sq, out=sq)
     return 0.5 * float(np.add.reduce(sq, axis=None))
 
@@ -332,7 +314,7 @@ def gradient(net: MlpNetwork, batch: Dataset) -> np.ndarray:
         raise ValueError("batch is empty")
     work = _forward_cached(net, batch.features).backward_buffers(net)
     acts = work.acts
-    delta = np.subtract(acts[-1], _batch_targets(net, batch), out=work.resid)
+    delta = np.subtract(acts[-1], batch.targets[:, None], out=work.resid)
     for i in range(len(net.weights) - 1, -1, -1):
         np.add.reduce(delta, axis=0, out=work.grad_b[i])
         np.dot(delta.T, acts[i], out=work.grad_w[i])
@@ -359,8 +341,7 @@ def hessian_vector_approx(net: MlpNetwork, batch: Dataset, p: np.ndarray,
     return (g1 - g0) / sigma_k + lambda_k * p
 
 
-def scg_train(net: MlpNetwork, train: Dataset, epochs: int,
-              seed: int | None = None, cfg: ScgConfig = ScgConfig()):
+def scg_train(net: MlpNetwork, train: Dataset, epochs: int, seed: int | None = None):
     """Full-batch SCG training.  With a seed, weights are re-initialized from
     it first, so the whole trajectory is a function of (seed, data, epochs).
     Returns (trained network, per-epoch error trace).
@@ -396,7 +377,7 @@ def scg_train(net: MlpNetwork, train: Dataset, epochs: int,
     def grad(w):
         return gradient(view_at(w), train)
 
-    result = scg_minimize(fun, grad, get_params(net), max_iterations=epochs, cfg=cfg)
+    result = scg_minimize(fun, grad, get_params(net), max_iterations=epochs)
     return set_params(net, result.w), list(result.trace)
 
 
@@ -427,6 +408,8 @@ def load_network(text: str) -> MlpNetwork:
         sizes = ()
     if head[0] != "layers" or len(sizes) < 2 or min(sizes) < 1:
         raise ValueError(f"line {no}: expected 'layers' and at least two sizes >= 1")
+    if sizes[-1] != 1:
+        raise ValueError(f"line {no}: a network has one output, not {sizes[-1]}")
     weights, biases = [], []
     for i, (n_in, n_out) in enumerate(zip(sizes, sizes[1:])):
         expect(lines.take(f"weights {i}"), f"weights {i} {n_out} {n_in}")

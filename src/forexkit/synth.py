@@ -77,7 +77,7 @@ def make_recipe(name: str, seed: int = 7) -> dict:
     raise ValueError(f"unknown recipe {name!r}; choose from {RECIPES}")
 
 
-def write_rates_csv(path, series_map: dict, decimals: int = 4) -> None:
+def write_rates_csv(path, series_map: dict) -> None:
     """Write aligned monthly series to the standard rates-CSV schema."""
     series = list(series_map.values())
     if not series:
@@ -91,7 +91,7 @@ def write_rates_csv(path, series_map: dict, decimals: int = 4) -> None:
     month0 = first.start_year * 12 + (first.start_month - 1)
     for i in range(len(first)):
         year, month = divmod(month0 + i, 12)
-        cells = ",".join(format(s.values[i], f".{decimals}f") for s in series)
+        cells = ",".join(format(s.values[i], ".4f") for s in series)
         lines.append(f"{year:04d}-{month + 1:02d},{cells}")
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -19,7 +19,7 @@ from forexkit.data import (Dataset, FeatureSpec, apply_scaler,
 from forexkit.hybrid import fit_hybrid
 from forexkit.mars import MarsConfig
 from forexkit.predictor import Predictor, load_predictor, predict_scaled, save_predictor
-from forexkit.scg import ScgConfig, scg_minimize
+from forexkit.scg import scg_minimize
 from forexkit.synth import STEP7_LEVELS, forex5_series, step7_series, write_rates_csv
 
 from oracles import brute_force_best_split, central_difference_gradient, normal_equations
@@ -145,7 +145,7 @@ def test_criterion_05_conjugate_descent_quadratics(verdict):
         res = scg_minimize(lambda w: float(0.5 * w @ A @ w - b @ w),
                            lambda w: A @ w - b,
                            np.zeros(n), max_iterations=n + 2,
-                           cfg=ScgConfig(lambda0=0.0, freeze_lambda=True))
+                           freeze_lambda=True)
         err = float(np.max(np.abs(res.w - np.linalg.solve(A, b))))
         details.append(f"n={n}:{err:.1e}")
         quad_ok = quad_ok and err <= 1e-8

@@ -208,4 +208,4 @@ class TestModelValidation:
         ds, tree = _three_leaf_tree(19)
         m = mars.fit(augment(ds, tree, "one_hot_leaf"), MarsConfig())
         with pytest.raises(ValueError, match="encoding"):
-            HybridModel(tree, m, "unknown", ("x",))
+            HybridModel(tree, m, "unknown")

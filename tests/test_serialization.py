@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from forexkit import anfis, cart, hybrid, mars, scg
-from forexkit.bench import ExperimentConfig
+from forexkit.bench import ExperimentConfig, prepare_cell
 from forexkit.data import (Dataset, FeatureSpec, apply_scaler,
                            build_supervised, fit_scaler, load_csv, split)
 from forexkit.kinds import KINDS
@@ -319,6 +319,57 @@ class TestLoaderChecks:
                              "inputs 1 outputs 1 consequent constant rank_deficient 0\n"
                              "input 0 mfs 2\ncenters 0 1\nwidths 1 0\n"
                              "consequents 2 1\n0\n1\n")
+
+
+@pytest.fixture(scope="module")
+def gbp_hybrid_dump(series):
+    """The dump of a default GBP hybrid: 9 leaves on 2 features."""
+    _, strain, stest = prepare_cell(ExperimentConfig(data_path="-"), series, "GBP",
+                                 "hybrid")
+    h = hybrid.fit_hybrid(strain, stest)
+    assert (h.cart.n_leaves, h.n_features) == (9, 2)
+    return hybrid.dump_hybrid(h)
+
+
+class TestHybridConsistency:
+    """A hybrid dump whose parts disagree with its tree and encoding is
+    rejected at the line that disagrees, not left to fail at predict time."""
+
+    @staticmethod
+    def _features_line(lines):
+        at = lines.index("[mars]") + 2
+        assert lines[at] == "features 11"
+        return at
+
+    def test_augmented_names_must_match_the_tree(self, gbp_hybrid_dump):
+        lines = gbp_hybrid_dump.splitlines()
+        assert lines[2] == ("augmented_names month prev_GBP "
+                            + " ".join(f"leaf_{k}" for k in range(9)))
+        lines[2] = lines[2].replace("leaf_8", "leaf_9")
+        with pytest.raises(ValueError, match="^line 3: expected 'augmented_names month "
+                                             "prev_GBP leaf_0 .* leaf_8'"):
+            hybrid.load_hybrid("\n".join(lines))
+
+    def test_mars_features_must_match_the_augmented_names(self, gbp_hybrid_dump):
+        lines = gbp_hybrid_dump.splitlines()
+        at = self._features_line(lines)
+        lines[at] = "features 14"
+        with pytest.raises(ValueError, match=rf"^line {at + 1}: MARS takes 14 features, "
+                                             "but the tree and encoding give 11"):
+            hybrid.load_hybrid("\n".join(lines))
+
+    def test_encoding_must_match_the_mars_part(self, gbp_hybrid_dump):
+        lines = gbp_hybrid_dump.splitlines()
+        lines[1] = "encoding leaf_prediction"
+        with pytest.raises(ValueError, match="^line 3: expected 'augmented_names month "
+                                             "prev_GBP leaf_prediction'"):
+            hybrid.load_hybrid("\n".join(lines))
+        lines[2] = "augmented_names month prev_GBP leaf_prediction"
+        at = self._features_line(lines)
+        lines.insert(at, "")  # a blank line moves the features line down
+        with pytest.raises(ValueError, match=rf"^line {at + 2}: MARS takes 11 features, "
+                                             "but the tree and encoding give 3"):
+            hybrid.load_hybrid("\n".join(lines))
 
 
 class TestBenchDumpsReload:
