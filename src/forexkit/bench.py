@@ -19,6 +19,7 @@ from __future__ import annotations
 import configparser
 import time
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from . import anfis, cart, charts, mars
 from .data import (RECIPES, FeatureSpec, apply_scaler, build_supervised, fit_scaler,
                    load_csv, rmse, split)
 from .hybrid import ENCODINGS
-from .kinds import KINDS
+from .kinds import KINDS, CellError
 
 MODELS = tuple(KINDS)
 
@@ -154,34 +155,55 @@ def prepare_cell(cfg: ExperimentConfig, series: dict, code: str, model: str):
     return scaler, apply_scaler(train, scaler), apply_scaler(test, scaler)
 
 
+@contextmanager
+def _cell_errors(code: str, model: str):
+    """Re-raise a failure as a BenchError naming the (currency, model) cell."""
+    try:
+        yield
+    except Exception as exc:
+        raise BenchError(f"currency {code}, model {model}: {exc}") from exc
+
+
 def run_experiment(cfg: ExperimentConfig) -> BenchReport:
+    """Model by model, every currency's cell is prepared, then all of them
+    are fitted in one ``Kind.fit_cells`` call, then each cell predicts and
+    dumps.  A cell's ``train_seconds`` is its fit time from ``fit_cells``
+    plus its own predict and dump time.  The report lists cells currency by
+    currency."""
     series = load_csv(cfg.data_path)
     currencies = cfg.currencies if cfg.currencies is not None else tuple(series)
     missing = [c for c in currencies if c not in series]
     if missing:
         raise BenchError(f"currencies {missing} not present in {cfg.data_path}")
 
-    cells = []
+    cells = {}
     parts = {name: {} for name in ("months", "actual", "predicted", "error_curves",
                                    "dumps", "rule_dumps", "tree_dumps")}
-    for code in currencies:
-        for model in cfg.models:
-            kind = KINDS[model]
-            try:
-                _, strain, stest = prepare_cell(cfg, series, code, model)
+    for model in cfg.models:
+        kind = KINDS[model]
+        prepared = []  # (scaled train, scaled test) per currency
+        for code in currencies:
+            with _cell_errors(code, model):
+                prepared.append(prepare_cell(cfg, series, code, model)[1:])
+        try:
+            fits = kind.fit_cells(cfg, [(strain, stest, cell_seed(cfg.seed, code, model))
+                                        for code, (strain, stest) in zip(currencies, prepared)])
+        except CellError as exc:
+            raise BenchError(f"currency {currencies[exc.index]}, model {model}: "
+                             f"{exc}") from exc.__cause__
+        except Exception as exc:
+            raise BenchError(f"model {model}: {exc}") from exc
+        for code, (strain, stest), (engine, extras, seconds) in zip(currencies, prepared, fits):
+            with _cell_errors(code, model):
                 started = time.perf_counter()
-                engine, extras = kind.fit(cfg, strain, stest,
-                                          cell_seed(cfg.seed, code, model))
                 train_pred = kind.predict(engine, strain.features)
                 test_pred = kind.predict(engine, stest.features)
                 dump = kind.dump(engine)
-                seconds = time.perf_counter() - started
-            except Exception as exc:
-                raise BenchError(f"currency {code}, model {model}: {exc}") from exc
-            cells.append(CellResult(code, model,
-                                    test_rmse=rmse(test_pred, stest.targets),
-                                    train_rmse=rmse(train_pred, strain.targets),
-                                    train_seconds=seconds))
+                seconds += time.perf_counter() - started
+            cells[code, model] = CellResult(code, model,
+                                            test_rmse=rmse(test_pred, stest.targets),
+                                            train_rmse=rmse(train_pred, strain.targets),
+                                            train_seconds=seconds)
             # test rows are provenance-sorted, so sequences are month-ordered;
             # the forecast lands at feature month + 1 (1-based: provenance + 2)
             parts["months"].setdefault(code, stest.provenance + 2)
@@ -190,8 +212,11 @@ def run_experiment(cfg: ExperimentConfig) -> BenchReport:
             parts["dumps"][(code, model)] = dump
             for name, value in extras.items():
                 parts[name][code] = value
+    order = [(code, model) for code in currencies for model in cfg.models]
+    for name in ("predicted", "dumps"):
+        parts[name] = {key: parts[name][key] for key in order}
     return BenchReport(currencies=tuple(currencies), models=cfg.models,
-                       cells=tuple(cells), **parts)
+                       cells=tuple(cells[key] for key in order), **parts)
 
 
 # --- emitters -------------------------------------------------------------------

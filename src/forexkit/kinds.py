@@ -2,23 +2,49 @@
 
 ``fit(cfg, train, selection, seed_key)`` returns ``(engine, extras)``: CART
 selects its subtree on ``selection``, and ``extras`` maps BenchReport fields
-to the cell's entries.  Every engine reports the number of scaled features
-it takes as ``n_features``.  Engine functions are named, not held, and
-looked up on their module at call time, so a wrapper on a module attribute
-sees every call.
+to the cell's entries.  ``fit_cells`` fits every cell of a run that a family
+has; the mlp family trains them as one lockstep stack.  Every engine reports
+the number of scaled features it takes as ``n_features``.  Engine functions
+are named, not held, and looked up on their module at call time, so a
+wrapper on a module attribute sees every call.
 """
 
 from __future__ import annotations
+
+import time
 
 import numpy as np
 
 from . import anfis, cart, hybrid, mars, scg
 
 
+class CellError(RuntimeError):
+    """Cell ``index`` of a ``fit_cells`` call failed; its error is the cause."""
+
+    def __init__(self, index: int, cause: BaseException):
+        super().__init__(str(cause))
+        self.index = index
+
+
 class Kind:
     """One model family; a subclass sets ``module`` and defines ``fit``."""
 
     predict_name, dump_name, load_name = "predict", "dump_model", "load_model"
+
+    def fit_cells(self, cfg, cells) -> list:
+        """``fit`` over cells, a list of ``(train, selection, seed_key)``:
+        one ``(engine, extras, seconds)`` per cell, in order.  A failure
+        raises CellError from the cell's error.  By default the cells are
+        fitted one at a time, each timed alone."""
+        fitted = []
+        for index, cell in enumerate(cells):
+            started = time.perf_counter()
+            try:
+                engine, extras = self.fit(cfg, *cell)
+            except Exception as exc:
+                raise CellError(index, exc) from exc
+            fitted.append((engine, extras, time.perf_counter() - started))
+        return fitted
 
     def predict(self, engine, X) -> np.ndarray:
         return np.asarray(getattr(self.module, self.predict_name)(engine, X), dtype=float)
@@ -61,8 +87,27 @@ class _Mlp(Kind):
     dump_name, load_name = "dump_network", "load_network"
 
     def fit(self, cfg, train, selection, seed_key):
-        net = scg.init_network((train.n_features, *cfg.mlp_hidden, 1), seed_key)
-        return scg.scg_train(net, train, cfg.mlp_epochs)[0], {}
+        return scg.scg_train(self._network(cfg, train, seed_key), train,
+                             cfg.mlp_epochs)[0], {}
+
+    def fit_cells(self, cfg, cells) -> list:
+        """Every cell in one scg_train stack, which trains each network bit
+        for bit as ``fit`` would; a cell's seconds are its share, the
+        stack's time over the number of cells."""
+        if not cells:
+            return []
+        started = time.perf_counter()
+        try:
+            nets, _ = scg.scg_train([self._network(cfg, train, key) for train, _, key in cells],
+                                    [train for train, _, _ in cells], cfg.mlp_epochs)
+        except scg.ScgDivergence as exc:
+            raise CellError(exc.row, exc) from exc
+        share = (time.perf_counter() - started) / len(cells)
+        return [(net, {}, share) for net in nets]
+
+    @staticmethod
+    def _network(cfg, train, seed_key):
+        return scg.init_network((train.n_features, *cfg.mlp_hidden, 1), seed_key)
 
 
 class _Anfis(Kind):

@@ -14,6 +14,15 @@ With `scg_minimize(..., freeze_lambda=True)` the regulator is pinned at
 zero, which on a quadratic makes every step an exact line minimum and the
 direction update plain conjugate gradient — handy for convergence tests.
 The number of iterations a run took is len(result.trace) - 1.
+
+The minimizer runs a stack of K problems of one size in lockstep, each row
+with its own scalar state, so each row takes exactly the steps it would
+take alone; one problem is the K = 1 case.  `scg_train` given sequences of
+networks and datasets trains them as such a stack: K networks of one
+layer-size tuple in one (K, n_params) buffer, evaluated on K datasets of one
+row count, with every product run per network through the same np.dot call
+a single fit makes.  The stack pays numpy's per-call cost and the loop's
+Python once per iteration instead of once per network.
 """
 
 from __future__ import annotations
@@ -28,11 +37,13 @@ from .dumpfmt import Lines, expect, floats, fmt
 
 
 class ScgDivergence(RuntimeError):
-    """Raised when the training error or gradient turns non-finite."""
+    """Raised when the training error or gradient turns non-finite.  ``row``
+    is the problem's row in a lockstep stack, 0 for a single problem."""
 
-    def __init__(self, epoch: int, message: str):
+    def __init__(self, epoch: int, message: str, row: int = 0):
         super().__init__(message)
         self.epoch = epoch
+        self.row = row
 
 
 SIGMA0 = 1e-4      # finite-difference step along p, over |p|
@@ -47,95 +58,178 @@ class ScgResult:
     converged: bool
 
 
-def scg_minimize(fun, grad, w0, *, max_iterations: int,
-                 freeze_lambda: bool = False) -> ScgResult:
+def scg_minimize(fun, grad, w0, *, max_iterations: int, freeze_lambda: bool = False):
     """Minimize fun(w) from w0; one iteration = one candidate step.
 
     The state is the weights w, the search direction p, the negative
     gradient r and the regulator pair (lam, lam_bar).  The direction
-    restarts along r every w.size iterations.  An accepted step passes the
-    very array fun was evaluated at to grad, so a (fun, grad) pair may share
-    work done at the same point."""
+    restarts along r every w.size iterations.  When every step is accepted,
+    grad gets the very array fun was evaluated at, so a (fun, grad) pair may
+    share work done at the same point.
+
+    A (K, n) w0 runs K problems in lockstep and returns one ScgResult per
+    row: fun(W) gives K values and grad(W) a (K, n) array, one row per
+    problem.  Each row keeps its own scalar state as Python floats, so it
+    takes exactly the steps it would take alone and stops on its own.  An
+    evaluation covers every row.  A row that needs no value from it sits at
+    its current w (up to the sign of a zero once it has stopped), where fun
+    and grad were finite, and the values it gets there are never read, so
+    they never raise.  A 1-D w0 is the K = 1 case, with fun and grad taking
+    1-D arrays."""
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1 (epochs >= 1)")
-    w = np.asarray(w0, dtype=float).copy()
-    n = w.size
-    lam = 0.0 if freeze_lambda else LAMBDA0
-    lam_bar = 0.0
-    fw = _finite_fun(fun, w, 0)
-    r = -_finite_grad(grad, w, 0)
-    p = r.copy()
-    success = True
-    trace = [fw]
-    converged = False
-    delta_raw = 0.0
-    p_sq = 0.0
+    w0 = np.asarray(w0, dtype=float)
+    if w0.ndim == 1:
+        [result] = scg_minimize(lambda W: (fun(W[0]),),
+                                lambda W: np.asarray(grad(W[0]), dtype=float)[None],
+                                w0[None], max_iterations=max_iterations,
+                                freeze_lambda=freeze_lambda)
+        return result
+    W = w0.copy()
+    K, n = W.shape
+    live = list(range(K))  # rows still stepping, in order
+    results = [None] * K
+    fw = np.asarray(fun(W), dtype=float).tolist()
+    for i in live:
+        if not math.isfinite(fw[i]):
+            raise ScgDivergence(0, "training error diverged at epoch 0", i)
+    # B[j] is (R, P) for the current slot j; an accepted iteration writes
+    # the other slot.  Each matmul below gives every row's dot products with
+    # one BLAS ddot call per row, the call a 1-D a @ b makes: R.R, R.P, P.R
+    # and P.P of a slot; a slot's R with both slots' R; and a slot's P with
+    # T, a scratch row per problem.  Their outputs are kept, with flat views
+    # to read them through.
+    B = np.empty((2, 2, K, n))
+    T = np.empty((K, n))
+    slots = [tuple(B[j]) for j in (0, 1)]
+    slot_dots = [_products(B[j][:, None, :, None, :], B[j][None, :, :, :, None])
+                 for j in (0, 1)]
+    r_dots = [_products(B[j, 0][None, :, None, :], B[:, 0, :, :, None]) for j in (0, 1)]
+    p_dots = [_products(B[j, 1][:, None, :], T[:, :, None]) for j in (0, 1)]
+    G = np.asarray(grad(W), dtype=float)
+    _check_grad(G, live, [math.nan] * K, 0)  # no dot products yet: scan every row
+    np.negative(G, out=B[0, 0])
+    B[0, 1] = B[0, 0]
+    coef = np.empty((K, 1))  # a step length per row, times P
+    lam = [0.0 if freeze_lambda else LAMBDA0] * K
+    lam_bar = [0.0] * K
+    success = [True] * K
+    delta_raw = [0.0] * K
+    p_sq = [0.0] * K
+    delta, mu = [0.0] * K, [0.0] * K
+    traces = [[f] for f in fw]
+    j = 0
 
     for k in range(1, max_iterations + 1):
-        if math.sqrt(r @ r) < GRAD_TOL:
-            converged = True
+        R, P = slots[j]
+        (r_r, _), (p_r, p_p) = slot_dots[j]()
+        sigma = [0.0] * K
+        probing = []  # rows that measure curvature at w + sigma p
+        for i in live[:]:
+            if math.sqrt(r_r[i]) < GRAD_TOL or (success[i] and p_p[i] == 0.0):
+                live.remove(i)
+                results[i] = ScgResult(w=W[i].copy(), trace=tuple(traces[i]), converged=True)
+            elif success[i]:
+                p_sq[i] = p_p[i]
+                sigma[i] = SIGMA0 / math.sqrt(p_p[i])
+                probing.append(i)
+        if not live:
             break
-        if success:
-            p_sq = float(p @ p)
-            if p_sq == 0.0:
-                converged = True
-                break
-            sigma_k = SIGMA0 / math.sqrt(p_sq)
-            g_there = _finite_grad(grad, w + sigma_k * p, k)
-            delta_raw = float(p @ (g_there + r)) / sigma_k  # g_there - E'(w), E'(w) = -r
-        delta = delta_raw + (lam - lam_bar) * p_sq
-        if delta <= 0.0 and not freeze_lambda:
-            # raise lambda until the quadratic model is positive definite
-            lam_bar = 2.0 * (lam - delta / p_sq)
-            delta = -delta + lam * p_sq
-            lam = lam_bar
-        mu = float(p @ r)
-        alpha = mu / delta
-        w_new = w + alpha * p
-        f_new = fun(w_new)
-        if math.isfinite(f_new):
-            comparison = 2.0 * delta * (fw - f_new) / (mu * mu)
-        else:
-            comparison = -1.0  # force rejection; lambda will rise
-        if comparison >= 0.0:
-            w = w_new
-            fw = _require_finite(f_new, k)
-            r_new = -_finite_grad(grad, w, k)
-            lam_bar = 0.0
-            success = True
-            if k % n == 0:
-                p = r_new.copy()
+        if probing:
+            coef[:, 0] = sigma
+            G = np.asarray(grad(_step(W, coef, P)), dtype=float)
+            np.add(G, R, out=T)  # g_there - E'(w), E'(w) = -r
+            p_g = p_dots[j]()
+            _check_grad(G, probing, p_g, k)
+        alpha = [0.0] * K
+        for i in live:
+            if sigma[i]:
+                delta_raw[i] = p_g[i] / sigma[i]
+            d = delta_raw[i] + (lam[i] - lam_bar[i]) * p_sq[i]
+            if d <= 0.0 and not freeze_lambda:
+                # raise lambda until the quadratic model is positive definite
+                lam_bar[i] = 2.0 * (lam[i] - d / p_sq[i])
+                d = -d + lam[i] * p_sq[i]
+                lam[i] = lam_bar[i]
+            delta[i], mu[i] = d, p_r[i]
+            alpha[i] = p_r[i] / d
+        coef[:, 0] = alpha
+        W_new = _step(W, coef, P)
+        f_new = np.asarray(fun(W_new), dtype=float).tolist()
+        accepted, rejected = [], []
+        for i in live:
+            if math.isfinite(f_new[i]):
+                comparison = 2.0 * delta[i] * (fw[i] - f_new[i]) / (mu[i] * mu[i])
             else:
-                beta = float(r_new @ r_new - r_new @ r) / mu
-                p = r_new + beta * p
-            r = r_new
-            if comparison >= 0.75 and not freeze_lambda:
-                lam = 0.25 * lam
-        else:
-            lam_bar = lam
-            success = False
-        if comparison < 0.25 and not freeze_lambda:
-            lam = lam + delta * (1.0 - comparison) / p_sq
-        trace.append(fw)
+                comparison = -1.0  # force rejection; lambda will rise
+            if comparison >= 0.0:
+                fw[i] = f_new[i]
+                lam_bar[i] = 0.0
+                success[i] = True
+                accepted.append(i)
+                if comparison >= 0.75 and not freeze_lambda:
+                    lam[i] = 0.25 * lam[i]
+            else:
+                lam_bar[i] = lam[i]
+                success[i] = False
+                rejected.append(i)
+            if comparison < 0.25 and not freeze_lambda:
+                lam[i] = lam[i] + delta[i] * (1.0 - comparison) / p_sq[i]
+            traces[i].append(fw[i])
+        if accepted:
+            if rejected:  # grad never sees a rejected point
+                W_new = W_new.copy()
+                W_new[rejected] = W[rejected]
+            R_new, P_new = slots[1 - j]
+            G = np.asarray(grad(W_new), dtype=float)
+            np.negative(G, out=R_new)
+            new_r = r_dots[1 - j]()
+            new_new, new_old = new_r[1 - j], new_r[j]
+            _check_grad(G, accepted, new_new, k)
+            if k % n == 0:
+                P_new[:] = R_new
+            else:
+                beta = [0.0] * K
+                for i in accepted:
+                    beta[i] = (new_new[i] - new_old[i]) / mu[i]
+                coef[:, 0] = beta
+                np.add(R_new, np.multiply(P, coef, out=P_new), out=P_new)
+            if rejected:
+                B[1 - j][:, rejected] = B[j][:, rejected]
+            W, j = W_new, 1 - j
 
-    return ScgResult(w=w, trace=tuple(trace), converged=converged)
+    for i in live:
+        results[i] = ScgResult(w=W[i].copy(), trace=tuple(traces[i]), converged=False)
+    return results
 
 
-def _require_finite(value: float, epoch: int) -> float:
-    if not math.isfinite(value):
-        raise ScgDivergence(epoch, f"training error diverged at epoch {epoch}")
-    return float(value)
+def _step(W, coef, P) -> np.ndarray:
+    """A new array W + coef * P, with coef * P rounded first."""
+    out = np.multiply(coef, P)
+    return np.add(W, out, out=out)
 
 
-def _finite_fun(fun, w, epoch):
-    return _require_finite(fun(w), epoch)
+def _products(left, right):
+    """A call that runs left @ right into one kept array and returns it as
+    nested lists of Python floats, without the two trailing unit axes."""
+    flat = np.empty(np.broadcast_shapes(left.shape[:-2], right.shape[:-2]))
+    out = flat[..., None, None]
+
+    def run() -> list:
+        np.matmul(left, right, out=out)
+        return flat.tolist()
+
+    return run
 
 
-def _finite_grad(grad, w, epoch):
-    g = np.asarray(grad(w), dtype=float)
-    if not np.isfinite(g).all():
-        raise ScgDivergence(epoch, f"gradient diverged at epoch {epoch}")
-    return g
+def _check_grad(G, rows, dots, epoch):
+    """Raise for the first listed row of G that is not finite.  dots[i] is
+    the dot product of row i with itself, or of a finite vector with row i
+    plus a finite vector.  A non-finite entry makes it non-finite, so only
+    rows whose dot is not finite are scanned."""
+    for i in rows:
+        if not math.isfinite(dots[i]) and not np.isfinite(G[i]).all():
+            raise ScgDivergence(epoch, f"gradient diverged at epoch {epoch}", i)
 
 
 # --- the network ---------------------------------------------------------------
@@ -200,14 +294,16 @@ def get_params(net: MlpNetwork) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def _unflatten(net: MlpNetwork, flat: np.ndarray):
-    """Per-layer views into flat, laid out like get_params."""
-    weights, biases, at = [], [], 0
-    for w, b in zip(net.weights, net.biases):
-        weights.append(flat[at:at + w.size].reshape(w.shape))
-        at += w.size
-        biases.append(flat[at:at + b.size])
-        at += b.size
+def _unflatten(sizes: tuple, flat: np.ndarray):
+    """Per-layer weight and bias views into flat, laid out like get_params
+    along its last axis; a (K, n_params) flat gives (K, out, in) and
+    (K, out) views."""
+    weights, biases, at, lead = [], [], 0, flat.shape[:-1]
+    for n_in, n_out in zip(sizes, sizes[1:]):
+        weights.append(flat[..., at:at + n_out * n_in].reshape(*lead, n_out, n_in))
+        at += n_out * n_in
+        biases.append(flat[..., at:at + n_out])
+        at += n_out
     return weights, biases
 
 
@@ -215,55 +311,101 @@ def set_params(net: MlpNetwork, flat: np.ndarray) -> MlpNetwork:
     flat = np.asarray(flat, dtype=float)
     if flat.size != net.n_params:
         raise ValueError(f"expected {net.n_params} parameters, got {flat.size}")
-    weights, biases = _unflatten(net, flat)
+    weights, biases = _unflatten(net.layer_sizes, flat)
     return MlpNetwork(net.layer_sizes, tuple(w.copy() for w in weights),
                       tuple(b.copy() for b in biases))
 
 
 class _Workspace:
-    """Buffers for evaluating one network on batches of n_rows rows.
+    """Buffers for evaluating a stack of K networks of one layer-size tuple
+    on K batches of n_rows rows: a plain network is a stack of one, and the
+    view built by _training_view a stack of any K.
 
-    acts[1:] hold the activations of the features X, and acts[0] is X itself;
-    X is None while they are stale.  Dataset features are read-only, so the
-    same features object means the same activations.  resid holds the output
-    residual.  The backward buffers (a delta and a scratch array per hidden
-    layer, and the flat gradient with a view per layer block) are made by
-    the first gradient that needs them, so forward alone never allocates
-    them."""
+    weights[i] is (K, out, in) and biases[i] (K, 1, out).  acts[1:] hold the
+    activations of the features X, and acts[0] is X as (K, n_rows,
+    n_features); X is None while they are stale.  Dataset features are
+    read-only, so the same features object means the same activations.
+    resid holds the output residual.  Products run one network at a time
+    through the (input, operand, output) slices listed per layer in dots,
+    and elementwise steps over the whole stack.  The backward buffers (a
+    delta per hidden layer, a scratch array per hidden width, and the (K,
+    n_params) gradient with a view per layer block) are made by the first
+    gradient that needs them, so forward alone never allocates them."""
 
     def __init__(self, net: MlpNetwork, n_rows: int):
+        self.sizes = sizes = net.layer_sizes
+        self.weights = [w.reshape(-1, *w.shape[-2:]) for w in net.weights]
+        self.biases = [b.reshape(-1, 1, b.shape[-1]) for b in net.biases]
         self.n_rows = n_rows
-        self.X = None
-        self.acts = [None] + [np.empty((n_rows, s)) for s in net.layer_sizes[1:]]
+        self.X = self.features = None
+        K = len(self.weights[0])
+        self.acts = [None] + [np.empty((K, n_rows, s)) for s in sizes[1:]]
         self.resid = np.empty_like(self.acts[-1])
+        self.dots = [None] + [list(zip(self.acts[i], self._transposed(i), self.acts[i + 1]))
+                              for i in range(1, len(sizes) - 1)]
         self.grad = None
 
-    def backward_buffers(self, net: MlpNetwork):
+    def _transposed(self, i: int) -> list:
+        return [w.T for w in self.weights[i]]
+
+    def _grad_dots(self, i: int) -> list:
+        return list(zip([d.T for d in self.delta_at[i]], self.acts[i], self.grad_w[i]))
+
+    def bind(self, X: np.ndarray):
+        """Point the first layer's slices at the features X."""
+        self.features = X
+        self.acts[0] = X.reshape(-1, *X.shape[-2:])
+        self.dots[0] = list(zip(self.acts[0], self._transposed(0), self.acts[1]))
+        if self.grad is not None:
+            self.grad_dots[0] = self._grad_dots(0)
+
+    def backward_buffers(self):
         if self.grad is None:
-            hidden = net.layer_sizes[1:-1]
-            self.deltas = [np.empty((self.n_rows, s)) for s in hidden]
-            self.scratch = [np.empty((self.n_rows, s)) for s in hidden]
-            self.grad = np.empty(net.n_params)
-            self.grad_w, self.grad_b = _unflatten(net, self.grad)
+            K, n = len(self.weights[0]), self.n_rows
+            hidden = self.sizes[1:-1]
+            self.deltas = [np.empty((K, n, s)) for s in hidden]
+            self.delta_at = self.deltas + [self.resid]  # E's derivative at layer i's output
+            scratch = {s: np.empty((K, n, s)) for s in hidden}  # one per width
+            self.scratch = [scratch[s] for s in hidden]
+            self.grad = np.empty((K, sum((n_in + 1) * n_out for n_in, n_out
+                                         in zip(self.sizes, self.sizes[1:]))))
+            self.grad_w, self.grad_b = _unflatten(self.sizes, self.grad)
+            self.grad_dots = [self._grad_dots(i) for i in range(len(self.weights))]
+            self.back_dots = [None] + [list(zip(self.delta_at[i], self.weights[i],
+                                                self.deltas[i - 1]))
+                                       for i in range(1, len(self.weights))]
         return self
 
 
-def _training_view(net: MlpNetwork, n_rows: int):
-    """(buffer, network whose layers are views into the buffer) for scg_train.
+def _training_view(net: MlpNetwork, n_rows: int, k: int = 1):
+    """(buffer, view) for scg_train: k networks of net's layer sizes, the
+    i-th holding row i of the (k, n_params) buffer, with layers that are
+    fixed views into it.
 
-    The network skips validation and carries one workspace for batches of
+    The view skips validation and carries one workspace for batches of
     n_rows rows, so it must never reach a caller; whoever writes the buffer
     marks the workspace's activations stale.  The buffer starts as NaN and
     the activations stale, so the first evaluation runs a full forward
     pass."""
-    flat = np.full(net.n_params, np.nan)
-    weights, biases = _unflatten(net, flat)
+    flat = np.full((k, net.n_params), np.nan)
+    weights, biases = _unflatten(net.layer_sizes, flat)
     view = object.__new__(MlpNetwork)
     object.__setattr__(view, "layer_sizes", net.layer_sizes)
     object.__setattr__(view, "weights", tuple(weights))
     object.__setattr__(view, "biases", tuple(biases))
     object.__setattr__(view, "_work", _Workspace(view, n_rows))
     return flat, view
+
+
+class _Batches:
+    """K training sets of one row count as one batch: features (K, n_rows,
+    n_features) and targets (K, n_rows), both read-only."""
+
+    def __init__(self, trains):
+        self.features = np.stack([t.features for t in trains])
+        self.targets = np.stack([t.targets for t in trains])
+        self.features.flags.writeable = self.targets.flags.writeable = False
+        self.n_rows = self.features.shape[1]
 
 
 def _forward_cached(net: MlpNetwork, X: np.ndarray) -> _Workspace:
@@ -273,15 +415,17 @@ def _forward_cached(net: MlpNetwork, X: np.ndarray) -> _Workspace:
     np.dot, which makes the same BLAS call as np.matmul with less
     dispatch."""
     work = net._work
-    if work is None or work.n_rows != X.shape[0]:
-        work = _Workspace(net, X.shape[0])
+    if work is None or work.n_rows != X.shape[-2]:
+        work = _Workspace(net, X.shape[-2])
     elif work.X is X:
         return work
-    acts = work.acts
-    acts[0] = a = X
-    last = len(net.weights) - 1
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        a = np.dot(a, w.T, out=acts[i + 1])
+    if work.features is not X:
+        work.bind(X)
+    last = len(work.weights) - 1
+    for i, (dots, b) in enumerate(zip(work.dots, work.biases)):
+        for x, w, out in dots:
+            np.dot(x, w, out=out)
+        a = work.acts[i + 1]
         np.add(a, b, out=a)
         if i != last:
             np.tanh(a, out=a)
@@ -291,40 +435,47 @@ def _forward_cached(net: MlpNetwork, X: np.ndarray) -> _Workspace:
 
 def forward(net: MlpNetwork, x):
     """Network output; a float for a single sample."""
-    out = _forward_cached(net, as_rows(x, net.n_features, "inputs")).acts[-1]
+    out = _forward_cached(net, as_rows(x, net.n_features, "inputs")).acts[-1][0]
     return float(out[0, 0]) if np.ndim(x) == 1 else out[:, 0].copy()
 
 
-def error(net: MlpNetwork, batch: Dataset) -> float:
-    """E = half the summed squared error over the batch."""
+def error(net: MlpNetwork, batch: Dataset):
+    """E = half the summed squared error over the batch.  For the stack of
+    batches scg_train evaluates its view on, an array of one E per
+    network."""
     if batch.n_rows == 0:
         raise ValueError("batch is empty")
     work = _forward_cached(net, batch.features)
-    sq = np.subtract(work.acts[-1], batch.targets[:, None], out=work.resid)
+    sq = np.subtract(work.acts[-1], batch.targets[..., None], out=work.resid)
     np.multiply(sq, sq, out=sq)
-    return 0.5 * float(np.add.reduce(sq, axis=None))
+    E = 0.5 * np.add.reduce(sq, axis=(1, 2))
+    return E if batch.features.ndim == 3 else float(E[0])
 
 
 def gradient(net: MlpNetwork, batch: Dataset) -> np.ndarray:
-    """Exact backpropagation gradient of E, flattened like get_params.
+    """Exact backpropagation gradient of E, flattened like get_params; for a
+    stack of batches, one row per network.
 
     Each layer's block is written straight into the workspace's flat
     gradient, and the caller gets a copy of it."""
     if batch.n_rows == 0:
         raise ValueError("batch is empty")
-    work = _forward_cached(net, batch.features).backward_buffers(net)
+    work = _forward_cached(net, batch.features).backward_buffers()
     acts = work.acts
-    delta = np.subtract(acts[-1], batch.targets[:, None], out=work.resid)
-    for i in range(len(net.weights) - 1, -1, -1):
-        np.add.reduce(delta, axis=0, out=work.grad_b[i])
-        np.dot(delta.T, acts[i], out=work.grad_w[i])
+    np.subtract(acts[-1], batch.targets[..., None], out=work.resid)
+    for i in range(len(work.weights) - 1, -1, -1):
+        delta = work.delta_at[i]
+        np.add.reduce(delta, axis=1, out=work.grad_b[i])
+        for d, a, out in work.grad_dots[i]:
+            np.dot(d, a, out=out)
         if i > 0:
             # delta @ W_i times (1 - a_i ** 2); numpy squares as a_i * a_i
             scratch = np.multiply(acts[i], acts[i], out=work.scratch[i - 1])
             np.subtract(1.0, scratch, out=scratch)
-            delta = np.dot(delta, net.weights[i], out=work.deltas[i - 1])
-            np.multiply(delta, scratch, out=delta)
-    return work.grad.copy()
+            for d, w, out in work.back_dots[i]:
+                np.dot(d, w, out=out)
+            np.multiply(work.deltas[i - 1], scratch, out=work.deltas[i - 1])
+    return work.grad.copy() if batch.features.ndim == 3 else work.grad[0].copy()
 
 
 def hessian_vector_approx(net: MlpNetwork, batch: Dataset, p: np.ndarray,
@@ -341,44 +492,61 @@ def hessian_vector_approx(net: MlpNetwork, batch: Dataset, p: np.ndarray,
     return (g1 - g0) / sigma_k + lambda_k * p
 
 
-def scg_train(net: MlpNetwork, train: Dataset, epochs: int, seed: int | None = None):
+def scg_train(net, train, epochs: int, seed: int | None = None):
     """Full-batch SCG training.  With a seed, weights are re-initialized from
     it first, so the whole trajectory is a function of (seed, data, epochs).
     Returns (trained network, per-epoch error trace).
 
+    Given equal-length sequences of networks (of one layer-size tuple) and
+    datasets (of one row count) instead, it trains them as one lockstep
+    stack and returns (list of networks, list of traces), each bit for bit
+    what training that network alone gives.
+
     Every evaluation runs on one training view, through the module-level
-    error and gradient; w is copied into the view only when its bits differ
-    from the view's, so grad at an accepted point reuses the forward pass
-    that fun just made there.  The view's workspace, allocated once per
-    call, holds every activation, delta and gradient buffer of the fit, so
-    the only new array an evaluation makes is the gradient copy it hands
-    back."""
+    error and gradient, one call per stacked evaluation; W is copied into
+    the view only when its bits differ from the view's, so grad at an
+    accepted point reuses the forward pass that fun just made there.  The
+    view's workspace, allocated once per call, holds every activation,
+    delta and gradient buffer of the fit, so the only new array an
+    evaluation makes is the gradient copy it hands back."""
+    single = isinstance(net, MlpNetwork)
+    nets, trains = ([net], [train]) if single else (list(net), list(train))
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
-    if train.n_rows == 0:
-        raise ValueError("training set is empty")
-    require_finite(train)
+    if not nets or len(nets) != len(trains):
+        raise ValueError(f"{len(nets)} networks for {len(trains)} datasets")
+    if len({n.layer_sizes for n in nets}) > 1 or len({t.n_rows for t in trains}) > 1:
+        raise ValueError("a stack's networks share their layer sizes, and its "
+                         "datasets their row count")
+    for t in trains:
+        if t.n_rows == 0:
+            raise ValueError("training set is empty")
+        require_finite(t)
     if seed is not None:
-        net = init_network(net.layer_sizes, seed)
-    flat, view = _training_view(net, train.n_rows)
+        nets = [init_network(n.layer_sizes, seed) for n in nets]
+    flat, view = _training_view(nets[0], trains[0].n_rows, len(nets))
     work = view._work
+    batch = _Batches(trains)
 
-    def view_at(w):
-        # bitwise, not ==: a reused forward pass must be the one w itself
+    def view_at(W):
+        # bitwise, not ==: a reused forward pass must be the one W itself
         # would get, and 0.0 == -0.0
-        if w.tobytes() != flat.tobytes():
-            flat[:] = w
+        if W.tobytes() != flat.tobytes():
+            flat[:] = W
             work.X = None
         return view
 
-    def fun(w):
-        return error(view_at(w), train)
+    def fun(W):
+        return error(view_at(W), batch)
 
-    def grad(w):
-        return gradient(view_at(w), train)
+    def grad(W):
+        return gradient(view_at(W), batch)
 
-    result = scg_minimize(fun, grad, get_params(net), max_iterations=epochs)
-    return set_params(net, result.w), list(result.trace)
+    results = scg_minimize(fun, grad, np.stack([get_params(n) for n in nets]),
+                           max_iterations=epochs)
+    trained = [set_params(n, r.w) for n, r in zip(nets, results)]
+    traces = [list(r.trace) for r in results]
+    return (trained[0], traces[0]) if single else (trained, traces)
 
 
 # --- plain-text serialization -------------------------------------------------

@@ -7,12 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from forexkit import bench
+from forexkit import bench, scg
 from forexkit.bench import (MODELS, REFERENCE_RMSE, BenchError,
                             ExperimentConfig, cell_seed, emit_csv, emit_plots,
                             emit_table, load_config, run_bench, run_experiment)
 from forexkit.data import (FeatureSpec, apply_scaler, build_supervised,
                            fit_scaler, load_csv, rmse, split)
+from forexkit.kinds import KINDS
 from forexkit.synth import forex5_series, write_rates_csv
 
 
@@ -127,6 +128,53 @@ class TestRunExperiment:
         curve = small_report.error_curves["JPY"]
         assert curve[-1][0] == 1  # root-only entry present
         assert all(isinstance(n, int) and r >= 0.0 for n, r in curve)
+
+
+class TestMlpStack:
+    """run_experiment fits a run's mlp cells as one lockstep SCG stack; each
+    dump must equal the cell's own fit.  300 epochs cover every rejected
+    step of the seed-7 cells (NZD rejects at epochs 3, 8, 11, 79 and 255)."""
+
+    EPOCHS = 300
+
+    def _cfg(self, rates_csv, currencies):
+        return ExperimentConfig(data_path=str(rates_csv), currencies=currencies,
+                                models=("mlp",), mlp_epochs=self.EPOCHS)
+
+    @pytest.mark.parametrize("currencies", [("GBP",), ("JPY", "USD", "GBP", "SGD", "NZD")],
+                             ids=["one-currency", "five-currencies"])
+    def test_dumps_equal_single_cell_fits(self, rates_csv, currencies):
+        cfg = self._cfg(rates_csv, currencies)
+        report = run_experiment(cfg)
+        assert [(c.currency, c.model) for c in report.cells] == \
+               [(code, "mlp") for code in currencies]
+        series = load_csv(rates_csv)
+        mlp = KINDS["mlp"]
+        for code in currencies:
+            _, strain, stest = bench.prepare_cell(cfg, series, code, "mlp")
+            key = cell_seed(cfg.seed, code, "mlp")
+            engine, _ = mlp.fit(cfg, strain, stest, key)
+            assert report.dumps[(code, "mlp")] == mlp.dump(engine)
+            if code == "NZD":  # a rejected step keeps the error
+                trace = scg.scg_train(scg.init_network(engine.layer_sizes, key), strain,
+                                      self.EPOCHS)[1]
+                assert sum(a == b for a, b in zip(trace, trace[1:])) == 5
+
+    def test_divergence_names_its_currency(self, rates_csv, monkeypatch):
+        real = scg.gradient
+        calls = {"n": 0}
+
+        def gradient(net, batch):
+            calls["n"] += 1
+            g = real(net, batch)
+            if calls["n"] >= 40:
+                g[2] = np.nan  # the third currency's network, GBP
+            return g
+
+        monkeypatch.setattr(scg, "gradient", gradient)
+        with pytest.raises(BenchError, match=r"^currency GBP, model mlp: "
+                                             r"gradient diverged at epoch \d+$"):
+            run_experiment(self._cfg(rates_csv, ("JPY", "USD", "GBP", "SGD", "NZD")))
 
 
 class TestEmitters:

@@ -479,6 +479,176 @@ class TestTrainingEvaluations:
             assert not np.shares_memory(g, h)
 
 
+def _huber(center):
+    """Pseudo-Huber loss: from far away, SCG's quadratic model overshoots
+    and the step is rejected."""
+    center = np.asarray(center, dtype=float)
+
+    def fun(w):
+        return float(np.sum(np.sqrt(1.0 + (w - center) ** 2)))
+
+    def grad(w):
+        return (w - center) / np.sqrt(1.0 + (w - center) ** 2)
+
+    return fun, grad
+
+
+def _stacked(funs, grads):
+    """fun and grad of a lockstep stack whose row i is (funs[i], grads[i])."""
+    return (lambda W: [f(w) for f, w in zip(funs, W)],
+            lambda W: np.array([g(w) for g, w in zip(grads, W)]))
+
+
+def _rejections(trace):
+    """Iterations whose step was rejected: a rejection keeps the error."""
+    return [k for k in range(1, len(trace)) if trace[k] == trace[k - 1]]
+
+
+class TestLockstep:
+    """scg_minimize on a (K, n) w0: each row is bit for bit its own run."""
+
+    @staticmethod
+    def _assert_rows_match_solo(funs, grads, W0, **kw):
+        results = scg_minimize(*_stacked(funs, grads), W0, **kw)
+        assert len(results) == len(funs)
+        for fun, grad, w0, res in zip(funs, grads, W0, results):
+            solo = scg_minimize(fun, grad, w0, **kw)
+            np.testing.assert_array_equal(res.w, solo.w)
+            assert res.trace == solo.trace
+            assert res.converged == solo.converged
+        return results
+
+    def test_a_row_that_converges_early_stops_alone(self):
+        n = 6
+        b = np.arange(1.0, n + 1.0)
+        quadratics = [_quadratic(3.0 * np.eye(n), b), _quadratic(_spd(n, seed=1), b),
+                      _quadratic(_spd(n, seed=2), -b)]
+        results = self._assert_rows_match_solo(
+            [f for f, _ in quadratics], [g for _, g in quadratics], np.zeros((3, n)),
+            max_iterations=n, freeze_lambda=True)
+        early, *rest = results
+        # a multiple of the identity is solved by the first step
+        assert early.converged and len(early.trace) == 2
+        assert all(len(res.trace) >= len(early.trace) + 3 for res in rest)
+        np.testing.assert_allclose(early.w, b / 3.0, atol=1e-12)
+
+    def test_only_one_row_rejects_a_step(self):
+        far = 8.0
+
+        def huber_grad(w, grad=_huber([1.0, -2.0])[1]):
+            # never asked for at the far, rejected trial points
+            return np.full(2, np.nan) if np.abs(w).max() > far else grad(w)
+
+        quadratic = _quadratic([[4.0, 1.0], [1.0, 3.0]], [1.0, 2.0])
+        smooth = _huber([0.5, 0.5])
+        results = self._assert_rows_match_solo(
+            [_huber([1.0, -2.0])[0], quadratic[0], smooth[0]],
+            [huber_grad, quadratic[1], smooth[1]],
+            np.array([[6.0, 4.0], [0.0, 0.0], [0.7, 0.2]]), max_iterations=30)
+        rejecting, *others = results
+        assert _rejections(rejecting.trace) == [1, 2, 3, 14]
+        assert all(_rejections(res.trace) == [] for res in others)
+
+    def test_divergence_names_the_row_and_its_epoch(self):
+        fun, grad = _huber([1.0, -2.0])
+
+        def failing_grad(w):
+            return np.full(2, np.nan) if fun(w) < 2.2 else grad(w)
+
+        with pytest.raises(ScgDivergence) as alone:
+            scg_minimize(fun, failing_grad, np.array([6.0, 4.0]), max_iterations=30)
+        assert alone.value.epoch == 8 and alone.value.row == 0
+        quadratic = _quadratic(_spd(2, seed=3), [1.0, 1.0])
+        with pytest.raises(ScgDivergence, match="gradient diverged at epoch 8") as stacked:
+            scg_minimize(*_stacked([quadratic[0], fun, _huber([0.0, 0.0])[0]],
+                                   [quadratic[1], failing_grad, _huber([0.0, 0.0])[1]]),
+                         np.array([[1.0, 1.0], [6.0, 4.0], [3.0, -3.0]]), max_iterations=30)
+        assert (stacked.value.epoch, stacked.value.row) == (8, 1)
+
+    def test_non_finite_start_names_the_row(self):
+        fun, grad = _quadratic(np.eye(2), np.zeros(2))
+        with pytest.raises(ScgDivergence, match="training error diverged at epoch 0") as exc:
+            scg_minimize(lambda W: [fun(W[0]), np.inf], lambda W: W.copy(),
+                         np.ones((2, 2)), max_iterations=5)
+        assert exc.value.row == 1
+        with pytest.raises(ScgDivergence, match="gradient diverged at epoch 0") as exc:
+            scg_minimize(lambda W: [fun(w) for w in W],
+                         lambda W: np.array([grad(W[0]), [1.0, np.nan]]),
+                         np.ones((2, 2)), max_iterations=5)
+        assert exc.value.row == 1
+
+
+class TestTrainingStack:
+    """scg_train on sequences of networks and datasets."""
+
+    SIZES = (2, 4, 1)
+
+    @staticmethod
+    def _batches(n_rows=25, count=3):
+        rng = np.random.default_rng(9)
+        return [Dataset(("a", "b"), rng.normal(size=(n_rows, 2)), rng.normal(size=n_rows))
+                for _ in range(count)]
+
+    def _nets(self, count=3):
+        return [init_network(self.SIZES, seed=20 + i) for i in range(count)]
+
+    def test_each_network_matches_its_own_fit(self):
+        trains, nets = self._batches(), self._nets()
+        trained, traces = scg_train(nets, trains, epochs=60)
+        assert isinstance(trained, list) and isinstance(traces, list)
+        for net, train, got, trace in zip(nets, trains, trained, traces):
+            alone, alone_trace = scg_train(net, train, epochs=60)
+            np.testing.assert_array_equal(get_params(got), get_params(alone))
+            assert trace == alone_trace
+
+    def test_stacked_evaluations_are_one_call_each(self, monkeypatch):
+        """One scg.error / scg.gradient call per stacked evaluation, as many
+        as the lockstep minimizer makes on the reference evaluations, and no
+        returned gradient is written afterwards."""
+        trains, nets = self._batches(), self._nets()
+        refs = [ReferenceMlp(self.SIZES, t.features, t.targets) for t in trains]
+        ref_calls = {"error": 0, "gradient": 0}
+
+        def ref_error(W):
+            ref_calls["error"] += 1
+            return [ref.error(w) for ref, w in zip(refs, W)]
+
+        def ref_gradient(W):
+            ref_calls["gradient"] += 1
+            return np.array([ref.gradient(w) for ref, w in zip(refs, W)])
+
+        expected = scg_minimize(ref_error, ref_gradient,
+                                np.array([get_params(n) for n in nets]), max_iterations=60)
+        calls = TestTrainingEvaluations._counting(monkeypatch)
+        trained, traces = scg_train(nets, trains, epochs=60)
+        assert ref_calls["error"] == 61
+        assert (calls["error"], calls["gradient"]) == (ref_calls["error"],
+                                                       ref_calls["gradient"])
+        for got, trace, res in zip(trained, traces, expected):
+            np.testing.assert_array_equal(get_params(got), res.w)
+            assert trace == list(res.trace)
+        returned = calls["returned"]
+        for g, at_return in returned:
+            assert g.shape == (3, nets[0].n_params)
+            np.testing.assert_array_equal(g, at_return)
+        for (g, _), (h, _) in zip(returned, returned[1:]):
+            assert not np.shares_memory(g, h)
+
+    @pytest.mark.parametrize("nets, trains, message", [
+        (2, 3, "2 networks for 3 datasets"),
+        (0, 0, "0 networks for 0 datasets"),
+        ("sizes", 2, "share their layer sizes"),
+        (2, "rows", "row count"),
+    ])
+    def test_stack_shape_checked(self, nets, trains, message):
+        nets = ([init_network((2, 4, 1), 0), init_network((2, 5, 1), 0)] if nets == "sizes"
+                else self._nets(nets))
+        trains = (self._batches(25, 1) + self._batches(30, 1) if trains == "rows"
+                  else self._batches(25, trains))
+        with pytest.raises(ValueError, match=message):
+            scg_train(nets, trains, epochs=5)
+
+
 class TestSerialization:
     def test_round_trip_bit_identical(self):
         net = init_network((2, 5, 3, 1), seed=13)
