@@ -10,6 +10,16 @@ Rule firing strengths are products of Gaussian memberships, accumulated in
 log space so normalized strengths stay well-defined far from the data; only
 inputs absurdly far outside the training range (max log-strength below the
 double-precision underflow point) raise NoRuleFires.
+
+`hybrid_train` given a sequence of training sets of one row count and width
+trains one model per set as a lockstep stack, and a single set is a stack of
+one, so there is one training loop.  The stack holds every model's premises
+and consequents along a leading axis: elementwise steps, einsums, row sums
+and the premise products run once over it, the least-squares solve once per
+row, and each row keeps its own rate, halvings, trace and rank flag, so
+each model is bit for bit what training it alone gives.  An epoch computes
+the normalized strengths once and reuses them for the LSE, the epoch RMSE
+and the premise gradient.
 """
 
 from __future__ import annotations
@@ -20,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import Dataset, as_rows, require_finite
+from .data import Batches, Dataset, as_rows, require_finite
 from .dumpfmt import Lines, expect, floats, fmt, integer, keyed
 
 _WIDTH_FLOOR = 1e-6
@@ -28,7 +38,12 @@ _LOG_UNDERFLOW = -745.0  # below this, exp() is exactly 0.0 in double precision
 
 
 class NoRuleFires(ValueError):
-    """All rule strengths underflowed to zero for some input."""
+    """All rule strengths underflowed to zero for some input.  ``row`` is the
+    model's row in a lockstep stack, 0 for a single model."""
+
+    def __init__(self, message: str, row: int = 0):
+        super().__init__(message)
+        self.row = row
 
 
 @dataclass(frozen=True)
@@ -96,34 +111,88 @@ class AnfisModel:
                         dtype=int)
 
 
-def _log_strengths(model: AnfisModel, X: np.ndarray) -> np.ndarray:
-    """(n, n_rules) log firing strengths."""
+class _Stack:
+    """K models of one shape as one: AnfisModel's fields with a leading
+    stack axis (centers[i] and widths[i] are (K, m_i), consequents (K, rules,
+    terms)) and a rank flag per row.  The engine's functions take it in place
+    of a model, with a Batches of K training sets in place of a Dataset.  It
+    keeps its normalized strengths on the last features it was evaluated on
+    until a premise step moves it, so an epoch computes them once."""
+
+    def __init__(self, models):
+        self.centers = tuple(np.stack(c) for c in zip(*(m.centers for m in models)))
+        self.widths = tuple(np.stack(s) for s in zip(*(m.widths for m in models)))
+        self.consequents = np.stack([m.consequents for m in models])
+        self.consequent = models[0].consequent
+        self.lse_rank_deficient = [m.lse_rank_deficient for m in models]
+        self.grid = models[0].rule_grid()
+        self.seen = self.strengths = None  # features, and the strengths on them
+
+    def rule_grid(self) -> np.ndarray:
+        return self.grid
+
+    def take(self, result: LseResult):
+        """Adopt a stacked LSE's consequents and fold in its rows' rank flags."""
+        full = self.consequents[0].size
+        self.consequents = result.consequents
+        self.lse_rank_deficient = [flag or rank < full for flag, rank
+                                   in zip(self.lse_rank_deficient, result.rank)]
+
+    def models(self) -> list:
+        return [AnfisModel(tuple(c[k].copy() for c in self.centers),
+                           tuple(s[k].copy() for s in self.widths),
+                           self.consequents[k].copy(), self.consequent, flag)
+                for k, flag in enumerate(self.lse_rank_deficient)]
+
+
+def _log_strengths(model, X: np.ndarray) -> np.ndarray:
+    """(..., n, n_rules) log firing strengths; a stack's X is (K, n, d)."""
     grid = model.rule_grid()
-    log_w = np.zeros((X.shape[0], grid.shape[0]))
+    log_w = np.zeros(X.shape[:-1] + (grid.shape[0],))
     for i, (c, s) in enumerate(zip(model.centers, model.widths)):
-        log_mf = -((X[:, i, None] - c[None, :]) ** 2) / (2.0 * s[None, :] ** 2)
-        log_w += log_mf[:, grid[:, i]]
+        log_mf = -((X[..., i, None] - c[..., None, :]) ** 2) / (2.0 * s[..., None, :] ** 2)
+        log_w += log_mf[..., grid[:, i]]
     return log_w
 
 
-def _normalized_batch(model: AnfisModel, X: np.ndarray) -> np.ndarray:
+def _normalized_batch(model, X: np.ndarray) -> np.ndarray:
     log_w = _log_strengths(model, X)
-    peak = log_w.max(axis=1)
+    peak = log_w.max(axis=-1)
     dead = peak < _LOG_UNDERFLOW
     if np.any(dead):
-        row = int(np.argmax(dead))
-        raise NoRuleFires(f"no rule fires for input {X[row].tolist()}")
-    shifted = np.exp(log_w - peak[:, None])
-    return shifted / shifted.sum(axis=1, keepdims=True)
+        at = np.unravel_index(np.argmax(dead), dead.shape)
+        raise NoRuleFires(f"no rule fires for input {X[at].tolist()}",
+                          int(at[0]) if len(at) > 1 else 0)
+    shifted = np.exp(log_w - peak[..., None])
+    return shifted / shifted.sum(axis=-1, keepdims=True)
 
 
-def _rule_outputs(model: AnfisModel, X: np.ndarray) -> np.ndarray:
-    """(n, n_rules) per-rule linear outputs."""
-    if model.consequent == "linear":
-        design = np.concatenate([X, np.ones((X.shape[0], 1))], axis=1)
-    else:
-        design = np.ones((X.shape[0], 1))
-    return np.einsum("nt,rt->nr", design, model.consequents)
+def _strengths(model, X: np.ndarray) -> np.ndarray:
+    """Normalized strengths on X; a stack reuses its last ones on the same X."""
+    if not isinstance(model, _Stack):
+        return _normalized_batch(model, X)
+    if model.seen is not X:
+        model.strengths, model.seen = _normalized_batch(model, X), X
+    return model.strengths
+
+
+def _terms(model, X: np.ndarray) -> np.ndarray:
+    """(..., n, terms) consequent regressors: [x, 1] when linear, [1] when constant."""
+    ones = np.ones(X.shape[:-1] + (1,))
+    return np.concatenate([X, ones], axis=-1) if model.consequent == "linear" else ones
+
+
+def _rule_outputs(model, X: np.ndarray) -> np.ndarray:
+    """(..., n, n_rules) per-rule linear outputs."""
+    return np.einsum("...nt,...rt->...nr", _terms(model, X), model.consequents)
+
+
+def _inputs(model, train) -> np.ndarray:
+    if train.n_rows == 0:
+        raise ValueError("training set is empty")
+    if isinstance(model, _Stack):
+        return train.features
+    return as_rows(train.features, model.n_features, "inputs")
 
 
 def predict(model: AnfisModel, x):
@@ -135,6 +204,9 @@ def predict(model: AnfisModel, x):
 
 
 class LseResult(NamedTuple):
+    """For a stack: consequents (K, rules, terms), a tuple of per-row ranks,
+    and as rank_deficient the number of rank-deficient rows."""
+
     consequents: np.ndarray
     rank: int
     rank_deficient: bool
@@ -142,20 +214,20 @@ class LseResult(NamedTuple):
 
 def lse_consequents(model: AnfisModel, train: Dataset) -> LseResult:
     """Least-squares consequents, shape (rules, terms), for the dataset's
-    target with premises fixed; minimum-norm on rank deficiency (flagged)."""
-    if train.n_rows == 0:
-        raise ValueError("training set is empty")
-    X = as_rows(train.features, model.n_features, "inputs")
-    w = _normalized_batch(model, X)  # (n, R)
-    if model.consequent == "linear":
-        base = np.concatenate([X, np.ones((X.shape[0], 1))], axis=1)
-    else:
-        base = np.ones((X.shape[0], 1))
-    terms = base.shape[1]
-    design = (w[:, :, None] * base[:, None, :]).reshape(X.shape[0], -1)
-    coef, _, rank, _ = np.linalg.lstsq(design, train.targets, rcond=None)
-    cons = coef.reshape(model.n_rules, terms)
-    return LseResult(cons, int(rank), int(rank) < design.shape[1])
+    target with premises fixed; minimum-norm on rank deficiency (flagged).
+    A stack solves one least-squares problem per row."""
+    X = _inputs(model, train)
+    w = _strengths(model, X)                              # (..., n, R)
+    base = _terms(model, X)                               # (..., n, T)
+    design = (w[..., None] * base[..., None, :]).reshape(*X.shape[:-1], -1)
+    full = design.shape[-1]
+    if design.ndim == 2:
+        coef, _, rank, _ = np.linalg.lstsq(design, train.targets, rcond=None)
+        return LseResult(coef.reshape(w.shape[-1], -1), int(rank), int(rank) < full)
+    fits = [np.linalg.lstsq(d, y, rcond=None) for d, y in zip(design, train.targets)]
+    ranks = tuple(int(fit[2]) for fit in fits)
+    return LseResult(np.stack([fit[0] for fit in fits]).reshape(len(fits), w.shape[-1], -1),
+                     ranks, sum(rank < full for rank in ranks))
 
 
 def with_consequents(model: AnfisModel, result: LseResult) -> AnfisModel:
@@ -165,37 +237,48 @@ def with_consequents(model: AnfisModel, result: LseResult) -> AnfisModel:
 
 def premise_gradient(model: AnfisModel, train: Dataset):
     """Gradient of the summed squared error w.r.t. centers and widths, as
-    (per-input center grads, per-input width grads)."""
-    if train.n_rows == 0:
-        raise ValueError("training set is empty")
-    X = as_rows(train.features, model.n_features, "inputs")
-    w = _normalized_batch(model, X)                     # (n, R)
-    F = _rule_outputs(model, X)                         # (n, R)
-    yhat = np.einsum("nr,nr->n", w, F)                  # (n,)
-    err = yhat - train.targets                          # (n,)
+    (per-input center grads, per-input width grads); (K, m_i) each for a
+    stack."""
+    X = _inputs(model, train)
+    w = _strengths(model, X)                              # (..., n, R)
+    F = _rule_outputs(model, X)                           # (..., n, R)
+    yhat = np.einsum("...nr,...nr->...n", w, F)           # (..., n)
+    err = yhat - train.targets                            # (..., n)
     # dSSE/d log mu_r = 2 err * w_r * (F_r - yhat)
-    g = 2.0 * np.einsum("n,nr->nr", err, w * (F - yhat[:, None]))
+    g = 2.0 * np.einsum("...n,...nr->...nr", err, w * (F - yhat[..., None]))
     grid = model.rule_grid()
     grad_c, grad_s = [], []
     for i, (c, s) in enumerate(zip(model.centers, model.widths)):
-        onehot = np.zeros((grid.shape[0], c.size))
+        onehot = np.zeros((grid.shape[0], c.shape[-1]))
         onehot[np.arange(grid.shape[0]), grid[:, i]] = 1.0
-        grouped = g @ onehot                            # (n, m_i)
-        diff = X[:, i, None] - c[None, :]
-        grad_c.append(np.sum(grouped * diff / s[None, :] ** 2, axis=0))
-        grad_s.append(np.sum(grouped * diff ** 2 / s[None, :] ** 3, axis=0))
+        grouped = g @ onehot                              # (..., n, m_i)
+        diff = X[..., i, None] - c[..., None, :]
+        s = s[..., None, :]
+        grad_c.append(np.sum(grouped * diff / s ** 2, axis=-2))
+        grad_s.append(np.sum(grouped * diff ** 2 / s ** 3, axis=-2))
     return grad_c, grad_s
 
 
 def premise_step(model: AnfisModel, train: Dataset, rate: float) -> AnfisModel:
-    """One gradient-descent step on centers/widths; widths clamped >= 1e-6."""
-    if rate <= 0.0:
+    """One gradient-descent step on centers/widths; widths clamped >= 1e-6.
+    A stack takes one rate per row and steps in place, and a row whose rate
+    is 0 keeps its premises."""
+    stacked = isinstance(model, _Stack)
+    if stacked:
+        rate = np.array(rate, dtype=float)[:, None]
+    elif rate <= 0.0:
         raise ValueError("rate must be > 0")
     grad_c, grad_s = premise_gradient(model, train)
     centers = tuple(c - rate * gc for c, gc in zip(model.centers, grad_c))
     widths = tuple(np.maximum(s - rate * gs, _WIDTH_FLOOR)
                    for s, gs in zip(model.widths, grad_s))
-    return replace(model, centers=centers, widths=widths)
+    if not stacked:
+        return replace(model, centers=centers, widths=widths)
+    held = rate == 0.0
+    model.centers = tuple(np.where(held, old, new) for old, new in zip(model.centers, centers))
+    model.widths = tuple(np.where(held, old, new) for old, new in zip(model.widths, widths))
+    model.seen = None
+    return model
 
 
 def init_model(train: Dataset, cfg: AnfisConfig) -> AnfisModel:
@@ -218,28 +301,44 @@ def init_model(train: Dataset, cfg: AnfisConfig) -> AnfisModel:
     return AnfisModel(tuple(centers), tuple(widths), cons, cfg.consequent)
 
 
-def hybrid_train(train: Dataset, cfg: AnfisConfig = AnfisConfig()):
+def hybrid_train(train, cfg: AnfisConfig = AnfisConfig()):
     """Alternate LSE and premise descent for cfg.epochs, then realign the
     consequents with a final LSE pass so the returned model's consequents are
     optimal for its premises.  The learning rate halves whenever an epoch's
     post-LSE RMSE worsens.  Training is deterministic.  Returns (model,
-    per-epoch RMSE trace)."""
-    require_finite(train)
-    model = init_model(train, cfg)
-    rate = cfg.rate
-    trace = []
+    per-epoch RMSE trace).
+
+    Given a sequence of datasets of one row count and width instead, it
+    trains them as one lockstep stack (see the module docstring) and returns
+    (list of models, list of traces), each bit for bit what training on that
+    dataset alone gives; a single dataset is a stack of one."""
+    single = isinstance(train, Dataset)
+    trains = [train] if single else list(train)
+    if not trains:
+        raise ValueError("no training sets")
+    if len({(t.n_rows, t.n_features) for t in trains}) > 1:
+        raise ValueError("a stack's datasets share their row count and width")
+    for t in trains:
+        require_finite(t)
+    stack = _Stack([init_model(t, cfg) for t in trains])
+    batch = Batches(trains)
+    X, y = batch.features, batch.targets
+    rates = [cfg.rate] * len(trains)
+    traces = [[] for _ in trains]
     for _ in range(cfg.epochs):
-        model = with_consequents(model, lse_consequents(model, train))
-        resid = np.einsum("nr,nr->n", _normalized_batch(model, train.features),
-                          _rule_outputs(model, train.features)) - train.targets
-        epoch_rmse = float(np.sqrt(np.sum(resid * resid) / train.n_rows))
-        if trace and epoch_rmse > trace[-1]:
-            rate *= 0.5
-        trace.append(epoch_rmse)
-        if rate > 0.0:
-            model = premise_step(model, train, rate)
-    model = with_consequents(model, lse_consequents(model, train))
-    return model, trace
+        stack.take(lse_consequents(stack, batch))
+        resid = np.einsum("...nr,...nr->...n", _strengths(stack, X),
+                          _rule_outputs(stack, X)) - y
+        epoch_rmse = np.sqrt(np.sum(resid * resid, axis=-1) / batch.n_rows)
+        for k, rmse in enumerate(epoch_rmse.tolist()):
+            if traces[k] and rmse > traces[k][-1]:
+                rates[k] *= 0.5
+            traces[k].append(rmse)
+        if any(rate > 0.0 for rate in rates):
+            stack = premise_step(stack, batch, rates)
+    stack.take(lse_consequents(stack, batch))
+    models = stack.models()
+    return (models[0], traces[0]) if single else (models, traces)
 
 
 # --- rule and model dumps -------------------------------------------------------

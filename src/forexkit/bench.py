@@ -70,12 +70,13 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if not 0.0 < self.train_fraction < 1.0:
-            raise ValueError("split fraction must be in (0, 1)")
+            raise ValueError(f"[split] fraction = {self.train_fraction}: must be in (0, 1)")
         if not self.models:
-            raise ValueError("at least one model must be enabled")
+            raise ValueError("[models] enabled = : at least one model must be enabled")
         unknown = [m for m in self.models if m not in MODELS]
         if unknown:
-            raise ValueError(f"unknown models {unknown}; choose from {MODELS}")
+            raise ValueError(f"[models] enabled = {' '.join(self.models)}: "
+                             f"unknown models {unknown}; choose from {MODELS}")
         object.__setattr__(self, "models", tuple(self.models))
         if self.currencies is not None:
             object.__setattr__(self, "currencies", tuple(self.currencies))
@@ -351,7 +352,8 @@ def load_config(path) -> ExperimentConfig:
 
     Only [data] path is required; every other key falls back to the defaults
     baked into ExperimentConfig.  Unknown sections or keys are errors, so
-    typos fail loudly instead of silently running defaults.
+    typos fail loudly instead of silently running defaults, and a bad value
+    raises ValueError naming its ``[section] key = value``.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     # utf-8-sig drops a byte-order mark, which would hide the first section
@@ -372,7 +374,13 @@ def load_config(path) -> ExperimentConfig:
         for key, (name, parse) in keys.items():
             if parser.has_option(section, key):
                 outer, _, inner = name.partition(".")
-                value = parse(parser[section][key])
+                raw = parser[section][key]
+                try:
+                    value = parse(raw)
+                    if inner:  # a nested config checks each of its keys alone
+                        replace(getattr(ExperimentConfig, outer), **{inner: value})
+                except ValueError as exc:
+                    raise ValueError(f"[{section}] {key} = {raw}: {exc}") from None
                 if inner:
                     nested.setdefault(outer, {})[inner] = value
                 else:

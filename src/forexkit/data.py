@@ -105,6 +105,18 @@ def require_finite(train: Dataset) -> None:
                          "a fit needs finite values")
 
 
+class Batches:
+    """K training sets of one row count and width as one batch for a
+    lockstep stack: features (K, n_rows, n_features) and targets (K,
+    n_rows), both read-only."""
+
+    def __init__(self, trains):
+        self.features = np.stack([t.features for t in trains])
+        self.targets = np.stack([t.targets for t in trains])
+        self.features.flags.writeable = self.targets.flags.writeable = False
+        self.n_rows = self.features.shape[1]
+
+
 def as_rows(x, width: int, unit: str = "features") -> np.ndarray:
     """x as an (n, width) float matrix for a model's predict; a 1-D x is one
     row.  Any other shape, or another width, raises ValueError."""

@@ -3,10 +3,10 @@
 ``fit(cfg, train, selection, seed_key)`` returns ``(engine, extras)``: CART
 selects its subtree on ``selection``, and ``extras`` maps BenchReport fields
 to the cell's entries.  ``fit_cells`` fits every cell of a run that a family
-has; the mlp family trains them as one lockstep stack.  Every engine reports
-the number of scaled features it takes as ``n_features``.  Engine functions
-are named, not held, and looked up on their module at call time, so a
-wrapper on a module attribute sees every call.
+has; the mlp and anfis families train them as one lockstep stack.  Every
+engine reports the number of scaled features it takes as ``n_features``.
+Engine functions are named, not held, and looked up on their module at call
+time, so a wrapper on a module attribute sees every call.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import time
 import numpy as np
 
 from . import anfis, cart, hybrid, mars, scg
+from .data import require_finite
 
 
 class CellError(RuntimeError):
@@ -82,40 +83,58 @@ class _Hybrid(Kind):
                                  cfg.hybrid_encoding), {}
 
 
-class _Mlp(Kind):
-    module, predict_name = scg, "forward"
+class _Stacked(Kind):
+    """A family whose ``fit_cells`` trains every cell in one lockstep stack,
+    which trains each cell bit for bit as ``fit`` would.  A cell's seconds
+    are its share, the stack's time over the number of cells.  A cell whose
+    training set is not finite fails before the stack starts; ``row_error``
+    is the engine's exception that names a failing row of the stack."""
+
+    def fit_cells(self, cfg, cells) -> list:
+        if not cells:
+            return []
+        for index, (train, _, _) in enumerate(cells):
+            try:
+                require_finite(train)
+            except ValueError as exc:
+                raise CellError(index, exc) from exc
+        started = time.perf_counter()
+        try:
+            fitted = self.fit_stack(cfg, cells)
+        except self.row_error as exc:
+            raise CellError(exc.row, exc) from exc
+        share = (time.perf_counter() - started) / len(cells)
+        return [(engine, extras, share) for engine, extras in fitted]
+
+
+class _Mlp(_Stacked):
+    module, predict_name, row_error = scg, "forward", scg.ScgDivergence
     dump_name, load_name = "dump_network", "load_network"
 
     def fit(self, cfg, train, selection, seed_key):
         return scg.scg_train(self._network(cfg, train, seed_key), train,
                              cfg.mlp_epochs)[0], {}
 
-    def fit_cells(self, cfg, cells) -> list:
-        """Every cell in one scg_train stack, which trains each network bit
-        for bit as ``fit`` would; a cell's seconds are its share, the
-        stack's time over the number of cells."""
-        if not cells:
-            return []
-        started = time.perf_counter()
-        try:
-            nets, _ = scg.scg_train([self._network(cfg, train, key) for train, _, key in cells],
-                                    [train for train, _, _ in cells], cfg.mlp_epochs)
-        except scg.ScgDivergence as exc:
-            raise CellError(exc.row, exc) from exc
-        share = (time.perf_counter() - started) / len(cells)
-        return [(net, {}, share) for net in nets]
+    def fit_stack(self, cfg, cells) -> list:
+        nets, _ = scg.scg_train([self._network(cfg, train, key) for train, _, key in cells],
+                                [train for train, _, _ in cells], cfg.mlp_epochs)
+        return [(net, {}) for net in nets]
 
     @staticmethod
     def _network(cfg, train, seed_key):
         return scg.init_network((train.n_features, *cfg.mlp_hidden, 1), seed_key)
 
 
-class _Anfis(Kind):
-    module = anfis
+class _Anfis(_Stacked):
+    module, row_error = anfis, anfis.NoRuleFires
 
     def fit(self, cfg, train, selection, seed_key):
         model, _ = anfis.hybrid_train(train, cfg.anfis_cfg)
         return model, {"rule_dumps": anfis.dump_rules(model)}
+
+    def fit_stack(self, cfg, cells) -> list:
+        models, _ = anfis.hybrid_train([train for train, _, _ in cells], cfg.anfis_cfg)
+        return [(model, {"rule_dumps": anfis.dump_rules(model)}) for model in models]
 
 
 KINDS = {"mars": _Mars(), "cart": _Cart(), "hybrid": _Hybrid(), "mlp": _Mlp(),

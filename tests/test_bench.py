@@ -11,9 +11,9 @@ from forexkit import bench, scg
 from forexkit.bench import (MODELS, REFERENCE_RMSE, BenchError,
                             ExperimentConfig, cell_seed, emit_csv, emit_plots,
                             emit_table, load_config, run_bench, run_experiment)
-from forexkit.data import (FeatureSpec, apply_scaler, build_supervised,
+from forexkit.data import (Dataset, FeatureSpec, apply_scaler, build_supervised,
                            fit_scaler, load_csv, rmse, split)
-from forexkit.kinds import KINDS
+from forexkit.kinds import KINDS, CellError
 from forexkit.synth import forex5_series, write_rates_csv
 
 
@@ -175,6 +175,93 @@ class TestMlpStack:
         with pytest.raises(BenchError, match=r"^currency GBP, model mlp: "
                                              r"gradient diverged at epoch \d+$"):
             run_experiment(self._cfg(rates_csv, ("JPY", "USD", "GBP", "SGD", "NZD")))
+
+
+class TestAnfisStack:
+    """run_experiment fits a run's anfis cells as one lockstep hybrid_train
+    stack; every dump must equal the cell's own fit."""
+
+    EPOCHS = 12
+
+    def _cfg(self, rates_csv, out_dir="bench_out"):
+        return ExperimentConfig(data_path=str(rates_csv), models=("anfis",),
+                                anfis_cfg=bench.anfis.AnfisConfig(epochs=self.EPOCHS, rate=0.05),
+                                out_dir=str(out_dir))
+
+    def test_one_hybrid_train_call_per_run(self, rates_csv, monkeypatch):
+        real, calls = bench.anfis.hybrid_train, []
+
+        def hybrid_train(train, cfg):
+            calls.append(train)
+            return real(train, cfg)
+
+        monkeypatch.setattr(bench.anfis, "hybrid_train", hybrid_train)
+        report = run_experiment(self._cfg(rates_csv))
+        assert len(report.cells) == 5
+        assert len(calls) == 1 and len(calls[0]) == 5
+
+    def test_dumps_and_rules_equal_single_cell_fits(self, rates_csv, tmp_path):
+        cfg = self._cfg(rates_csv, tmp_path / "out")
+        report, _ = run_bench(cfg)
+        series = load_csv(rates_csv)
+        kind = KINDS["anfis"]
+        for code in series:
+            _, strain, stest = bench.prepare_cell(cfg, series, code, "anfis")
+            engine, extras = kind.fit(cfg, strain, stest, cell_seed(cfg.seed, code, "anfis"))
+            assert (tmp_path / "out" / "models" / f"anfis_{code}.txt").read_text() == \
+                kind.dump(engine)
+            assert (tmp_path / "out" / f"anfis_rules_{code}.txt").read_text() == \
+                extras["rule_dumps"]
+            assert report.dumps[(code, "anfis")] == kind.dump(engine)
+
+    @pytest.mark.parametrize("model", ["anfis", "mlp"])
+    def test_non_finite_cell_names_its_currency(self, rates_csv, monkeypatch, model):
+        # either stacked family checks every cell before its stack starts
+        cfg = ExperimentConfig(data_path=str(rates_csv), models=(model,))
+        series = load_csv(rates_csv)
+        real = bench.prepare_cell
+
+        def prepare_cell(cfg, series, code, model):
+            scaler, strain, stest = real(cfg, series, code, model)
+            if code == "SGD":
+                X = strain.features.copy()
+                X[5, 1] = np.nan
+                strain = Dataset(strain.feature_names, X, strain.targets)
+            return scaler, strain, stest
+
+        cells = [(prepare_cell(cfg, series, code, model)[1], None, None) for code in series]
+        with pytest.raises(CellError) as caught:
+            KINDS[model].fit_cells(cfg, cells)
+        assert caught.value.index == list(series).index("SGD") == 3
+        assert str(caught.value).startswith("training row 5, feature ")
+
+        monkeypatch.setattr(bench, "prepare_cell", prepare_cell)
+        with pytest.raises(BenchError, match=rf"^currency SGD, model {model}: training row 5, "):
+            run_experiment(cfg)
+
+    def test_rank_deficient_count_equals_single_fits(self, monkeypatch):
+        x = np.linspace(0.0, 1.0, 40)
+        twins = np.repeat([[0.1, 0.2], [0.9, 0.4]], 20, axis=0)  # 2 inputs, 12 columns
+        cells = [(Dataset(("a", "b"), X, y), None, None) for X, y in
+                 [(np.column_stack([x, x ** 2]), np.sin(x)), (twins, np.arange(40.0)),
+                  (np.column_stack([x, np.sin(5 * x)]), x)]]
+        cfg = ExperimentConfig(data_path="unused.csv",
+                               anfis_cfg=bench.anfis.AnfisConfig(mfs_per_input=2, epochs=3))
+        real, counts = bench.anfis.lse_consequents, []
+
+        def lse_consequents(model, train):
+            result = real(model, train)
+            counts.append(int(result.rank_deficient))  # as perfbench's probe reads it
+            return result
+
+        monkeypatch.setattr(bench.anfis, "lse_consequents", lse_consequents)
+        kind = KINDS["anfis"]
+        stacked = kind.fit_cells(cfg, cells)
+        stacked_count, counts[:] = sum(counts), []
+        for train, selection, key in cells:
+            kind.fit(cfg, train, selection, key)
+        assert stacked_count == sum(counts) == 4  # the twins row, at each of 4 solves
+        assert [engine.lse_rank_deficient for engine, _, _ in stacked] == [False, True, False]
 
 
 class TestEmitters:
@@ -346,6 +433,31 @@ dir = somewhere
                            + (line if section == "data" else f"\n[{section}]\n{line}"))
         with pytest.raises(ValueError, match=re.escape(key)):
             load_config(path)
+
+    # one bad value per section that can hold one ([output] dir takes any text)
+    _NAMED = [("data", "currencies", "GBP GBP", "duplicate currency code 'GBP'"),
+              ("split", "fraction", "1.5", "must be in (0, 1)"),
+              ("split", "seed", "x", "invalid literal for int() with base 10: 'x'"),
+              ("models", "enabled", "mars ridge", "unknown models ['ridge']"),
+              ("mars", "max_basis_functions", "0", "max_basis_functions must be >= 1"),
+              ("cart", "min_node_size", "0", "min_node_size must be >= 1"),
+              ("mlp", "epochs", "0", "must be >= 1"),
+              ("anfis", "epochs", "0", "epochs must be >= 1"),
+              ("anfis", "epochs", "two", "invalid literal for int() with base 10: 'two'"),
+              ("hybrid", "encoding", "onehot", "must be one of ")]
+
+    @pytest.mark.parametrize("section, key, value, reason", _NAMED,
+                             ids=[f"{s}.{k}={v}" for s, k, v, _ in _NAMED])
+    def test_value_error_names_section_key_and_value(self, tmp_path, rates_csv,
+                                                     section, key, value, reason):
+        line = f"{key} = {value}\n"
+        path = self._write(tmp_path, f"[data]\npath = {rates_csv}\n"
+                           + (line if section == "data" else f"\n[{section}]\n{line}"))
+        with pytest.raises(ValueError) as caught:
+            load_config(path)
+        message = str(caught.value)
+        assert message.startswith(f"[{section}] {key} = {value}: ")
+        assert reason in message
 
     def test_negative_max_depth_rejected(self, tmp_path, rates_csv):
         path = self._write(tmp_path,

@@ -9,11 +9,11 @@ from forexkit.data import (Dataset, FeatureSpec, apply_scaler, build_supervised,
                            fit_scaler, split)
 from forexkit.scg import (MlpNetwork, ScgDivergence, _training_view,
                           dump_network, error, forward, get_params, gradient,
-                          hessian_vector_approx, init_network, load_network,
-                          scg_minimize, scg_train, set_params)
+                          init_network, load_network, scg_minimize, scg_train,
+                          set_params)
 from forexkit.synth import forex5_series
 
-from oracles import ReferenceMlp, central_difference_gradient
+from oracles import ReferenceMlp, central_difference_gradient, hessian_vector_approx
 
 
 def _net(weights, biases, sizes):
