@@ -80,6 +80,9 @@ class ExperimentConfig:
         object.__setattr__(self, "models", tuple(self.models))
         if self.currencies is not None:
             object.__setattr__(self, "currencies", tuple(self.currencies))
+            if not self.currencies:
+                raise ValueError("[data] currencies = : at least one currency code "
+                                 "must be given")
         object.__setattr__(self, "mlp_hidden", tuple(self.mlp_hidden))
         # checked here, not in the cells, which would fail only mid-run
         if self.seed < 0:

@@ -297,13 +297,18 @@ def split(ds: Dataset, train_fraction: float, seed: int):
     """Reproducible random partition into (train, test).
 
     A seeded uniform permutation is prefix-split at round(fraction * N);
-    each side keeps its rows in original dataset order.
+    each side keeps its rows in original dataset order.  A fraction that
+    leaves either side empty raises ValueError.
     """
     if not 0.0 < train_fraction < 1.0:
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
     if ds.n_rows == 0:
         raise ValueError("cannot split an empty dataset")
     n_train = int(round(train_fraction * ds.n_rows))
+    if not 0 < n_train < ds.n_rows:
+        raise ValueError(f"train_fraction {train_fraction} of {ds.n_rows} rows leaves "
+                         f"{n_train} training and {ds.n_rows - n_train} test rows; "
+                         "each side needs at least one")
     perm = np.random.default_rng(seed).permutation(ds.n_rows)
     train_idx = np.sort(perm[:n_train])
     test_idx = np.sort(perm[n_train:])

@@ -3,7 +3,8 @@
 ``fit(cfg, train, selection, seed_key)`` returns ``(engine, extras)``: CART
 selects its subtree on ``selection``, and ``extras`` maps BenchReport fields
 to the cell's entries.  ``fit_cells`` fits every cell of a run that a family
-has; the mlp and anfis families train them as one lockstep stack.  Every
+has; the mlp and anfis families train them as one lockstep stack, and their
+``fit`` is that stack run on one cell.  Every
 engine reports the number of scaled features it takes as ``n_features``.
 Engine functions are named, not held, and looked up on their module at call
 time, so a wrapper on a module attribute sees every call.
@@ -28,7 +29,8 @@ class CellError(RuntimeError):
 
 
 class Kind:
-    """One model family; a subclass sets ``module`` and defines ``fit``."""
+    """One model family; a subclass sets ``module`` and defines ``fit``, or
+    a ``_Stacked`` one ``fit_stack``."""
 
     predict_name, dump_name, load_name = "predict", "dump_model", "load_model"
 
@@ -85,10 +87,15 @@ class _Hybrid(Kind):
 
 class _Stacked(Kind):
     """A family whose ``fit_cells`` trains every cell in one lockstep stack,
-    which trains each cell bit for bit as ``fit`` would.  A cell's seconds
-    are its share, the stack's time over the number of cells.  A cell whose
-    training set is not finite fails before the stack starts; ``row_error``
-    is the engine's exception that names a failing row of the stack."""
+    each cell bit for bit as it trains alone, and whose ``fit`` is the stack
+    of one cell.  A cell's seconds are its share, the stack's time over the
+    number of cells.  A cell whose training set is not finite fails before
+    the stack starts; ``row_error`` is the engine's exception that names a
+    failing row of the stack."""
+
+    def fit(self, cfg, train, selection, seed_key):
+        [fitted] = self.fit_stack(cfg, [(train, selection, seed_key)])
+        return fitted
 
     def fit_cells(self, cfg, cells) -> list:
         if not cells:
@@ -111,26 +118,15 @@ class _Mlp(_Stacked):
     module, predict_name, row_error = scg, "forward", scg.ScgDivergence
     dump_name, load_name = "dump_network", "load_network"
 
-    def fit(self, cfg, train, selection, seed_key):
-        return scg.scg_train(self._network(cfg, train, seed_key), train,
-                             cfg.mlp_epochs)[0], {}
-
     def fit_stack(self, cfg, cells) -> list:
-        nets, _ = scg.scg_train([self._network(cfg, train, key) for train, _, key in cells],
+        nets, _ = scg.scg_train([scg.init_network((train.n_features, *cfg.mlp_hidden, 1), key)
+                                 for train, _, key in cells],
                                 [train for train, _, _ in cells], cfg.mlp_epochs)
         return [(net, {}) for net in nets]
-
-    @staticmethod
-    def _network(cfg, train, seed_key):
-        return scg.init_network((train.n_features, *cfg.mlp_hidden, 1), seed_key)
 
 
 class _Anfis(_Stacked):
     module, row_error = anfis, anfis.NoRuleFires
-
-    def fit(self, cfg, train, selection, seed_key):
-        model, _ = anfis.hybrid_train(train, cfg.anfis_cfg)
-        return model, {"rule_dumps": anfis.dump_rules(model)}
 
     def fit_stack(self, cfg, cells) -> list:
         models, _ = anfis.hybrid_train([train for train, _, _ in cells], cfg.anfis_cfg)

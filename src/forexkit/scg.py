@@ -79,6 +79,8 @@ def scg_minimize(fun, grad, w0, *, max_iterations: int, freeze_lambda: bool = Fa
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1 (epochs >= 1)")
     w0 = np.asarray(w0, dtype=float)
+    if w0.ndim not in (1, 2):
+        raise ValueError(f"w0 must be 1-D or 2-D, got shape {w0.shape}")
     if w0.ndim == 1:
         [result] = scg_minimize(lambda W: (fun(W[0]),),
                                 lambda W: np.asarray(grad(W[0]), dtype=float)[None],
@@ -243,11 +245,6 @@ class MlpNetwork:
     weights: tuple  # of (out, in) arrays
     biases: tuple   # of (out,) arrays
 
-    # The _Workspace every evaluation writes into.  Only the view built by
-    # _training_view carries one; any other network gets a fresh workspace
-    # per call, so it never reuses activations.
-    _work = None
-
     def __post_init__(self):
         sizes = tuple(int(s) for s in self.layer_sizes)
         if len(sizes) < 2 or any(s < 1 for s in sizes):
@@ -318,50 +315,38 @@ def set_params(net: MlpNetwork, flat: np.ndarray) -> MlpNetwork:
 
 class _Workspace:
     """Buffers for evaluating a stack of K networks of one layer-size tuple
-    on K batches of n_rows rows: a plain network is a stack of one, and the
-    view built by _training_view a stack of any K.
+    on the features X it is built on: a plain network is a stack of one on
+    (n_rows, n_features) features, and scg_train's K rows of its parameter
+    buffer a stack on (K, n_rows, n_features) features.
 
-    weights[i] is (K, out, in) and biases[i] (K, 1, out).  acts[1:] hold the
-    activations of the features X, and acts[0] is X as (K, n_rows,
-    n_features); X is None while they are stale.  Dataset features are
-    read-only, so the same features object means the same activations.
-    resid holds the output residual.  Products run one network at a time
-    through the (input, operand, output) slices listed per layer in dots,
-    and elementwise steps over the whole stack.  The backward buffers (a
-    delta per hidden layer, a scratch array per hidden width, and the (K,
+    weights[i] is (K, out, in) and biases[i] (K, 1, out); the weights and
+    biases given may be views into a buffer that the caller rewrites, and
+    whoever rewrites it clears ``fresh``.  acts[0] is X as (K, n_rows,
+    n_features) and acts[1:] hold its activations, current while ``fresh``
+    is set.  resid holds the output residual.  Products run one network at a
+    time through the (input, operand, output) slices listed per layer in
+    dots, and elementwise steps over the whole stack.  The backward buffers
+    (a delta per hidden layer, a scratch array per hidden width, and the (K,
     n_params) gradient with a view per layer block) are made by the first
     gradient that needs them, so forward alone never allocates them."""
 
-    def __init__(self, net: MlpNetwork, n_rows: int):
-        self.sizes = sizes = net.layer_sizes
-        self.weights = [w.reshape(-1, *w.shape[-2:]) for w in net.weights]
-        self.biases = [b.reshape(-1, 1, b.shape[-1]) for b in net.biases]
-        self.n_rows = n_rows
-        self.X = self.features = None
-        K = len(self.weights[0])
-        self.acts = [None] + [np.empty((K, n_rows, s)) for s in sizes[1:]]
+    def __init__(self, sizes: tuple, weights, biases, X: np.ndarray):
+        if X.shape[-1] != sizes[0]:
+            raise ValueError(f"expected {sizes[0]} inputs, got {X.shape[-1]}")
+        self.sizes, self.fresh = sizes, False
+        self.weights = [w.reshape(-1, *w.shape[-2:]) for w in weights]
+        self.biases = [b.reshape(-1, 1, b.shape[-1]) for b in biases]
+        K, n_rows = len(self.weights[0]), X.shape[-2]
+        self.acts = [X.reshape(-1, n_rows, sizes[0])] + [np.empty((K, n_rows, s))
+                                                         for s in sizes[1:]]
         self.resid = np.empty_like(self.acts[-1])
-        self.dots = [None] + [list(zip(self.acts[i], self._transposed(i), self.acts[i + 1]))
-                              for i in range(1, len(sizes) - 1)]
+        self.dots = [list(zip(self.acts[i], [w.T for w in self.weights[i]], self.acts[i + 1]))
+                     for i in range(len(self.weights))]
         self.grad = None
-
-    def _transposed(self, i: int) -> list:
-        return [w.T for w in self.weights[i]]
-
-    def _grad_dots(self, i: int) -> list:
-        return list(zip([d.T for d in self.delta_at[i]], self.acts[i], self.grad_w[i]))
-
-    def bind(self, X: np.ndarray):
-        """Point the first layer's slices at the features X."""
-        self.features = X
-        self.acts[0] = X.reshape(-1, *X.shape[-2:])
-        self.dots[0] = list(zip(self.acts[0], self._transposed(0), self.acts[1]))
-        if self.grad is not None:
-            self.grad_dots[0] = self._grad_dots(0)
 
     def backward_buffers(self):
         if self.grad is None:
-            K, n = len(self.weights[0]), self.n_rows
+            K, n = self.resid.shape[:2]
             hidden = self.sizes[1:-1]
             self.deltas = [np.empty((K, n, s)) for s in hidden]
             self.delta_at = self.deltas + [self.resid]  # E's derivative at layer i's output
@@ -370,56 +355,35 @@ class _Workspace:
             self.grad = np.empty((K, sum((n_in + 1) * n_out for n_in, n_out
                                          in zip(self.sizes, self.sizes[1:]))))
             self.grad_w, self.grad_b = _unflatten(self.sizes, self.grad)
-            self.grad_dots = [self._grad_dots(i) for i in range(len(self.weights))]
+            self.grad_dots = [list(zip([d.T for d in self.delta_at[i]], self.acts[i],
+                                       self.grad_w[i]))
+                              for i in range(len(self.weights))]
             self.back_dots = [None] + [list(zip(self.delta_at[i], self.weights[i],
                                                 self.deltas[i - 1]))
                                        for i in range(1, len(self.weights))]
         return self
 
 
-def _training_view(net: MlpNetwork, n_rows: int, k: int = 1):
-    """(buffer, view) for scg_train: k networks of net's layer sizes, the
-    i-th holding row i of the (k, n_params) buffer, with layers that are
-    fixed views into it.
-
-    The view skips validation and carries one workspace for batches of
-    n_rows rows, so it must never reach a caller; whoever writes the buffer
-    marks the workspace's activations stale.  The buffer starts as NaN and
-    the activations stale, so the first evaluation runs a full forward
-    pass."""
-    flat = np.full((k, net.n_params), np.nan)
-    weights, biases = _unflatten(net.layer_sizes, flat)
-    view = object.__new__(MlpNetwork)
-    object.__setattr__(view, "layer_sizes", net.layer_sizes)
-    object.__setattr__(view, "weights", tuple(weights))
-    object.__setattr__(view, "biases", tuple(biases))
-    object.__setattr__(view, "_work", _Workspace(view, n_rows))
-    return flat, view
-
-
-def _forward_cached(net: MlpNetwork, X: np.ndarray) -> _Workspace:
-    """The workspace holding net's activations on X; hidden layers tanh,
-    final layer identity.  A view evaluated on a batch of another height
-    gets a fresh workspace, as any other network does.  Products go through
-    np.dot, which makes the same BLAS call as np.matmul with less
+def _forward_cached(net, X: np.ndarray) -> _Workspace:
+    """The workspace holding the activations on X of net, a network or a
+    workspace built on X; hidden layers tanh, final layer identity.  A
+    network gets a fresh workspace per call, so it never reuses activations;
+    a workspace runs the forward pass only when it is not fresh.  Products
+    go through np.dot, which makes the same BLAS call as np.matmul with less
     dispatch."""
-    work = net._work
-    if work is None or work.n_rows != X.shape[-2]:
-        work = _Workspace(net, X.shape[-2])
-    elif work.X is X:
-        return work
-    if work.features is not X:
-        work.bind(X)
-    last = len(work.weights) - 1
-    for i, (dots, b) in enumerate(zip(work.dots, work.biases)):
-        for x, w, out in dots:
-            np.dot(x, w, out=out)
-        a = work.acts[i + 1]
-        np.add(a, b, out=a)
-        if i != last:
-            np.tanh(a, out=a)
-    work.X = X
-    return work
+    if not isinstance(net, _Workspace):
+        net = _Workspace(net.layer_sizes, net.weights, net.biases, X)
+    if not net.fresh:
+        last = len(net.weights) - 1
+        for i, (dots, b) in enumerate(zip(net.dots, net.biases)):
+            for x, w, out in dots:
+                np.dot(x, w, out=out)
+            a = net.acts[i + 1]
+            np.add(a, b, out=a)
+            if i != last:
+                np.tanh(a, out=a)
+        net.fresh = True
+    return net
 
 
 def forward(net: MlpNetwork, x):
@@ -428,9 +392,9 @@ def forward(net: MlpNetwork, x):
     return float(out[0, 0]) if np.ndim(x) == 1 else out[:, 0].copy()
 
 
-def error(net: MlpNetwork, batch: Dataset):
-    """E = half the summed squared error over the batch.  For the stack of
-    batches scg_train evaluates its view on, an array of one E per
+def error(net, batch: Dataset):
+    """E = half the summed squared error over the batch.  For a workspace
+    over a stack of batches, as scg_train passes, an array of one E per
     network."""
     if batch.n_rows == 0:
         raise ValueError("batch is empty")
@@ -441,7 +405,7 @@ def error(net: MlpNetwork, batch: Dataset):
     return E if batch.features.ndim == 3 else float(E[0])
 
 
-def gradient(net: MlpNetwork, batch: Dataset) -> np.ndarray:
+def gradient(net, batch: Dataset) -> np.ndarray:
     """Exact backpropagation gradient of E, flattened like get_params; for a
     stack of batches, one row per network.
 
@@ -477,45 +441,48 @@ def scg_train(net, train, epochs: int, seed: int | None = None):
     stack and returns (list of networks, list of traces), each bit for bit
     what training that network alone gives.
 
-    Every evaluation runs on one training view, through the module-level
-    error and gradient, one call per stacked evaluation; W is copied into
-    the view only when its bits differ from the view's, so grad at an
-    accepted point reuses the forward pass that fun just made there.  The
-    view's workspace, allocated once per call, holds every activation,
-    delta and gradient buffer of the fit, so the only new array an
-    evaluation makes is the gradient copy it hands back."""
+    Every evaluation runs on one workspace over a (K, n_params) parameter
+    buffer and the stacked features, through the module-level error and
+    gradient, one call per stacked evaluation; W is copied into the buffer
+    only when its bits differ from the buffer's, so grad at an accepted
+    point reuses the forward pass that fun just made there.  The workspace,
+    allocated once per call, holds every activation, delta and gradient
+    buffer of the fit, so the only new array an evaluation makes is the
+    gradient copy it hands back."""
     single = isinstance(net, MlpNetwork)
     nets, trains = ([net], [train]) if single else (list(net), list(train))
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
     if not nets or len(nets) != len(trains):
         raise ValueError(f"{len(nets)} networks for {len(trains)} datasets")
-    if len({n.layer_sizes for n in nets}) > 1 or len({t.n_rows for t in trains}) > 1:
+    if (len({n.layer_sizes for n in nets}) > 1
+            or len({(t.n_rows, t.n_features) for t in trains}) > 1):
         raise ValueError("a stack's networks share their layer sizes, and its "
-                         "datasets their row count")
+                         "datasets their row count and width")
     for t in trains:
         if t.n_rows == 0:
             raise ValueError("training set is empty")
         require_finite(t)
     if seed is not None:
         nets = [init_network(n.layer_sizes, seed) for n in nets]
-    flat, view = _training_view(nets[0], trains[0].n_rows, len(nets))
-    work = view._work
+    sizes = nets[0].layer_sizes
+    flat = np.full((len(nets), nets[0].n_params), np.nan)  # so the first W is copied in
     batch = Batches(trains)
+    work = _Workspace(sizes, *_unflatten(sizes, flat), batch.features)
 
-    def view_at(W):
+    def at(W):
         # bitwise, not ==: a reused forward pass must be the one W itself
         # would get, and 0.0 == -0.0
         if W.tobytes() != flat.tobytes():
             flat[:] = W
-            work.X = None
-        return view
+            work.fresh = False
+        return work
 
     def fun(W):
-        return error(view_at(W), batch)
+        return error(at(W), batch)
 
     def grad(W):
-        return gradient(view_at(W), batch)
+        return gradient(at(W), batch)
 
     results = scg_minimize(fun, grad, np.stack([get_params(n) for n in nets]),
                            max_iterations=epochs)

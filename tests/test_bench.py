@@ -124,6 +124,13 @@ class TestRunExperiment:
         with pytest.raises(BenchError, match="currency JPY, model mars: need at least 2 rows"):
             run_experiment(cfg)
 
+    def test_empty_test_side_names_the_cell(self, rates_csv):
+        cfg = ExperimentConfig(data_path=str(rates_csv), train_fraction=0.999)
+        with pytest.raises(BenchError, match=r"^currency JPY, model mars: train_fraction "
+                                             r"0\.999 of 243 rows leaves 243 training "
+                                             r"and 0 test rows"):
+            run_experiment(cfg)
+
     def test_error_curve_recorded_when_cart_runs(self, small_report):
         curve = small_report.error_curves["JPY"]
         assert curve[-1][0] == 1  # root-only entry present
@@ -436,6 +443,7 @@ dir = somewhere
 
     # one bad value per section that can hold one ([output] dir takes any text)
     _NAMED = [("data", "currencies", "GBP GBP", "duplicate currency code 'GBP'"),
+              ("data", "currencies", "", "at least one currency code must be given"),
               ("split", "fraction", "1.5", "must be in (0, 1)"),
               ("split", "seed", "x", "invalid literal for int() with base 10: 'x'"),
               ("models", "enabled", "mars ridge", "unknown models ['ridge']"),

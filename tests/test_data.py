@@ -350,6 +350,14 @@ class TestSplit:
             with pytest.raises(ValueError, match="train_fraction"):
                 split(ds, bad, 1)
 
+    @pytest.mark.parametrize("fraction, n_train", [(0.999, 243), (0.001, 0)],
+                             ids=["no-test-rows", "no-training-rows"])
+    def test_fraction_leaving_a_side_empty_rejected(self, fraction, n_train):
+        message = (f"^train_fraction {fraction} of 243 rows leaves {n_train} training "
+                   f"and {243 - n_train} test rows")
+        with pytest.raises(ValueError, match=message.replace(".", r"\.")):
+            split(self._dataset(243), fraction, 7)
+
 
 class TestScaler:
     def _dataset(self):

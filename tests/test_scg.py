@@ -7,10 +7,9 @@ from forexkit import scg
 from forexkit.bench import cell_seed
 from forexkit.data import (Dataset, FeatureSpec, apply_scaler, build_supervised,
                            fit_scaler, split)
-from forexkit.scg import (MlpNetwork, ScgDivergence, _training_view,
-                          dump_network, error, forward, get_params, gradient,
-                          init_network, load_network, scg_minimize, scg_train,
-                          set_params)
+from forexkit.scg import (MlpNetwork, ScgDivergence, dump_network, error, forward,
+                          get_params, gradient, init_network, load_network,
+                          scg_minimize, scg_train, set_params)
 from forexkit.synth import forex5_series
 
 from oracles import ReferenceMlp, central_difference_gradient, hessian_vector_approx
@@ -131,6 +130,12 @@ class TestGradient:
         np.testing.assert_allclose(gradient(net, batch),
                                    [resid * 2.0, resid], atol=1e-14)
 
+    @pytest.mark.parametrize("evaluate", [error, gradient], ids=["error", "gradient"])
+    def test_batch_width_checked(self, evaluate):
+        batch = Dataset(("a", "b", "c"), np.zeros((4, 3)), np.zeros(4))
+        with pytest.raises(ValueError, match="^expected 2 inputs, got 3$"):
+            evaluate(init_network((2, 3, 1), seed=0), batch)
+
     def test_empty_batch_rejected(self):
         net = init_network((1, 1), seed=0)
         empty = Dataset(("x",), np.zeros((0, 1)), np.zeros(0))
@@ -222,6 +227,11 @@ class TestScgMinimize:
         with pytest.raises(ValueError, match=">= 1"):
             scg_minimize(fun, grad, np.zeros(2), max_iterations=0)
 
+    def test_rejects_a_w0_that_is_not_1d_or_2d(self):
+        fun, grad = _quadratic(np.eye(2), np.zeros(2))
+        with pytest.raises(ValueError, match=r"^w0 must be 1-D or 2-D, got shape \(1, 1, 2\)$"):
+            scg_minimize(fun, grad, np.zeros((1, 1, 2)), max_iterations=5)
+
     def test_divergence_raises_with_epoch(self):
         calls = {"n": 0}
 
@@ -311,6 +321,11 @@ class TestScgTrain:
         lines[1] = f"layers 2 3 {n_outputs}"
         with pytest.raises(ValueError, match=rf"^line 2: {message}"):
             load_network("\n".join(lines))
+
+    def test_rejects_a_dataset_of_another_width(self):
+        train = Dataset(("a", "b", "c"), np.zeros((6, 3)), np.zeros(6))
+        with pytest.raises(ValueError, match="^expected 2 inputs, got 3$"):
+            scg_train(init_network((2, 3, 1), seed=0), train, epochs=5)
 
     def test_epochs_validation(self):
         net = init_network((1, 1), seed=0)
@@ -409,14 +424,46 @@ class TestActivationMemo:
             assert not np.array_equal(gradient(net, batch), g_before)
             np.testing.assert_array_equal(gradient(net, batch), gradient(fresh, batch))
 
-    def test_training_view_keys_memo_on_features(self):
-        a, b = self._batch(1), self._batch(2)
-        net = init_network((2, 4, 1), seed=5)
-        flat, view = _training_view(net, 15)
-        flat[:] = get_params(net)
-        for batch in (a, b, a):
-            assert error(view, batch) == error(net, batch)
-            np.testing.assert_array_equal(gradient(view, batch), gradient(net, batch))
+    @pytest.mark.parametrize("count", [1, 3], ids=["single", "stack-of-three"])
+    def test_scg_train_reuses_a_forward_pass_only_at_the_same_bits(self, monkeypatch,
+                                                                    count):
+        """One forward pass (two tanh calls, one per hidden layer) per run of
+        evaluations at the same parameter bits: the gradient at an accepted
+        point reuses the pass fun just made there, and new bits never do."""
+        sizes = (2, 4, 3, 1)
+        nets = [init_network(sizes, seed=5 + i) for i in range(count)]
+        trains = [self._batch(i) for i in range(count)]
+        real_tanh, real_error, real_gradient = np.tanh, scg.error, scg.gradient
+        tanh_calls, evaluated = [0], []
+
+        def tanh(*args, **kwargs):
+            tanh_calls[0] += 1
+            return real_tanh(*args, **kwargs)
+
+        def params(net):
+            return b"".join(a.tobytes() for a in (*net.weights, *net.biases))
+
+        def counting_error(net, batch):
+            evaluated.append(params(net))
+            return real_error(net, batch)
+
+        def counting_gradient(net, batch):
+            evaluated.append(params(net))
+            return real_gradient(net, batch)
+
+        monkeypatch.setattr(np, "tanh", tanh)
+        monkeypatch.setattr(scg, "error", counting_error)
+        monkeypatch.setattr(scg, "gradient", counting_gradient)
+        if count == 1:
+            _, trace = scg_train(nets[0], trains[0], epochs=40)
+            rejected = sum(a == b for a, b in zip(trace, trace[1:]))
+        else:
+            _, traces = scg_train(nets, trains, epochs=40)
+            rejected = sum(a == b for t in traces for a, b in zip(t, t[1:]))
+        changes = 1 + sum(a != b for a, b in zip(evaluated, evaluated[1:]))
+        assert tanh_calls[0] == 2 * changes
+        assert changes < len(evaluated)  # some gradient did reuse a pass
+        assert rejected > 0  # and some step was rejected, so new bits followed it
 
 
 class TestTrainingEvaluations:
@@ -639,12 +686,18 @@ class TestTrainingStack:
         (0, 0, "0 networks for 0 datasets"),
         ("sizes", 2, "share their layer sizes"),
         (2, "rows", "row count"),
+        (2, "width", "row count and width"),
     ])
     def test_stack_shape_checked(self, nets, trains, message):
         nets = ([init_network((2, 4, 1), 0), init_network((2, 5, 1), 0)] if nets == "sizes"
                 else self._nets(nets))
-        trains = (self._batches(25, 1) + self._batches(30, 1) if trains == "rows"
-                  else self._batches(25, trains))
+        if trains == "rows":
+            trains = self._batches(25, 1) + self._batches(30, 1)
+        elif trains == "width":
+            trains = self._batches(25, 1) + [Dataset(("a", "b", "c"), np.zeros((25, 3)),
+                                                     np.zeros(25))]
+        else:
+            trains = self._batches(25, trains)
         with pytest.raises(ValueError, match=message):
             scg_train(nets, trains, epochs=5)
 
