@@ -208,8 +208,8 @@ class LseResult(NamedTuple):
     and as rank_deficient the number of rank-deficient rows."""
 
     consequents: np.ndarray
-    rank: int
-    rank_deficient: bool
+    rank: int | tuple
+    rank_deficient: bool | int
 
 
 def lse_consequents(model: AnfisModel, train: Dataset) -> LseResult:
@@ -228,11 +228,6 @@ def lse_consequents(model: AnfisModel, train: Dataset) -> LseResult:
     ranks = tuple(int(fit[2]) for fit in fits)
     return LseResult(np.stack([fit[0] for fit in fits]).reshape(len(fits), w.shape[-1], -1),
                      ranks, sum(rank < full for rank in ranks))
-
-
-def with_consequents(model: AnfisModel, result: LseResult) -> AnfisModel:
-    return replace(model, consequents=result.consequents,
-                   lse_rank_deficient=model.lse_rank_deficient or result.rank_deficient)
 
 
 def premise_gradient(model: AnfisModel, train: Dataset):

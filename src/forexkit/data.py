@@ -349,7 +349,7 @@ def fit_scaler(train: Dataset) -> ScalerParams:
 def _scale_cols(X: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     span = hi - lo
     live = span > 0
-    out = X.astype(float).copy()
+    out = X.astype(float)
     out[:, live] = (X[:, live] - lo[live]) / span[live]
     return out
 

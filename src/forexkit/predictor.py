@@ -81,8 +81,8 @@ def save_predictor(p: Predictor) -> str:
 
 def load_predictor(text: str) -> Predictor:
     """Inverse of save_predictor.  Truncated, garbled or non-finite input, a
-    header key unknown or repeated, an unknown recipe, and a scaler whose
-    width is not the engine's raise ValueError naming a line."""
+    header key unknown or repeated, an empty currency, an unknown recipe, and
+    a scaler whose width is not the engine's raise ValueError naming a line."""
     lines = text.splitlines()
     if not lines or lines[0] != "forexkit-predictor v1":
         raise ValueError("line 1: not a forexkit-predictor v1 file")
@@ -105,6 +105,9 @@ def load_predictor(text: str) -> Predictor:
     no, kind = header["model"]
     if kind not in KINDS:
         raise ValueError(f"line {no}: unknown model kind {kind!r}")
+    no, currency = header["currency"]
+    if not currency.strip():
+        raise ValueError(f"line {no}: empty currency")
     no, recipe = header["recipe"]
     if recipe not in RECIPES:
         raise ValueError(f"line {no}: unknown recipe {recipe!r}; choose from {RECIPES}")
@@ -122,4 +125,4 @@ def load_predictor(text: str) -> Predictor:
     if engine.n_features != feature_min.size:
         raise ValueError(f"line {header['feature_min'][0]}: {feature_min.size} scaled "
                          f"features, but the {kind} engine takes {engine.n_features}")
-    return Predictor(kind, header["currency"][1], recipe, scaler, engine)
+    return Predictor(kind, currency, recipe, scaler, engine)

@@ -9,6 +9,8 @@ its models dump in the engine's format, ``ReferenceAnfis`` likewise borrows
 own linked nodes and builds its grown trees with the engine's preorder
 constructor, ``ReferenceCsv`` borrows the ``RateSeries`` container, and
 ``hessian_vector_approx`` differences the SCG engine's own gradient.
+``with_consequents`` is a test helper, not an oracle: it puts an
+``lse_consequents`` result into an ``AnfisModel``.
 """
 
 from __future__ import annotations
@@ -153,6 +155,12 @@ def hessian_vector_approx(net, batch, p: np.ndarray, sigma_k: float,
     g0 = gradient(net, batch)
     g1 = gradient(set_params(net, w + sigma_k * p), batch)
     return (g1 - g0) / sigma_k + lambda_k * p
+
+
+def with_consequents(model: AnfisModel, result) -> AnfisModel:
+    """model with an lse_consequents result's consequents and rank flag."""
+    return replace(model, consequents=result.consequents,
+                   lse_rank_deficient=model.lse_rank_deficient or result.rank_deficient)
 
 
 class ReferenceAnfis:

@@ -23,7 +23,7 @@ from forexkit.scg import scg_minimize
 from forexkit.synth import STEP7_LEVELS, forex5_series, step7_series, write_rates_csv
 
 from oracles import (brute_force_best_split, central_difference_gradient,
-                     hessian_vector_approx, normal_equations)
+                     hessian_vector_approx, normal_equations, with_consequents)
 
 
 @pytest.fixture
@@ -203,7 +203,7 @@ def test_criterion_06_gradients_match_finite_differences(verdict):
     X = rng.uniform(0, 1, size=(40, 2))
     ds = Dataset(("a", "b"), X, np.sin(3 * X[:, 0]) + X[:, 1] ** 2)
     model = anfis.init_model(ds, anfis.AnfisConfig(mfs_per_input=2))
-    model = anfis.with_consequents(
+    model = with_consequents(
         model, anfis.LseResult(rng.normal(size=model.consequents.shape), 0, False))
     k = model.centers[0].size
 

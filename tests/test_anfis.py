@@ -6,12 +6,13 @@ import pytest
 from forexkit import anfis
 from forexkit.anfis import (AnfisConfig, NoRuleFires, dump_model, dump_rules,
                             hybrid_train, init_model, load_model, lse_consequents,
-                            premise_gradient, premise_step, with_consequents)
+                            premise_gradient, premise_step)
 from forexkit.bench import ExperimentConfig, prepare_cell
 from forexkit.data import Batches, Dataset, load_csv
 from forexkit.synth import forex5_series, write_rates_csv
 
-from oracles import ReferenceAnfis, central_difference_gradient, normal_equations
+from oracles import (ReferenceAnfis, central_difference_gradient, normal_equations,
+                     with_consequents)
 
 
 def _dataset(X, y, names=None):

@@ -628,7 +628,10 @@ class TestLockstep:
 class TestTrainingStack:
     """scg_train on sequences of networks and datasets."""
 
-    SIZES = (2, 4, 1)
+    # (2, 1) makes no back product, (2, 4, 1) only the output layer's outer
+    # product, and (2, 5, 3, 1) a hidden layer's np.matmul one as well
+    SIZES = pytest.mark.parametrize("sizes", [(2, 1), (2, 4, 1), (2, 5, 3, 1)],
+                                    ids=["no-hidden", "one-hidden", "two-hidden"])
 
     @staticmethod
     def _batches(n_rows=25, count=3):
@@ -636,11 +639,13 @@ class TestTrainingStack:
         return [Dataset(("a", "b"), rng.normal(size=(n_rows, 2)), rng.normal(size=n_rows))
                 for _ in range(count)]
 
-    def _nets(self, count=3):
-        return [init_network(self.SIZES, seed=20 + i) for i in range(count)]
+    @staticmethod
+    def _nets(count=3, sizes=(2, 4, 1)):
+        return [init_network(sizes, seed=20 + i) for i in range(count)]
 
-    def test_each_network_matches_its_own_fit(self):
-        trains, nets = self._batches(), self._nets()
+    @SIZES
+    def test_each_network_matches_its_own_fit(self, sizes):
+        trains, nets = self._batches(), self._nets(sizes=sizes)
         trained, traces = scg_train(nets, trains, epochs=60)
         assert isinstance(trained, list) and isinstance(traces, list)
         for net, train, got, trace in zip(nets, trains, trained, traces):
@@ -648,12 +653,13 @@ class TestTrainingStack:
             np.testing.assert_array_equal(get_params(got), get_params(alone))
             assert trace == alone_trace
 
-    def test_stacked_evaluations_are_one_call_each(self, monkeypatch):
+    @SIZES
+    def test_stacked_evaluations_are_one_call_each(self, monkeypatch, sizes):
         """One scg.error / scg.gradient call per stacked evaluation, as many
         as the lockstep minimizer makes on the reference evaluations, and no
         returned gradient is written afterwards."""
-        trains, nets = self._batches(), self._nets()
-        refs = [ReferenceMlp(self.SIZES, t.features, t.targets) for t in trains]
+        trains, nets = self._batches(), self._nets(sizes=sizes)
+        refs = [ReferenceMlp(sizes, t.features, t.targets) for t in trains]
         ref_calls = {"error": 0, "gradient": 0}
 
         def ref_error(W):
