@@ -81,8 +81,9 @@ def save_predictor(p: Predictor) -> str:
 
 def load_predictor(text: str) -> Predictor:
     """Inverse of save_predictor.  Truncated, garbled or non-finite input, a
-    header key unknown or repeated, an empty currency, an unknown recipe, and
-    a scaler whose width is not the engine's raise ValueError naming a line."""
+    header key unknown or repeated, an empty or padded currency, an unknown
+    recipe, and a scaler whose width is not the engine's raise ValueError
+    naming a line."""
     lines = text.splitlines()
     if not lines or lines[0] != "forexkit-predictor v1":
         raise ValueError("line 1: not a forexkit-predictor v1 file")
@@ -106,8 +107,8 @@ def load_predictor(text: str) -> Predictor:
     if kind not in KINDS:
         raise ValueError(f"line {no}: unknown model kind {kind!r}")
     no, currency = header["currency"]
-    if not currency.strip():
-        raise ValueError(f"line {no}: empty currency")
+    if not currency or currency != currency.strip():
+        raise ValueError(f"line {no}: empty or padded currency {currency!r}")
     no, recipe = header["recipe"]
     if recipe not in RECIPES:
         raise ValueError(f"line {no}: unknown recipe {recipe!r}; choose from {RECIPES}")

@@ -342,7 +342,7 @@ class _Workspace:
         self.acts = [X.reshape(-1, n_rows, sizes[0])] + [np.empty((K, n_rows, s))
                                                          for s in sizes[1:]]
         self.resid = np.empty_like(self.acts[-1])
-        self.weights_t = [w.mT for w in self.weights]
+        self.weights_t = [np.swapaxes(w, -1, -2) for w in self.weights]
         self.grad = None
 
     def backward_buffers(self):
@@ -351,7 +351,7 @@ class _Workspace:
             hidden = self.sizes[1:-1]
             self.deltas = [np.empty((K, n, s)) for s in hidden]
             self.delta_at = self.deltas + [self.resid]  # E's derivative at layer i's output
-            self.delta_t = [d.mT for d in self.delta_at]
+            self.delta_t = [np.swapaxes(d, -1, -2) for d in self.delta_at]
             scratch = {s: np.empty((K, n, s)) for s in hidden}  # one per width
             self.scratch = [scratch[s] for s in hidden]
             self.grad = np.empty((K, sum((n_in + 1) * n_out for n_in, n_out

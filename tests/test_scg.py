@@ -393,6 +393,21 @@ class TestReferenceEquality:
             assert error(net, batch) == ref.error(w)
             np.testing.assert_array_equal(gradient(net, batch), ref.gradient(w))
 
+    def test_gradient_keeps_the_references_sign_of_zero(self):
+        # with a zero output weight, np.multiply's back product gives its
+        # hidden unit -0.0 deltas where the reference's matrix product gives
+        # +0.0; the sums over them start at +0.0, so the gradient's bytes
+        # still match (assert_array_equal would take -0.0 for +0.0)
+        rng = np.random.default_rng(5)
+        sizes = (2, 3, 1)
+        batch = Dataset(("a", "b"), rng.normal(size=(9, 2)), 10.0 + rng.random(9))
+        ref = ReferenceMlp(sizes, batch.features, batch.targets)
+        w = get_params(init_network(sizes, seed=2))
+        w[2 * 3 + 3] = 0.0  # the first output weight
+        net = set_params(init_network(sizes, seed=2), w)
+        assert (ref.activations(w)[-1][:, 0] < batch.targets).all()
+        assert gradient(net, batch).tobytes() == ref.gradient(w).tobytes()
+
     def test_hessian_vector_unchanged(self):
         rng = np.random.default_rng(4)
         batch = Dataset(("a", "b"), rng.normal(size=(19, 2)), rng.normal(size=19))

@@ -147,9 +147,11 @@ class TestPredictorFile:
          "^line 4: repeated predictor header key 'currency'"),
         (("recipe mp1", "recipe mp1\nbogus key"), "^line 5: unknown predictor header key 'bogus'"),
         (("recipe mp1", "recipe mp9"), "^line 4: unknown recipe 'mp9'"),
-        (("currency JPY", "currency"), "^line 3: empty currency"),
-        (("currency JPY", "currency "), "^line 3: empty currency")],
-        ids=["repeated-key", "unknown-key", "unknown-recipe", "no-currency", "blank-currency"])
+        (("currency JPY", "currency"), "^line 3: empty or padded currency ''"),
+        (("currency JPY", "currency "), "^line 3: empty or padded currency ''"),
+        (("currency JPY", "currency  JPY"), "^line 3: empty or padded currency ' JPY'")],
+        ids=["repeated-key", "unknown-key", "unknown-recipe", "no-currency", "blank-currency",
+             "padded-currency"])
     def test_bad_header_line_rejected(self, edit, match):
         text = ("forexkit-predictor v1\nmodel mars\ncurrency JPY\nrecipe mp1\n"
                 "feature_min 0\nfeature_max 1\ntarget_min 0\ntarget_max 1\n"
