@@ -12,20 +12,21 @@ inputs absurdly far outside the training range (max log-strength below the
 double-precision underflow point) raise NoRuleFires.
 
 `hybrid_train` given a sequence of training sets of one row count and width
-trains one model per set as a lockstep stack, and a single set is a stack of
-one, so there is one training loop.  The stack holds every model's premises
-and consequents along a leading axis: elementwise steps, einsums, row sums
-and the premise products run once over it, the least-squares solve once per
-row, and each row keeps its own rate, halvings, trace and rank flag, so
-each model is bit for bit what training it alone gives.  An epoch computes
-the normalized strengths once and reuses them for the LSE, the epoch RMSE
-and the premise gradient.
+trains one model per set as a lockstep stack, and a single model is a stack
+of one in every engine function (`hybrid_train`, `lse_consequents`,
+`premise_gradient`, `premise_step`), so there is one code path.  The stack
+holds every model's premises and consequents along a leading axis:
+elementwise steps, einsums, row sums and the premise products run once over
+it, the least-squares solve once per row, and each row keeps its own rate,
+halvings, trace and rank flag, so each model is bit for bit what training it
+alone gives.  An epoch computes the normalized strengths once and reuses
+them for the LSE, the epoch RMSE and the premise gradient.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -58,8 +59,8 @@ class AnfisConfig:
             raise ValueError("mfs_per_input must be >= 2")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if not self.rate >= 0.0:
-            raise ValueError("rate must be >= 0")
+        if not 0.0 <= self.rate < np.inf:
+            raise ValueError("rate must be finite and >= 0")
         if self.consequent not in ("linear", "constant"):
             raise ValueError("consequent must be 'linear' or 'constant'")
 
@@ -158,7 +159,7 @@ def _log_strengths(model, X: np.ndarray) -> np.ndarray:
 def _normalized_batch(model, X: np.ndarray) -> np.ndarray:
     log_w = _log_strengths(model, X)
     peak = log_w.max(axis=-1)
-    dead = peak < _LOG_UNDERFLOW
+    dead = ~(peak >= _LOG_UNDERFLOW)  # a NaN peak (non-finite premises) fires nothing
     if np.any(dead):
         at = np.unravel_index(np.argmax(dead), dead.shape)
         raise NoRuleFires(f"no rule fires for input {X[at].tolist()}",
@@ -167,13 +168,11 @@ def _normalized_batch(model, X: np.ndarray) -> np.ndarray:
     return shifted / shifted.sum(axis=-1, keepdims=True)
 
 
-def _strengths(model, X: np.ndarray) -> np.ndarray:
-    """Normalized strengths on X; a stack reuses its last ones on the same X."""
-    if not isinstance(model, _Stack):
-        return _normalized_batch(model, X)
-    if model.seen is not X:
-        model.strengths, model.seen = _normalized_batch(model, X), X
-    return model.strengths
+def _strengths(stack: _Stack, X: np.ndarray) -> np.ndarray:
+    """Normalized strengths on X, reusing the stack's last ones on the same X."""
+    if stack.seen is not X:
+        stack.strengths, stack.seen = _normalized_batch(stack, X), X
+    return stack.strengths
 
 
 def _terms(model, X: np.ndarray) -> np.ndarray:
@@ -187,12 +186,15 @@ def _rule_outputs(model, X: np.ndarray) -> np.ndarray:
     return np.einsum("...nt,...rt->...nr", _terms(model, X), model.consequents)
 
 
-def _inputs(model, train) -> np.ndarray:
+def _as_stack(model, train) -> tuple:
+    """(stack, batch, single): a stack and its Batches as given, or a plain
+    model and Dataset as a stack of one (single is True)."""
     if train.n_rows == 0:
         raise ValueError("training set is empty")
     if isinstance(model, _Stack):
-        return train.features
-    return as_rows(train.features, model.n_features, "inputs")
+        return model, train, False
+    as_rows(train.features, model.n_features, "inputs")
+    return _Stack([model]), Batches([train]), True
 
 
 def predict(model: AnfisModel, x):
@@ -205,7 +207,8 @@ def predict(model: AnfisModel, x):
 
 class LseResult(NamedTuple):
     """For a stack: consequents (K, rules, terms), a tuple of per-row ranks,
-    and as rank_deficient the number of rank-deficient rows."""
+    and as rank_deficient the number of rank-deficient rows; for a single
+    model, a stack of one: (rules, terms), its rank and a bool."""
 
     consequents: np.ndarray
     rank: int | tuple
@@ -216,64 +219,65 @@ def lse_consequents(model: AnfisModel, train: Dataset) -> LseResult:
     """Least-squares consequents, shape (rules, terms), for the dataset's
     target with premises fixed; minimum-norm on rank deficiency (flagged).
     A stack solves one least-squares problem per row."""
-    X = _inputs(model, train)
-    w = _strengths(model, X)                              # (..., n, R)
-    base = _terms(model, X)                               # (..., n, T)
+    stack, batch, single = _as_stack(model, train)
+    X = batch.features
+    w = _strengths(stack, X)                              # (K, n, R)
+    base = _terms(stack, X)                               # (K, n, T)
     design = (w[..., None] * base[..., None, :]).reshape(*X.shape[:-1], -1)
     full = design.shape[-1]
-    if design.ndim == 2:
-        coef, _, rank, _ = np.linalg.lstsq(design, train.targets, rcond=None)
-        return LseResult(coef.reshape(w.shape[-1], -1), int(rank), int(rank) < full)
-    fits = [np.linalg.lstsq(d, y, rcond=None) for d, y in zip(design, train.targets)]
+    fits = [np.linalg.lstsq(d, y, rcond=None) for d, y in zip(design, batch.targets)]
     ranks = tuple(int(fit[2]) for fit in fits)
-    return LseResult(np.stack([fit[0] for fit in fits]).reshape(len(fits), w.shape[-1], -1),
-                     ranks, sum(rank < full for rank in ranks))
+    coef = np.stack([fit[0] for fit in fits]).reshape(len(fits), w.shape[-1], -1)
+    if single:
+        return LseResult(coef[0], ranks[0], ranks[0] < full)
+    return LseResult(coef, ranks, sum(rank < full for rank in ranks))
 
 
 def premise_gradient(model: AnfisModel, train: Dataset):
     """Gradient of the summed squared error w.r.t. centers and widths, as
     (per-input center grads, per-input width grads); (K, m_i) each for a
     stack."""
-    X = _inputs(model, train)
-    w = _strengths(model, X)                              # (..., n, R)
-    F = _rule_outputs(model, X)                           # (..., n, R)
-    yhat = np.einsum("...nr,...nr->...n", w, F)           # (..., n)
-    err = yhat - train.targets                            # (..., n)
+    stack, batch, single = _as_stack(model, train)
+    X = batch.features
+    w = _strengths(stack, X)                              # (K, n, R)
+    F = _rule_outputs(stack, X)                           # (K, n, R)
+    yhat = np.einsum("...nr,...nr->...n", w, F)           # (K, n)
+    err = yhat - batch.targets                            # (K, n)
     # dSSE/d log mu_r = 2 err * w_r * (F_r - yhat)
     g = 2.0 * np.einsum("...n,...nr->...nr", err, w * (F - yhat[..., None]))
-    grid = model.rule_grid()
+    grid = stack.rule_grid()
     grad_c, grad_s = [], []
-    for i, (c, s) in enumerate(zip(model.centers, model.widths)):
+    for i, (c, s) in enumerate(zip(stack.centers, stack.widths)):
         onehot = np.zeros((grid.shape[0], c.shape[-1]))
         onehot[np.arange(grid.shape[0]), grid[:, i]] = 1.0
-        grouped = g @ onehot                              # (..., n, m_i)
+        grouped = g @ onehot                              # (K, n, m_i)
         diff = X[..., i, None] - c[..., None, :]
         s = s[..., None, :]
         grad_c.append(np.sum(grouped * diff / s ** 2, axis=-2))
         grad_s.append(np.sum(grouped * diff ** 2 / s ** 3, axis=-2))
+    if single:
+        return [gc[0] for gc in grad_c], [gs[0] for gs in grad_s]
     return grad_c, grad_s
 
 
 def premise_step(model: AnfisModel, train: Dataset, rate: float) -> AnfisModel:
     """One gradient-descent step on centers/widths; widths clamped >= 1e-6.
     A stack takes one rate per row and steps in place, and a row whose rate
-    is 0 keeps its premises."""
-    stacked = isinstance(model, _Stack)
-    if stacked:
-        rate = np.array(rate, dtype=float)[:, None]
-    elif rate <= 0.0:
+    is 0 keeps its premises; a single model's rate must be > 0, and a new
+    model is returned."""
+    stack, batch, single = _as_stack(model, train)
+    if single and not rate > 0.0:
         raise ValueError("rate must be > 0")
-    grad_c, grad_s = premise_gradient(model, train)
-    centers = tuple(c - rate * gc for c, gc in zip(model.centers, grad_c))
+    rate = np.array([rate] if single else rate, dtype=float)[:, None]
+    grad_c, grad_s = premise_gradient(stack, batch)
+    centers = tuple(c - rate * gc for c, gc in zip(stack.centers, grad_c))
     widths = tuple(np.maximum(s - rate * gs, _WIDTH_FLOOR)
-                   for s, gs in zip(model.widths, grad_s))
-    if not stacked:
-        return replace(model, centers=centers, widths=widths)
+                   for s, gs in zip(stack.widths, grad_s))
     held = rate == 0.0
-    model.centers = tuple(np.where(held, old, new) for old, new in zip(model.centers, centers))
-    model.widths = tuple(np.where(held, old, new) for old, new in zip(model.widths, widths))
-    model.seen = None
-    return model
+    stack.centers = tuple(np.where(held, old, new) for old, new in zip(stack.centers, centers))
+    stack.widths = tuple(np.where(held, old, new) for old, new in zip(stack.widths, widths))
+    stack.seen = None
+    return stack.models()[0] if single else stack
 
 
 def init_model(train: Dataset, cfg: AnfisConfig) -> AnfisModel:

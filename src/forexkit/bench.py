@@ -133,7 +133,6 @@ class BenchReport:
     error_curves: dict = field(default_factory=dict)  # currency -> [(leaves, rel err)]
     dumps: dict = field(default_factory=dict)       # (currency, model) -> dump text
     rule_dumps: dict = field(default_factory=dict)  # currency -> ANFIS rule text
-    tree_dumps: dict = field(default_factory=dict)  # currency -> CART tree text
 
     def cell(self, currency: str, model: str) -> CellResult:
         for c in self.cells:
@@ -182,7 +181,7 @@ def run_experiment(cfg: ExperimentConfig) -> BenchReport:
 
     cells = {}
     parts = {name: {} for name in ("months", "actual", "predicted", "error_curves",
-                                   "dumps", "rule_dumps", "tree_dumps")}
+                                   "dumps", "rule_dumps")}
     for model in cfg.models:
         kind = KINDS[model]
         prepared = []  # (scaled train, scaled test) per currency
@@ -304,16 +303,14 @@ def run_bench(cfg: ExperimentConfig) -> tuple:
     emit("table.txt", emit_table(report))
     emit("report.csv", emit_csv(report))
     written.extend(emit_plots(report, out))
-    for code, text in report.tree_dumps.items():
-        emit(f"cart_tree_{code}.txt", text)
+    for (code, model), text in report.dumps.items():
+        if model == "cart":  # the selected tree, beside its copy under models/
+            emit(f"cart_tree_{code}.txt", text)
     for code, text in report.rule_dumps.items():
         emit(f"anfis_rules_{code}.txt", text)
-    models_dir = out / "models"
-    models_dir.mkdir(exist_ok=True)
+    (out / "models").mkdir(exist_ok=True)
     for (code, model), text in report.dumps.items():
-        path = models_dir / f"{model}_{code}.txt"
-        path.write_text(text)
-        written.append(path)
+        emit(f"models/{model}_{code}.txt", text)
     return report, written
 
 

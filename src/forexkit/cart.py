@@ -79,9 +79,6 @@ class CartTree:
                   self.index, self.end):
             a.flags.writeable = False
 
-    def node_indices(self) -> frozenset:
-        return frozenset(self.index.tolist())
-
     @property
     def n_leaves(self) -> int:
         return int(np.count_nonzero(self.var < 0))

@@ -73,8 +73,7 @@ class _Cart(Kind):
         seq = cart.prune_sequence(cart.grow(train, cfg.cart_cfg), train)
         seq = cart.evaluate_sequence(seq, selection)  # scored once for both calls
         tree = cart.select_min_cost(seq, selection)
-        return tree, {"error_curves": cart.relative_error_curve(seq, selection),
-                      "tree_dumps": cart.dump_tree(tree)}
+        return tree, {"error_curves": cart.relative_error_curve(seq, selection)}
 
 
 class _Hybrid(Kind):

@@ -144,8 +144,8 @@ class MarsConfig:
             raise ValueError("max_basis_functions must be >= 1")
         if self.max_interaction < 1:
             raise ValueError("max_interaction must be >= 1")
-        if not self.gcv_penalty >= 0.0:
-            raise ValueError("gcv_penalty must be >= 0")
+        if not 0.0 <= self.gcv_penalty < np.inf:
+            raise ValueError("gcv_penalty must be finite and >= 0")
 
 
 @dataclass(frozen=True)

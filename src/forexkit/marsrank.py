@@ -78,7 +78,7 @@ class SweepBlock:
     at every knot t of one or more variables x of one parent bp at once,
     from running sums over each variable's sorted order.
 
-    vp, vm are u+, u- less their projections onto span(Q).  ``terms`` returns
+    vp, vm are u+, u- less their projections onto span(Q).  ``_terms`` gives
     (a, b, c, rp, rm, |u+|^2, |u-|^2, det, num) with a = |vp|^2, b = vp.vm,
     c = |vm|^2, rp = vp.r, rm = vm.r, det = ac - b^2 and num = c rp^2 -
     2b rp rm + a rm^2; ``gains`` returns pair_gain of them and a bound on
@@ -139,7 +139,6 @@ class SweepBlock:
         self.mag_g = np.sqrt(self._dots(self.wx, self.wx)) + at * np.sqrt(self._dots(self.w, self.w))
         self.knots, self.zero = np.concatenate(knots), self.mag == 0.0  # a member zero on every row
         self.in_span = np.zeros_like(self.zero)  # members the search made columns of B
-        self._known = None  # _dense_range's columns of zero or appended members
         k = len(self.t)
         self.qp, self.qm = np.empty((k, capacity)), np.empty((k, capacity))
         self.sq, self.pm = np.zeros((2, k)), np.zeros(k)  # rows |qp|^2, |qm|^2
@@ -166,7 +165,6 @@ class SweepBlock:
         rounding."""
         s = self.spans[self.variables.index(var)]
         self.in_span[member, s.start + np.searchsorted(self.knots[s], knot)] = True
-        self._known = None
 
     def _advance(self, Q):
         """Take in the columns of Q beyond the m the block holds."""
@@ -190,8 +188,10 @@ class SweepBlock:
         self.m = m
 
     def _terms(self, Q, r, qr):
-        """The terms, and for gains: rows (a, c) and (rp, rm), p, |g|^2, g.r,
-        |r|^2 and which of det and num took the Lagrange form."""
+        """The block's terms at every knot for the current Q and residual r
+        (qr is Q'r, r's rounding-level part in span(Q), which vp and vm lack),
+        and for gains: rows (a, c) and (rp, rm), p, |g|^2, g.r, |r|^2 and
+        which of det and num took the Lagrange form."""
         if Q.shape[1] > self.m:
             self._advance(Q)
         m, t, g = self.m, self.t, self.g
@@ -221,11 +221,6 @@ class SweepBlock:
         return (a, b, c, rp, rm, self.norm[0], self.norm[1], det, num), \
             (ac, r_pm, p, gg, gr, self._dots(rs, rs), lag_det, lag_num)
 
-    def terms(self, Q, r, qr):
-        """The block's terms at every knot for the current Q and residual r;
-        qr is Q'r, r's rounding-level part in span(Q), which vp and vm lack."""
-        return self._terms(Q, r, qr)[0]
-
     def gains(self, Q, r, qr):
         """pair_gain of the terms at every knot, and err, a bound on how far
         each lies from the gain the dense projections give: inf where either
@@ -242,14 +237,12 @@ class SweepBlock:
         and there: |vp|, |vm| over (2 + 2 sqrt m) gamma Up, Um (0 or 1; inf
         where unknown), Up, Um, Ug, and pair_gain's dependence threshold on
         a dense member at its lowest."""
-        if self._known is None:
-            j = np.flatnonzero((self.zero | self.in_span).any(0))
-            v = np.where(self.zero[:, j], 0.0, np.where(self.in_span[:, j], 1.0, np.inf))
-            mag_j = self.mag[:, j]
-            dep_lo = (DEP_TOL ** 2) * (1.0 - 4.0 * 2.0 ** -53) \
-                * (self.norm[:, j] - 3.0 * gamma * mag_j * mag_j)
-            self._known = (j, v, mag_j, self.mag_g[j], dep_lo)
-        return self._known
+        j = np.flatnonzero((self.zero | self.in_span).any(0))
+        v = np.where(self.zero[:, j], 0.0, np.where(self.in_span[:, j], 1.0, np.inf))
+        mag_j = self.mag[:, j]
+        dep_lo = (DEP_TOL ** 2) * (1.0 - 4.0 * 2.0 ** -53) \
+            * (self.norm[:, j] - 3.0 * gamma * mag_j * mag_j)
+        return j, v, mag_j, self.mag_g[j], dep_lo
 
     def _dense_range(self, terms, extra):
         """Per knot, an interval that holds the dense gain; the bounds are
@@ -362,7 +355,7 @@ def _spread(*factors):
 
 def pair_gain(a, c, rp, rm, norm_p, norm_m, det, num):
     """Best SSE reduction from a hinge pair with the terms of
-    SweepBlock.terms: num / det, or from one member when the other is
+    SweepBlock._terms: num / det, or from one member when the other is
     dependent or the two are collinear."""
     ok_p = a > (DEP_TOL ** 2) * norm_p
     ok_m = c > (DEP_TOL ** 2) * norm_m

@@ -43,6 +43,8 @@ class TestConfig:
             AnfisConfig(epochs=0)
         with pytest.raises(ValueError):
             AnfisConfig(rate=-0.1)
+        with pytest.raises(ValueError, match="rate must be finite"):
+            AnfisConfig(rate=float("inf"))
         with pytest.raises(ValueError):
             AnfisConfig(consequent="quadratic")
 
@@ -200,6 +202,8 @@ class TestPremiseGradient:
         model = init_model(ds, AnfisConfig(mfs_per_input=2))
         with pytest.raises(ValueError, match="rate"):
             premise_step(model, ds, rate=0.0)
+        with pytest.raises(ValueError, match="rate"):
+            premise_step(model, ds, rate=float("nan"))
 
 
 class TestHybridTrain:
@@ -467,6 +471,16 @@ class TestStack:
         with pytest.raises(NoRuleFires) as caught:
             hybrid_train([fits, fits, dies, fits], cfg)
         assert caught.value.row == 2
+
+    def test_row_whose_step_overflows_is_named(self):
+        """A premise step that overflows leaves non-finite premises, whose
+        NaN strengths fire no rule: the row is named, not left to LAPACK."""
+        x = np.linspace(0.0, 1.0, 30)
+        flat = _dataset(np.column_stack([x, x]), np.zeros(30))  # zero gradient, never moves
+        cfg = AnfisConfig(mfs_per_input=2, epochs=3, rate=1e308)
+        with np.errstate(all="ignore"), pytest.raises(NoRuleFires) as caught:
+            hybrid_train([flat, _grid_problem(n=30, seed=1), flat], cfg)
+        assert caught.value.row == 1
 
     @pytest.mark.parametrize("trains, match", [
         ([], "no training sets"),

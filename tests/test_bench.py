@@ -334,6 +334,18 @@ class TestRunBench:
         rules = (tmp_path / "out" / "anfis_rules_GBP.txt").read_text()
         assert len(rules.strip().splitlines()) == 16
 
+    def test_cart_tree_file_is_the_cart_model_file(self, rates_csv, tmp_path):
+        cfg = ExperimentConfig(data_path=str(rates_csv), currencies=("JPY", "GBP"),
+                               models=("mars", "cart"), out_dir=str(tmp_path))
+        _, written = run_bench(cfg)
+        assert len(set(written)) == len(written)
+        trees = [p.name for p in written if p.name.startswith("cart_tree_")]
+        assert trees == ["cart_tree_JPY.txt", "cart_tree_GBP.txt"]
+        for code in ("JPY", "GBP"):
+            tree = (tmp_path / f"cart_tree_{code}.txt").read_bytes()
+            assert tree.startswith(b"cart-tree v1\n")
+            assert tree == (tmp_path / "models" / f"cart_{code}.txt").read_bytes()
+
     def test_two_runs_byte_identical_except_timings(self, rates_csv, tmp_path):
         outs = []
         for sub in ("r1", "r2"):
@@ -448,10 +460,12 @@ dir = somewhere
               ("split", "seed", "x", "invalid literal for int() with base 10: 'x'"),
               ("models", "enabled", "mars ridge", "unknown models ['ridge']"),
               ("mars", "max_basis_functions", "0", "max_basis_functions must be >= 1"),
+              ("mars", "gcv_penalty", "inf", "gcv_penalty must be finite and >= 0"),
               ("cart", "min_node_size", "0", "min_node_size must be >= 1"),
               ("mlp", "epochs", "0", "must be >= 1"),
               ("anfis", "epochs", "0", "epochs must be >= 1"),
               ("anfis", "epochs", "two", "invalid literal for int() with base 10: 'two'"),
+              ("anfis", "rate", "inf", "rate must be finite and >= 0"),
               ("hybrid", "encoding", "onehot", "must be one of ")]
 
     @pytest.mark.parametrize("section, key, value, reason", _NAMED,

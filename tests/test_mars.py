@@ -204,7 +204,7 @@ class TestValidation:
         with pytest.raises(ValueError):
             MarsConfig(max_interaction=0)
 
-    @pytest.mark.parametrize("penalty", [-1.0, float("nan")])
+    @pytest.mark.parametrize("penalty", [-1.0, float("nan"), float("inf")])
     def test_gcv_penalty_must_be_nonnegative(self, penalty):
         with pytest.raises(ValueError, match="gcv_penalty"):
             MarsConfig(gcv_penalty=penalty)
@@ -337,6 +337,12 @@ class TestExactSearch:
         assert not differ
 
 
+def _block_terms(block, Q, r, qr):
+    """A sweep block's (a, b, c, rp, rm, |u+|^2, |u-|^2, det, num) at every
+    knot, without the extras its gains use."""
+    return block._terms(Q, r, qr)[0]
+
+
 def _dense(x, bp, knots, Q, r):
     """The dense gains of one variable x's knots."""
     return mars._pair_gains(x[:, None], np.zeros(len(knots), int), bp, knots, Q, r)
@@ -366,7 +372,7 @@ class TestClosedForms:
     def _assert_block_matches_dense(block, bp, x, knots, Q, r):
         """Every term near the dense one, and every fast gain within its
         bound err of the dense gain."""
-        terms = block.terms(Q, r, Q.T @ r)
+        terms = _block_terms(block, Q, r, Q.T @ r)
         up = np.maximum(0.0, x[:, None] - knots) * bp[:, None]
         um = np.maximum(0.0, knots - x[:, None]) * bp[:, None]
         vp, vm = up - Q @ (Q.T @ up), um - Q @ (Q.T @ um)
@@ -435,11 +441,11 @@ class TestClosedForms:
                     single[v].appended(v, knots[3], v % 2)
             r = rng.normal(size=n)
             qr = Q[:, :m].T @ r
-            terms = stacked.terms(Q[:, :m], r, qr)
+            terms = _block_terms(stacked, Q[:, :m], r, qr)
             gains = stacked.gains(Q[:, :m], r, qr)
             for v, block in enumerate(single):
                 span = stacked.spans[v]
-                for got, want in zip(terms, block.terms(Q[:, :m], r, qr)):
+                for got, want in zip(terms, _block_terms(block, Q[:, :m], r, qr)):
                     np.testing.assert_allclose(got[span], want, rtol=1e-9)
                 for got, want in zip(gains, block.gains(Q[:, :m], r, qr)):
                     np.testing.assert_allclose(got[span], want, rtol=1e-9)
