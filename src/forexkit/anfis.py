@@ -150,9 +150,10 @@ def _log_strengths(model, X: np.ndarray) -> np.ndarray:
     """(..., n, n_rules) log firing strengths; a stack's X is (K, n, d)."""
     grid = model.rule_grid()
     log_w = np.zeros(X.shape[:-1] + (grid.shape[0],))
-    for i, (c, s) in enumerate(zip(model.centers, model.widths)):
-        log_mf = -((X[..., i, None] - c[..., None, :]) ** 2) / (2.0 * s[..., None, :] ** 2)
-        log_w += log_mf[..., grid[:, i]]
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite premises fire no rule
+        for i, (c, s) in enumerate(zip(model.centers, model.widths)):
+            log_mf = -((X[..., i, None] - c[..., None, :]) ** 2) / (2.0 * s[..., None, :] ** 2)
+            log_w += log_mf[..., grid[:, i]]
     return log_w
 
 

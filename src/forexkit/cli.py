@@ -18,7 +18,6 @@ from pathlib import Path
 
 from . import bench, synth
 from .data import load_csv
-from .kinds import KINDS
 from .predictor import Predictor, load_predictor, predict_rates, save_predictor
 
 
@@ -61,9 +60,7 @@ def _cmd_fit(args) -> int:
     series = load_csv(cfg.data_path)
     configured = cfg.currencies if cfg.currencies is not None else tuple(series)
     code = args.currency or configured[0]
-    scaler, strain, stest = bench.prepare_cell(cfg, series, code, args.model)
-    engine, _ = KINDS[args.model].fit(cfg, strain, stest,
-                                      bench.cell_seed(cfg.seed, code, args.model))
+    [(scaler, _, _, engine, _, _)] = bench.fit_model(cfg, series, args.model, [code])
     fitted = Predictor(args.model, code, cfg.recipe_for(args.model), scaler, engine)
     out = Path(args.output or f"{args.model}_{code}.model")
     out.write_text(save_predictor(fitted))

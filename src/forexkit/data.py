@@ -333,6 +333,8 @@ class ScalerParams:
         object.__setattr__(self, "feature_max", _readonly(np.asarray(self.feature_max, float)))
         if np.any(self.feature_max < self.feature_min):
             raise ValueError("feature_max must be >= feature_min per column")
+        if self.target_max < self.target_min:
+            raise ValueError("target_max must be >= target_min")
 
 
 def fit_scaler(train: Dataset) -> ScalerParams:

@@ -1,11 +1,12 @@
 """Cooperative CART-then-MARS hybrid.
 
-A regression tree is grown, pruned, and selected on the test sample; the
-terminal-node information it assigns to each row is appended to the feature
-matrix as either one-hot leaf indicators or the leaf prediction value; MARS
-is then fitted on the augmented data.  The tree runs once and goes to the
-background — prediction augments the incoming row with the stored tree and
-encoding, then delegates to the MARS model.
+A regression tree is grown, pruned, and selected on the ``selection`` rows
+(the bench's test sample, as in the paper); the terminal-node information it
+assigns to each row is appended to the feature matrix as either one-hot leaf
+indicators or the leaf prediction value; MARS is then fitted on the
+augmented data.  The tree runs once and goes to the background — prediction
+augments the incoming row with the stored tree and encoding, then delegates
+to the MARS model.
 """
 
 from __future__ import annotations
@@ -71,15 +72,15 @@ def augment(ds: Dataset, tree: cart.CartTree, encoding: str = "one_hot_leaf") ->
                    provenance=ds.provenance)
 
 
-def fit_hybrid(train: Dataset, test: Dataset,
+def fit_hybrid(train: Dataset, selection: Dataset,
                cart_cfg: cart.CartConfig = cart.CartConfig(),
                mars_cfg: mars.MarsConfig = mars.MarsConfig(),
                encoding: str = "one_hot_leaf") -> HybridModel:
-    """Tree selection by minimum test cost, then MARS on augmented features."""
+    """The tree of least cost on ``selection``, then MARS on the augmented rows."""
     if train.n_rows == 0:
         raise ValueError("training set is empty")
     seq = cart.prune_sequence(cart.grow(train, cart_cfg), train)
-    tree = cart.select_min_cost(seq, test)
+    tree = cart.select_min_cost(seq, selection)
     augmented = augment(train, tree, encoding)
     model = mars.fit(augmented, mars_cfg)
     return HybridModel(tree, model, encoding)

@@ -1,13 +1,13 @@
 """The five model families, each defined once.
 
-``fit(cfg, train, selection, seed_key)`` returns ``(engine, extras)``: CART
-selects its subtree on ``selection``, and ``extras`` maps BenchReport fields
-to the cell's entries.  ``fit_cells`` fits every cell of a run that a family
-has; the mlp and anfis families train them as one lockstep stack, and their
-``fit`` is that stack run on one cell.  Every
-engine reports the number of scaled features it takes as ``n_features``.
-Engine functions are named, not held, and looked up on their module at call
-time, so a wrapper on a module attribute sees every call.
+``fit_cells(cfg, cells)`` fits a family's cells, each ``(train, selection,
+seed_key)``, to an ``(engine, extras, seconds)`` each: CART and the hybrid
+select their tree on ``selection``, and ``extras`` maps BenchReport fields
+to the cell's entries.  mars, cart and hybrid fit cell by cell through
+``fit``; mlp and anfis have no ``fit`` and train all cells as one lockstep
+stack.  Every engine reports the number of scaled features it takes as
+``n_features``.  Engine functions are named, not held, and looked up on
+their module at call time, so a wrapper on a module attribute sees every call.
 """
 
 from __future__ import annotations
@@ -86,15 +86,11 @@ class _Hybrid(Kind):
 
 class _Stacked(Kind):
     """A family whose ``fit_cells`` trains every cell in one lockstep stack,
-    each cell bit for bit as it trains alone, and whose ``fit`` is the stack
-    of one cell.  A cell's seconds are its share, the stack's time over the
-    number of cells.  A cell whose training set is not finite fails before
-    the stack starts; ``row_error`` is the engine's exception that names a
-    failing row of the stack."""
-
-    def fit(self, cfg, train, selection, seed_key):
-        [fitted] = self.fit_stack(cfg, [(train, selection, seed_key)])
-        return fitted
+    each cell bit for bit as it trains in a stack of one; it has no ``fit``.
+    A cell's seconds are its share, the stack's time over the number of
+    cells.  A cell whose training set is not finite fails before the stack
+    starts; ``row_error`` is the engine's exception that names a failing row
+    of the stack."""
 
     def fit_cells(self, cfg, cells) -> list:
         if not cells:

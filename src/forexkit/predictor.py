@@ -82,8 +82,8 @@ def save_predictor(p: Predictor) -> str:
 def load_predictor(text: str) -> Predictor:
     """Inverse of save_predictor.  Truncated, garbled or non-finite input, a
     header key unknown or repeated, an empty or padded currency, an unknown
-    recipe, and a scaler whose width is not the engine's raise ValueError
-    naming a line."""
+    recipe, a scaler maximum below its minimum, and a scaler whose width is
+    not the engine's raise ValueError naming a line."""
     lines = text.splitlines()
     if not lines or lines[0] != "forexkit-predictor v1":
         raise ValueError("line 1: not a forexkit-predictor v1 file")
@@ -116,12 +116,13 @@ def load_predictor(text: str) -> Predictor:
     if flag.strip() != "1":
         raise ValueError(f"line {no}: expected 'scale_target 1'; targets are always scaled")
     feature_min = floats(header["feature_min"])
-    scaler = ScalerParams(
-        feature_min=feature_min,
-        feature_max=floats(header["feature_max"], feature_min.size),
-        target_min=number(*header["target_min"]),
-        target_max=number(*header["target_max"]),
-    )
+    feature_max = floats(header["feature_max"], feature_min.size)
+    target_min, target_max = number(*header["target_min"]), number(*header["target_max"])
+    for side, low, high in (("feature", feature_min, feature_max),
+                            ("target", target_min, target_max)):
+        if np.any(high < low):
+            raise ValueError(f"line {header[side + '_max'][0]}: {side}_max is below {side}_min")
+    scaler = ScalerParams(feature_min, feature_max, target_min, target_max)
     engine = KINDS[kind].load(tail(lines, body_at + 1))
     if engine.n_features != feature_min.size:
         raise ValueError(f"line {header['feature_min'][0]}: {feature_min.size} scaled "

@@ -478,7 +478,7 @@ class TestStack:
         x = np.linspace(0.0, 1.0, 30)
         flat = _dataset(np.column_stack([x, x]), np.zeros(30))  # zero gradient, never moves
         cfg = AnfisConfig(mfs_per_input=2, epochs=3, rate=1e308)
-        with np.errstate(all="ignore"), pytest.raises(NoRuleFires) as caught:
+        with pytest.raises(NoRuleFires) as caught:
             hybrid_train([flat, _grid_problem(n=30, seed=1), flat], cfg)
         assert caught.value.row == 1
 

@@ -160,7 +160,7 @@ class TestMlpStack:
         for code in currencies:
             _, strain, stest = bench.prepare_cell(cfg, series, code, "mlp")
             key = cell_seed(cfg.seed, code, "mlp")
-            engine, _ = mlp.fit(cfg, strain, stest, key)
+            [(engine, _, _)] = mlp.fit_cells(cfg, [(strain, stest, key)])
             assert report.dumps[(code, "mlp")] == mlp.dump(engine)
             if code == "NZD":  # a rejected step keeps the error
                 trace = scg.scg_train(scg.init_network(engine.layer_sizes, key), strain,
@@ -214,7 +214,8 @@ class TestAnfisStack:
         kind = KINDS["anfis"]
         for code in series:
             _, strain, stest = bench.prepare_cell(cfg, series, code, "anfis")
-            engine, extras = kind.fit(cfg, strain, stest, cell_seed(cfg.seed, code, "anfis"))
+            [(engine, extras, _)] = kind.fit_cells(
+                cfg, [(strain, stest, cell_seed(cfg.seed, code, "anfis"))])
             assert (tmp_path / "out" / "models" / f"anfis_{code}.txt").read_text() == \
                 kind.dump(engine)
             assert (tmp_path / "out" / f"anfis_rules_{code}.txt").read_text() == \
@@ -265,8 +266,8 @@ class TestAnfisStack:
         kind = KINDS["anfis"]
         stacked = kind.fit_cells(cfg, cells)
         stacked_count, counts[:] = sum(counts), []
-        for train, selection, key in cells:
-            kind.fit(cfg, train, selection, key)
+        for cell in cells:
+            kind.fit_cells(cfg, [cell])
         assert stacked_count == sum(counts) == 4  # the twins row, at each of 4 solves
         assert [engine.lse_rank_deficient for engine, _, _ in stacked] == [False, True, False]
 

@@ -139,6 +139,26 @@ class TestFitPredict:
         assert "nope.model" in capsys.readouterr().err
 
 
+def test_fit_failure_names_the_cell(tmp_path, rates_csv, capsys):
+    cfg = _config(tmp_path, rates_csv, "[split]\nfraction = 0.999\n")
+    assert main(["fit", "mars", str(cfg)]) == 1
+    assert capsys.readouterr().err == (
+        "error: currency JPY, model mars: train_fraction 0.999 of 243 rows leaves 243 "
+        "training and 0 test rows; each side needs at least one\n")
+
+
+@pytest.mark.filterwarnings("always::RuntimeWarning")
+def test_fit_overflowing_premise_step_is_one_error_line(tmp_path, rates_csv, capsys,
+                                                        recwarn):
+    # numpy's overflow warnings would reach stderr ahead of the error line
+    cfg = _config(tmp_path, rates_csv, "[anfis]\nrate = 1e308\n")
+    assert main(["fit", "anfis", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: currency JPY, model anfis: no rule fires for input ")
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 class TestParser:
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit):

@@ -392,6 +392,15 @@ class TestScaler:
         np.testing.assert_allclose(unscale_target(scale_target(y, p), p), y,
                                    rtol=0, atol=1e-10)
 
+    @pytest.mark.parametrize("edit, match", [
+        ({"feature_max": np.array([5.0, 2.0])}, "feature_max must be >= feature_min"),
+        ({"target_max": 99.0}, "target_max must be >= target_min")],
+        ids=["features", "target"])
+    def test_inverted_range_rejected(self, edit, match):
+        p = fit_scaler(self._dataset())
+        with pytest.raises(ValueError, match=match):
+            data.ScalerParams(**{**vars(p), **edit})
+
 
 class TestRmse:
     def test_frozen_value(self):

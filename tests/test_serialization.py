@@ -149,9 +149,11 @@ class TestPredictorFile:
         (("recipe mp1", "recipe mp9"), "^line 4: unknown recipe 'mp9'"),
         (("currency JPY", "currency"), "^line 3: empty or padded currency ''"),
         (("currency JPY", "currency "), "^line 3: empty or padded currency ''"),
-        (("currency JPY", "currency  JPY"), "^line 3: empty or padded currency ' JPY'")],
+        (("currency JPY", "currency  JPY"), "^line 3: empty or padded currency ' JPY'"),
+        (("feature_max 1", "feature_max -1"), "^line 6: feature_max is below feature_min"),
+        (("target_max 1", "target_max -0.5"), "^line 8: target_max is below target_min")],
         ids=["repeated-key", "unknown-key", "unknown-recipe", "no-currency", "blank-currency",
-             "padded-currency"])
+             "padded-currency", "inverted-features", "inverted-target"])
     def test_bad_header_line_rejected(self, edit, match):
         text = ("forexkit-predictor v1\nmodel mars\ncurrency JPY\nrecipe mp1\n"
                 "feature_min 0\nfeature_max 1\ntarget_min 0\ntarget_max 1\n"
