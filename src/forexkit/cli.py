@@ -5,9 +5,12 @@ Subcommands:
   fit <model> <config>           train one (model, currency) cell, save a
                                  self-contained predictor file
   predict <model-file> <csv>     one-step-ahead forecasts, one line per row
+  serve <csv>                    answer each predictor-file path read from
+                                 stdin with predict's lines and an empty line
   synth <recipe> <out.csv>       generate a synthetic rates CSV
 
-All failures exit nonzero with a single diagnostic line on stderr.
+All failures exit nonzero with a single diagnostic line on stderr; serve
+writes one such line per failed request and goes on.
 """
 
 from __future__ import annotations
@@ -40,6 +43,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("model_file")
     p.add_argument("csv", help="rates CSV to forecast over")
 
+    p = sub.add_parser("serve", help="forecast for each predictor file named on stdin")
+    p.add_argument("csv", help="rates CSV, read again for every request")
+
     p = sub.add_parser("synth", help="write a synthetic rates CSV")
     p.add_argument("recipe", choices=synth.RECIPES)
     p.add_argument("out_csv")
@@ -68,17 +74,38 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _cmd_predict(args) -> int:
-    text = Path(args.model_file).read_text()
-    fitted = load_predictor(text)
-    series = load_csv(args.csv)
+def _forecast(model_file, csv) -> str:
+    fitted = load_predictor(Path(model_file).read_text())
+    series = load_csv(csv)
     months, preds = predict_rates(fitted, series)
     first = next(iter(series.values()))
     month0 = first.start_year * 12 + (first.start_month - 1)
+    lines = []
     for offset, value in zip(months, preds):
         year, month = divmod(month0 + int(offset), 12)
-        print(f"{year:04d}-{month + 1:02d},{value:.10g}")
+        lines.append(f"{year:04d}-{month + 1:02d},{value:.10g}\n")
+    return "".join(lines)
+
+
+def _cmd_predict(args) -> int:
+    sys.stdout.write(_forecast(args.model_file, args.csv))
     return 0
+
+
+def _cmd_serve(args) -> int:
+    # The CSV is loaded again for every request, so a rewritten file is seen;
+    # load_csv skips the parse while its bytes are unchanged.
+    status = 0
+    for request in sys.stdin:
+        model_file = request.rstrip("\n")
+        try:
+            answer = _forecast(model_file, args.csv)
+        except Exception as exc:
+            print(f"error: {model_file}: {exc}", file=sys.stderr)
+            answer, status = "", 1
+        sys.stdout.write(answer + "\n")
+        sys.stdout.flush()
+    return status
 
 
 def _cmd_synth(args) -> int:
@@ -89,7 +116,7 @@ def _cmd_synth(args) -> int:
 
 
 _COMMANDS = {"bench": _cmd_bench, "fit": _cmd_fit,
-             "predict": _cmd_predict, "synth": _cmd_synth}
+             "predict": _cmd_predict, "serve": _cmd_serve, "synth": _cmd_synth}
 
 
 def main(argv=None) -> int:

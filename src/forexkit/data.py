@@ -4,7 +4,8 @@ The pipeline is: ``load_csv`` -> ``build_supervised`` -> ``split`` ->
 ``fit_scaler``/``apply_scaler`` -> model training -> ``rmse``.  All types are
 frozen dataclasses wrapping read-only numpy arrays, so they are safe to share
 across workers; every operation is a pure function of its inputs plus an
-explicit seed.
+explicit seed.  The one piece of state is ``load_csv``'s memo of its last
+successful parse, which lives until the process ends.
 """
 
 from __future__ import annotations
@@ -153,13 +154,34 @@ def load_csv(path) -> dict:
     Schema: header ``date,<code1>,...,<codeN>`` of distinct, non-empty codes,
     then one row per consecutive month: ``date`` as ``YYYY-MM`` (ASCII digits)
     and per code one finite, positive rate that ``float`` parses.  The file is
-    UTF-8 and may start with a byte-order mark.  Cells split
-    at every comma and quotes are not part of the schema: ``"1.0"`` is a
-    non-numeric rate.  Rows of only commas and whitespace are skipped; errors
-    name the 1-based file line.  Returns a dict keyed by code, in column order.
+    UTF-8, may start with a byte-order mark, and may end lines in LF, CRLF or
+    CR.  Cells split at every comma and quotes are not part of the schema:
+    ``"1.0"`` is a non-numeric rate.  Rows of only commas and whitespace are
+    skipped; errors name the 1-based file line.  Returns a new dict keyed by
+    code, in column order.
+
+    Loading the bytes of the last successful parse again returns a new dict
+    over that parse's read-only series without parsing: the key is the whole
+    content, not the path or mtime.  A file that fails is not remembered and
+    raises on every load.  The one slot holds the last good file's bytes and
+    series, about its size plus 8 bytes per rate.  ``forexkit serve`` relies
+    on it: it loads the file again for every request, to see a rewrite.
     """
-    with open(path, encoding="utf-8-sig") as fh:
-        lines = fh.read().split("\n")
+    global _last
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    last = _last  # read once: a concurrent load may replace the slot
+    if last is not None and last[0] == raw:
+        return dict(last[1])
+    # Universal newlines, as text mode reads them: CR and LF bytes occur in
+    # UTF-8 only as those characters, so they can be translated before decoding.
+    lf = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in raw else raw
+    try:
+        lines = lf.decode("utf-8-sig").split("\n")
+    except UnicodeDecodeError as exc:  # exc.object is the input after any BOM
+        line = exc.object[:exc.start].count(b"\n") + 1
+        raise ValueError(f"line {line}: not UTF-8 "
+                         f"(byte 0x{exc.object[exc.start]:02x})") from None
     if lines == [""]:
         raise ValueError(f"empty file: {path}")
     header = [h.strip() for h in lines[0].split(",")] if lines[0] else []
@@ -202,8 +224,14 @@ def load_csv(path) -> dict:
         row, col = divmod(bad[0], len(codes))
         raise ValueError(f"row {_rescan(lines, codes)[row]}: rate {fields[bad[0]]!r} for "
                          f"{codes[col]} must be finite and strictly positive")
-    return {code: RateSeries(code, int(ym[0, 0]), int(ym[0, 1]), values[j::len(codes)])
-            for j, code in enumerate(codes)}
+    series = {code: RateSeries(code, int(ym[0, 0]), int(ym[0, 1]), values[j::len(codes)])
+              for j, code in enumerate(codes)}
+    _last = raw, series
+    return dict(series)
+
+
+# (file bytes, series) of load_csv's last successful parse, or None.
+_last = None
 
 
 # A date cell: ASCII-digit year and month; nine digits keep month indices in int64.

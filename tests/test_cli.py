@@ -1,8 +1,11 @@
-"""Command-line interface: bench / fit / predict / synth."""
+"""Command-line interface: bench / fit / predict / serve / synth."""
+
+import sys
 
 import numpy as np
 import pytest
 
+from forexkit import data
 from forexkit.cli import main
 from forexkit.data import load_csv
 from forexkit.kinds import KINDS
@@ -134,6 +137,19 @@ class TestFitPredict:
         assert main(["predict", str(model_file), str(rates_csv)]) == 1
         assert capsys.readouterr().err.startswith(f"error: line {len(lines) - 2}: ")
 
+    def test_predict_non_utf8_rates_names_line(self, tmp_path, rates_csv, capsys):
+        cfg = _config(tmp_path, rates_csv)
+        model_file = tmp_path / "m.model"
+        assert main(["fit", "mars", str(cfg), "-o", str(model_file)]) == 0
+        lines = rates_csv.read_bytes().split(b"\n")
+        lines[4] = b"\xff" + lines[4][1:]
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"\n".join(lines))
+        capsys.readouterr()
+        assert main(["predict", str(model_file), str(bad)]) == 1
+        assert capsys.readouterr().err == "error: line 5: not UTF-8 (byte 0xff)\n"
+        assert main(["predict", str(model_file), str(rates_csv)]) == 0
+
     def test_predict_missing_model_file(self, tmp_path, rates_csv, capsys):
         assert main(["predict", str(tmp_path / "nope.model"), str(rates_csv)]) == 1
         assert "nope.model" in capsys.readouterr().err
@@ -157,6 +173,71 @@ def test_fit_overflowing_premise_step_is_one_error_line(tmp_path, rates_csv, cap
     assert err.count("\n") == 1
     assert err.startswith("error: currency JPY, model anfis: no rule fires for input ")
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+class TestServe:
+    @pytest.fixture
+    def models(self, tmp_path, rates_csv):
+        cfg = _config(tmp_path, rates_csv, "currencies = GBP\n")
+        paths = []
+        for kind in ("mars", "cart"):
+            paths.append(tmp_path / f"{kind}.model")
+            assert main(["fit", kind, str(cfg), "-o", str(paths[-1])]) == 0
+        return paths
+
+    def _predict(self, capsys, model_file, csv) -> str:
+        capsys.readouterr()
+        assert main(["predict", str(model_file), str(csv)]) == 0
+        return capsys.readouterr().out
+
+    def test_each_request_answers_as_predict(self, tmp_path, rates_csv, models,
+                                             capsys, monkeypatch):
+        expected = "".join(self._predict(capsys, m, rates_csv) + "\n"
+                           for m in models + models)
+        monkeypatch.setattr(sys, "stdin", [f"{m}\n" for m in models + models])
+        assert main(["serve", str(rates_csv)]) == 0
+        out = capsys.readouterr()
+        assert (out.out, out.err) == (expected, "")
+
+    def test_unchanged_file_is_parsed_once(self, rates_csv, models, capsys,
+                                           monkeypatch):
+        calls = []
+        bulk = data._bulk
+        monkeypatch.setattr(data, "_last", None)
+        monkeypatch.setattr(data, "_bulk", lambda *a: calls.append(1) or bulk(*a))
+        monkeypatch.setattr(sys, "stdin", [f"{models[0]}\n"] * 3)
+        assert main(["serve", str(rates_csv)]) == 0
+        assert len(calls) == 1
+
+    def test_rewritten_file_is_seen(self, tmp_path, rates_csv, models, capsys,
+                                    monkeypatch):
+        lines = rates_csv.read_text().splitlines(keepends=True)
+        shorter = tmp_path / "shorter.csv"
+        shorter.write_text("".join(lines[:-1]))
+        expected = (self._predict(capsys, models[0], rates_csv) + "\n"
+                    + self._predict(capsys, models[0], shorter) + "\n")
+        csv = tmp_path / "rates.csv"
+        csv.write_text("".join(lines))
+
+        def requests():
+            yield f"{models[0]}\n"
+            csv.write_text("".join(lines[:-1]))
+            yield f"{models[0]}\n"
+
+        monkeypatch.setattr(sys, "stdin", requests())
+        assert main(["serve", str(csv)]) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_failed_request_answers_empty_and_serving_goes_on(
+            self, tmp_path, rates_csv, models, capsys, monkeypatch):
+        expected = self._predict(capsys, models[0], rates_csv)
+        missing = tmp_path / "nope.model"
+        monkeypatch.setattr(sys, "stdin", [f"{missing}\n", f"{models[0]}\n"])
+        assert main(["serve", str(rates_csv)]) == 1
+        out = capsys.readouterr()
+        assert out.out == "\n" + expected + "\n"
+        assert out.err.count("\n") == 1
+        assert out.err.startswith(f"error: {missing}: ")
 
 
 class TestParser:

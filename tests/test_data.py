@@ -1,5 +1,8 @@
 """Dataset pipeline: CSV loading, supervised tables, splitting, scaling."""
 
+import os
+import re
+
 import numpy as np
 import pytest
 
@@ -153,12 +156,19 @@ class TestLoadCsvRows:
     ])
     def test_only_inner_blank_rows_cost_a_second_pass(self, tmp_path, monkeypatch,
                                                       tail, passes):
-        calls = []
-        bulk = data._bulk
-        monkeypatch.setattr(data, "_bulk", lambda *a: calls.append(1) or bulk(*a))
+        calls = _count_bulk(monkeypatch)
         series = load_csv(_write(tmp_path, "date,USD\n2000-01,1.0\n2000-02,1.1" + tail))
         assert len(calls) == passes
         assert series["USD"].values.size == 2 + (passes == 2)
+
+
+def _count_bulk(monkeypatch) -> list:
+    """Empty load_csv's remembered parse and log one entry per ``_bulk`` pass."""
+    calls = []
+    bulk = data._bulk
+    monkeypatch.setattr(data, "_last", None)
+    monkeypatch.setattr(data, "_bulk", lambda *a: calls.append(1) or bulk(*a))
+    return calls
 
 
 def _outcome(load, path):
@@ -268,6 +278,91 @@ class TestLoadCsvMatchesReference:
         path = _write(tmp_path, text)
         assert _outcome(ReferenceCsv.load, path) == reference
         assert isinstance(_outcome(load_csv, path), str)
+
+
+class TestLoadCsvReuse:
+    """A load of the bytes of the last successful parse reuses that parse."""
+
+    GOOD = b"date,USD,GBP\n2000-01,1.0,2.0\n2000-02,1.5,2.5\n"
+
+    def _file(self, tmp_path, raw, name="rates.csv"):
+        path = tmp_path / name
+        path.write_bytes(raw)
+        return path
+
+    def test_same_bytes_are_not_parsed_again(self, tmp_path, monkeypatch):
+        calls = _count_bulk(monkeypatch)
+        path = self._file(tmp_path, self.GOOD)
+        first = _outcome(load_csv, path)
+        assert len(calls) == 1
+        assert _outcome(load_csv, path) == first
+        assert len(calls) == 1
+
+    def test_returned_dict_is_the_callers(self, tmp_path, monkeypatch):
+        _count_bulk(monkeypatch)
+        path = self._file(tmp_path, self.GOOD)
+        for _ in range(3):  # the parsing load, then two reusing ones
+            series = load_csv(path)
+            assert list(series) == ["USD", "GBP"]
+            del series["USD"]
+            series["GBP"] = None
+
+    def test_same_size_edit_is_seen(self, tmp_path, monkeypatch):
+        _count_bulk(monkeypatch)
+        path = self._file(tmp_path, self.GOOD)
+        assert load_csv(path)["USD"].values[1] == 1.5
+        stat = path.stat()
+        path.write_bytes(self.GOOD.replace(b"1.5", b"1.6"))
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert path.stat().st_size == stat.st_size
+        assert load_csv(path)["USD"].values[1] == 1.6
+
+    def test_failed_parse_is_not_kept(self, tmp_path, monkeypatch):
+        calls = _count_bulk(monkeypatch)
+        good = self._file(tmp_path, self.GOOD)
+        want = _outcome(load_csv, good)
+        for name in ("a.csv", "b.csv", "a.csv"):
+            bad = self._file(tmp_path, b"date,USD,GBP\n", name)
+            with pytest.raises(ValueError, match=f"^empty file: {re.escape(str(bad))}$"):
+                load_csv(bad)
+        assert _outcome(load_csv, good) == want
+        assert len(calls) == 1  # the failures left the good parse in its slot
+
+    def test_same_bytes_at_two_paths(self, tmp_path, monkeypatch):
+        calls = _count_bulk(monkeypatch)
+        first = _outcome(load_csv, self._file(tmp_path, self.GOOD, "a.csv"))
+        assert _outcome(load_csv, self._file(tmp_path, self.GOOD, "b.csv")) == first
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("variant", [
+        lambda t: "\ufeff" + t,
+        lambda t: t.replace("\n", "\r\n"),
+        lambda t: t.replace("\n", "\r"),
+    ], ids=["bom", "crlf", "cr"])
+    def test_variant_after_its_lf_twin(self, tmp_path, monkeypatch, variant):
+        calls = _count_bulk(monkeypatch)
+        text = _synth(60)(tmp_path)
+        twin = self._file(tmp_path, text.encode(), "lf.csv")
+        lf = _outcome(load_csv, twin)
+        assert _outcome(load_csv, self._file(tmp_path, variant(text).encode())) == lf
+        assert lf == _outcome(ReferenceCsv.load, twin)  # which reads no BOM
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("raw", [
+        b"date,USD\n2000-01,1.0\n2000-02,1\xff5\n",
+        b"\xef\xbb\xbfdate,USD\r\n2000-01,1.0\r\n2000-02,1\xff5\r\n",
+        b"date,USD\r2000-01,1.0\r2000-02,1\xff5\r",
+    ], ids=["lf", "bom_crlf", "cr"])
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_non_utf8_byte_names_its_line(self, tmp_path, monkeypatch, raw, warm):
+        _count_bulk(monkeypatch)
+        if warm:  # the slot holds the file with that byte mended
+            load_csv(self._file(tmp_path, raw.replace(b"\xff", b"."), "twin.csv"))
+        path = self._file(tmp_path, raw)
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"^line 3: not UTF-8 \(byte 0xff\)$"):
+                load_csv(path)
+        assert data._last is None or data._last[0] != raw
 
 
 class TestBuildSupervised:
