@@ -260,12 +260,11 @@ def emit_csv(report: BenchReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_plots(report: BenchReport, out_dir) -> list:
-    """One predicted-vs-actual chart per currency, plus the relative-error
-    curve of the first currency's pruning sequence when CART ran."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
+def emit_plots(report: BenchReport) -> list:
+    """(file name, SVG text) pairs: one predicted-vs-actual chart per
+    currency, plus the relative-error curve of the first currency's pruning
+    sequence when CART ran."""
+    plots = []
     for code in report.currencies:
         months = report.months[code]
         series = [("actual", months, report.actual[code])]
@@ -273,44 +272,39 @@ def emit_plots(report: BenchReport, out_dir) -> list:
             series.append((model, months, report.predicted[(code, model)]))
         svg = charts.line_chart(f"{code}: one-month-ahead forecasts (test sample)",
                                 "month index", "rate (scaled)", series)
-        path = out / f"pred_{code}.svg"
-        path.write_text(svg)
-        written.append(path)
-    for code in report.currencies:
-        if code in report.error_curves:
-            curve = sorted(report.error_curves[code])
-            svg = charts.line_chart(f"{code}: pruned tree size vs relative test error",
-                                    "terminal nodes", "relative error",
-                                    [("cart", [p[0] for p in curve],
-                                      [p[1] for p in curve])])
-            path = out / "relative_error.svg"
-            path.write_text(svg)
-            written.append(path)
-            break
-    return written
+        plots.append((f"pred_{code}.svg", svg))
+    code = next((c for c in report.currencies if c in report.error_curves), None)
+    if code is not None:
+        curve = sorted(report.error_curves[code])
+        svg = charts.line_chart(f"{code}: pruned tree size vs relative test error",
+                                "terminal nodes", "relative error",
+                                [("cart", [p[0] for p in curve], [p[1] for p in curve])])
+        plots.append(("relative_error.svg", svg))
+    return plots
 
 
 def run_bench(cfg: ExperimentConfig) -> tuple:
-    """Full harness: experiment + all artifact files.  Returns (report, paths)."""
+    """The experiment, then every artifact file, which only this function
+    writes.  Returns (report, paths written)."""
     report = run_experiment(cfg)
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     written = []
 
     def emit(name: str, text: str):
         path = out / name
+        path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text)
         written.append(path)
 
     emit("table.txt", emit_table(report))
     emit("report.csv", emit_csv(report))
-    written.extend(emit_plots(report, out))
+    for name, svg in emit_plots(report):
+        emit(name, svg)
     for (code, model), text in report.dumps.items():
         if model == "cart":  # the selected tree, beside its copy under models/
             emit(f"cart_tree_{code}.txt", text)
     for code, text in report.rule_dumps.items():
         emit(f"anfis_rules_{code}.txt", text)
-    (out / "models").mkdir(exist_ok=True)
     for (code, model), text in report.dumps.items():
         emit(f"models/{model}_{code}.txt", text)
     return report, written

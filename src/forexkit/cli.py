@@ -97,7 +97,7 @@ def _cmd_serve(args) -> int:
     # load_csv skips the parse while its bytes are unchanged.
     status = 0
     for request in sys.stdin:
-        model_file = request.rstrip("\n")
+        model_file = request.rstrip("\r\n")
         try:
             answer = _forecast(model_file, args.csv)
         except Exception as exc:

@@ -151,7 +151,7 @@ class FeatureSpec:
 def load_csv(path) -> dict:
     """Load a monthly rates CSV into one RateSeries per currency column.
 
-    Schema: header ``date,<code1>,...,<codeN>`` of distinct, non-empty codes,
+    Schema: header ``date,<code1>,...,<codeN>`` of distinct one-word codes,
     then one row per consecutive month: ``date`` as ``YYYY-MM`` (ASCII digits)
     and per code one finite, positive rate that ``float`` parses.  The file is
     UTF-8, may start with a byte-order mark, and may end lines in LF, CRLF or
@@ -191,8 +191,9 @@ def load_csv(path) -> dict:
     if not codes:
         raise ValueError("no rate columns in header")
     for col, code in enumerate(codes, start=2):
-        if not code or '"' in code or code in codes[:col - 2]:
-            fault = "empty" if not code else "quoted" if '"' in code else "duplicate"
+        if code.split() != [code] or '"' in code or code in codes[:col - 2]:
+            fault = ("empty" if not code else "quoted" if '"' in code else
+                     "duplicate" if code in codes[:col - 2] else "spaced")
             raise ValueError(f"line 1: {fault} currency code {code!r} in column {col}")
 
     # Blank rows at the end (empty, whitespace or comma-only, as spreadsheets

@@ -16,11 +16,8 @@ import numpy as np
 
 from .data import (RECIPES, FeatureSpec, ScalerParams, build_supervised,
                    scale_features, unscale_target)
-from .dumpfmt import fmt, floats, number, tail
+from .dumpfmt import Lines, expect, floats, fmt, keyed, number, tail
 from .kinds import KINDS
-
-_HEADER = ("model", "currency", "recipe", "feature_min", "feature_max",
-           "target_min", "target_max", "scale_target")
 
 
 @dataclass(frozen=True)
@@ -80,51 +77,46 @@ def save_predictor(p: Predictor) -> str:
 
 
 def load_predictor(text: str) -> Predictor:
-    """Inverse of save_predictor.  Truncated, garbled or non-finite input, a
-    header key unknown or repeated, an empty or padded currency, an unknown
-    recipe, a scaler maximum below its minimum, and a scaler whose width is
-    not the engine's raise ValueError naming a line."""
+    """Inverse of save_predictor, reading the header in the order it writes
+    it.  A header line out of that order, truncated, garbled or non-finite
+    input, an empty or padded currency, an unknown kind or recipe, a scaler
+    maximum below its minimum, and a scaler whose width is not the engine's
+    raise ValueError naming a line."""
     lines = text.splitlines()
     if not lines or lines[0] != "forexkit-predictor v1":
         raise ValueError("line 1: not a forexkit-predictor v1 file")
     if "[model]" not in lines:
         raise ValueError(f"line {len(lines) + 1}: missing [model] section")
     body_at = lines.index("[model]")
-    header: dict = {}
-    for no, line in enumerate(lines[1:body_at], start=2):
-        if not line.strip():
-            continue  # blank lines are skipped, as in the engine dumps
-        key, _, value = line.partition(" ")
-        if key not in _HEADER:
-            raise ValueError(f"line {no}: unknown predictor header key {key!r}")
-        if key in header:
-            raise ValueError(f"line {no}: repeated predictor header key {key!r}")
-        header[key] = (no, value)
-    for key in _HEADER:
-        if key not in header:
-            raise ValueError(f"line {body_at + 1}: missing {key} in predictor header")
-    no, kind = header["model"]
+    # the header alone; the closing newline keeps a blank last line, so a
+    # missing header line names the [model] line
+    header = Lines("\n".join(lines[:body_at]) + "\n")
+    header.take("the header")
+    no, kind = keyed(header.take("the model line"), "model")
     if kind not in KINDS:
         raise ValueError(f"line {no}: unknown model kind {kind!r}")
-    no, currency = header["currency"]
+    no, currency = keyed(header.take("the currency line"), "currency")
     if not currency or currency != currency.strip():
         raise ValueError(f"line {no}: empty or padded currency {currency!r}")
-    no, recipe = header["recipe"]
+    no, recipe = keyed(header.take("the recipe line"), "recipe")
     if recipe not in RECIPES:
         raise ValueError(f"line {no}: unknown recipe {recipe!r}; choose from {RECIPES}")
-    no, flag = header["scale_target"]
-    if flag.strip() != "1":
-        raise ValueError(f"line {no}: expected 'scale_target 1'; targets are always scaled")
-    feature_min = floats(header["feature_min"])
-    feature_max = floats(header["feature_max"], feature_min.size)
-    target_min, target_max = number(*header["target_min"]), number(*header["target_max"])
-    for side, low, high in (("feature", feature_min, feature_max),
-                            ("target", target_min, target_max)):
-        if np.any(high < low):
-            raise ValueError(f"line {header[side + '_max'][0]}: {side}_max is below {side}_min")
+    width_at, values = keyed(header.take("the feature_min line"), "feature_min")
+    feature_min = floats((width_at, values))
+    no, values = keyed(header.take("the feature_max line"), "feature_max")
+    feature_max = floats((no, values), feature_min.size)
+    if np.any(feature_max < feature_min):
+        raise ValueError(f"line {no}: feature_max is below feature_min")
+    target_min = number(*keyed(header.take("the target_min line"), "target_min"))
+    no, token = keyed(header.take("the target_max line"), "target_max")
+    target_max = number(no, token)
+    if target_max < target_min:
+        raise ValueError(f"line {no}: target_max is below target_min")
+    expect(header.take("the scale_target line"), "scale_target 1")
+    header.finish("the scale_target line")
     scaler = ScalerParams(feature_min, feature_max, target_min, target_max)
     engine = KINDS[kind].load(tail(lines, body_at + 1))
     if engine.n_features != feature_min.size:
-        raise ValueError(f"line {header['feature_min'][0]}: {feature_min.size} scaled "
+        raise ValueError(f"line {width_at}: {feature_min.size} scaled "
                          f"features, but the {kind} engine takes {engine.n_features}")
     return Predictor(kind, currency, recipe, scaler, engine)

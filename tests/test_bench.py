@@ -305,20 +305,16 @@ class TestEmitters:
         with pytest.raises(ValueError, match="empty"):
             emit_csv(empty)
 
-    def test_plots_one_per_currency_plus_error_curve(self, small_report, tmp_path):
-        written = emit_plots(small_report, tmp_path)
-        names = sorted(p.name for p in written)
-        assert names == ["pred_JPY.svg", "pred_USD.svg", "relative_error.svg"]
-        for p in written:
-            body = p.read_text()
-            assert body.startswith("<svg")
-            assert "polyline" in body
+    def test_plots_one_per_currency_plus_error_curve(self, small_report):
+        plots = emit_plots(small_report)
+        assert sorted(name for name, _ in plots) == ["pred_JPY.svg", "pred_USD.svg",
+                                                     "relative_error.svg"]
+        for _, svg in plots:
+            assert svg.startswith("<svg")
+            assert "polyline" in svg
 
-    def test_plot_bytes_deterministic(self, small_report, tmp_path):
-        a = emit_plots(small_report, tmp_path / "a")
-        b = emit_plots(small_report, tmp_path / "b")
-        for pa, pb in zip(a, b):
-            assert pa.read_bytes() == pb.read_bytes()
+    def test_plot_bytes_deterministic(self, small_report):
+        assert emit_plots(small_report) == emit_plots(small_report)
 
 
 class TestRunBench:

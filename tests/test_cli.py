@@ -190,11 +190,12 @@ class TestServe:
         assert main(["predict", str(model_file), str(csv)]) == 0
         return capsys.readouterr().out
 
+    @pytest.mark.parametrize("ending", ["\n", "\r\n"], ids=["lf", "crlf"])
     def test_each_request_answers_as_predict(self, tmp_path, rates_csv, models,
-                                             capsys, monkeypatch):
+                                             capsys, monkeypatch, ending):
         expected = "".join(self._predict(capsys, m, rates_csv) + "\n"
                            for m in models + models)
-        monkeypatch.setattr(sys, "stdin", [f"{m}\n" for m in models + models])
+        monkeypatch.setattr(sys, "stdin", [f"{m}{ending}" for m in models + models])
         assert main(["serve", str(rates_csv)]) == 0
         out = capsys.readouterr()
         assert (out.out, out.err) == (expected, "")

@@ -123,6 +123,7 @@ class TestLoadCsvRows:
         ("date,USD,", "line 1: empty currency code '' in column 3"),
         ("date,,USD", "line 1: empty currency code '' in column 2"),
         ('date,"USD"', "line 1: quoted currency code '\"USD\"' in column 2"),
+        ("date,U SD,GBP", "line 1: spaced currency code 'U SD' in column 2"),
     ])
     def test_rejects_duplicate_empty_and_quoted_codes(self, tmp_path, header, message):
         width = header.count(",")

@@ -129,7 +129,7 @@ class TestPredictorFile:
         text = ("forexkit-predictor v1\nmodel mars\ncurrency JPY\n[model]\n"
                 "mars-model v1\nfeatures 1\nbases 1\nbasis const\n"
                 "coefficients\n0\ntraining_mse 0\n")
-        with pytest.raises(ValueError, match="missing"):
+        with pytest.raises(ValueError, match="^line 4: dump ends before the recipe line"):
             load_predictor(text)
 
     def test_unscaled_target_rejected(self):
@@ -143,17 +143,17 @@ class TestPredictorFile:
             load_predictor(text.replace("scale_target 1", "scale_target 0"))
 
     @pytest.mark.parametrize("edit,match", [
-        (("currency JPY", "currency USD\ncurrency JPY"),
-         "^line 4: repeated predictor header key 'currency'"),
-        (("recipe mp1", "recipe mp1\nbogus key"), "^line 5: unknown predictor header key 'bogus'"),
+        (("currency JPY", "currency USD\ncurrency JPY"), "^line 4: expected 'recipe'"),
+        (("recipe mp1", "recipe mp1\nbogus key"), "^line 5: expected 'feature_min'"),
+        (("currency JPY\nrecipe mp1", "recipe mp1\ncurrency JPY"), "^line 3: expected 'currency'"),
         (("recipe mp1", "recipe mp9"), "^line 4: unknown recipe 'mp9'"),
         (("currency JPY", "currency"), "^line 3: empty or padded currency ''"),
         (("currency JPY", "currency "), "^line 3: empty or padded currency ''"),
         (("currency JPY", "currency  JPY"), "^line 3: empty or padded currency ' JPY'"),
         (("feature_max 1", "feature_max -1"), "^line 6: feature_max is below feature_min"),
         (("target_max 1", "target_max -0.5"), "^line 8: target_max is below target_min")],
-        ids=["repeated-key", "unknown-key", "unknown-recipe", "no-currency", "blank-currency",
-             "padded-currency", "inverted-features", "inverted-target"])
+        ids=["repeated-key", "unknown-key", "reordered", "unknown-recipe", "no-currency",
+             "blank-currency", "padded-currency", "inverted-features", "inverted-target"])
     def test_bad_header_line_rejected(self, edit, match):
         text = ("forexkit-predictor v1\nmodel mars\ncurrency JPY\nrecipe mp1\n"
                 "feature_min 0\nfeature_max 1\ntarget_min 0\ntarget_max 1\n"
