@@ -40,8 +40,10 @@ class Lines:
 
 def tail(lines: list, start: int, stop: int | None = None) -> str:
     """``lines[start:stop]`` as a text that keeps the whole file's line
-    numbers: the lines before ``start`` become blank, and loaders skip those."""
-    return "\n" * start + "\n".join(lines[start:stop])
+    numbers: the lines before ``start`` become blank, and loaders skip those.
+    Every line keeps its newline, so a blank last line is kept too and a dump
+    cut short names the line after the slice."""
+    return "\n" * start + "".join(line + "\n" for line in lines[start:stop])
 
 
 def expect(numbered, header: str):

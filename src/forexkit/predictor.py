@@ -79,25 +79,23 @@ def save_predictor(p: Predictor) -> str:
 def load_predictor(text: str) -> Predictor:
     """Inverse of save_predictor, reading the header in the order it writes
     it.  A header line out of that order, truncated, garbled or non-finite
-    input, an empty or padded currency, an unknown kind or recipe, a scaler
-    maximum below its minimum, and a scaler whose width is not the engine's
-    raise ValueError naming a line."""
+    input, an empty, padded or spaced currency (load_csv's rule for a code),
+    an unknown kind or recipe, a scaler maximum below its minimum, and a
+    scaler whose width is not the engine's raise ValueError naming a line."""
     lines = text.splitlines()
     if not lines or lines[0] != "forexkit-predictor v1":
         raise ValueError("line 1: not a forexkit-predictor v1 file")
     if "[model]" not in lines:
         raise ValueError(f"line {len(lines) + 1}: missing [model] section")
     body_at = lines.index("[model]")
-    # the header alone; the closing newline keeps a blank last line, so a
-    # missing header line names the [model] line
-    header = Lines("\n".join(lines[:body_at]) + "\n")
+    header = Lines(tail(lines, 0, body_at))
     header.take("the header")
     no, kind = keyed(header.take("the model line"), "model")
     if kind not in KINDS:
         raise ValueError(f"line {no}: unknown model kind {kind!r}")
     no, currency = keyed(header.take("the currency line"), "currency")
-    if not currency or currency != currency.strip():
-        raise ValueError(f"line {no}: empty or padded currency {currency!r}")
+    if currency.split() != [currency]:
+        raise ValueError(f"line {no}: empty, padded or spaced currency {currency!r}")
     no, recipe = keyed(header.take("the recipe line"), "recipe")
     if recipe not in RECIPES:
         raise ValueError(f"line {no}: unknown recipe {recipe!r}; choose from {RECIPES}")

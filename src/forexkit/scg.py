@@ -412,7 +412,14 @@ def gradient(net, batch: Dataset) -> np.ndarray:
     np.subtract(acts[-1], batch.targets[..., None], out=work.resid)
     for i in range(len(work.weights) - 1, -1, -1):
         delta, w = work.delta_at[i], work.weights[i]
-        np.add.reduce(delta, axis=1, out=work.grad_b[i])
+        # the bias gradient, delta's row sum per network: across a width
+        # >= 2 np.add.reduce adds the rows in order, and einsum gives those
+        # bits with less overhead; a width-1 delta is one contiguous run,
+        # which np.add.reduce sums pairwise and einsum does not
+        if delta.shape[-1] == 1:
+            np.add.reduce(delta, axis=1, out=work.grad_b[i])
+        else:
+            np.einsum("knj->kj", delta, out=work.grad_b[i])
         np.matmul(work.delta_t[i], acts[i], out=work.grad_w[i])
         if i > 0:
             # delta @ W_i times (1 - a_i ** 2); numpy squares as a_i * a_i

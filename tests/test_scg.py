@@ -362,9 +362,18 @@ class TestReferenceEquality:
         np.testing.assert_array_equal(trace, res.trace)
         return net
 
+    # a width-1 layer's bias sum is pairwise and a wider one's in row order;
+    # the width-1 hidden layers check that the width, not the position,
+    # picks the sum
     @pytest.mark.parametrize("sizes, n_rows", [((3, 1), 40), ((4, 6, 5, 1), 40),
-                                               ((2, 4, 1), 1), ((4, 6, 5, 1), 1)],
-                             ids=["no-hidden", "deeper", "one-row", "deeper-one-row"])
+                                               ((2, 4, 1), 1), ((4, 6, 5, 1), 1),
+                                               ((2, 1, 1), 5), ((2, 1, 1), 40),
+                                               ((2, 4, 1, 1), 5), ((2, 4, 1, 1), 40),
+                                               ((6, 14, 14, 1), 170)],
+                             ids=["no-hidden", "deeper", "one-row", "deeper-one-row",
+                                  "width-1-hidden-5", "width-1-hidden-40",
+                                  "width-1-second-hidden-5", "width-1-second-hidden-40",
+                                  "paper-shape"])
     def test_scg_train_matches_minimizer_across_shapes(self, sizes, n_rows):
         train = self._batch(n_rows, sizes[0], seed=n_rows + len(sizes))
         self._assert_train_matches_reference(train, sizes, key=11, epochs=120)
@@ -644,14 +653,20 @@ class TestTrainingStack:
     """scg_train on sequences of networks and datasets."""
 
     # (2, 1) makes no back product, (2, 4, 1) only the output layer's outer
-    # product, and (2, 5, 3, 1) a hidden layer's np.matmul one as well
-    SIZES = pytest.mark.parametrize("sizes", [(2, 1), (2, 4, 1), (2, 5, 3, 1)],
-                                    ids=["no-hidden", "one-hidden", "two-hidden"])
+    # product, and (2, 5, 3, 1) a hidden layer's np.matmul one as well; the
+    # width-1 hidden layers take the output layer's pairwise bias sum
+    SIZES = pytest.mark.parametrize(
+        "sizes, n_rows",
+        [((2, 1), 25), ((2, 4, 1), 25), ((2, 5, 3, 1), 25), ((2, 1, 1), 5), ((2, 1, 1), 40),
+         ((2, 4, 1, 1), 5), ((2, 4, 1, 1), 40), ((6, 14, 14, 1), 170)],
+        ids=["no-hidden", "one-hidden", "two-hidden", "width-1-hidden-5", "width-1-hidden-40",
+             "width-1-second-hidden-5", "width-1-second-hidden-40", "paper-shape"])
 
     @staticmethod
-    def _batches(n_rows=25, count=3):
+    def _batches(n_rows=25, count=3, width=2):
         rng = np.random.default_rng(9)
-        return [Dataset(("a", "b"), rng.normal(size=(n_rows, 2)), rng.normal(size=n_rows))
+        return [Dataset(tuple(f"x{j}" for j in range(width)), rng.normal(size=(n_rows, width)),
+                        rng.normal(size=n_rows))
                 for _ in range(count)]
 
     @staticmethod
@@ -659,8 +674,8 @@ class TestTrainingStack:
         return [init_network(sizes, seed=20 + i) for i in range(count)]
 
     @SIZES
-    def test_each_network_matches_its_own_fit(self, sizes):
-        trains, nets = self._batches(), self._nets(sizes=sizes)
+    def test_each_network_matches_its_own_fit(self, sizes, n_rows):
+        trains, nets = self._batches(n_rows, width=sizes[0]), self._nets(sizes=sizes)
         trained, traces = scg_train(nets, trains, epochs=60)
         assert isinstance(trained, list) and isinstance(traces, list)
         for net, train, got, trace in zip(nets, trains, trained, traces):
@@ -669,11 +684,11 @@ class TestTrainingStack:
             assert trace == alone_trace
 
     @SIZES
-    def test_stacked_evaluations_are_one_call_each(self, monkeypatch, sizes):
+    def test_stacked_evaluations_are_one_call_each(self, monkeypatch, sizes, n_rows):
         """One scg.error / scg.gradient call per stacked evaluation, as many
         as the lockstep minimizer makes on the reference evaluations, and no
         returned gradient is written afterwards."""
-        trains, nets = self._batches(), self._nets(sizes=sizes)
+        trains, nets = self._batches(n_rows, width=sizes[0]), self._nets(sizes=sizes)
         refs = [ReferenceMlp(sizes, t.features, t.targets) for t in trains]
         ref_calls = {"error": 0, "gradient": 0}
 

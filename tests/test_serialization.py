@@ -7,6 +7,7 @@ from forexkit import anfis, cart, hybrid, mars, scg
 from forexkit.bench import ExperimentConfig, prepare_cell
 from forexkit.data import (Dataset, FeatureSpec, apply_scaler,
                            build_supervised, fit_scaler, load_csv, split)
+from forexkit.dumpfmt import Lines, tail
 from forexkit.kinds import KINDS
 from forexkit.predictor import (Predictor, load_predictor, predict_rates,
                                 predict_scaled, save_predictor)
@@ -67,6 +68,20 @@ class TestMalformedDumps:
                                "augmented_names x leaf_0\n[tree]\n"
                                "cart-tree v1\nfeatures 1\nnames x\n"
                                "leaf id=0 mean=0 count=1 sse=0\n")
+
+    def test_tail_keeps_a_blank_last_line(self):
+        part = Lines(tail(["a", "b", "", "[mars]"], 1, 3))
+        assert part.take("b") == (2, "b")
+        with pytest.raises(ValueError, match="^line 4: dump ends before c"):
+            part.take("c")
+
+    def test_hybrid_tree_cut_before_a_blank_line_names_the_mars_line(self, gbp_hybrid_dump):
+        lines = gbp_hybrid_dump.splitlines()
+        mars_at = lines.index("[mars]")
+        assert lines[mars_at - 1].lstrip().startswith("leaf ")
+        lines[mars_at - 1] = ""  # the last node of the tree section
+        with pytest.raises(ValueError, match=rf"^line {mars_at + 1}: dump ends before "):
+            hybrid.load_hybrid("\n".join(lines))
 
     def test_empty_text_everywhere(self):
         for loader in (mars.load_model, cart.load_tree, scg.load_network,
@@ -147,13 +162,16 @@ class TestPredictorFile:
         (("recipe mp1", "recipe mp1\nbogus key"), "^line 5: expected 'feature_min'"),
         (("currency JPY\nrecipe mp1", "recipe mp1\ncurrency JPY"), "^line 3: expected 'currency'"),
         (("recipe mp1", "recipe mp9"), "^line 4: unknown recipe 'mp9'"),
-        (("currency JPY", "currency"), "^line 3: empty or padded currency ''"),
-        (("currency JPY", "currency "), "^line 3: empty or padded currency ''"),
-        (("currency JPY", "currency  JPY"), "^line 3: empty or padded currency ' JPY'"),
+        (("currency JPY", "currency"), "^line 3: empty, padded or spaced currency ''"),
+        (("currency JPY", "currency "), "^line 3: empty, padded or spaced currency ''"),
+        (("currency JPY", "currency  JPY"), "^line 3: empty, padded or spaced currency ' JPY'"),
+        (("currency JPY", "currency J PY"), "^line 3: empty, padded or spaced currency 'J PY'"),
+        (("currency JPY", "currency J\tPY"), r"^line 3: empty, padded or spaced currency 'J\\tPY'"),
         (("feature_max 1", "feature_max -1"), "^line 6: feature_max is below feature_min"),
         (("target_max 1", "target_max -0.5"), "^line 8: target_max is below target_min")],
         ids=["repeated-key", "unknown-key", "reordered", "unknown-recipe", "no-currency",
-             "blank-currency", "padded-currency", "inverted-features", "inverted-target"])
+             "blank-currency", "padded-currency", "spaced-currency", "tab-currency",
+             "inverted-features", "inverted-target"])
     def test_bad_header_line_rejected(self, edit, match):
         text = ("forexkit-predictor v1\nmodel mars\ncurrency JPY\nrecipe mp1\n"
                 "feature_min 0\nfeature_max 1\ntarget_min 0\ntarget_max 1\n"
