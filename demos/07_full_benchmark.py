@@ -7,7 +7,9 @@ charts, the tree pruning curve, and plain-text dumps of every fitted model.
 Everything except the wall-clock column of report.csv is byte-reproducible
 for a fixed seed.
 
-Equivalent CLI:  forexkit synth forex5 -o rates.csv && forexkit bench bench.ini
+Equivalent CLI, with bench.ini holding "[data] path = rates.csv" and
+"[mlp] epochs = 300" (a bare config trains the mlp for 2000 epochs):
+    forexkit synth forex5 rates.csv --seed 7 && forexkit bench bench.ini
 """
 
 import tempfile

@@ -20,12 +20,13 @@ import configparser
 import time
 import zlib
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 from . import anfis, cart, charts, mars
-from .data import (RECIPES, FeatureSpec, apply_scaler, build_supervised, fit_scaler,
-                   load_csv, rmse, split)
+from .data import (RECIPES, Dataset, FeatureSpec, ScalerParams, apply_scaler,
+                   build_supervised, fit_scaler, load_csv, rmse, split)
 from .hybrid import ENCODINGS
 from .kinds import KINDS, CellError
 
@@ -109,36 +110,43 @@ class ExperimentConfig:
         return getattr(self, f"{model}_recipe")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # it holds arrays, so compares by identity
 class CellResult:
+    """One (currency, model) cell: its scores, its fit, and its scaled test
+    rows with their forecasts, both in month order (rows provenance-sorted)."""
+
     currency: str
     model: str
     test_rmse: float
     train_rmse: float
     train_seconds: float
+    scaler: ScalerParams
+    engine: object
+    test: Dataset
+    predicted: object  # scaled test forecasts
+    dump: str
+    extras: dict
 
 
 @dataclass(frozen=True)
 class BenchReport:
-    """Per-cell metrics plus everything the emitters need: scaled test
-    sequences keyed by currency / (currency, model), the pruning curve of the
-    selected CART stage, and plain-text model dumps."""
+    """Every (currency, model) cell of a run, currency-major."""
 
     currencies: tuple
     models: tuple
     cells: tuple
-    months: dict = field(default_factory=dict)      # currency -> month indices
-    actual: dict = field(default_factory=dict)      # currency -> scaled actuals
-    predicted: dict = field(default_factory=dict)   # (currency, model) -> scaled preds
-    error_curves: dict = field(default_factory=dict)  # currency -> [(leaves, rel err)]
-    dumps: dict = field(default_factory=dict)       # (currency, model) -> dump text
-    rule_dumps: dict = field(default_factory=dict)  # currency -> ANFIS rule text
+
+    @cached_property
+    def _index(self) -> dict:
+        return {(c.currency, c.model): c for c in self.cells}
 
     def cell(self, currency: str, model: str) -> CellResult:
-        for c in self.cells:
-            if (c.currency, c.model) == (currency, model):
-                return c
-        raise KeyError((currency, model))
+        return self._index[(currency, model)]
+
+    @property
+    def predicted(self) -> dict:
+        """(currency, model) -> scaled test forecasts."""
+        return {key: c.predicted for key, c in self._index.items()}
 
 
 def cell_seed(seed: int, currency: str, model: str) -> list:
@@ -166,8 +174,11 @@ def _cell_errors(code: str, model: str):
 
 def fit_model(cfg: ExperimentConfig, series: dict, model: str, codes) -> list:
     """The evaluation protocol for one model's cells: all are prepared, then
-    fitted in one ``Kind.fit_cells`` call; a failure raises BenchError naming
-    its cell.  Per code: ``(scaler, train, test, engine, extras, seconds)``."""
+    fitted in one ``Kind.fit_cells`` call, then each predicts, is scored and
+    dumps.  A failure raises BenchError naming its cell.  One CellResult per
+    code, whose ``train_seconds`` is its fit time plus its own predict and
+    dump time."""
+    kind = KINDS[model]
     prepared = []
     for code in codes:
         with _cell_errors(code, model):
@@ -176,52 +187,37 @@ def fit_model(cfg: ExperimentConfig, series: dict, model: str, codes) -> list:
     cells = [(train, test, cell_seed(cfg.seed, code, model))
              for code, (_, train, test) in zip(codes, prepared)]
     try:
-        fits = KINDS[model].fit_cells(cfg, cells)
+        fits = kind.fit_cells(cfg, cells)
     except CellError as exc:
         raise BenchError(f"currency {codes[exc.index]}, model {model}: "
                          f"{exc}") from exc.__cause__
     except Exception as exc:
         raise BenchError(f"model {model}: {exc}") from exc
-    return [(*cell, *fit) for cell, fit in zip(prepared, fits)]
+    results = []
+    for code, (scaler, train, test), (engine, extras, seconds) in zip(codes, prepared, fits):
+        with _cell_errors(code, model):
+            started = time.perf_counter()
+            train_pred = kind.predict(engine, train.features)
+            test_pred = kind.predict(engine, test.features)
+            dump = kind.dump(engine)
+            seconds += time.perf_counter() - started
+        results.append(CellResult(code, model, test_rmse=rmse(test_pred, test.targets),
+                                  train_rmse=rmse(train_pred, train.targets),
+                                  train_seconds=seconds, scaler=scaler, engine=engine,
+                                  test=test, predicted=test_pred, dump=dump, extras=extras))
+    return results
 
 
 def run_experiment(cfg: ExperimentConfig) -> BenchReport:
-    """Every model's cells are fitted through ``fit_model``, then currency
-    by currency each cell predicts, is scored and dumps.  A cell's
-    ``train_seconds`` is its fit time plus its own predict and dump time."""
+    """Every model's cells through ``fit_model``, interleaved currency-major."""
     series = load_csv(cfg.data_path)
     currencies = cfg.currencies if cfg.currencies is not None else tuple(series)
     missing = [c for c in currencies if c not in series]
     if missing:
         raise BenchError(f"currencies {missing} not present in {cfg.data_path}")
-
-    fitted = {model: fit_model(cfg, series, model, currencies) for model in cfg.models}
-    cells = []
-    parts = {name: {} for name in ("months", "actual", "predicted", "error_curves",
-                                   "dumps", "rule_dumps")}
-    for index, code in enumerate(currencies):
-        for model in cfg.models:
-            kind = KINDS[model]
-            _, strain, stest, engine, extras, seconds = fitted[model][index]
-            with _cell_errors(code, model):
-                started = time.perf_counter()
-                train_pred = kind.predict(engine, strain.features)
-                test_pred = kind.predict(engine, stest.features)
-                dump = kind.dump(engine)
-                seconds += time.perf_counter() - started
-            cells.append(CellResult(code, model, test_rmse=rmse(test_pred, stest.targets),
-                                    train_rmse=rmse(train_pred, strain.targets),
-                                    train_seconds=seconds))
-            # test rows are provenance-sorted, so sequences are month-ordered;
-            # the forecast lands at feature month + 1 (1-based: provenance + 2)
-            parts["months"].setdefault(code, stest.provenance + 2)
-            parts["actual"].setdefault(code, stest.targets)
-            parts["predicted"][(code, model)] = test_pred
-            parts["dumps"][(code, model)] = dump
-            for name, value in extras.items():
-                parts[name][code] = value
+    fitted = [fit_model(cfg, series, model, currencies) for model in cfg.models]
     return BenchReport(currencies=tuple(currencies), models=cfg.models,
-                       cells=tuple(cells), **parts)
+                       cells=tuple(cell for row in zip(*fitted) for cell in row))
 
 
 # --- emitters -------------------------------------------------------------------
@@ -266,16 +262,16 @@ def emit_plots(report: BenchReport) -> list:
     sequence when CART ran."""
     plots = []
     for code in report.currencies:
-        months = report.months[code]
-        series = [("actual", months, report.actual[code])]
-        for model in report.models:
-            series.append((model, months, report.predicted[(code, model)]))
+        row = [report.cell(code, model) for model in report.models]
+        months = row[0].test.provenance + 2  # forecast month: feature month + 1, 1-based
+        series = [("actual", months, row[0].test.targets)]
+        series += [(c.model, months, c.predicted) for c in row]
         svg = charts.line_chart(f"{code}: one-month-ahead forecasts (test sample)",
                                 "month index", "rate (scaled)", series)
         plots.append((f"pred_{code}.svg", svg))
-    code = next((c for c in report.currencies if c in report.error_curves), None)
-    if code is not None:
-        curve = sorted(report.error_curves[code])
+    pruned = next((c for c in report.cells if "error_curve" in c.extras), None)
+    if pruned is not None:
+        code, curve = pruned.currency, sorted(pruned.extras["error_curve"])
         svg = charts.line_chart(f"{code}: pruned tree size vs relative test error",
                                 "terminal nodes", "relative error",
                                 [("cart", [p[0] for p in curve], [p[1] for p in curve])])
@@ -300,13 +296,12 @@ def run_bench(cfg: ExperimentConfig) -> tuple:
     emit("report.csv", emit_csv(report))
     for name, svg in emit_plots(report):
         emit(name, svg)
-    for (code, model), text in report.dumps.items():
-        if model == "cart":  # the selected tree, beside its copy under models/
-            emit(f"cart_tree_{code}.txt", text)
-    for code, text in report.rule_dumps.items():
-        emit(f"anfis_rules_{code}.txt", text)
-    for (code, model), text in report.dumps.items():
-        emit(f"models/{model}_{code}.txt", text)
+    for c in report.cells:
+        if c.model == "cart":  # the selected tree, beside its copy under models/
+            emit(f"cart_tree_{c.currency}.txt", c.dump)
+        if "rules" in c.extras:
+            emit(f"{c.model}_rules_{c.currency}.txt", c.extras["rules"])
+        emit(f"models/{c.model}_{c.currency}.txt", c.dump)
     return report, written
 
 

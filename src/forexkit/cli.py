@@ -66,8 +66,8 @@ def _cmd_fit(args) -> int:
     series = load_csv(cfg.data_path)
     configured = cfg.currencies if cfg.currencies is not None else tuple(series)
     code = args.currency or configured[0]
-    [(scaler, _, _, engine, _, _)] = bench.fit_model(cfg, series, args.model, [code])
-    fitted = Predictor(args.model, code, cfg.recipe_for(args.model), scaler, engine)
+    [cell] = bench.fit_model(cfg, series, args.model, [code])
+    fitted = Predictor(args.model, code, cfg.recipe_for(args.model), cell.scaler, cell.engine)
     out = Path(args.output or f"{args.model}_{code}.model")
     out.write_text(save_predictor(fitted))
     print(f"wrote {out}")

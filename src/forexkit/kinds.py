@@ -2,12 +2,13 @@
 
 ``fit_cells(cfg, cells)`` fits a family's cells, each ``(train, selection,
 seed_key)``, to an ``(engine, extras, seconds)`` each: CART and the hybrid
-select their tree on ``selection``, and ``extras`` maps BenchReport fields
-to the cell's entries.  mars, cart and hybrid fit cell by cell through
-``fit``; mlp and anfis have no ``fit`` and train all cells as one lockstep
-stack.  Every engine reports the number of scaled features it takes as
-``n_features``.  Engine functions are named, not held, and looked up on
-their module at call time, so a wrapper on a module attribute sees every call.
+select their tree on ``selection``, and ``extras`` holds the family's own
+output for the cell: CART's ``error_curve`` and ANFIS's ``rules`` text.
+mars, cart and hybrid fit cell by cell through ``fit``; mlp and anfis have no
+``fit`` and train all cells as one lockstep stack.  Every engine reports the
+number of scaled features it takes as ``n_features``.  Engine functions are
+named, not held, and looked up on their module at call time, so a wrapper on
+a module attribute sees every call.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ class _Cart(Kind):
         seq = cart.prune_sequence(cart.grow(train, cfg.cart_cfg), train)
         seq = cart.evaluate_sequence(seq, selection)  # scored once for both calls
         tree = cart.select_min_cost(seq, selection)
-        return tree, {"error_curves": cart.relative_error_curve(seq, selection)}
+        return tree, {"error_curve": cart.relative_error_curve(seq, selection)}
 
 
 class _Hybrid(Kind):
@@ -125,7 +126,7 @@ class _Anfis(_Stacked):
 
     def fit_stack(self, cfg, cells) -> list:
         models, _ = anfis.hybrid_train([train for train, _, _ in cells], cfg.anfis_cfg)
-        return [(model, {"rule_dumps": anfis.dump_rules(model)}) for model in models]
+        return [(model, {"rules": anfis.dump_rules(model)}) for model in models]
 
 
 KINDS = {"mars": _Mars(), "cart": _Cart(), "hybrid": _Hybrid(), "mlp": _Mlp(),

@@ -47,6 +47,8 @@ def forex5_series(seed: int = 7, months: int = STEP7_MONTHS) -> dict:
     Each series draws from its own RNG stream derived from (seed, code), so
     adding or removing currencies never perturbs the others.
     """
+    if seed < 0:  # numpy's own message names neither the seed nor its value
+        raise ValueError(f"seed must be >= 0, got {seed}")
     t = np.arange(months)
     out = {}
     for code in FOREX5_CODES:

@@ -90,17 +90,26 @@ class TestRunExperiment:
             train, test = split(ds, 0.7, 7)
             scaler = fit_scaler(train)
             stest = apply_scaler(test, scaler)
-            np.testing.assert_array_equal(small_report.actual[cell.currency],
-                                          stest.targets)
+            np.testing.assert_array_equal(cell.test.targets, stest.targets)
             pred = small_report.predicted[(cell.currency, cell.model)]
             assert rmse(pred, stest.targets) == cell.test_rmse
 
     def test_months_are_one_step_ahead(self, small_report):
-        months = small_report.months["JPY"]
+        months = small_report.cell("JPY", "mars").test.provenance + 2
         # 244 rates -> 243 supervised rows -> test starts after 170 train rows
         assert len(months) == 73
         assert months[0] >= 2
         assert list(months) == sorted(months)
+
+    def test_cell_finds_every_pair(self, small_report):
+        for code in ("JPY", "USD"):
+            for model in ("mars", "cart"):
+                cell = small_report.cell(code, model)
+                assert (cell.currency, cell.model) == (code, model)
+                assert small_report.predicted[(code, model)] is cell.predicted
+        for code, model in (("JPY", "mlp"), ("GBP", "mars"), ("mars", "JPY")):
+            with pytest.raises(KeyError):
+                small_report.cell(code, model)
 
     def test_deterministic_across_runs(self, rates_csv, small_report):
         cfg = ExperimentConfig(data_path=str(rates_csv), currencies=("JPY", "USD"),
@@ -132,7 +141,7 @@ class TestRunExperiment:
             run_experiment(cfg)
 
     def test_error_curve_recorded_when_cart_runs(self, small_report):
-        curve = small_report.error_curves["JPY"]
+        curve = small_report.cell("JPY", "cart").extras["error_curve"]
         assert curve[-1][0] == 1  # root-only entry present
         assert all(isinstance(n, int) and r >= 0.0 for n, r in curve)
 
@@ -161,7 +170,7 @@ class TestMlpStack:
             _, strain, stest = bench.prepare_cell(cfg, series, code, "mlp")
             key = cell_seed(cfg.seed, code, "mlp")
             [(engine, _, _)] = mlp.fit_cells(cfg, [(strain, stest, key)])
-            assert report.dumps[(code, "mlp")] == mlp.dump(engine)
+            assert report.cell(code, "mlp").dump == mlp.dump(engine)
             if code == "NZD":  # a rejected step keeps the error
                 trace = scg.scg_train(scg.init_network(engine.layer_sizes, key), strain,
                                       self.EPOCHS)[1]
@@ -219,8 +228,8 @@ class TestAnfisStack:
             assert (tmp_path / "out" / "models" / f"anfis_{code}.txt").read_text() == \
                 kind.dump(engine)
             assert (tmp_path / "out" / f"anfis_rules_{code}.txt").read_text() == \
-                extras["rule_dumps"]
-            assert report.dumps[(code, "anfis")] == kind.dump(engine)
+                extras["rules"]
+            assert report.cell(code, "anfis").dump == kind.dump(engine)
 
     @pytest.mark.parametrize("model", ["anfis", "mlp"])
     def test_non_finite_cell_names_its_currency(self, rates_csv, monkeypatch, model):

@@ -410,7 +410,7 @@ class TestSelection:
         assert routed == [test.n_rows]
         seq = evaluate_sequence(prune_sequence(grow(train, cfg.cart_cfg), train), test)
         assert dump_tree(tree) == dump_tree(select_min_cost(seq, test))
-        assert extras["error_curves"] == relative_error_curve(seq, test)
+        assert extras["error_curve"] == relative_error_curve(seq, test)
 
     def test_single_entry_sequence(self):
         ds = _dataset([1.0, 2.0, 3.0], [4.0, 4.0, 4.0])

@@ -42,6 +42,12 @@ class TestSynth:
         expect = forex5_series(seed=3)
         np.testing.assert_array_equal(loaded["JPY"].values, expect["JPY"].values)
 
+    def test_negative_seed_is_one_error_line(self, tmp_path, capsys):
+        out = tmp_path / "fx.csv"
+        assert main(["synth", "forex5", str(out), "--seed", "-1"]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: seed must be >= 0, got -1"]
+        assert not out.exists()
+
     def test_unknown_recipe_exits_nonzero(self, tmp_path, capsys):
         with pytest.raises(SystemExit):
             main(["synth", "step8", str(tmp_path / "x.csv")])

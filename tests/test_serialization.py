@@ -407,6 +407,6 @@ class TestBenchDumpsReload:
         report = run_experiment(cfg)
         loaders = {"mars": mars.load_model, "cart": cart.load_tree,
                    "hybrid": hybrid.load_hybrid}
-        for (code, model), text in report.dumps.items():
-            loaded = loaders[model](text)
+        for cell in report.cells:
+            loaded = loaders[cell.model](cell.dump)
             assert loaded is not None
