@@ -319,7 +319,6 @@ _INI = {
     "models": {"enabled": ("models", _words)},
     "mars": {"recipe": ("mars_recipe", str),
              "max_basis_functions": ("mars_cfg.max_basis_functions", int),
-             "max_interaction": ("mars_cfg.max_interaction", int),
              "gcv_penalty": ("mars_cfg.gcv_penalty", float)},
     "cart": {"recipe": ("cart_recipe", str),
              "min_node_size": ("cart_cfg.min_node_size", int),

@@ -65,7 +65,7 @@ def _cmd_fit(args) -> int:
     cfg = bench.load_config(args.config)
     series = load_csv(cfg.data_path)
     configured = cfg.currencies if cfg.currencies is not None else tuple(series)
-    code = args.currency or configured[0]
+    code = configured[0] if args.currency is None else args.currency
     [cell] = bench.fit_model(cfg, series, args.model, [code])
     fitted = Predictor(args.model, code, cfg.recipe_for(args.model), cell.scaler, cell.engine)
     out = Path(args.output or f"{args.model}_{code}.model")
@@ -99,9 +99,11 @@ def _cmd_serve(args) -> int:
     for request in sys.stdin:
         model_file = request.rstrip("\r\n")
         try:
+            if not model_file:
+                raise ValueError("no predictor file named")
             answer = _forecast(model_file, args.csv)
         except Exception as exc:
-            print(f"error: {model_file}: {exc}", file=sys.stderr)
+            print(f"error: {model_file or 'empty request'}: {exc}", file=sys.stderr)
             answer, status = "", 1
         sys.stdout.write(answer + "\n")
         sys.stdout.flush()

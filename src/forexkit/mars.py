@@ -2,50 +2,50 @@
 least-squares refits, backward pruning.
 
 Forward stage: starting from the constant model, repeatedly add the
-primary/mirror hinge pair (optionally multiplied into an existing basis when
-interactions are enabled) that most reduces training MSE, refitting every
-coefficient by least squares after each addition.  The result deliberately
-overfits.  Backward stage: greedy elimination of the basis whose removal
-leaves the lowest GCV, returning the best-scoring subset visited.
+primary/mirror hinge pair that most reduces training MSE, refitting every
+coefficient by least squares after each addition.  The search is additive:
+every pair it adds is a hinge of one variable, times the constant basis.
+The result deliberately overfits.  Backward stage: greedy elimination of
+the basis whose removal leaves the lowest GCV, returning the best-scoring
+subset visited.  A model may still hold bases of several factors (the
+model file keeps them, and predict multiplies their hinges).
 
 Knot candidates are every observed training value of a variable.  Ties in
-the forward search resolve to the lowest parent index, then lowest variable
-index, then smallest knot; near-ties within 1e-10 relative gain count as
-ties so float noise cannot flip the deterministic choice.
+the forward search resolve to the lowest variable index, then smallest
+knot; near-ties within 1e-10 relative gain count as ties so float noise
+cannot flip the deterministic choice.
 
 Search cost.  Each variable is sorted once per forward pass, and a step
-scores its candidates in two phases.  Phase 1 (_sweep) gives each knot of a
-parent's variables of more than _FEW_KNOTS knots a fast gain from running
-sums over the variable's order (Friedman 1991, Ann. Statist. 19, sec. 3.9;
-the search state is in forexkit.marsrank), where projecting all K ~ n hinge
-columns costs O(n K m) for n rows and m bases.  One block per parent holds
-all of those variables side by side, so a step pays numpy's per-call cost
-once per parent, not once per (parent, variable).  A parent's block is made
-the first time a step scans it, with room for Q's most columns, and kept for
-the whole forward pass: its variables and their orders never change, and as
+scores its candidates in two phases.  Phase 1 (_sweep) gives each knot of
+the variables of more than _FEW_KNOTS knots a fast gain from running sums
+over the variable's order (Friedman 1991, Ann. Statist. 19, sec. 3.9; the
+search state is in forexkit.marsrank), where projecting all K ~ n hinge
+columns costs O(n K m) for n rows and m bases.  One block holds all of
+those variables side by side, so a step pays numpy's per-call cost once,
+not once per variable.  The block is made once per forward pass, with room
+for Q's most columns: the variables and their orders never change, and as
 Q only gains columns, a step adds the sums of the new columns, O(n) per
-variable each, and those that follow the residual, O(n + K m).  A hinge joins
-the design only on a parent that its step scanned, so the parent's block is
-there to note it.  Each fast gain comes with a rounding bound err on its
-distance from the dense gain (see forexkit.marsrank), and the largest
-fast - err of the step is a gain some knot surely reaches.  Phase 2
-(_rescored) makes one dense projection per parent: every knot of its
-few-knot variables, such as the hybrid's one-hot leaf columns, and the swept
-knots whose fast + err lies above that gain less _SWEEP_REL of it (above 0
-when no gain is sure).  The members zero on every row, u- at a variable's
-lowest knot and u+ at its highest, are left out of it.  A variable with no
-knot above the line is not re-scored, and one whose re-scored gains lie
-outside their bounds is scored in full.  The tie rule picks among the dense
-gains.
+variable each, and those that follow the residual, O(n + K m).  The block
+notes each hinge that joins the design.  Each fast gain comes with a
+rounding bound err on its distance from the dense gain (see
+forexkit.marsrank), and the largest fast - err of the step is a gain some
+knot surely reaches.  Phase 2 (_rescored) makes one dense projection: every
+knot of the few-knot variables, such as the hybrid's one-hot leaf columns,
+and the swept knots whose fast + err lies above that gain less _SWEEP_REL
+of it (above 0 when no gain is sure).  The members zero on every row, u-
+at a variable's lowest knot and u+ at its highest, are left out of it.  A
+variable with no knot above the line is not re-scored, and one whose
+re-scored gains lie outside their bounds is scored in full.  The tie rule
+picks among the dense gains.
 
 A knot under the line cannot change the pick.  Its dense gain is at most
 its fast + err, so at least _SWEEP_REL (1e-6) of the sure gain below a gain
 some knot reaches, far outside the 1e-10 tie window.  Leaving it out can
-change only a block whose gain is that far below the best; as the scan
+change only a variable whose gain is that far below the best; as the scan
 takes a new best only more than 1e-10 above the old, the first near-best
-block in scan order replaces any such lower best, and no block that far
-below replaces it after.  On the perfbench long workload (two variables of
-up to 682 knots on one parent per step, plus 10-19 one-hot columns in the
+variable in scan order replaces any such lower best, and no variable that
+far below replaces it after.  On the perfbench long workload (two
+variables of up to 682 knots per step, plus 10-19 one-hot columns in the
 hybrid) the two phases take run_s from 1.21 to 1.04 s.
 
 The orthonormal basis Q of the design grows by one Gram-Schmidt column per
@@ -112,13 +112,6 @@ class HingeBasis:
         if len(set(seen)) != len(seen):
             raise ValueError("a basis may use each variable at most once")
 
-    @property
-    def degree(self) -> int:
-        return len(self.factors)
-
-    def uses(self, var: int) -> bool:
-        return any(f.var == var for f in self.factors)
-
     def column(self, X: np.ndarray) -> np.ndarray:
         out = np.ones(X.shape[0])
         for f in self.factors:
@@ -136,14 +129,11 @@ class MarsConfig:
     """
 
     max_basis_functions: int = 30
-    max_interaction: int = 1
     gcv_penalty: float = 3.0
 
     def __post_init__(self):
         if self.max_basis_functions < 1:
             raise ValueError("max_basis_functions must be >= 1")
-        if self.max_interaction < 1:
-            raise ValueError("max_interaction must be >= 1")
         if not 0.0 <= self.gcv_penalty < np.inf:
             raise ValueError("gcv_penalty must be finite and >= 0")
 
@@ -193,88 +183,68 @@ def _orthonormalize(u: np.ndarray, Q: np.ndarray):
     return v / norm_v
 
 
-def _sweep(X, r, qr, Q, bases, cfg, orders, sweeps):
-    """Phase 1 of a forward step: for each parent that may take another
-    factor, (pi, bp, free variables, its SweepBlock or None, fast, err).
-    The block holds the parent's free variables of more than _FEW_KNOTS
-    knots side by side and gives each knot's fast gain and the bound err on
-    its distance from the dense gain (qr = Q'r); sweeps keeps each parent's
-    block, by index, from its first scan to the end of the forward pass."""
-    swept = []
-    for pi, parent in enumerate(bases):
-        if parent.degree >= cfg.max_interaction:
-            continue
-        bp = parent.column(X)
-        free = [var for var in range(X.shape[1]) if not parent.uses(var)]
-        many = [var for var in free if len(orders[var][1]) > _FEW_KNOTS]
-        block, fast, err = None, np.empty(0), np.empty(0)
-        if many:
-            if pi not in sweeps:  # room for Q's most columns
-                sweeps[pi] = SweepBlock(bp, X, many, orders,
-                                        min(cfg.max_basis_functions + 1, len(X)))
-            block = sweeps[pi]
-            fast, err = block.gains(Q, r, qr)
-        swept.append((pi, bp, free, block, fast, err))
-    return swept
+def _sweep(X, r, qr, Q, block):
+    """Phase 1 of a forward step: the fast gain of every knot of the sweep
+    block (the variables of more than _FEW_KNOTS knots, side by side) and
+    the bound err on its distance from the dense gain (qr = Q'r); empty
+    when no variable has that many knots."""
+    return block.gains(Q, r, qr) if block else (np.empty(0), np.empty(0))
 
 
-def _rescored(X, r, Q, bp, free, orders, block, fast, err, line):
-    """Phase 2 for one parent: (var, knots, dense gains) per free variable
-    in ascending order, from one dense projection of every knot of its
-    few-knot variables and of the block's knots whose fast + err is not at
-    or under line.  A variable with no such knot is left out; one whose
-    re-scored gains lie outside their bounds is scored again in full."""
-    picked = {var: (orders[var][1], None) for var in free}
+def _rescored(X, r, Q, orders, block, fast, err, line):
+    """Phase 2: (var, knots, dense gains) per variable in ascending order,
+    from one dense projection of every knot of the few-knot variables and
+    of the block's knots whose fast + err is not at or under line.  A
+    variable with no such knot is left out; one whose re-scored gains lie
+    outside their bounds is scored again in full."""
+    picked = {var: (orders[var][1], None) for var in range(X.shape[1])}
     for var, span in zip(block.variables, block.spans) if block else ():
         idx = span.start + np.flatnonzero(~(fast[span] + err[span] <= line))
         picked[var] = (block.knots[idx], idx)
-    picked = [(var, *picked[var]) for var in free if len(picked[var][0])]
+    picked = [(var, *picked[var]) for var in range(X.shape[1]) if len(picked[var][0])]
     if not picked:
         return []
     sizes = [len(knots) for _, knots, _ in picked]
-    gains = _pair_gains(X, np.repeat([var for var, _, _ in picked], sizes), bp,
+    gains = _pair_gains(X, np.repeat([var for var, _, _ in picked], sizes),
                         np.concatenate([knots for _, knots, _ in picked]), Q, r)
     scored = []
     for (var, knots, idx), g in zip(picked, np.split(gains, np.cumsum(sizes)[:-1])):
         if idx is not None and np.any(np.abs(g - fast[idx]) > err[idx]):
             knots = orders[var][1]
-            g = _pair_gains(X, np.full(len(knots), var), bp, knots, Q, r)
+            g = _pair_gains(X, np.full(len(knots), var), knots, Q, r)
         scored.append((var, knots, g))
     return scored
 
 
-def _best_candidate(X, r, Q, bases, cfg, orders, sweeps):
-    """Scan every (parent, variable, knot) pair; return the best SSE gain.
+def _best_candidate(X, r, Q, orders, block):
+    """Scan every (variable, knot) pair; return the best SSE gain.
 
-    The scan order (parent, variable, ascending knot) breaks ties
-    deterministically.  Phase 1 (_sweep) gives every swept knot a fast gain
-    and a bound; the largest fast - err over the step is a gain some knot
-    surely reaches.  Phase 2 (_rescored) scores densely, per parent, only
-    the knots whose fast + err comes within _SWEEP_REL of it, with the
-    few-knot variables, so the winner and its gain are the dense ones.
+    The scan order (variable, ascending knot) breaks ties deterministically.
+    Phase 1 (_sweep) gives every swept knot a fast gain and a bound; the
+    largest fast - err is a gain some knot surely reaches.  Phase 2
+    (_rescored) scores densely only the knots whose fast + err comes within
+    _SWEEP_REL of it, with the few-knot variables, so the winner and its
+    gain are the dense ones.
     """
-    qr = Q.T @ r
-    swept = _sweep(X, r, qr, Q, bases, cfg, orders, sweeps)
-    sure = max((float(np.max(fast - err, where=np.isfinite(err), initial=0.0))
-                for *_, fast, err in swept), default=0.0)
+    fast, err = _sweep(X, r, Q.T @ r, Q, block)
+    sure = float(np.max(fast - err, where=np.isfinite(err), initial=0.0))
     line = sure - _SWEEP_REL * sure
-    best = (0.0, None)  # (gain, (parent_idx, var, knot))
-    for pi, bp, free, block, fast, err in swept:
-        for var, knots, gains in _rescored(X, r, Q, bp, free, orders, block, fast, err, line):
-            top = float(gains.max())
-            if top <= 0.0:
-                continue
-            # smallest knot among the near-tied best: keeps e.g. exactly
-            # linear data on a boundary knot instead of a noise-chosen one
-            k = int(np.argmax(gains >= top - _TIE_REL * top))
-            gain = float(gains[k])
-            if gain > best[0] + _TIE_REL * max(gain, best[0]):
-                best = (gain, (pi, var, float(knots[k])))
+    best = (0.0, None)  # (gain, (var, knot))
+    for var, knots, gains in _rescored(X, r, Q, orders, block, fast, err, line):
+        top = float(gains.max())
+        if top <= 0.0:
+            continue
+        # smallest knot among the near-tied best: keeps e.g. exactly
+        # linear data on a boundary knot instead of a noise-chosen one
+        k = int(np.argmax(gains >= top - _TIE_REL * top))
+        gain = float(gains[k])
+        if gain > best[0] + _TIE_REL * max(gain, best[0]):
+            best = (gain, (var, float(knots[k])))
     return best
 
 
-def _pair_gains(X, cols, bp, knots, Q, r):
-    """SSE reduction from adding each hinge pair bp*(x - t)+, bp*(t - x)+,
+def _pair_gains(X, cols, knots, Q, r):
+    """SSE reduction from adding each hinge pair (x - t)+, (t - x)+,
     vectorized over the knots t, where knot j splits column cols[j] of X,
     by one dense projection onto span(Q) of the pairs' members.  A member
     zero on every row, u- at its variable's lowest knot or u+ at its
@@ -287,7 +257,6 @@ def _pair_gains(X, cols, bp, knots, Q, r):
     u[:, :split] -= knots[plus]
     np.subtract(knots[minus], u[:, split:], out=u[:, split:])
     np.maximum(u, 0.0, out=u)
-    u *= bp[:, None]
     norm = np.einsum("ij,ij->j", u, u)
     u -= Q @ (Q.T @ u)
     sq, ru = np.einsum("ij,ij->j", u, u), u.T @ r
@@ -312,7 +281,9 @@ def forward_pass(train: Dataset, cfg: MarsConfig) -> MarsModel:
     X, y = train.features, train.targets
     n = train.n_rows
     orders = knot_order(X)
-    sweeps = {}  # parent index: SweepBlock
+    many = [var for var in range(X.shape[1]) if len(orders[var][1]) > _FEW_KNOTS]
+    # one block for the whole pass, with room for Q's most columns
+    block = SweepBlock(X, many, orders, min(cfg.max_basis_functions + 1, n)) if many else None
 
     bases = [HingeBasis()]
     B = np.ones((n, 1))
@@ -323,20 +294,18 @@ def forward_pass(train: Dataset, cfg: MarsConfig) -> MarsModel:
     Q, _ = np.linalg.qr(B)  # grown by each added column's orthonormal part
     while len(bases) - 1 + 2 <= cfg.max_basis_functions:
         r = y - Q @ (Q.T @ y)
-        gain, pick = _best_candidate(X, r, Q, bases, cfg, orders, sweeps)
+        gain, pick = _best_candidate(X, r, Q, orders, block)
         if pick is None or gain <= _STOP_REL * sse + 1e-16 * ss0:
             break
-        pi, var, knot = pick
-        parent = bases[pi]
+        var, knot = pick
         added = False
         for direction in (POSITIVE, NEGATIVE):
-            u = parent.column(X) * eval_hinge(X[:, var], knot, direction)
+            u = eval_hinge(X[:, var], knot, direction)
             v = _orthonormalize(u, Q)
             if v is None:
                 continue  # drop the linearly dependent member of the pair
-            bases.append(HingeBasis(parent.factors + (Hinge(var, knot, direction),)))
-            block = sweeps.get(pi)  # made when the step scanned the parent
-            if block is not None and var in block.variables:
+            bases.append(HingeBasis((Hinge(var, knot, direction),)))
+            if var in many:
                 block.appended(var, knot, int(direction == NEGATIVE))
             B = np.column_stack([B, u])
             Q = np.column_stack([Q, v])

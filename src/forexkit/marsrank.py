@@ -1,12 +1,11 @@
 """Search state that ranks MARS candidates without refitting them.
 
-A ``SweepBlock`` holds the running sums of one parent's swept variables in
-the forward search, side by side, and gives the projection terms of a hinge
-pair at every knot of each, in one call per step for all of them: the first
-of the search's two phases.  Q only gains columns between forward steps,
-and the parent column and each variable's sort order never change, so a
-block adds the sums of Q's new columns to those it holds instead of
-rebuilding them.
+A ``SweepBlock`` holds the running sums of the forward search's swept
+variables, side by side, and gives the projection terms of a hinge pair at
+every knot of each, in one call per step for all of them: the first of the
+search's two phases.  Q only gains columns between forward steps, and each
+variable's sort order never changes, so a block adds the sums of Q's new
+columns to those it holds instead of rebuilding them.
 A ``DropRanker`` holds R and Q'y of the retained columns of a pruning design
 and gives the SSE after dropping each column; dropping one downdates R by a
 QR of the k x (k - 1) R that is left.  ``forexkit.mars`` ranks candidates
@@ -19,13 +18,14 @@ The bound (``SweepBlock.gains``) is an interval that holds the dense gain,
 from first-order rounding bounds in the manner of Higham (Accuracy and
 Stability of Numerical Algorithms, 2nd ed., secs. 3-4): a sum of n terms is
 off by at most n u times the sum of their magnitudes, u = 2^-53, and
-gamma = ERR_SAFETY n u.  Up = |bp x| + |t| |bp| in root sums over the rows
-above the knot is at least |u+| and bounds the rounding of every entry of
-Q'u+ for unit columns of Q; Um alike below, and Ug over all rows.  So the
-fast and the dense a = |vp|^2 each lie within k Up^2 of the exact one, b
-within k Up Um and rp within k Up |r|, with k = (5 + 4 sqrt m) gamma for m
-columns of Q; the dense vp lies within (2 + 2 sqrt m) gamma Up of the exact
-one, and the block's g within (2m + 2) gamma Ug of vp - vm.  From these:
+gamma = ERR_SAFETY n u.  Up = |x| + |t| sqrt(n+), root sums over the n+
+rows above the knot, is at least |u+| and bounds the rounding of every
+entry of Q'u+ for unit columns of Q; Um alike below, and Ug over all rows.
+So the fast and the dense a = |vp|^2 each lie within k Up^2 of the exact
+one, b within k Up Um and rp within k Up |r|, with k = (5 + 4 sqrt m) gamma
+for m columns of Q; the dense vp lies within (2 + 2 sqrt m) gamma Up of the
+exact one, and the block's g within (2m + 2) gamma Ug of vp - vm.  From
+these:
 
 - rp^2 / a and rm^2 / c get intervals once a and c are above twice their
   bounds, which also settles pair_gain's dependence test on both sides;
@@ -45,8 +45,8 @@ one, and the block's g within (2m + 2) gamma Ug of vp - vm.  From these:
   test for both.
 
 Any other knot's bound is inf.  ERR_SAFETY on gamma covers the rest: Q
-orthonormal and bp in span(Q) to within gamma, the rounding of the final
-products, and that of the bound's own arithmetic.
+orthonormal and the constant in span(Q) to within gamma, the rounding of
+the final products, and that of the bound's own arithmetic.
 """
 
 from __future__ import annotations
@@ -74,36 +74,36 @@ def knot_order(X):
 
 
 class SweepBlock:
-    """Projection terms of the hinge pair u+ = bp*(x - t)+, u- = bp*(t - x)+
-    at every knot t of one or more variables x of one parent bp at once,
-    from running sums over each variable's sorted order.
+    """Projection terms of the hinge pair u+ = (x - t)+, u- = (t - x)+ at
+    every knot t of one or more variables x at once, from running sums over
+    each variable's sorted order.
 
     vp, vm are u+, u- less their projections onto span(Q).  ``_terms`` gives
     (a, b, c, rp, rm, |u+|^2, |u-|^2, det, num) with a = |vp|^2, b = vp.vm,
     c = |vm|^2, rp = vp.r, rm = vm.r, det = ac - b^2 and num = c rp^2 -
     2b rp rm + a rm^2; ``gains`` returns pair_gain of them and a bound on
-    how far each lies from the dense gain (see the module docstring).  bp
-    must lie in span(Q), as every parent basis does, and Q may only gain
-    columns between calls.  The variables' knots lie side by side in that
-    order, variable j's at ``spans[j]``.  Each variable keeps its own sort
+    how far each lies from the dense gain (see the module docstring).  The
+    constant must lie in span(Q), as it does in the forward search, and Q
+    may only gain columns between calls.  The variables' knots lie side by
+    side in that order, variable j's at ``spans[j]``.  Each variable keeps its own sort
     order, tie runs, running sums and g, so its terms and bounds are those
     of a block of it alone, but for the order BLAS sums qp'(Q'r) in; one
     call serves them all.
 
-    Over the rows above t, Q'u+ = S(bp x Q) - t S(bp Q), |u+|^2 and u+.r are
+    Over the rows above t, Q'u+ = S(x Q) - t S(Q), |u+|^2 and u+.r are
     quadratic and linear in t, and the rows below t give u- alike: O(n m)
     per variable instead of O(n K m) for the dense projections.  The block
     keeps those sums of Q's columns, qp = Q'u+ and qm = Q'u- (k x capacity),
     and the row sums |qp|^2, qp.qm and |qm|^2, so a call costs O(n) per new
     column of Q, O(n) for the sums that follow r, and O(k m) for qp'(Q'r)
-    and qm'(Q'r).  As bp is in span(Q), vp - vm = g, the part of bp*x off
-    span(Q), for every t, so det and num follow from the Lagrange identity
-    with p = vp.g = u+.g: det = a|g|^2 - p^2 and num = |g|^2 rp^2 -
+    and qm'(Q'r).  As the constant is in span(Q), vp - vm = g, the part of
+    x off span(Q), for every t, so det and num follow from the Lagrange
+    identity with p = vp.g = u+.g: det = a|g|^2 - p^2 and num = |g|^2 rp^2 -
     2p rp (g.r) + a (g.r)^2.  Unlike ac - b^2 these do not cancel when the
     pair is collinear.
     """
 
-    def __init__(self, bp, X, variables, orders, capacity):
+    def __init__(self, X, variables, orders, capacity):
         n = X.shape[0]
         self.variables = list(variables)  # columns of X, with knot_order entries orders[var]
         cached = [orders[var] for var in self.variables]
@@ -121,13 +121,11 @@ class SweepBlock:
         self.first = np.concatenate([s + j * (n + 1) for j, (_, _, s) in enumerate(cached)])
         self.past = np.concatenate([np.append(s[1:], n) + j * (n + 1)
                                     for j, (_, _, s) in enumerate(cached)])
-        self.w = bp[self.order]
         self.xs = np.concatenate([X[o, var] - mid for (o, _, _), var, mid
                                   in zip(cached, self.variables, mids)])
-        self.wx = self.w * self.xs
-        self.g = self.wx.copy()  # bp*x, projected off each column of Q as it comes
+        self.g = self.xs.copy()  # x, projected off each column of Q as it comes
         below, above = self._runs(np.column_stack(
-            (self.w * self.w, self.w * self.wx, self.wx * self.wx)))
+            (np.ones_like(self.xs), self.xs, self.xs * self.xs)))
         t, at = self.t, np.abs(self.t)
         # rows for the + and - member: |u+|^2 and |u-|^2, and Up, Um, root
         # sums >= |u+|, |u-| that bound the rounding of their terms
@@ -135,8 +133,7 @@ class SweepBlock:
         self.norm = np.stack((a2 - 2.0 * t * a1 + t * t * a0, t * t * b0 - 2.0 * t * b1 + b2))
         self.mag = np.stack((np.sqrt(a2) + at * np.sqrt(a0), np.sqrt(b2) + at * np.sqrt(b0)))
         self.mag2 = self.mag * self.mag
-        # >= |bp (x - t)|
-        self.mag_g = np.sqrt(self._dots(self.wx, self.wx)) + at * np.sqrt(self._dots(self.w, self.w))
+        self.mag_g = np.sqrt(self._dots(self.xs, self.xs)) + at * math.sqrt(n)  # >= |x - t|
         self.knots, self.zero = np.concatenate(knots), self.mag == 0.0  # a member zero on every row
         self.in_span = np.zeros_like(self.zero)  # members the search made columns of B
         k = len(self.t)
@@ -174,12 +171,12 @@ class SweepBlock:
         for rows in self.rows:
             q = qs[rows]
             self.g[rows] -= q @ (q.T @ self.g[rows])
-        below, above = self._runs(np.hstack((self.w[:, None] * qs, self.wx[:, None] * qs)))
+        below, above = self._runs(np.hstack((qs, self.xs[:, None] * qs)))
         t = self.t[:, None]
-        qp = self.qp[:, m0:m]  # S(bp x Q) - t S(bp Q)
+        qp = self.qp[:, m0:m]  # S(x Q) - t S(Q)
         np.multiply(above[:, :d], -t, out=qp)
         qp += above[:, d:]
-        qm = self.qm[:, m0:m]  # t P(bp Q) - P(bp x Q)
+        qm = self.qm[:, m0:m]  # t P(Q) - P(x Q)
         np.multiply(below[:, :d], t, out=qm)
         qm -= below[:, d:]
         self.sq[0] += np.einsum("ij,ij->i", qp, qp)
@@ -196,8 +193,7 @@ class SweepBlock:
             self._advance(Q)
         m, t, g = self.m, self.t, self.g
         rs = r[self.order]
-        wr = self.w * rs
-        below, above = self._runs(np.column_stack((wr, wr * self.xs, self.w * g, self.wx * g)))
+        below, above = self._runs(np.column_stack((rs, rs * self.xs, g, self.xs * g)))
         sr, srx, sg, sxg = above.T
         r_pm = np.empty_like(self.norm)  # rows rp, rm
         np.subtract(srx, t * sr, out=r_pm[0])

@@ -283,12 +283,12 @@ class ReferenceAnfis:
 
 
 class ReferenceMars:
-    """MARS as the engine's first version searched it: every (parent,
-    variable) block scores all of its knots with dense n x K hinge
+    """MARS as the engine's first version searched it, on the constant
+    parent: every variable scores all of its knots with dense n x K hinge
     projections, and every backward step refits every drop-one subset.  The
     model containers and ``gcv`` come from the package; the search is copied
-    from that version unchanged, so ``fit`` must agree with ``mars.fit`` in
-    every dumped float and both traces."""
+    from that version, less its parents of one or more factors, so ``fit``
+    must agree with ``mars.fit`` in every dumped float and both traces."""
 
     TIE_REL = 1e-10
     DEP_TOL = 1e-10
@@ -320,13 +320,9 @@ class ReferenceMars:
     def _best_candidate(self, X, r, Q, bases):
         n, d = X.shape
         best = (0.0, None)
-        for pi, parent in enumerate(bases):
-            if parent.degree >= self.cfg.max_interaction:
-                continue
+        for pi, parent in enumerate(bases[:1]):
             bp = parent.column(X)
             for var in range(d):
-                if parent.uses(var):
-                    continue
                 knots = np.unique(X[:, var])
                 xv = X[:, var][:, None]
                 up = np.maximum(0.0, xv - knots[None, :]) * bp[:, None]

@@ -509,11 +509,14 @@ dir = somewhere
         with pytest.raises(ValueError, match="data.path"):
             load_config(path)
 
-    def test_mars_pruning_key_rejected(self, tmp_path, rates_csv):
-        # mars always prunes by GCV, so the key has no value left to choose
+    # mars always prunes by GCV and searches additive models, so neither key
+    # has a value left to choose
+    @pytest.mark.parametrize("key,value", [("pruning", "gcv"), ("max_interaction", "1")],
+                             ids=["pruning", "max_interaction"])
+    def test_mars_pruning_key_rejected(self, tmp_path, rates_csv, key, value):
         path = self._write(tmp_path, f"[data]\npath = {rates_csv}\n\n"
-                                     "[mars]\npruning = gcv\n")
-        with pytest.raises(ValueError, match="unknown key mars.pruning"):
+                                     f"[mars]\n{key} = {value}\n")
+        with pytest.raises(ValueError, match=f"unknown key mars.{key}"):
             load_config(path)
 
     def test_readme_config_block_loads(self, tmp_path):

@@ -106,6 +106,17 @@ class TestFitPredict:
         assert main(["fit", "mars", str(cfg), "--currency", "EUR"]) == 1
         assert "EUR" in capsys.readouterr().err
 
+    def test_fit_empty_currency_is_unknown(self, tmp_path, rates_csv, capsys,
+                                           monkeypatch):
+        """Only an omitted flag means the first configured currency."""
+        monkeypatch.chdir(tmp_path)
+        cfg = _config(tmp_path, rates_csv, "currencies = JPY\n")
+        assert main(["fit", "mars", str(cfg), "--currency", ""]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "unknown currency ''" in err[0]
+        assert list(tmp_path.glob("*.model")) == []
+
     def test_predict_emits_month_per_supervised_row(self, tmp_path, rates_csv,
                                                     capsys):
         cfg = _config(tmp_path, rates_csv)
@@ -245,6 +256,15 @@ class TestServe:
         assert out.out == "\n" + expected + "\n"
         assert out.err.count("\n") == 1
         assert out.err.startswith(f"error: {missing}: ")
+
+    def test_blank_request_is_named_and_serving_goes_on(
+            self, rates_csv, models, capsys, monkeypatch):
+        expected = self._predict(capsys, models[0], rates_csv)
+        monkeypatch.setattr(sys, "stdin", ["\n", f"{models[0]}\n"])
+        assert main(["serve", str(rates_csv)]) == 1
+        out = capsys.readouterr()
+        assert out.out == "\n" + expected + "\n"
+        assert out.err == "error: empty request: no predictor file named\n"
 
 
 class TestParser:

@@ -42,6 +42,22 @@ class TestMalformedDumps:
             mars.load_model("mars-model v1\nfeatures 1\nbases 1\nbasis const\n"
                             "1.5\ntraining_mse 0\n")
 
+    def test_mars_two_factor_basis_loads_predicts_and_dumps_back(self):
+        """The model format keeps bases of several factors, though the
+        forward search adds one factor at a time."""
+        text = ("mars-model v1\nfeatures 2\nbases 3\nbasis const\n"
+                "basis 0 + 0.25 1 - 0.75\nbasis 1 + 0.5\n"
+                "coefficients\n0.5\n2\n-1.25\ntraining_mse 0\n")
+        model = mars.load_model(text)
+        assert [len(b.factors) for b in model.bases] == [0, 2, 1]
+        X = np.array([[1.0, 0.5], [0.0, 0.0], [2.25, 1.0], [0.5, 0.25]])
+        pair = mars.eval_hinge(X[:, 0], 0.25, "positive") \
+            * mars.eval_hinge(X[:, 1], 0.75, "negative")
+        want = 0.5 + 2.0 * pair - 1.25 * mars.eval_hinge(X[:, 1], 0.5, "positive")
+        assert np.all(pair[[0, 3]] > 0.0) and np.all(pair[[1, 2]] == 0.0)
+        np.testing.assert_array_equal(mars.predict(model, X), want)
+        assert mars.dump_model(model) == text
+
     def test_cart_bad_node_line(self):
         with pytest.raises(ValueError):
             cart.load_tree("cart-tree v1\nfeatures 1\nnames x\n"
