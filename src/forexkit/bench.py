@@ -321,9 +321,7 @@ _INI = {
              "max_basis_functions": ("mars_cfg.max_basis_functions", int),
              "gcv_penalty": ("mars_cfg.gcv_penalty", float)},
     "cart": {"recipe": ("cart_recipe", str),
-             "min_node_size": ("cart_cfg.min_node_size", int),
-             "min_split_gain": ("cart_cfg.min_split_gain", float),
-             "max_depth": ("cart_cfg.max_depth", int)},
+             "min_node_size": ("cart_cfg.min_node_size", int)},
     "mlp": {"recipe": ("mlp_recipe", str),
             "hidden": ("mlp_hidden", lambda v: [int(w) for w in _words(v)]),
             "epochs": ("mlp_epochs", int)},

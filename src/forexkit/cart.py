@@ -1,9 +1,10 @@
 """Binary recursive partitioning for regression with cost-complexity pruning.
 
-Growth: exhaustive best-split search (thresholds at midpoints between
-consecutive distinct sorted values, split accepted only when both children
-keep ``min_node_size`` rows and the SSE reduction is strictly positive),
-until no node admits a split.  The tree grows one level at a time from one
+Growth: exhaustive best-split search, thresholds at midpoints between
+consecutive distinct sorted values.  Growth stops only at ``min_node_size``
+(a split must leave both children that many rows), at a pure node, or when
+no split has a strictly positive SSE reduction; pruning and selection alone
+then choose the tree's size.  The tree grows one level at a time from one
 stable sort per variable: at each level a stable partition of that order by
 node gives every node its rows sorted by x, ties in row order, and all of
 the level's nodes are scored together, each in its own zero-padded row, so
@@ -45,16 +46,10 @@ _TIE_REL = 1e-9  # SSE reductions closer than this (relative to parent SSE) tie
 @dataclass(frozen=True)
 class CartConfig:
     min_node_size: int = 5
-    min_split_gain: float = 0.0
-    max_depth: int | None = None
 
     def __post_init__(self):
         if self.min_node_size < 1:
             raise ValueError("min_node_size must be >= 1")
-        if not self.min_split_gain >= 0.0:
-            raise ValueError("min_split_gain must be >= 0")
-        if self.max_depth is not None and self.max_depth < 0:
-            raise ValueError("max_depth must be >= 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,7 +138,7 @@ def _splits(X: np.ndarray, y: np.ndarray, order: np.ndarray, label: np.ndarray,
     threshold = 0.5 * (xs[by_var, by_node, k] + xs[by_var, by_node, k + 1])
     var, thr, best = np.full(n_nodes, -1), np.zeros(n_nodes), np.zeros(n_nodes)
     for v in range(d):
-        take = ~((top[v] <= 0.0) | (top[v] < cfg.min_split_gain))
+        take = ~(top[v] <= 0.0)
         take &= (var < 0) | (reduction[v] > best + tol)
         var[take], thr[take], best[take] = v, threshold[v, take], reduction[v, take]
     return var, thr, best
@@ -172,9 +167,8 @@ def grow(train: Dataset, cfg: CartConfig = CartConfig()) -> CartTree:
     order = np.argsort(X, axis=0, kind="stable").T
     nodes, left = [], {}  # left[i]: left child of split node i; its right child follows
     label = np.zeros(y.size, dtype=np.intp)  # row's node in the level; n_level for none
-    n_level, depth = 1, 0
+    n_level = 1
     while n_level:
-        deeper = cfg.max_depth is None or depth < cfg.max_depth
         base = len(nodes)
         counts = np.bincount(label, minlength=n_level + 1)[:n_level]
         ends = np.cumsum(counts)
@@ -184,7 +178,7 @@ def grow(train: Dataset, cfg: CartConfig = CartConfig()) -> CartTree:
             part = targets[lo:hi]
             mean, sse[f] = _mean_sse(part)
             nodes.append([-1, 0.0, mean, hi - lo, sse[f]])
-            searched[f] = deeper and _splittable(part, cfg)
+            searched[f] = _splittable(part, cfg)
         var, thr = np.full(n_level + 1, -1), np.zeros(n_level + 1)
         if searched.any():
             at = np.flatnonzero(searched)
@@ -200,7 +194,7 @@ def grow(train: Dataset, cfg: CartConfig = CartConfig()) -> CartTree:
         at_var = var[label]
         right = X[np.arange(y.size), at_var] > thr[label]  # training rows are finite
         label = np.where(at_var >= 0, child[label] + right, 2 * split.size)
-        n_level, depth = 2 * split.size, depth + 1
+        n_level = 2 * split.size
     preorder, stack = [], [0]
     while stack:
         i = stack.pop()

@@ -75,6 +75,8 @@ def _cmd_fit(args) -> int:
 
 
 def _forecast(model_file, csv) -> str:
+    if not model_file:
+        raise ValueError("no predictor file named")
     fitted = load_predictor(Path(model_file).read_text())
     series = load_csv(csv)
     months, preds = predict_rates(fitted, series)
@@ -99,8 +101,6 @@ def _cmd_serve(args) -> int:
     for request in sys.stdin:
         model_file = request.rstrip("\r\n")
         try:
-            if not model_file:
-                raise ValueError("no predictor file named")
             answer = _forecast(model_file, args.csv)
         except Exception as exc:
             print(f"error: {model_file or 'empty request'}: {exc}", file=sys.stderr)

@@ -35,8 +35,7 @@ def sse_of(y: np.ndarray) -> float:
     return float(np.sum((y - np.mean(y)) ** 2)) if y.size else 0.0
 
 
-def brute_force_best_split(X: np.ndarray, y: np.ndarray, min_node_size: int = 5,
-                           min_split_gain: float = 0.0):
+def brute_force_best_split(X: np.ndarray, y: np.ndarray, min_node_size: int = 5):
     """Enumerate every (variable, midpoint threshold) and score it directly.
 
     Tie rule (identical to the engine's contract): reductions within
@@ -59,7 +58,7 @@ def brute_force_best_split(X: np.ndarray, y: np.ndarray, min_node_size: int = 5,
             if n_left < min_node_size or n - n_left < min_node_size:
                 continue
             reduction = parent - sse_of(y[mask]) - sse_of(y[~mask])
-            if reduction > 0.0 and reduction >= min_split_gain:
+            if reduction > 0.0:
                 candidates.append((thr, reduction))
         if not candidates:
             continue
@@ -470,7 +469,7 @@ class ReferenceCart:
             right_sse = (csq[-1] - csq[:-1]) - (csum[-1] - csum[:-1]) ** 2 / (n - i)
             red = np.where(ok, parent_sse - left_sse - right_sse, -np.inf)
             top = red.max()
-            if top <= 0.0 or top < cfg.min_split_gain:
+            if top <= 0.0:
                 continue
             k = int(np.argmax(red >= top - tol))  # first near-tied = smallest threshold
             reduction = float(red[k])
@@ -488,19 +487,17 @@ class ReferenceCart:
         require_finite(train)
         nodes = []
 
-        def build(X, y, depth):
+        def build(X, y):
             sse = sse_of(y)
-            pick = None
-            if cfg.max_depth is None or depth < cfg.max_depth:
-                pick = cls._best_split_arrays(X, y, cfg, sse)
+            pick = cls._best_split_arrays(X, y, cfg, sse)
             var, thr, _ = pick or (-1, 0.0, None)
             nodes.append((var, thr, float(y.mean()), int(y.size), sse))
             if pick:
                 mask = X[:, var] <= thr
-                build(X[mask], y[mask], depth + 1)
-                build(X[~mask], y[~mask], depth + 1)
+                build(X[mask], y[mask])
+                build(X[~mask], y[~mask])
 
-        build(train.features, train.targets, 0)
+        build(train.features, train.targets)
         return _from_preorder(train.n_features, train.feature_names, nodes)
 
     def __init__(self, tree):

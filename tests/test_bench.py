@@ -439,9 +439,7 @@ dir = somewhere
         assert cfg.data_path == str(rates_csv)
         assert cfg.seed == 3
 
-    @pytest.mark.parametrize("section, key", [("mars", "gcv_penalty"),
-                                              ("cart", "min_split_gain"),
-                                              ("anfis", "rate")])
+    @pytest.mark.parametrize("section, key", [("mars", "gcv_penalty"), ("anfis", "rate")])
     def test_nan_value_rejected(self, tmp_path, rates_csv, section, key):
         path = self._write(tmp_path,
                            f"[data]\npath = {rates_csv}\n\n[{section}]\n{key} = nan\n")
@@ -487,12 +485,6 @@ dir = somewhere
         assert message.startswith(f"[{section}] {key} = {value}: ")
         assert reason in message
 
-    def test_negative_max_depth_rejected(self, tmp_path, rates_csv):
-        path = self._write(tmp_path,
-                           f"[data]\npath = {rates_csv}\n\n[cart]\nmax_depth = -1\n")
-        with pytest.raises(ValueError, match="max_depth"):
-            load_config(path)
-
     def test_unknown_key_rejected(self, tmp_path, rates_csv):
         path = self._write(tmp_path, f"[data]\npath = {rates_csv}\nfmt = csv\n")
         with pytest.raises(ValueError, match="data.fmt"):
@@ -517,6 +509,15 @@ dir = somewhere
         path = self._write(tmp_path, f"[data]\npath = {rates_csv}\n\n"
                                      f"[mars]\n{key} = {value}\n")
         with pytest.raises(ValueError, match=f"unknown key mars.{key}"):
+            load_config(path)
+
+    # cost-complexity pruning and test-sample selection alone size the tree,
+    # so it has no stopping rule to set
+    @pytest.mark.parametrize("key,value", [("max_depth", "3"), ("min_split_gain", "0.1")])
+    def test_cart_stopping_rule_key_rejected(self, tmp_path, rates_csv, key, value):
+        path = self._write(tmp_path, f"[data]\npath = {rates_csv}\n\n"
+                                     f"[cart]\n{key} = {value}\n")
+        with pytest.raises(ValueError, match=f"unknown key cart.{key} in "):
             load_config(path)
 
     def test_readme_config_block_loads(self, tmp_path):

@@ -38,18 +38,6 @@ def _plateau_dataset(n_per=30, levels=(1.0, 2.0, 3.0, 4.0), seed=0):
     return _dataset(np.concatenate(xs), np.concatenate(ys))
 
 
-class TestCartConfig:
-    @pytest.mark.parametrize("gain", [-1.0, float("nan")])
-    def test_min_split_gain_must_be_nonnegative(self, gain):
-        with pytest.raises(ValueError, match="min_split_gain"):
-            CartConfig(min_split_gain=gain)
-
-    def test_max_depth_must_be_nonnegative(self):
-        with pytest.raises(ValueError, match="max_depth"):
-            CartConfig(max_depth=-1)
-        assert CartConfig(max_depth=0).max_depth == 0
-
-
 class TestBestSplit:
     def test_matches_exhaustive_on_seeded_samples(self):
         cfg = CartConfig(min_node_size=1)
@@ -126,17 +114,6 @@ class TestGrow:
         tree = grow(_dataset([1.0, 2.0], [0.0, 1.0]), CartConfig(min_node_size=1))
         assert tree.n_leaves == 2
 
-    def test_max_depth_limits_tree(self):
-        ds = _plateau_dataset()
-        tree = grow(ds, CartConfig(min_node_size=1, max_depth=1))
-        assert tree.n_leaves == 2
-
-    def test_min_split_gain_blocks_weak_splits(self):
-        rng = np.random.default_rng(2)
-        ds = _dataset(rng.uniform(0, 1, 40), rng.normal(scale=0.01, size=40))
-        tree = grow(ds, CartConfig(min_node_size=5, min_split_gain=1.0))
-        assert tree.n_leaves == 1
-
     def test_leaf_counts_partition_training_rows(self):
         ds = _plateau_dataset(seed=3)
         tree = grow(ds, CartConfig(min_node_size=5))
@@ -161,20 +138,26 @@ class TestGrow:
         assert seen == sorted(seen) == list(range(len(tree.var)))
 
 
+def _min_node_size(key, n, drawn):
+    """The floor of a test fit's maximal tree: above n / 2 at key 1, so no
+    split is admissible and the tree is the root alone; above n / 3 at key
+    2, so neither child of the root can split and the tree has at most one
+    split; the drawn size otherwise."""
+    return {1: n // 2 + 1, 2: n // 3 + 1}.get(key, drawn)
+
+
 def _grow_fit(seed):
     """A small growth problem: features and targets rounded so runs of equal
-    values and pure nodes occur, with every size, depth and gain limit.  In
-    every fourth seed the targets are 1e8 higher where x0 < 0, so a node's
-    running sums must not carry those of the nodes before it."""
+    values and pure nodes occur, with every node-size floor from 1 to above
+    n / 2.  In every fourth seed the targets are 1e8 higher where x0 < 0, so
+    a node's running sums must not carry those of the nodes before it."""
     rng = np.random.default_rng(500 + seed)
     n, d = int(rng.integers(1, 160)), int(rng.integers(1, 5))
     X = np.round(rng.normal(size=(n, d)), int(rng.integers(0, 3)))
     y = np.round(X[:, 0] + rng.normal(size=n), int(rng.integers(0, 3)))
     if seed % 4 == 1:
         y = y + 1e8 * (X[:, 0] < 0)
-    cfg = CartConfig(min_node_size=int(rng.integers(1, 6)),
-                     min_split_gain=(0.0, 0.05, 0.5)[seed % 3],
-                     max_depth=(None, 0, 1, 3, 6)[seed % 5])
+    cfg = CartConfig(_min_node_size(seed % 5, n, int(rng.integers(1, 6))))
     return _dataset(X, y), cfg
 
 
@@ -433,8 +416,9 @@ def _forex5_hybrid_augmented():
 
 
 def _random_fit(seed):
-    """A small fit with duplicate features and targets in some seeds, and a
-    test sample with NaN features in others."""
+    """A small fit with duplicate features and targets in some seeds, a test
+    sample with NaN features in others, and a root-only or single-split
+    maximal tree at seeds 1 and 2 mod 10."""
     rng = np.random.default_rng(100 + seed)
     n, d = int(rng.integers(8, 120)), int(rng.integers(1, 4))
     X = rng.normal(size=(n + 40, d))
@@ -445,8 +429,7 @@ def _random_fit(seed):
         y = np.round(y)
     if seed % 5 == 0:
         X[n + 1::7, 0] = np.nan
-    depth = None if seed % 2 else int(rng.integers(2, 7))
-    cfg = CartConfig(min_node_size=int(rng.integers(1, 7)), max_depth=depth)
+    cfg = CartConfig(_min_node_size(seed % 10, n, int(rng.integers(1, 7))))
     return _dataset(X[:n], y[:n]), _dataset(X[n:], y[n:]), cfg
 
 
@@ -483,10 +466,6 @@ class TestExactPruning:
     def test_min_node_size_one(self):
         train, test = TestSelection()._split_problem(17)
         self._assert_same(train, test, CartConfig(min_node_size=1))
-
-    def test_max_depth(self):
-        train, test = TestSelection()._split_problem(18)
-        self._assert_same(train, test, CartConfig(min_node_size=2, max_depth=3))
 
     @pytest.mark.parametrize("seed", range(30))
     def test_random_small_fits(self, seed):

@@ -171,6 +171,10 @@ class TestFitPredict:
         assert main(["predict", str(tmp_path / "nope.model"), str(rates_csv)]) == 1
         assert "nope.model" in capsys.readouterr().err
 
+    def test_predict_empty_model_file_argument(self, rates_csv, capsys):
+        assert main(["predict", "", str(rates_csv)]) == 1
+        assert capsys.readouterr().err == "error: no predictor file named\n"
+
 
 def test_fit_failure_names_the_cell(tmp_path, rates_csv, capsys):
     cfg = _config(tmp_path, rates_csv, "[split]\nfraction = 0.999\n")
