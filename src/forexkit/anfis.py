@@ -11,15 +11,16 @@ log space so normalized strengths stay well-defined far from the data; only
 inputs absurdly far outside the training range (max log-strength below the
 double-precision underflow point) raise NoRuleFires.
 
-`hybrid_train` given a sequence of training sets of one row count and width
-trains one model per set as a lockstep stack, and a single model is a stack
-of one in every engine function (`hybrid_train`, `lse_consequents`,
-`premise_gradient`, `premise_step`), so there is one code path.  The stack
-holds every model's premises and consequents along a leading axis:
-elementwise steps, einsums, row sums and the premise products run once over
-it, the least-squares solve once per row, and each row keeps its own rate,
-halvings, trace and rank flag, so each model is bit for bit what training it
-alone gives.  An epoch computes the normalized strengths once and reuses
+`hybrid_train` is the entry point for one model or many: given a sequence
+of training sets of one row count and width it trains one model per set as
+a lockstep stack, and a single training set is a stack of one, so there is
+one code path.  Its steps (`lse_consequents`, `premise_gradient`,
+`premise_step`) take only a stack and its Batches.  The stack holds every
+model's premises and consequents along a leading axis: elementwise steps,
+einsums, row sums and the premise products run once over it, the
+least-squares solve once per row, and each row keeps its own rate,
+halvings, trace and rank flag, so each model is bit for bit what training
+it alone gives.  An epoch computes the normalized strengths once and reuses
 them for the LSE, the epoch RMSE and the premise gradient.
 """
 
@@ -115,10 +116,10 @@ class AnfisModel:
 class _Stack:
     """K models of one shape as one: AnfisModel's fields with a leading
     stack axis (centers[i] and widths[i] are (K, m_i), consequents (K, rules,
-    terms)) and a rank flag per row.  The engine's functions take it in place
-    of a model, with a Batches of K training sets in place of a Dataset.  It
-    keeps its normalized strengths on the last features it was evaluated on
-    until a premise step moves it, so an epoch computes them once."""
+    terms)) and a rank flag per row.  The engine's steps take it with a
+    Batches of its K training sets.  It keeps its normalized strengths on
+    the last features it was evaluated on until a premise step moves it, so
+    an epoch computes them once."""
 
     def __init__(self, models):
         self.centers = tuple(np.stack(c) for c in zip(*(m.centers for m in models)))
@@ -187,17 +188,6 @@ def _rule_outputs(model, X: np.ndarray) -> np.ndarray:
     return np.einsum("...nt,...rt->...nr", _terms(model, X), model.consequents)
 
 
-def _as_stack(model, train) -> tuple:
-    """(stack, batch, single): a stack and its Batches as given, or a plain
-    model and Dataset as a stack of one (single is True)."""
-    if train.n_rows == 0:
-        raise ValueError("training set is empty")
-    if isinstance(model, _Stack):
-        return model, train, False
-    as_rows(train.features, model.n_features, "inputs")
-    return _Stack([model]), Batches([train]), True
-
-
 def predict(model: AnfisModel, x):
     """Convex combination of rule outputs under normalized strengths."""
     X = as_rows(x, model.n_features, "inputs")
@@ -207,20 +197,18 @@ def predict(model: AnfisModel, x):
 
 
 class LseResult(NamedTuple):
-    """For a stack: consequents (K, rules, terms), a tuple of per-row ranks,
-    and as rank_deficient the number of rank-deficient rows; for a single
-    model, a stack of one: (rules, terms), its rank and a bool."""
+    """Consequents (K, rules, terms), a tuple of per-row ranks, and as
+    rank_deficient the number of rank-deficient rows."""
 
     consequents: np.ndarray
-    rank: int | tuple
-    rank_deficient: bool | int
+    rank: tuple
+    rank_deficient: int
 
 
-def lse_consequents(model: AnfisModel, train: Dataset) -> LseResult:
-    """Least-squares consequents, shape (rules, terms), for the dataset's
-    target with premises fixed; minimum-norm on rank deficiency (flagged).
-    A stack solves one least-squares problem per row."""
-    stack, batch, single = _as_stack(model, train)
+def lse_consequents(stack: _Stack, batch: Batches) -> LseResult:
+    """Least-squares consequents for each row's targets with premises fixed,
+    one least-squares problem per row; minimum-norm on rank deficiency
+    (counted)."""
     X = batch.features
     w = _strengths(stack, X)                              # (K, n, R)
     base = _terms(stack, X)                               # (K, n, T)
@@ -229,16 +217,12 @@ def lse_consequents(model: AnfisModel, train: Dataset) -> LseResult:
     fits = [np.linalg.lstsq(d, y, rcond=None) for d, y in zip(design, batch.targets)]
     ranks = tuple(int(fit[2]) for fit in fits)
     coef = np.stack([fit[0] for fit in fits]).reshape(len(fits), w.shape[-1], -1)
-    if single:
-        return LseResult(coef[0], ranks[0], ranks[0] < full)
     return LseResult(coef, ranks, sum(rank < full for rank in ranks))
 
 
-def premise_gradient(model: AnfisModel, train: Dataset):
-    """Gradient of the summed squared error w.r.t. centers and widths, as
-    (per-input center grads, per-input width grads); (K, m_i) each for a
-    stack."""
-    stack, batch, single = _as_stack(model, train)
+def premise_gradient(stack: _Stack, batch: Batches):
+    """Gradient of each row's summed squared error w.r.t. centers and widths,
+    as (per-input center grads, per-input width grads), (K, m_i) each."""
     X = batch.features
     w = _strengths(stack, X)                              # (K, n, R)
     F = _rule_outputs(stack, X)                           # (K, n, R)
@@ -256,20 +240,14 @@ def premise_gradient(model: AnfisModel, train: Dataset):
         s = s[..., None, :]
         grad_c.append(np.sum(grouped * diff / s ** 2, axis=-2))
         grad_s.append(np.sum(grouped * diff ** 2 / s ** 3, axis=-2))
-    if single:
-        return [gc[0] for gc in grad_c], [gs[0] for gs in grad_s]
     return grad_c, grad_s
 
 
-def premise_step(model: AnfisModel, train: Dataset, rate: float) -> AnfisModel:
-    """One gradient-descent step on centers/widths; widths clamped >= 1e-6.
-    A stack takes one rate per row and steps in place, and a row whose rate
-    is 0 keeps its premises; a single model's rate must be > 0, and a new
-    model is returned."""
-    stack, batch, single = _as_stack(model, train)
-    if single and not rate > 0.0:
-        raise ValueError("rate must be > 0")
-    rate = np.array([rate] if single else rate, dtype=float)[:, None]
+def premise_step(stack: _Stack, batch: Batches, rates) -> None:
+    """One gradient-descent step on centers/widths in place, one rate per
+    row; widths clamped >= 1e-6, and a row whose rate is 0 keeps its
+    premises."""
+    rate = np.array(rates, dtype=float)[:, None]
     grad_c, grad_s = premise_gradient(stack, batch)
     centers = tuple(c - rate * gc for c, gc in zip(stack.centers, grad_c))
     widths = tuple(np.maximum(s - rate * gs, _WIDTH_FLOOR)
@@ -278,7 +256,6 @@ def premise_step(model: AnfisModel, train: Dataset, rate: float) -> AnfisModel:
     stack.centers = tuple(np.where(held, old, new) for old, new in zip(stack.centers, centers))
     stack.widths = tuple(np.where(held, old, new) for old, new in zip(stack.widths, widths))
     stack.seen = None
-    return stack.models()[0] if single else stack
 
 
 def init_model(train: Dataset, cfg: AnfisConfig) -> AnfisModel:
@@ -335,7 +312,7 @@ def hybrid_train(train, cfg: AnfisConfig = AnfisConfig()):
                 rates[k] *= 0.5
             traces[k].append(rmse)
         if any(rate > 0.0 for rate in rates):
-            stack = premise_step(stack, batch, rates)
+            premise_step(stack, batch, rates)
     stack.take(lse_consequents(stack, batch))
     models = stack.models()
     return (models[0], traces[0]) if single else (models, traces)

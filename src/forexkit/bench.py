@@ -70,6 +70,10 @@ class ExperimentConfig:
     out_dir: str = "bench_out"
 
     def __post_init__(self):
+        if not self.data_path:
+            raise ValueError("[data] path = : must name a rates file")
+        if not self.out_dir:
+            raise ValueError("[output] dir = : must name a directory")
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError(f"[split] fraction = {self.train_fraction}: must be in (0, 1)")
         if not self.models:

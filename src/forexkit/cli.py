@@ -62,6 +62,8 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    if args.output == "":
+        raise ValueError("-o/--output is empty: it must name a predictor file")
     cfg = bench.load_config(args.config)
     series = load_csv(cfg.data_path)
     configured = cfg.currencies if cfg.currencies is not None else tuple(series)
@@ -77,6 +79,8 @@ def _cmd_fit(args) -> int:
 def _forecast(model_file, csv) -> str:
     if not model_file:
         raise ValueError("no predictor file named")
+    if not csv:
+        raise ValueError("no rates file named")
     fitted = load_predictor(Path(model_file).read_text())
     series = load_csv(csv)
     months, preds = predict_rates(fitted, series)

@@ -9,8 +9,10 @@ its models dump in the engine's format, ``ReferenceAnfis`` likewise borrows
 own linked nodes and builds its grown trees with the engine's preorder
 constructor, ``ReferenceCsv`` borrows the ``RateSeries`` container, and
 ``hessian_vector_approx`` differences the SCG engine's own gradient.
-``with_consequents`` is a test helper, not an oracle: it puts an
-``lse_consequents`` result into an ``AnfisModel``.
+``stack_of_one`` and ``with_consequents`` are test helpers, not oracles:
+they put one ``AnfisModel`` and its data in the form the ANFIS engine's
+steps take, and an ``lse_consequents`` result of that stack back into the
+model.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from forexkit.anfis import AnfisModel, NoRuleFires
+from forexkit.anfis import AnfisModel, NoRuleFires, _Stack
 from forexkit.cart import _from_preorder
-from forexkit.data import RateSeries, as_rows, require_finite
+from forexkit.data import Batches, RateSeries, as_rows, require_finite
 from forexkit.mars import NEGATIVE, POSITIVE, Hinge, HingeBasis, MarsModel, eval_hinge, gcv
 from forexkit.scg import get_params, gradient, set_params
 
@@ -156,10 +158,18 @@ def hessian_vector_approx(net, batch, p: np.ndarray, sigma_k: float,
     return (g1 - g0) / sigma_k + lambda_k * p
 
 
+def stack_of_one(model: AnfisModel, train) -> tuple:
+    """(stack, batch): model and its training set as the ANFIS engine's
+    steps take them, a stack of one and its Batches."""
+    return _Stack([model]), Batches([train])
+
+
 def with_consequents(model: AnfisModel, result) -> AnfisModel:
-    """model with an lse_consequents result's consequents and rank flag."""
-    return replace(model, consequents=result.consequents,
-                   lse_rank_deficient=model.lse_rank_deficient or result.rank_deficient)
+    """model with the consequents and rank flag of an lse_consequents result
+    on its stack of one."""
+    [consequents] = result.consequents
+    return replace(model, consequents=consequents,
+                   lse_rank_deficient=model.lse_rank_deficient or result.rank_deficient > 0)
 
 
 class ReferenceAnfis:

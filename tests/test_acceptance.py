@@ -23,7 +23,8 @@ from forexkit.scg import scg_minimize
 from forexkit.synth import STEP7_LEVELS, forex5_series, step7_series, write_rates_csv
 
 from oracles import (brute_force_best_split, central_difference_gradient,
-                     hessian_vector_approx, normal_equations, with_consequents)
+                     hessian_vector_approx, normal_equations, stack_of_one,
+                     with_consequents)
 
 
 @pytest.fixture
@@ -203,8 +204,8 @@ def test_criterion_06_gradients_match_finite_differences(verdict):
     X = rng.uniform(0, 1, size=(40, 2))
     ds = Dataset(("a", "b"), X, np.sin(3 * X[:, 0]) + X[:, 1] ** 2)
     model = anfis.init_model(ds, anfis.AnfisConfig(mfs_per_input=2))
-    model = with_consequents(
-        model, anfis.LseResult(rng.normal(size=model.consequents.shape), 0, False))
+    cons = rng.normal(size=model.consequents.shape)
+    model = with_consequents(model, anfis.LseResult(cons[None], (cons.size,), 0))
     k = model.centers[0].size
 
     def sse_from_flat(flat):
@@ -217,8 +218,9 @@ def test_criterion_06_gradients_match_finite_differences(verdict):
 
     flat0 = np.concatenate(model.centers + model.widths)
     fd = central_difference_gradient(sse_from_flat, flat0, 1e-6)
-    grad_c, grad_s = anfis.premise_gradient(model, ds)
-    anfis_rel = float(np.max(np.abs(np.concatenate([*grad_c, *grad_s]) - fd))
+    grad_c, grad_s = anfis.premise_gradient(*stack_of_one(model, ds))
+    analytic = np.concatenate([g[0] for g in (*grad_c, *grad_s)])
+    anfis_rel = float(np.max(np.abs(analytic - fd))
                       / max(1.0, float(np.max(np.abs(fd)))))
     ok = mlp_rel < 1e-4 and anfis_rel < 1e-4
     verdict(6, ok, f"mlp rel={mlp_rel:.1e}, premise rel={anfis_rel:.1e}")
@@ -241,7 +243,7 @@ def test_criterion_07_rule_grid_and_lse(verdict):
                               widths=tuple(0.5 * s for s in model.widths),
                               consequents=model.consequents,
                               consequent=model.consequent)
-    res = anfis.lse_consequents(narrow, ds)
+    res = anfis.lse_consequents(*stack_of_one(narrow, ds))
     w = anfis._normalized_batch(narrow, X)
     base = np.concatenate([X, np.ones((n, 1))], axis=1)
     design = (w[:, :, None] * base[:, None, :]).reshape(n, -1)

@@ -12,7 +12,7 @@ from forexkit.data import Batches, Dataset, load_csv
 from forexkit.synth import forex5_series, write_rates_csv
 
 from oracles import (ReferenceAnfis, central_difference_gradient, normal_equations,
-                     with_consequents)
+                     stack_of_one, with_consequents)
 
 
 def _dataset(X, y, names=None):
@@ -28,6 +28,14 @@ def _grid_problem(n=120, seed=0):
     X = rng.uniform(0, 1, size=(n, 2))
     y = 1.5 * X[:, 0] - 0.7 * X[:, 1] + 0.3
     return Dataset(("a", "b"), X, y)
+
+
+def _stepped(model, train, rate):
+    """model after one premise step at rate on train, as a stack of one."""
+    stack, batch = stack_of_one(model, train)
+    premise_step(stack, batch, [rate])
+    [stepped] = stack.models()
+    return stepped
 
 
 class TestConfig:
@@ -109,19 +117,19 @@ class TestLse:
         ds = _dataset(np.array([[0.0], [1.0], [2.0]]), np.array([1.0, 2.0, 6.0]))
         cfg = AnfisConfig(mfs_per_input=2, consequent="constant")
         model = init_model(ds, cfg)
-        res = lse_consequents(model, ds)
+        res = lse_consequents(*stack_of_one(model, ds))
         fitted = with_consequents(model, res)
         # two constant rules reproduce a weighted fit; exact mean needs one rule,
         # so instead check the normal-equations oracle on the actual design.
         w = anfis._normalized_batch(model, ds.features)
         coef = normal_equations(w, ds.targets)
-        np.testing.assert_allclose(res.consequents[:, 0], coef, atol=1e-8)
+        np.testing.assert_allclose(res.consequents[0, :, 0], coef, atol=1e-8)
         assert np.isfinite(anfis.predict(fitted, ds.features)).all()
 
     def test_linear_target_recovered_exactly(self):
         ds = _grid_problem()
         model = init_model(ds, AnfisConfig(mfs_per_input=4))
-        fitted = with_consequents(model, lse_consequents(model, ds))
+        fitted = with_consequents(model, lse_consequents(*stack_of_one(model, ds)))
         resid = anfis.predict(fitted, ds.features) - ds.targets
         assert float(np.sqrt(np.mean(resid ** 2))) < 1e-8
 
@@ -131,7 +139,7 @@ class TestLse:
         y = np.sin(3 * X[:, 0])
         ds = _dataset(X, y)
         model = init_model(ds, AnfisConfig(mfs_per_input=3))
-        res = lse_consequents(model, ds)
+        res = lse_consequents(*stack_of_one(model, ds))
         w = anfis._normalized_batch(model, X)
         base = np.concatenate([X, np.ones((60, 1))], axis=1)
         design = (w[:, :, None] * base[:, None, :]).reshape(60, -1)
@@ -143,7 +151,7 @@ class TestLse:
         ds = _dataset(np.array([[0.5], [0.5]]), np.array([1.0, 1.0]))
         model = init_model(_dataset(np.array([[0.0], [1.0]]), np.zeros(2)),
                            AnfisConfig(mfs_per_input=2))
-        res = lse_consequents(model, ds)
+        res = lse_consequents(*stack_of_one(model, ds))
         assert res.rank_deficient
         fitted = with_consequents(model, res)
         assert anfis.predict(fitted, np.array([0.5])) == pytest.approx(1.0)
@@ -155,7 +163,7 @@ class TestPremiseGradient:
         model = init_model(ds, AnfisConfig(mfs_per_input=2))
         rng = np.random.default_rng(4)
         cons = rng.normal(size=model.consequents.shape)
-        model = with_consequents(model, anfis.LseResult(cons, 0, False))
+        model = with_consequents(model, anfis.LseResult(cons[None], (cons.size,), 0))
 
         def sse_from_flat(flat):
             k = model.centers[0].size
@@ -170,16 +178,16 @@ class TestPremiseGradient:
 
         flat0 = np.concatenate(model.centers + model.widths)
         numeric = central_difference_gradient(sse_from_flat, flat0, 1e-6)
-        grad_c, grad_s = premise_gradient(model, ds)
-        analytic = np.concatenate([*grad_c, *grad_s])
+        grad_c, grad_s = premise_gradient(*stack_of_one(model, ds))
+        analytic = np.concatenate([g[0] for g in (*grad_c, *grad_s)])
         scale = max(1.0, float(np.max(np.abs(numeric))))
         assert np.max(np.abs(analytic - numeric)) / scale < 1e-6
 
     def test_zero_gradient_at_perfect_fit(self):
         ds = _grid_problem()
         model = init_model(ds, AnfisConfig(mfs_per_input=2))
-        model = with_consequents(model, lse_consequents(model, ds))
-        grad_c, grad_s = premise_gradient(model, ds)
+        model = with_consequents(model, lse_consequents(*stack_of_one(model, ds)))
+        grad_c, grad_s = premise_gradient(*stack_of_one(model, ds))
         # linear target is inside the model class: residuals vanish
         assert max(float(np.max(np.abs(g))) for g in grad_c) < 1e-8
         assert max(float(np.max(np.abs(g))) for g in grad_s) < 1e-8
@@ -189,21 +197,13 @@ class TestPremiseGradient:
         x = rng.uniform(0, 1, 30)
         ds = _dataset(x, np.sin(7 * x))  # imperfect fit -> nonzero gradients
         model = init_model(ds, AnfisConfig(mfs_per_input=2))
-        model = with_consequents(model, lse_consequents(model, ds))
-        _, grad_s = premise_gradient(model, ds)
+        model = with_consequents(model, lse_consequents(*stack_of_one(model, ds)))
+        _, grad_s = premise_gradient(*stack_of_one(model, ds))
         assert any(np.any(g > 0) for g in grad_s)  # some width would collapse
-        stepped = premise_step(model, ds, rate=1e12)
+        stepped = _stepped(model, ds, rate=1e12)
         for s in stepped.widths:
             assert np.all(s >= 1e-6)
         assert any(np.any(s == 1e-6) for s in stepped.widths)
-
-    def test_step_requires_positive_rate(self):
-        ds = _grid_problem(n=20, seed=7)
-        model = init_model(ds, AnfisConfig(mfs_per_input=2))
-        with pytest.raises(ValueError, match="rate"):
-            premise_step(model, ds, rate=0.0)
-        with pytest.raises(ValueError, match="rate"):
-            premise_step(model, ds, rate=float("nan"))
 
 
 class TestHybridTrain:
@@ -431,12 +431,12 @@ class TestStack:
     def test_stacked_step_holds_rows_at_rate_zero(self):
         cfg = AnfisConfig(mfs_per_input=3)
         trains = [_grid_problem(n=30, seed=s) for s in (3, 4)]
-        models = [with_consequents(m, lse_consequents(m, t))
+        models = [with_consequents(m, lse_consequents(*stack_of_one(m, t)))
                   for m, t in ((init_model(t, cfg), t) for t in trains)]
         stack = anfis._Stack(models)
-        stack = premise_step(stack, Batches(trains), [0.0, 0.1])
+        premise_step(stack, Batches(trains), [0.0, 0.1])
         [held, moved] = stack.models()
-        stepped = premise_step(models[1], trains[1], 0.1)
+        stepped = _stepped(models[1], trains[1], 0.1)
         assert dump_model(held) == dump_model(models[0])
         assert dump_model(moved) == dump_model(stepped)
 

@@ -457,7 +457,8 @@ dir = somewhere
         with pytest.raises(ValueError, match=re.escape(key)):
             load_config(path)
 
-    # one bad value per section that can hold one ([output] dir takes any text)
+    # one bad value per section that can hold one ([output] dir takes any
+    # text but the empty one)
     _NAMED = [("data", "currencies", "GBP GBP", "duplicate currency code 'GBP'"),
               ("data", "currencies", "", "at least one currency code must be given"),
               ("split", "fraction", "1.5", "must be in (0, 1)"),
@@ -470,7 +471,8 @@ dir = somewhere
               ("anfis", "epochs", "0", "epochs must be >= 1"),
               ("anfis", "epochs", "two", "invalid literal for int() with base 10: 'two'"),
               ("anfis", "rate", "inf", "rate must be finite and >= 0"),
-              ("hybrid", "encoding", "onehot", "must be one of ")]
+              ("hybrid", "encoding", "onehot", "must be one of "),
+              ("output", "dir", "", "must name a directory")]
 
     @pytest.mark.parametrize("section, key, value, reason", _NAMED,
                              ids=[f"{s}.{k}={v}" for s, k, v, _ in _NAMED])
@@ -499,6 +501,11 @@ dir = somewhere
     def test_missing_data_path_rejected(self, tmp_path):
         path = self._write(tmp_path, "[split]\nseed = 1\n")
         with pytest.raises(ValueError, match="data.path"):
+            load_config(path)
+
+    def test_empty_data_path_rejected(self, tmp_path):
+        path = self._write(tmp_path, "[data]\npath =\n")
+        with pytest.raises(ValueError, match=r"^\[data\] path = : must name a rates file$"):
             load_config(path)
 
     # mars always prunes by GCV and searches additive models, so neither key

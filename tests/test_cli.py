@@ -80,6 +80,14 @@ class TestBench:
         assert main(["bench", str(cfg)]) == 1
         assert "data.turbo" in capsys.readouterr().err
 
+    def test_empty_output_dir_writes_nothing(self, tmp_path, rates_csv, capsys,
+                                             monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = _config(tmp_path, rates_csv, "[models]\nenabled = cart\n[output]\ndir =\n")
+        assert main(["bench", str(cfg)]) == 1
+        assert capsys.readouterr().err == "error: [output] dir = : must name a directory\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.ini"]
+
 
 class TestFitPredict:
     def test_fit_writes_named_predictor(self, tmp_path, rates_csv, capsys,
@@ -174,6 +182,23 @@ class TestFitPredict:
     def test_predict_empty_model_file_argument(self, rates_csv, capsys):
         assert main(["predict", "", str(rates_csv)]) == 1
         assert capsys.readouterr().err == "error: no predictor file named\n"
+
+    def test_predict_empty_rates_file_argument(self, tmp_path, rates_csv, capsys):
+        model_file = tmp_path / "m.model"
+        cfg = _config(tmp_path, rates_csv)
+        assert main(["fit", "mars", str(cfg), "-o", str(model_file)]) == 0
+        capsys.readouterr()
+        assert main(["predict", str(model_file), ""]) == 1
+        assert capsys.readouterr().err == "error: no rates file named\n"
+
+    def test_fit_empty_output_is_one_error_line(self, tmp_path, rates_csv, capsys,
+                                                monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = _config(tmp_path, rates_csv)
+        assert main(["fit", "mars", str(cfg), "-o", ""]) == 1
+        assert capsys.readouterr().err == (
+            "error: -o/--output is empty: it must name a predictor file\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.ini"]
 
 
 def test_fit_failure_names_the_cell(tmp_path, rates_csv, capsys):
