@@ -94,9 +94,9 @@ class ExperimentConfig:
             raise ValueError(f"[split] seed = {self.seed}: must be >= 0")
         if self.mlp_epochs < 1:
             raise ValueError(f"[mlp] epochs = {self.mlp_epochs}: must be >= 1")
-        if any(units < 1 for units in self.mlp_hidden):
+        if not self.mlp_hidden or min(self.mlp_hidden) < 1:
             raise ValueError(f"[mlp] hidden = {' '.join(map(str, self.mlp_hidden))}: "
-                             "every hidden layer needs >= 1 unit")
+                             "needs at least one hidden layer, each of >= 1 unit")
         for model in MODELS:
             if self.recipe_for(model) not in RECIPES:
                 raise ValueError(f"[{model}] recipe = {self.recipe_for(model)}: "

@@ -378,6 +378,7 @@ def dump_tree(tree: CartTree) -> str:
 
 _NODE_FIELDS = {"leaf": ("id", "mean", "count", "sse"),
                 "split": ("var", "threshold", "mean", "count", "sse")}
+_COUNT_MAX = np.iinfo(np.int64).max  # a node count must fit the tree's int64 array
 
 
 def load_tree(text: str) -> CartTree:
@@ -406,7 +407,7 @@ def load_tree(text: str) -> CartTree:
         if not wanted or len(pairs) != len(wanted) or set(fields) != set(wanted):
             raise ValueError(f"line {no}: expected a leaf or split node")
         stats = (number(no, fields["mean"]),
-                 integer(no, fields["count"], 0, np.iinfo(np.int64).max),
+                 integer(no, fields["count"], 0, _COUNT_MAX),
                  number(no, fields["sse"]))
         if stats[2] < 0.0:
             raise ValueError(f"line {no}: sse must be >= 0, got {fields['sse']}")

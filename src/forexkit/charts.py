@@ -34,6 +34,8 @@ def _nice_ticks(lo: float, hi: float, want: int = 5):
     v = first
     while v <= hi + step * 1e-9:
         ticks.append(0.0 if abs(v) < step * 1e-9 else v)
+        if v + step == v:  # step at most half an ulp of v: no further tick
+            break
         v += step
     return ticks
 

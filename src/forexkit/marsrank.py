@@ -39,10 +39,11 @@ these:
   ERR_SAFETY), and the exact one is at most min(a, c) |g|^2, so a pair
   collinear for the block is collinear for the dense gain too, which is
   then the single one, even where ac - b^2 cancels;
-- for the other knots, det and num take the bounds of their factors
-  exactly, through (|x| + e)(|y| + f) - |x||y| for a product, and
-  num / det gets an interval where det clears pair_gain's collinearity
-  test for both.
+- for the other knots, det = ac - b^2 and num = c rp^2 - 2b rp rm +
+  a rm^2, of one form for the block and the dense gain, take the bounds of
+  their factors exactly, through (|x| + e)(|y| + f) - |x||y| for a
+  product, and num / det gets an interval where det clears pair_gain's
+  collinearity test for both.
 
 Any other knot's bound is inf.  ERR_SAFETY on gamma covers the rest: Q
 orthonormal and the constant in span(Q) to within gamma, the rounding of
@@ -96,11 +97,10 @@ class SweepBlock:
     keeps those sums of Q's columns, qp = Q'u+ and qm = Q'u- (k x capacity),
     and the row sums |qp|^2, qp.qm and |qm|^2, so a call costs O(n) per new
     column of Q, O(n) for the sums that follow r, and O(k m) for qp'(Q'r)
-    and qm'(Q'r).  As the constant is in span(Q), vp - vm = g, the part of
-    x off span(Q), for every t, so det and num follow from the Lagrange
-    identity with p = vp.g = u+.g: det = a|g|^2 - p^2 and num = |g|^2 rp^2 -
-    2p rp (g.r) + a (g.r)^2.  Unlike ac - b^2 these do not cancel when the
-    pair is collinear.
+    and qm'(Q'r).  det and num take the dense projections' form.  As the
+    constant is in span(Q), vp - vm = g, the part of x off span(Q), for
+    every t; |g| caps det where ac - b^2 cancels and passes an appended
+    member's bound to the other (see the module docstring).
     """
 
     def __init__(self, X, variables, orders, capacity):
@@ -187,35 +187,25 @@ class SweepBlock:
     def _terms(self, Q, r, qr):
         """The block's terms at every knot for the current Q and residual r
         (qr is Q'r, r's rounding-level part in span(Q), which vp and vm lack),
-        and for gains: rows (a, c) and (rp, rm), p, |g|^2, g.r, |r|^2 and
-        which of det and num took the Lagrange form."""
+        and for gains: rows (a, c) and (rp, rm), |g|^2 and |r|^2."""
         if Q.shape[1] > self.m:
             self._advance(Q)
-        m, t, g = self.m, self.t, self.g
+        m, t = self.m, self.t
         rs = r[self.order]
-        below, above = self._runs(np.column_stack((rs, rs * self.xs, g, self.xs * g)))
-        sr, srx, sg, sxg = above.T
+        below, above = self._runs(np.column_stack((rs, rs * self.xs)))
         r_pm = np.empty_like(self.norm)  # rows rp, rm
+        sr, srx = above.T
         np.subtract(srx, t * sr, out=r_pm[0])
         r_pm[0] -= self.qp[:, :m] @ qr
-        p = sxg - t * sg
-        sr, srx, _, _ = below.T
+        sr, srx = below.T
         np.subtract(t * sr, srx, out=r_pm[1])
         r_pm[1] -= self.qm[:, :m] @ qr
         ac = self.norm - self.sq
         (a, c), (rp, rm), b = ac, r_pm, -self.pm
-        gg, gr = self._dots(g, g), self._dots(g, rs)
-        # each of det and num from whichever form sums smaller terms
-        ag, pp, a_c, bb = a * gg, p * p, a * c, b * b
-        lag_det = ag + pp < a_c + bb
-        det = np.where(lag_det, ag - pp, a_c - bb)
-        rp2 = rp * rp
-        l1, l2, l3 = gg * rp2, 2.0 * p * rp * gr, a * gr ** 2
-        n1, n2, n3 = c * rp2, 2.0 * b * rp * rm, a * rm ** 2
-        lag_num = np.abs(l1) + np.abs(l2) + l3 < np.abs(n1) + np.abs(n2) + n3
-        num = np.where(lag_num, l1 - l2 + l3, n1 - n2 + n3)
+        det = a * c - b * b
+        num = c * rp ** 2 - 2.0 * b * rp * rm + a * rm ** 2
         return (a, b, c, rp, rm, self.norm[0], self.norm[1], det, num), \
-            (ac, r_pm, p, gg, gr, self._dots(rs, rs), lag_det, lag_num)
+            (ac, r_pm, self._dots(self.g, self.g), self._dots(rs, rs))
 
     def gains(self, Q, r, qr):
         """pair_gain of the terms at every knot, and err, a bound on how far
@@ -243,7 +233,7 @@ class SweepBlock:
     def _dense_range(self, terms, extra):
         """Per knot, an interval that holds the dense gain; the bounds are
         set out in the module docstring."""
-        ac, r_pm, _, gg, _, rr, _, _ = extra
+        ac, r_pm, gg, rr = extra
         u, n, m, mag = 2.0 ** -53, self.n, self.m, self.mag
         gamma = ERR_SAFETY * n * u
         k = (5.0 + 4.0 * math.sqrt(m)) * gamma
@@ -294,40 +284,31 @@ class SweepBlock:
         hi = np.where(ill, single_hi, np.inf)
         i = np.flatnonzero(~ill & (single_hi < np.inf))
         if len(i):
-            pair_lo, pair_hi = self._pair_range(
-                [x[i] for x in terms], extra, i, (gamma, k, ur[i], gn[i], e_g[i]),
-                (ac_lo[:, i], ac_hi[:, i], w[i], root_cap[i]))
+            pair_lo, pair_hi = self._pair_range([x[i] for x in terms], i, k, ur[i],
+                                                (ac_lo[:, i], ac_hi[:, i], w[i], root_cap[i]))
             lo[i] = np.maximum(lo[i], pair_lo)
             hi[i] = np.maximum(single_hi[i], pair_hi)
         return lo, hi
 
-    def _pair_range(self, terms, extra, i, scales, det_bounds):
+    def _pair_range(self, terms, i, k, ur, det_bounds):
         """For the knots i that no certificate settles, given their terms:
         an interval for the dense pair gain num / det where det clears
         pair_gain's collinearity test for both the fast and the dense terms,
         [0, 0] where it fails it for both, and an unbounded one otherwise.
-        det and num of the fast terms lie within the bounds of their factors,
-        in the form each took, of the exact ones; the dense ones, always
-        ac - b^2 and c rp^2 - 2b rp rm + a rm^2, within twice those."""
+        det and num of the fast terms lie within the bounds of their factors
+        of the exact ones; the dense ones, of the same form, within twice
+        those."""
         a, b, c, rp, rm, _, _, det, num = terms
-        _, _, p, gg, gr, _, lag_det, lag_num = extra
-        p, gg, gr, lag_det, lag_num = p[i], gg[i], gr[i], lag_det[i], lag_num[i]
-        (gamma, k, ur, gn, e_g), (ac_lo, ac_hi, w, root_cap) = scales, det_bounds
-        u, n, (up, um), ug = 2.0 ** -53, self.n, self.mag[:, i], self.mag_g[i]
+        ac_lo, ac_hi, w, root_cap = det_bounds
+        u, n, (up, um) = 2.0 ** -53, self.n, self.mag[:, i]
         A, B, C = (a, k * up * up), (b, k * up * um), (c, k * um * um)
         RP, RM = (rp, k * up * ur), (rm, k * um * ur)
-        P = (p, up * (gamma * (gn + ug) + 2.0 * e_g))
-        GG = (gg, gn * (gamma * gn + 2.0 * e_g) + e_g * e_g)
-        GR = (gr, ur * (gamma * gn + e_g))
-        d_fast = np.where(lag_det, _spread(A, GG) + _spread(P, P), _spread(A, C) + _spread(B, B)) \
-            + 3.0 * u * (np.abs(a * c) + b * b + np.abs(a * gg) + p * p)
-        n_dev = np.where(lag_num, _spread(GG, RP, RP) + 2.0 * _spread(P, RP, GR) + _spread(A, GR, GR),
-                         _spread(C, RP, RP) + 2.0 * _spread(B, RP, RM) + _spread(A, RM, RM))
+        d_fast = _spread(A, C) + _spread(B, B) + 3.0 * u * (np.abs(a * c) + b * b)
+        n_dev = _spread(C, RP, RP) + 2.0 * _spread(B, RP, RM) + _spread(A, RM, RM)
         A, B, C, RP, RM = ((x, 2.0 * e) for x, e in (A, B, C, RP, RM))
         d_dev = d_fast + _spread(A, C) + _spread(B, B)
         n_dev = n_dev + _spread(C, RP, RP) + 2.0 * _spread(B, RP, RM) + _spread(A, RM, RM) \
-            + 6.0 * u * (np.abs(c * rp * rp) + np.abs(2.0 * b * rp * rm) + np.abs(a * rm * rm)
-                         + np.abs(gg * rp * rp) + np.abs(2.0 * p * rp * gr) + np.abs(a * gr * gr))
+            + 6.0 * u * (np.abs(c * rp * rp) + np.abs(2.0 * b * rp * rm) + np.abs(a * rm * rm))
         rho = (4.0 * n + 4.0) * u * ac_hi[0] * ac_hi[1]
         root_hi = np.minimum(np.sqrt(np.maximum(det + d_fast, 0.0)), root_cap)
         det_hi = np.minimum(det + d_dev, (root_hi + w) ** 2 + rho)

@@ -33,7 +33,8 @@ def small_report(rates_csv):
 
 # (ExperimentConfig field, value, INI key) that the config must reject
 _BAD_VALUES = [("mlp_epochs", 0, "[mlp] epochs"), ("mlp_epochs", -5, "[mlp] epochs"),
-               ("mlp_hidden", (0, 4), "[mlp] hidden"), ("seed", -1, "[split] seed"),
+               ("mlp_hidden", (0, 4), "[mlp] hidden"), ("mlp_hidden", (), "[mlp] hidden"),
+               ("seed", -1, "[split] seed"),
                *((f"{m}_recipe", "mp7", f"[{m}] recipe") for m in MODELS),
                ("hybrid_encoding", "onehot", "[hybrid] encoding"),
                ("models", ("mars", "mars", "cart"), "[models] enabled"),

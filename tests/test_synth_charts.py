@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from forexkit.charts import PALETTE, line_chart
+from forexkit.charts import PALETTE, _nice_ticks, line_chart
 from forexkit.data import load_csv
 from forexkit.synth import (FOREX5_CODES, STEP7_LEVELS, STEP7_MONTHS,
                             forex5_series, make_recipe, step7_series,
@@ -137,3 +137,10 @@ class TestLineChart:
     def test_empty_series_rejected(self):
         with pytest.raises(ValueError):
             line_chart("t", "x", "y", [])
+
+    def test_ticks_end_where_a_step_cannot_move_them(self):
+        """Near 1e16 a tick step of 1 is half an ulp, so adding it
+        leaves the tick where it is; the ticks end there."""
+        assert _nice_ticks(1e16, 1e16 + 4) == [1e16]
+        svg = line_chart("t", "x", "y", [("a", [1e16, 1e16 + 4], [1e16, 1e16 + 4])])
+        assert svg.count(">1e+16<") == 2  # one tick label per axis
