@@ -27,7 +27,6 @@ from pathlib import Path
 from . import anfis, cart, charts, mars
 from .data import (RECIPES, Dataset, FeatureSpec, ScalerParams, apply_scaler,
                    build_supervised, fit_scaler, load_csv, rmse, split)
-from .hybrid import ENCODINGS
 from .kinds import KINDS, CellError
 
 MODELS = tuple(KINDS)
@@ -66,7 +65,6 @@ class ExperimentConfig:
     mlp_hidden: tuple = (14, 14)
     mlp_epochs: int = 2000
     anfis_cfg: anfis.AnfisConfig = anfis.AnfisConfig()
-    hybrid_encoding: str = "one_hot_leaf"
     out_dir: str = "bench_out"
 
     def __post_init__(self):
@@ -101,9 +99,6 @@ class ExperimentConfig:
             if self.recipe_for(model) not in RECIPES:
                 raise ValueError(f"[{model}] recipe = {self.recipe_for(model)}: "
                                  f"must be one of {' '.join(RECIPES)}")
-        if self.hybrid_encoding not in ENCODINGS:
-            raise ValueError(f"[hybrid] encoding = {self.hybrid_encoding}: "
-                             f"must be one of {' '.join(ENCODINGS)}")
         for key, names, what in (("[models] enabled", self.models, "model"),
                                  ("[data] currencies", self.currencies or (), "currency code")):
             repeated = [name for i, name in enumerate(names) if name in names[:i]]
@@ -112,6 +107,11 @@ class ExperimentConfig:
 
     def recipe_for(self, model: str) -> str:
         return getattr(self, f"{model}_recipe")
+
+    @property
+    def hybrid_encoding(self) -> str:
+        # read only by perfbench/run.py:fit_predictor; ROADMAP item 9 deletes it
+        return "one_hot_leaf"
 
 
 @dataclass(frozen=True, eq=False)  # it holds arrays, so compares by identity
@@ -334,7 +334,7 @@ _INI = {
               "epochs": ("anfis_cfg.epochs", int),
               "rate": ("anfis_cfg.rate", float),
               "consequent": ("anfis_cfg.consequent", str)},
-    "hybrid": {"recipe": ("hybrid_recipe", str), "encoding": ("hybrid_encoding", str)},
+    "hybrid": {"recipe": ("hybrid_recipe", str)},
     "output": {"dir": ("out_dir", str)},
 }
 

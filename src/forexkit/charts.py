@@ -9,6 +9,7 @@ styling is configurable beyond the title, axis labels, and series names.
 from __future__ import annotations
 
 import math
+import sys
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
            "#8c564b", "#17becf", "#7f7f7f")
@@ -17,13 +18,25 @@ _W, _H = 720, 480
 _ML, _MR, _MT, _MB = 64, 168, 48, 52  # margins: left, right (legend), top, bottom
 
 
+def _half_span(lo: float, hi: float) -> float:
+    """(hi - lo) / 2, which cannot overflow for finite ends; halving first is
+    exact for normal doubles, so it keeps the bits of the plain difference."""
+    return hi / 2 - lo / 2
+
+
+def _axis(lo: float, hi: float, share: float):
+    """The drawn range of data in [lo, hi]: padded by ``share`` of its span.
+    A span that halves to below the smallest normal double (a constant series
+    among them) is padded by a tenth of |lo|, at least 1, instead.  The ends
+    are clamped to finite doubles."""
+    half = _half_span(lo, hi)
+    pad = 2 * share * half if half >= sys.float_info.min else max(1.0, abs(lo) * 0.1)
+    return max(lo - pad, -sys.float_info.max), min(hi + pad, sys.float_info.max)
+
+
 def _nice_ticks(lo: float, hi: float, want: int = 5):
-    """Round tick positions covering [lo, hi]."""
-    if not math.isfinite(lo) or not math.isfinite(hi):
-        raise ValueError("tick range must be finite")
-    if hi <= lo:
-        lo, hi = lo - 1.0, hi + 1.0
-    raw = (hi - lo) / want
+    """Round tick positions covering [lo, hi], for finite lo < hi."""
+    raw = _half_span(lo, hi) / want * 2
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         step = mult * mag
@@ -62,27 +75,21 @@ def line_chart(title: str, x_label: str, y_label: str, series) -> str:
               for name, xs, ys in series]
     if not series or any(len(xs) != len(ys) or not xs for _, xs, ys in series):
         raise ValueError("each series needs equally many x and y values (>= 1)")
-    x_lo = min(min(xs) for _, xs, _ in series)
-    x_hi = max(max(xs) for _, xs, _ in series)
-    y_lo = min(min(ys) for _, _, ys in series)
-    y_hi = max(max(ys) for _, _, ys in series)
-    if x_hi <= x_lo:
-        x_lo, x_hi = x_lo - 1.0, x_hi + 1.0
-    if y_hi <= y_lo:
-        pad = max(1.0, abs(y_lo) * 0.1)
-        y_lo, y_hi = y_lo - pad, y_hi + pad
-    else:
-        pad = 0.05 * (y_hi - y_lo)
-        y_lo, y_hi = y_lo - pad, y_hi + pad
+    if not all(math.isfinite(v) for _, xs, ys in series for v in xs + ys):
+        raise ValueError("chart values must be finite")
+    x_lo, x_hi = _axis(min(min(xs) for _, xs, _ in series),
+                       max(max(xs) for _, xs, _ in series), 0.0)
+    y_lo, y_hi = _axis(min(min(ys) for _, _, ys in series),
+                       max(max(ys) for _, _, ys in series), 0.05)
 
     plot_w = _W - _ML - _MR
     plot_h = _H - _MT - _MB
 
     def px(x):
-        return _ML + (x - x_lo) / (x_hi - x_lo) * plot_w
+        return _ML + _half_span(x_lo, x) / _half_span(x_lo, x_hi) * plot_w
 
     def py(y):
-        return _MT + plot_h - (y - y_lo) / (y_hi - y_lo) * plot_h
+        return _MT + plot_h - _half_span(y_lo, y) / _half_span(y_lo, y_hi) * plot_h
 
     out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
            f'viewBox="0 0 {_W} {_H}">',

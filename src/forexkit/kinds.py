@@ -81,8 +81,7 @@ class _Hybrid(Kind):
     module, dump_name, load_name = hybrid, "dump_hybrid", "load_hybrid"
 
     def fit(self, cfg, train, selection, seed_key):
-        return hybrid.fit_hybrid(train, selection, cfg.cart_cfg, cfg.mars_cfg,
-                                 cfg.hybrid_encoding), {}
+        return hybrid.fit_hybrid(train, selection, cfg.cart_cfg, cfg.mars_cfg), {}
 
 
 class _Stacked(Kind):

@@ -36,7 +36,6 @@ _BAD_VALUES = [("mlp_epochs", 0, "[mlp] epochs"), ("mlp_epochs", -5, "[mlp] epoc
                ("mlp_hidden", (0, 4), "[mlp] hidden"), ("mlp_hidden", (), "[mlp] hidden"),
                ("seed", -1, "[split] seed"),
                *((f"{m}_recipe", "mp7", f"[{m}] recipe") for m in MODELS),
-               ("hybrid_encoding", "onehot", "[hybrid] encoding"),
                ("models", ("mars", "mars", "cart"), "[models] enabled"),
                ("currencies", ("GBP", "GBP"), "[data] currencies")]
 
@@ -412,7 +411,7 @@ mfs_per_input = 3
 rate = 0.005
 
 [hybrid]
-encoding = leaf_prediction
+recipe = mp5
 
 [output]
 dir = somewhere
@@ -429,7 +428,7 @@ dir = somewhere
         assert cfg.mlp_epochs == 50
         assert cfg.anfis_cfg.mfs_per_input == 3
         assert cfg.anfis_cfg.rate == 0.005
-        assert cfg.hybrid_encoding == "leaf_prediction"
+        assert cfg.hybrid_recipe == "mp5"
         assert cfg.out_dir == "somewhere"
 
     def test_byte_order_mark_accepted(self, tmp_path, rates_csv):
@@ -472,7 +471,7 @@ dir = somewhere
               ("anfis", "epochs", "0", "epochs must be >= 1"),
               ("anfis", "epochs", "two", "invalid literal for int() with base 10: 'two'"),
               ("anfis", "rate", "inf", "rate must be finite and >= 0"),
-              ("hybrid", "encoding", "onehot", "must be one of "),
+              ("hybrid", "recipe", "mp7", "must be one of mp1 mp5"),
               ("output", "dir", "", "must name a directory")]
 
     @pytest.mark.parametrize("section, key, value, reason", _NAMED,
@@ -491,6 +490,11 @@ dir = somewhere
     def test_unknown_key_rejected(self, tmp_path, rates_csv):
         path = self._write(tmp_path, f"[data]\npath = {rates_csv}\nfmt = csv\n")
         with pytest.raises(ValueError, match="data.fmt"):
+            load_config(path)
+        # the hybrid encodes its leaves one-hot only, so it has no encoding to choose
+        path = self._write(tmp_path, f"[data]\npath = {rates_csv}\n\n"
+                                     "[hybrid]\nencoding = one_hot_leaf\n")
+        with pytest.raises(ValueError, match="unknown key hybrid.encoding in "):
             load_config(path)
 
     def test_unknown_section_rejected(self, tmp_path, rates_csv):

@@ -6,8 +6,7 @@ import pytest
 from forexkit import cart, hybrid, mars
 from forexkit.cart import CartConfig, grow
 from forexkit.data import Dataset
-from forexkit.hybrid import (HybridModel, augment, dump_hybrid, fit_hybrid,
-                             load_hybrid)
+from forexkit.hybrid import augment, dump_hybrid, fit_hybrid, load_hybrid
 from forexkit.mars import MarsConfig
 
 
@@ -41,7 +40,7 @@ def _three_leaf_tree(seed=0):
 class TestAugment:
     def test_one_hot_adds_leaf_indicator_columns(self):
         ds, tree = _three_leaf_tree()
-        out = augment(ds, tree, "one_hot_leaf")
+        out = augment(ds, tree)
         assert out.n_features == 1 + 3
         assert out.feature_names == ("x", "leaf_0", "leaf_1", "leaf_2")
         extra = out.features[:, 1:]
@@ -52,7 +51,7 @@ class TestAugment:
 
     def test_targets_and_original_columns_bit_exact(self):
         ds, tree = _three_leaf_tree(1)
-        out = augment(ds, tree, "one_hot_leaf")
+        out = augment(ds, tree)
         assert out.features[:, 0].tobytes() == ds.features[:, 0].tobytes()
         assert out.targets.tobytes() == ds.targets.tobytes()
 
@@ -62,32 +61,20 @@ class TestAugment:
         y = np.where(x < 1.5, 0.0, 1.0)
         ds = _dataset(x, y, provenance=np.arange(100, 140))
         tree = grow(ds, CartConfig(min_node_size=5))
-        out = augment(ds, tree, "leaf_prediction")
+        out = augment(ds, tree)
         np.testing.assert_array_equal(out.provenance, ds.provenance)
-
-    def test_leaf_prediction_column_is_tree_output(self):
-        ds, tree = _three_leaf_tree(3)
-        out = augment(ds, tree, "leaf_prediction")
-        assert out.feature_names[-1] == "leaf_prediction"
-        np.testing.assert_array_equal(out.features[:, -1],
-                                      cart.predict(tree, ds.features))
 
     def test_augment_twice_is_identical(self):
         ds, tree = _three_leaf_tree(4)
-        a = augment(ds, tree, "one_hot_leaf")
-        b = augment(ds, tree, "one_hot_leaf")
+        a = augment(ds, tree)
+        b = augment(ds, tree)
         assert a.features.tobytes() == b.features.tobytes()
 
     def test_dimension_mismatch_rejected(self):
         ds, tree = _three_leaf_tree(5)
         wide = Dataset(("a", "b"), np.zeros((4, 2)), np.zeros(4))
         with pytest.raises(ValueError, match="tree expects"):
-            augment(wide, tree, "one_hot_leaf")
-
-    def test_unknown_encoding_rejected(self):
-        ds, tree = _three_leaf_tree(6)
-        with pytest.raises(ValueError, match="encoding"):
-            augment(ds, tree, "binary")
+            augment(wide, tree)
 
 
 class TestFitHybrid:
@@ -140,6 +127,11 @@ class TestFitHybrid:
         with pytest.raises(ValueError, match="empty"):
             fit_hybrid(empty, test)
 
+    def test_only_the_one_hot_encoding_is_accepted(self):
+        train, test = _steps_problem()
+        with pytest.raises(ValueError, match="'leaf_prediction'"):
+            fit_hybrid(train, test, CartConfig(), MarsConfig(), "leaf_prediction")
+
 
 class TestComposition:
     def test_predict_equals_spline_on_augmented_features(self):
@@ -149,7 +141,7 @@ class TestComposition:
         X = np.random.default_rng(13).uniform(-0.5, 3.5, size=(100, 1))
         direct = hybrid.predict(model, X)
         via_parts = mars.predict(
-            model.mars, hybrid._augment_features(X, model.cart, model.encoding))
+            model.mars, hybrid._augment_features(X, model.cart))
         assert direct.tobytes() == via_parts.tobytes()
 
     def test_single_vector_form(self):
@@ -180,19 +172,19 @@ class TestSerialization:
         model = fit_hybrid(train, test, CartConfig(min_node_size=5),
                            MarsConfig(max_basis_functions=8))
         clone = load_hybrid(dump_hybrid(model))
-        assert clone.encoding == model.encoding
         assert clone.augmented_names == model.augmented_names
         X = np.random.default_rng(17).uniform(0, 3, size=(100, 1))
         assert hybrid.predict(model, X).tobytes() == hybrid.predict(clone, X).tobytes()
         assert dump_hybrid(clone) == dump_hybrid(model)
 
-    def test_both_encodings_round_trip(self):
+    def test_one_hot_leaf_round_trips(self):
         train, test = _steps_problem(18)
-        for encoding in hybrid.ENCODINGS:
-            model = fit_hybrid(train, test, encoding=encoding)
-            clone = load_hybrid(dump_hybrid(model))
-            x = np.array([0.7])
-            assert hybrid.predict(model, x) == hybrid.predict(clone, x)
+        model = fit_hybrid(train, test)
+        text = dump_hybrid(model)
+        assert text.splitlines()[1] == "encoding one_hot_leaf"
+        clone = load_hybrid(text)
+        x = np.array([0.7])
+        assert hybrid.predict(model, x) == hybrid.predict(clone, x)
 
     def test_load_rejects_bad_header(self):
         with pytest.raises(ValueError, match="hybrid-cart-mars"):
@@ -201,11 +193,3 @@ class TestSerialization:
     def test_load_rejects_missing_sections(self):
         with pytest.raises(ValueError, match="encoding"):
             load_hybrid("hybrid-cart-mars v1\nnot-encoding x\n")
-
-
-class TestModelValidation:
-    def test_encoding_checked_at_construction(self):
-        ds, tree = _three_leaf_tree(19)
-        m = mars.fit(augment(ds, tree, "one_hot_leaf"), MarsConfig())
-        with pytest.raises(ValueError, match="encoding"):
-            HybridModel(tree, m, "unknown")

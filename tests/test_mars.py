@@ -251,8 +251,7 @@ def _hybrid_forex5(months, code):
     block of two knots."""
     train, test = _scaled_split(synth.forex5_series(7, months), code)
     tree = cart.select_min_cost(cart.prune_sequence(cart.grow(train), train), test)
-    return (hybrid.augment(train, tree, "one_hot_leaf"),
-            hybrid.augment(test, tree, "one_hot_leaf"))
+    return hybrid.augment(train, tree), hybrid.augment(test, tree)
 
 
 _GRID = list(_exact_grid()) + [

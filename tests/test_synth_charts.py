@@ -1,5 +1,7 @@
 """Synthetic data recipes and the SVG line-chart writer."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -144,3 +146,25 @@ class TestLineChart:
         assert _nice_ticks(1e16, 1e16 + 4) == [1e16]
         svg = line_chart("t", "x", "y", [("a", [1e16, 1e16 + 4], [1e16, 1e16 + 4])])
         assert svg.count(">1e+16<") == 2  # one tick label per axis
+
+    _MAX = sys.float_info.max
+    # (xs, ys) whose span underflows, overflows, or is constant far from 0
+    _EXTREME = {"ys-subnormal-span": ([0.0, 1.0], [0.0, 5e-324]),
+                "ys-overflowing-span": ([0.0, 1.0], [-1e308, 1e308]),
+                "xs-subnormal-span": ([0.0, 5e-324], [0.0, 1.0]),
+                "xs-overflowing-span": ([-1e308, 1e308], [0.0, 1.0]),
+                "xs-constant-at-1e17": ([1e17, 1e17], [0.0, 1.0]),
+                "every-double": ([-_MAX, _MAX], [_MAX, -_MAX])}
+
+    @pytest.mark.parametrize("xs, ys", _EXTREME.values(), ids=_EXTREME.keys())
+    def test_extreme_finite_ranges_render(self, xs, ys):
+        svg = line_chart("t", "x", "y", [("a", xs, ys)])
+        assert "nan" not in svg and "inf" not in svg
+        assert 'text-anchor="middle" font-family="sans-serif" font-size="11">' in svg
+        assert 'text-anchor="end" dy="4" font-family="sans-serif" font-size="11">' in svg
+
+    @pytest.mark.parametrize("ys", [[0.0, float("nan"), 1.0], [0.0, 1.0, float("inf")]],
+                             ids=["nan-inside", "inf-at-end"])
+    def test_non_finite_value_rejected(self, ys):
+        with pytest.raises(ValueError, match="chart values must be finite"):
+            line_chart("t", "x", "y", [("a", [0.0, 1.0, 2.0], ys)])
