@@ -9,7 +9,15 @@ premise centers and widths with consequents held fixed, iterated per epoch.
 Rule firing strengths are products of Gaussian memberships, accumulated in
 log space so normalized strengths stay well-defined far from the data; only
 inputs absurdly far outside the training range (max log-strength below the
-double-precision underflow point) raise NoRuleFires.
+double-precision underflow point) raise NoRuleFires.  The log strengths are
+built rules-first, as (rules, rows): each input's (m_i, rows) membership
+block in place, then their broadcast outer sum in grid order, starting from
+0.0, which adds in the order a rows-first sum over the grid does.  A row's
+peak is 0.0 plus each input's maximum in turn; rounded addition is monotone
+in each operand, so this is the max over the rules bit for bit, and a NaN
+still gives a NaN peak.  One copy lays the shifted exponentials out as
+(rows, rules), so the row sums run over a contiguous last axis as numpy's
+pairwise sum did rows-first, and every strength keeps its bits.
 
 `hybrid_train` is the entry point for one model or many: given a sequence
 of training sets of one row count and width it trains one model per set as
@@ -21,7 +29,8 @@ einsums, row sums and the premise products run once over it, the
 least-squares solve once per row, and each row keeps its own rate,
 halvings, trace and rank flag, so each model is bit for bit what training
 it alone gives.  An epoch computes the normalized strengths once and reuses
-them for the LSE, the epoch RMSE and the premise gradient.
+them for the LSE, the epoch RMSE and the premise gradient, and the rule
+outputs and forecast once for the epoch RMSE and the premise gradient.
 """
 
 from __future__ import annotations
@@ -118,8 +127,9 @@ class _Stack:
     stack axis (centers[i] and widths[i] are (K, m_i), consequents (K, rules,
     terms)) and a rank flag per row.  The engine's steps take it with a
     Batches of its K training sets.  It keeps its normalized strengths on
-    the last features it was evaluated on until a premise step moves it, so
-    an epoch computes them once."""
+    the last features it was evaluated on until a premise step moves it, and
+    its rule outputs and forecast on them until new consequents or a premise
+    step, so an epoch computes each once."""
 
     def __init__(self, models):
         self.centers = tuple(np.stack(c) for c in zip(*(m.centers for m in models)))
@@ -129,6 +139,7 @@ class _Stack:
         self.lse_rank_deficient = [m.lse_rank_deficient for m in models]
         self.grid = models[0].rule_grid()
         self.seen = self.strengths = None  # features, and the strengths on them
+        self.outputs = None  # (rule outputs, forecast) on seen
 
     def rule_grid(self) -> np.ndarray:
         return self.grid
@@ -136,7 +147,7 @@ class _Stack:
     def take(self, result: LseResult):
         """Adopt a stacked LSE's consequents and fold in its rows' rank flags."""
         full = self.consequents[0].size
-        self.consequents = result.consequents
+        self.consequents, self.outputs = result.consequents, None
         self.lse_rank_deficient = [flag or rank < full for flag, rank
                                    in zip(self.lse_rank_deficient, result.rank)]
 
@@ -147,34 +158,50 @@ class _Stack:
                 for k, flag in enumerate(self.lse_rank_deficient)]
 
 
-def _log_strengths(model, X: np.ndarray) -> np.ndarray:
-    """(..., n, n_rules) log firing strengths; a stack's X is (K, n, d)."""
-    grid = model.rule_grid()
-    log_w = np.zeros(X.shape[:-1] + (grid.shape[0],))
+def _normalized_batch(model, X: np.ndarray) -> np.ndarray:
+    """(..., n, n_rules) normalized firing strengths; a stack's X is (K, n, d).
+    The log strengths are built rules-first, as (..., n_rules, n); the module
+    docstring says why every bit is that of a rows-first build."""
+    lead, n = X.shape[:-2], X.shape[-2]
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite premises fire no rule
         for i, (c, s) in enumerate(zip(model.centers, model.widths)):
-            log_mf = -((X[..., i, None] - c[..., None, :]) ** 2) / (2.0 * s[..., None, :] ** 2)
-            log_w += log_mf[..., grid[:, i]]
-    return log_w
-
-
-def _normalized_batch(model, X: np.ndarray) -> np.ndarray:
-    log_w = _log_strengths(model, X)
-    peak = log_w.max(axis=-1)
+            log_mf = X[..., None, :, i] - c[..., :, None]    # (..., m_i, n)
+            np.square(log_mf, out=log_mf)
+            np.negative(log_mf, out=log_mf)
+            np.divide(log_mf, 2.0 * s[..., :, None] ** 2, out=log_mf)
+            if i == 0:
+                log_w, peak = 0.0 + log_mf, 0.0 + log_mf.max(axis=-2)
+            else:
+                rules = log_w.shape[-2] * log_mf.shape[-2]
+                log_w = (log_w[..., :, None, :] + log_mf[..., None, :, :]).reshape(
+                    lead + (rules, n))
+                peak += log_mf.max(axis=-2)
     dead = ~(peak >= _LOG_UNDERFLOW)  # a NaN peak (non-finite premises) fires nothing
     if np.any(dead):
         at = np.unravel_index(np.argmax(dead), dead.shape)
         raise NoRuleFires(f"no rule fires for input {X[at].tolist()}",
                           int(at[0]) if len(at) > 1 else 0)
-    shifted = np.exp(log_w - peak[..., None])
-    return shifted / shifted.sum(axis=-1, keepdims=True)
+    log_w -= peak[..., None, :]
+    w = np.ascontiguousarray(np.swapaxes(np.exp(log_w, out=log_w), -1, -2))
+    w /= w.sum(axis=-1, keepdims=True)
+    return w
 
 
 def _strengths(stack: _Stack, X: np.ndarray) -> np.ndarray:
     """Normalized strengths on X, reusing the stack's last ones on the same X."""
     if stack.seen is not X:
-        stack.strengths, stack.seen = _normalized_batch(stack, X), X
+        stack.strengths, stack.seen, stack.outputs = _normalized_batch(stack, X), X, None
     return stack.strengths
+
+
+def _outputs(stack: _Stack, X: np.ndarray):
+    """(K, n, R) rule outputs and (K, n) strength-weighted forecast on X,
+    reusing the stack's last ones while its premises and consequents hold."""
+    w = _strengths(stack, X)
+    if stack.outputs is None:
+        F = _rule_outputs(stack, X)
+        stack.outputs = F, np.einsum("...nr,...nr->...n", w, F)
+    return stack.outputs
 
 
 def _terms(model, X: np.ndarray) -> np.ndarray:
@@ -225,8 +252,7 @@ def premise_gradient(stack: _Stack, batch: Batches):
     as (per-input center grads, per-input width grads), (K, m_i) each."""
     X = batch.features
     w = _strengths(stack, X)                              # (K, n, R)
-    F = _rule_outputs(stack, X)                           # (K, n, R)
-    yhat = np.einsum("...nr,...nr->...n", w, F)           # (K, n)
+    F, yhat = _outputs(stack, X)                          # (K, n, R), (K, n)
     err = yhat - batch.targets                            # (K, n)
     # dSSE/d log mu_r = 2 err * w_r * (F_r - yhat)
     g = 2.0 * np.einsum("...n,...nr->...nr", err, w * (F - yhat[..., None]))
@@ -255,7 +281,7 @@ def premise_step(stack: _Stack, batch: Batches, rates) -> None:
     held = rate == 0.0
     stack.centers = tuple(np.where(held, old, new) for old, new in zip(stack.centers, centers))
     stack.widths = tuple(np.where(held, old, new) for old, new in zip(stack.widths, widths))
-    stack.seen = None
+    stack.seen = stack.outputs = None
 
 
 def init_model(train: Dataset, cfg: AnfisConfig) -> AnfisModel:
@@ -304,8 +330,7 @@ def hybrid_train(train, cfg: AnfisConfig = AnfisConfig()):
     traces = [[] for _ in trains]
     for _ in range(cfg.epochs):
         stack.take(lse_consequents(stack, batch))
-        resid = np.einsum("...nr,...nr->...n", _strengths(stack, X),
-                          _rule_outputs(stack, X)) - y
+        resid = _outputs(stack, X)[1] - y
         epoch_rmse = np.sqrt(np.sum(resid * resid, axis=-1) / batch.n_rows)
         for k, rmse in enumerate(epoch_rmse.tolist()):
             if traces[k] and rmse > traces[k][-1]:

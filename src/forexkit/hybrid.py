@@ -35,10 +35,11 @@ class HybridModel:
 
 
 def _augment_features(X: np.ndarray, tree: cart.CartTree) -> np.ndarray:
-    ids = cart.node_id(tree, X)
-    extra = np.zeros((X.shape[0], tree.n_leaves))
-    extra[np.arange(X.shape[0]), ids] = 1.0
-    return np.concatenate([X, extra], axis=1)
+    n, d = X.shape
+    out = np.zeros((n, d + tree.n_leaves))
+    out[:, :d] = X
+    out[np.arange(n), d + cart.node_id(tree, X)] = 1.0
+    return out
 
 
 def _augmented_names(names, tree: cart.CartTree) -> tuple:

@@ -339,7 +339,7 @@ class _Workspace:
         self.weights = [w.reshape(-1, *w.shape[-2:]) for w in weights]
         self.biases = [b.reshape(-1, 1, b.shape[-1]) for b in biases]
         K, n_rows = len(self.weights[0]), X.shape[-2]
-        self.acts = [X.reshape(-1, n_rows, sizes[0])] + [np.empty((K, n_rows, s))
+        self.acts = [X.reshape(K, n_rows, sizes[0])] + [np.empty((K, n_rows, s))
                                                          for s in sizes[1:]]
         self.resid = np.empty_like(self.acts[-1])
         self.weights_t = [np.swapaxes(w, -1, -2) for w in self.weights]

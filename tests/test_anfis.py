@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from forexkit import anfis
-from forexkit.anfis import (AnfisConfig, NoRuleFires, dump_model, dump_rules,
+from forexkit.anfis import (AnfisConfig, AnfisModel, NoRuleFires, dump_model, dump_rules,
                             hybrid_train, init_model, load_model, lse_consequents,
                             premise_gradient, premise_step)
 from forexkit.bench import ExperimentConfig, prepare_cell
-from forexkit.data import Batches, Dataset, load_csv
+from forexkit.data import Batches, Dataset, FeatureSpec, build_supervised, load_csv, scale_features
 from forexkit.synth import forex5_series, write_rates_csv
 
 from oracles import (ReferenceAnfis, central_difference_gradient, normal_equations,
@@ -110,6 +110,84 @@ class TestFiringStrengths:
     def test_input_width_checked(self):
         with pytest.raises(ValueError, match="expected 1 inputs"):
             anfis.predict(self._model(), np.array([0.0, 1.0]))
+
+
+class TestRulesFirstStrengths:
+    """_normalized_batch builds its log strengths rules-first; its strengths
+    must be ReferenceAnfis's rows-first ones under tobytes(), for one model
+    and for each row of a stack."""
+
+    @staticmethod
+    def _models():
+        """Three 3-input models of 2, 3 and 4 MFs, each input with one
+        center exactly 0.0."""
+        rng = np.random.default_rng(41)
+        models = []
+        for _ in range(3):
+            centers = []
+            for m in (2, 3, 4):
+                c = np.linspace(-1.0, 1.0, m) + rng.uniform(-0.2, 0.2, m)
+                c[int(rng.integers(m))] = 0.0
+                centers.append(c)
+            widths = tuple(rng.uniform(0.6, 1.2, m) for m in (2, 3, 4))
+            models.append(AnfisModel(tuple(centers), widths, np.zeros((24, 4))))
+        return models
+
+    @staticmethod
+    def _rows(seed=0):
+        """Rows in the models' range with exact zeros, then rows far outside
+        it on one, two or all three inputs, as a served month index is."""
+        X = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(40, 3))
+        X[::4, 0] = 0.0
+        X[1::5, 2] = 0.0
+        X[7] = 0.0
+        far = [[10.0, 0.5, -0.3], [9.7, 10.3, 0.0], [-8.0, 0.0, 0.2], [10.1, -9.9, 10.4]]
+        return np.concatenate([X, far])
+
+    def test_one_model(self):
+        X = self._rows()
+        for model in self._models():
+            got = anfis._normalized_batch(model, X)
+            want = ReferenceAnfis.normalized_batch(model, X)
+            assert got.shape == want.shape == (44, 24)
+            assert got.tobytes() == want.tobytes()
+
+    def test_each_stack_row(self):
+        models = self._models()
+        X = np.stack([self._rows(seed) for seed in range(3)])
+        got = anfis._normalized_batch(anfis._Stack(models), X)
+        assert got.shape == (3, 44, 24)
+        for k, model in enumerate(models):
+            assert got[k].tobytes() == ReferenceAnfis.normalized_batch(model, X[k]).tobytes()
+
+    def test_dead_row_names_its_stack_row(self):
+        models = self._models()
+        X = np.stack([self._rows(seed) for seed in range(3)])
+        X[1, 20] = [0.0, 1e3, 0.0]
+        X[2, 3] = [1e3, 0.0, 0.0]
+        with pytest.raises(NoRuleFires) as want:
+            ReferenceAnfis.normalized_batch(models[1], X[1])
+        with pytest.raises(NoRuleFires) as caught:
+            anfis._normalized_batch(anfis._Stack(models), X)
+        assert str(caught.value) == str(want.value) == "no rule fires for input [0.0, 1000.0, 0.0]"
+        assert caught.value.row == 1
+
+    def test_predict_on_the_served_table(self, tmp_path):
+        """The paper's five anfis cells forecast the 2440-month rates file
+        that perfbench's serve workload serves, as the reference would."""
+        write_rates_csv(tmp_path / "rates.csv", forex5_series(seed=7))
+        write_rates_csv(tmp_path / "served.csv", forex5_series(seed=7, months=2440))
+        series, served = load_csv(tmp_path / "rates.csv"), load_csv(tmp_path / "served.csv")
+        cfg = ExperimentConfig(data_path=str(tmp_path / "rates.csv"))
+        cells = [prepare_cell(cfg, series, code, "anfis") for code in series]
+        models, _ = hybrid_train([train for _, train, _ in cells], cfg.anfis_cfg)
+        for code, (scaler, _, _), model in zip(series, cells, models):
+            ds = build_supervised(served, FeatureSpec(code, cfg.recipe_for("anfis")))
+            X = scale_features(ds.features, scaler)
+            assert X.shape[0] == 2439 and X.max() > 9.0
+            w = ReferenceAnfis.normalized_batch(model, X)
+            want = np.einsum("nr,nr->n", w, ReferenceAnfis.rule_outputs(model, X))
+            assert anfis.predict(model, X).tobytes() == want.tobytes()
 
 
 class TestLse:

@@ -243,6 +243,13 @@ def predictors(scaled_split):
     return {kind: TestPredictorFile()._fit(kind, scaled_split) for kind in KINDS}
 
 
+@pytest.mark.parametrize("kind", list(KINDS))
+def test_predict_on_no_rows(kind, predictors):
+    """Every family forecasts zero rows of its width as an empty array."""
+    engine = predictors[kind].engine
+    assert KINDS[kind].predict(engine, np.empty((0, engine.n_features))).shape == (0,)
+
+
 def _dump_and_loader(kind, which, predictors):
     p = predictors[kind]
     if which == "engine":
