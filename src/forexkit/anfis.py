@@ -413,7 +413,6 @@ def load_model(text: str) -> AnfisModel:
     n_rules = int(np.prod([c.size for c in centers]))
     terms = n_inputs + 1 if consequent == "linear" else 1
     expect(lines.take("the consequents block"), f"consequents {n_rules} {terms}")
-    rows = [floats(lines.take(f"consequents of rule {r}"), terms)
-            for r in range(n_rules)]
+    consequents = lines.rows(n_rules, terms, lambda r: f"consequents of rule {r}")
     lines.finish("model body")
-    return AnfisModel(tuple(centers), tuple(widths), np.stack(rows), consequent, deficient)
+    return AnfisModel(tuple(centers), tuple(widths), consequents, consequent, deficient)

@@ -293,7 +293,7 @@ def run_bench(cfg: ExperimentConfig) -> tuple:
     def emit(name: str, text: str):
         path = out / name
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         written.append(path)
 
     emit("table.txt", emit_table(report))

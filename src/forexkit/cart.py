@@ -32,6 +32,7 @@ Routing convention: x[var] <= threshold goes left; NaN goes right.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -378,12 +379,33 @@ def dump_tree(tree: CartTree) -> str:
 
 _NODE_FIELDS = {"leaf": ("id", "mean", "count", "sse"),
                 "split": ("var", "threshold", "mean", "count", "sse")}
+# a node line as dump_tree writes it; its indent must still be 2 * depth
+_NODE_LINE = re.compile(r"( *)(?:leaf id=(\S+)|split var=(\S+) threshold=(\S+)) "
+                        r"mean=(\S+) count=(\S+) sse=(\S+)")
 _COUNT_MAX = np.iinfo(np.int64).max  # a node count must fit the tree's int64 array
 
 
+def _node_fields(no: int, line: str, depth: int) -> tuple:
+    """The (id, var, threshold, mean, count, sse) strings of a node line at
+    ``depth``; a leaf has no var or threshold and a split no id (None)."""
+    match = _NODE_LINE.fullmatch(line)
+    if match and len(match[1]) == 2 * depth:
+        return match.groups()[1:]
+    # any other spacing, field order or indent: the tokens decide
+    if (len(line) - len(line.lstrip())) // 2 != depth:
+        raise ValueError(f"line {no}: bad indentation")
+    kind, *pairs = line.split()
+    fields = dict(pair.partition("=")[::2] for pair in pairs)
+    wanted = _NODE_FIELDS.get(kind, ())
+    if not wanted or len(pairs) != len(wanted) or set(fields) != set(wanted):
+        raise ValueError(f"line {no}: expected a leaf or split node")
+    return tuple(map(fields.get, ("id", "var", "threshold", "mean", "count", "sse")))
+
+
 def load_tree(text: str) -> CartTree:
-    """Inverse of dump_tree.  Truncated, garbled or non-finite input raises
-    ValueError naming its 1-based line."""
+    """Inverse of dump_tree.  Node fields may come in any order and with any
+    spacing.  Truncated, garbled or non-finite input raises ValueError naming
+    its 1-based line."""
     lines = Lines(text)
     expect(lines.take("the header"), "cart-tree v1")
     n_features = integer(*keyed(lines.take("the features line"), "features"), 1)
@@ -399,26 +421,18 @@ def load_tree(text: str) -> CartTree:
     while pending:
         depth, what = pending.pop()
         no, line = lines.take(what) if what else first
-        if (len(line) - len(line.lstrip())) // 2 != depth:
-            raise ValueError(f"line {no}: bad indentation")
-        kind, *pairs = line.split()
-        fields = dict(pair.partition("=")[::2] for pair in pairs)
-        wanted = _NODE_FIELDS.get(kind, ())
-        if not wanted or len(pairs) != len(wanted) or set(fields) != set(wanted):
-            raise ValueError(f"line {no}: expected a leaf or split node")
-        stats = (number(no, fields["mean"]),
-                 integer(no, fields["count"], 0, _COUNT_MAX),
-                 number(no, fields["sse"]))
+        leaf_id, var, threshold, mean, count, sse = _node_fields(no, line, depth)
+        stats = (number(no, mean), integer(no, count, 0, _COUNT_MAX), number(no, sse))
         if stats[2] < 0.0:
-            raise ValueError(f"line {no}: sse must be >= 0, got {fields['sse']}")
-        if kind == "leaf":
-            if integer(no, fields["id"]) != n_leaves:
+            raise ValueError(f"line {no}: sse must be >= 0, got {sse}")
+        if var is None:
+            if integer(no, leaf_id) != n_leaves:
                 raise ValueError(f"line {no}: leaf ids must count up from 0")
             n_leaves += 1
             nodes.append((-1, 0.0) + stats)
         else:
-            nodes.append((integer(no, fields["var"], 0, n_features - 1),
-                          number(no, fields["threshold"])) + stats)
+            nodes.append((integer(no, var, 0, n_features - 1),
+                          number(no, threshold)) + stats)
             pending += ((depth + 1, "a right child"), (depth + 1, "a left child"))
     lines.finish("tree body")
     return _from_preorder(n_features, names, nodes)

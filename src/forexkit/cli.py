@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from . import bench, synth
-from .data import load_csv
+from .data import decode_text, load_csv
 from .predictor import Predictor, load_predictor, predict_rates, save_predictor
 
 
@@ -71,7 +71,7 @@ def _cmd_fit(args) -> int:
     [cell] = bench.fit_model(cfg, series, args.model, [code])
     fitted = Predictor(args.model, code, cfg.recipe_for(args.model), cell.scaler, cell.engine)
     out = Path(args.output or f"{args.model}_{code}.model")
-    out.write_text(save_predictor(fitted))
+    out.write_text(save_predictor(fitted), encoding="utf-8")
     print(f"wrote {out}")
     return 0
 
@@ -81,7 +81,7 @@ def _forecast(model_file, csv) -> str:
         raise ValueError("no predictor file named")
     if not csv:
         raise ValueError("no rates file named")
-    fitted = load_predictor(Path(model_file).read_text())
+    fitted = load_predictor(decode_text(Path(model_file).read_bytes()))
     series = load_csv(csv)
     months, preds = predict_rates(fitted, series)
     first = next(iter(series.values()))

@@ -148,6 +148,21 @@ class FeatureSpec:
             raise ValueError(f"unknown recipe {self.recipe!r}; choose from {RECIPES}")
 
 
+def decode_text(raw: bytes, codec: str = "utf-8") -> str:
+    """The UTF-8 bytes of a file as text mode reads them, with universal
+    newlines.  A byte that is not UTF-8 raises ValueError naming its 1-based
+    line and the byte."""
+    # CR and LF bytes occur in UTF-8 only as those characters, so they can be
+    # translated before decoding.
+    lf = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in raw else raw
+    try:
+        return lf.decode(codec)
+    except UnicodeDecodeError as exc:  # exc.object is the input after any BOM
+        line = exc.object[:exc.start].count(b"\n") + 1
+        raise ValueError(f"line {line}: not UTF-8 "
+                         f"(byte 0x{exc.object[exc.start]:02x})") from None
+
+
 def load_csv(path) -> dict:
     """Load a monthly rates CSV into one RateSeries per currency column.
 
@@ -173,15 +188,7 @@ def load_csv(path) -> dict:
     last = _last  # read once: a concurrent load may replace the slot
     if last is not None and last[0] == raw:
         return dict(last[1])
-    # Universal newlines, as text mode reads them: CR and LF bytes occur in
-    # UTF-8 only as those characters, so they can be translated before decoding.
-    lf = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in raw else raw
-    try:
-        lines = lf.decode("utf-8-sig").split("\n")
-    except UnicodeDecodeError as exc:  # exc.object is the input after any BOM
-        line = exc.object[:exc.start].count(b"\n") + 1
-        raise ValueError(f"line {line}: not UTF-8 "
-                         f"(byte 0x{exc.object[exc.start]:02x})") from None
+    lines = decode_text(raw, "utf-8-sig").split("\n")
     if lines == [""]:
         raise ValueError(f"empty file: {path}")
     header = [h.strip() for h in lines[0].split(",")] if lines[0] else []

@@ -21,10 +21,10 @@ class Lines:
     """The non-blank lines of a dump as (1-based number, text), taken in order."""
 
     def __init__(self, text: str):
-        numbered = list(enumerate(text.splitlines(), 1))
-        self._lines = [(no, line) for no, line in numbered if line.strip()]
+        split = text.splitlines()
+        self._lines = [numbered for numbered in enumerate(split, 1) if numbered[1].strip()]
         self._next = 0
-        self._end = len(numbered) + 1
+        self._end = len(split) + 1
 
     def take(self, what: str):
         if self._next == len(self._lines):
@@ -37,13 +37,32 @@ class Lines:
             no = self._lines[self._next][0]
             raise ValueError(f"line {no}: trailing content after {what}")
 
+    def rows(self, count: int, width: int, what) -> np.ndarray:
+        """The next ``count`` lines as a (count, width) array of finite
+        numbers; a bad or missing row r raises ``floats``' or ``take``'s
+        error for ``what(r)``."""
+        block = self._lines[self._next:self._next + count]
+        split = [line.split() for _, line in block]
+        if len(split) == count and all(len(tokens) == width for tokens in split):
+            try:
+                values = np.array([float(tok) for tokens in split for tok in tokens])
+            except ValueError:
+                pass
+            else:
+                if np.isfinite(values).all():
+                    self._next += count
+                    return values.reshape(count, width)
+        # a row is short, long, missing or bad: read row by row to name it
+        return np.array([floats(self.take(what(r)), width) for r in range(count)])
+
 
 def tail(lines: list, start: int, stop: int | None = None) -> str:
     """``lines[start:stop]`` as a text that keeps the whole file's line
     numbers: the lines before ``start`` become blank, and loaders skip those.
     Every line keeps its newline, so a blank last line is kept too and a dump
     cut short names the line after the slice."""
-    return "\n" * start + "".join(line + "\n" for line in lines[start:stop])
+    body = lines[start:stop]
+    return "\n" * start + "\n".join(body) + "\n" * bool(body)
 
 
 def expect(numbered, header: str):

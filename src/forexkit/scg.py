@@ -525,8 +525,7 @@ def load_network(text: str) -> MlpNetwork:
     weights, biases = [], []
     for i, (n_in, n_out) in enumerate(zip(sizes, sizes[1:])):
         expect(lines.take(f"weights {i}"), f"weights {i} {n_out} {n_in}")
-        weights.append(np.array([floats(lines.take(f"row {r} of weights {i}"), n_in)
-                                 for r in range(n_out)]))
+        weights.append(lines.rows(n_out, n_in, lambda r: f"row {r} of weights {i}"))
         expect(lines.take(f"biases {i}"), f"biases {i} {n_out}")
         biases.append(floats(lines.take(f"biases {i}"), n_out))
     lines.finish("network body")

@@ -1,10 +1,14 @@
 """Command-line interface: bench / fit / predict / serve / synth."""
 
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import forexkit
 from forexkit import data
 from forexkit.cli import main
 from forexkit.data import load_csv
@@ -174,6 +178,60 @@ class TestFitPredict:
         assert main(["predict", str(model_file), str(bad)]) == 1
         assert capsys.readouterr().err == "error: line 5: not UTF-8 (byte 0xff)\n"
         assert main(["predict", str(model_file), str(rates_csv)]) == 0
+
+    @pytest.mark.parametrize("ending", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+    def test_predict_non_utf8_model_names_line(self, tmp_path, rates_csv, capsys,
+                                               monkeypatch, ending):
+        """A predictor file is UTF-8, and a bad byte names its line as in a CSV."""
+        cfg = _config(tmp_path, rates_csv)
+        model_file = tmp_path / "m.model"
+        assert main(["fit", "mars", str(cfg), "-o", str(model_file)]) == 0
+        lines = model_file.read_bytes().split(b"\n")
+        assert lines[4].startswith(b"feature_min ")
+        lines[4] = b"\xff" + lines[4][1:]
+        bad = tmp_path / "bad.model"
+        bad.write_bytes(ending.join(lines))
+        capsys.readouterr()
+        assert main(["predict", str(bad), str(rates_csv)]) == 1
+        assert capsys.readouterr().err == "error: line 5: not UTF-8 (byte 0xff)\n"
+        monkeypatch.setattr(sys, "stdin", [f"{bad}\n"])
+        assert main(["serve", str(rates_csv)]) == 1
+        assert capsys.readouterr().err == f"error: {bad}: line 5: not UTF-8 (byte 0xff)\n"
+
+    @pytest.mark.parametrize("ending", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+    def test_predict_reads_any_line_ending_in_a_model_file(self, tmp_path, rates_csv,
+                                                           capsys, ending):
+        cfg = _config(tmp_path, rates_csv)
+        model_file = tmp_path / "m.model"
+        assert main(["fit", "cart", str(cfg), "-o", str(model_file)]) == 0
+        other = tmp_path / "other.model"
+        other.write_bytes(model_file.read_bytes().replace(b"\n", ending))
+        capsys.readouterr()
+        assert main(["predict", str(model_file), str(rates_csv)]) == 0
+        expected = capsys.readouterr().out
+        assert main(["predict", str(other), str(rates_csv)]) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_model_file_is_utf8_under_an_ascii_locale(self, tmp_path):
+        """fit -o writes and predict reads a predictor file as UTF-8 whatever
+        the locale: a currency code outside ASCII round-trips."""
+        gbp = forex5_series(seed=7)["GBP"]
+        csv = tmp_path / "rates.csv"
+        write_rates_csv(csv, {"ÉUR": data.RateSeries("ÉUR", gbp.start_year,
+                                                      gbp.start_month, gbp.values)})
+        cfg = _config(tmp_path, csv)
+        model_file = tmp_path / "m.model"
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0",
+               "PYTHONPATH": str(Path(forexkit.__file__).parents[1])}
+        outputs = []
+        for args in (["fit", "mars", str(cfg), "-o", str(model_file)],
+                     ["predict", str(model_file), str(csv)]):
+            done = subprocess.run([sys.executable, "-m", "forexkit", *args], env=env,
+                                  capture_output=True, timeout=120)
+            assert (done.returncode, done.stderr) == (0, b""), args
+            outputs.append(done.stdout)
+        assert "\ncurrency ÉUR\n".encode() in model_file.read_bytes()
+        assert len(outputs[1].splitlines()) == 243
 
     def test_predict_missing_model_file(self, tmp_path, rates_csv, capsys):
         assert main(["predict", str(tmp_path / "nope.model"), str(rates_csv)]) == 1

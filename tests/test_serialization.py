@@ -64,11 +64,44 @@ class TestMalformedDumps:
                            "branch var=0 threshold=1\n")
 
     def test_mlp_wrong_matrix_shape(self):
+        """A weight matrix unlike its layers line fails; so does a row of an
+        mlp weight block or of an ANFIS consequent block that is missing, one
+        value short or long, non-numeric or infinite, naming that row's line.
+        The first, a middle and the last row of every block are tried."""
         net = scg.init_network((1, 2, 1), seed=0)
         lines = scg.dump_network(net).splitlines()
         lines[1] = "layers 1 3 1"  # inconsistent with the weight rows below
         with pytest.raises(ValueError):
             scg.load_network("\n".join(lines))
+        model = anfis.AnfisModel((np.array([0.0, 1.0]),) * 2, (np.array([0.5, 0.5]),) * 2,
+                                 np.arange(12.0).reshape(4, 3) - 5.5)
+        cases = [(scg.dump_network(scg.init_network((2, 3, 1), seed=0)), scg.load_network,
+                  {"weights 0 3 2": "row {} of weights 0", "weights 1 1 3": "row {} of weights 1"}),
+                 (anfis.dump_model(model), anfis.load_model,
+                  {"consequents 4 3": "consequents of rule {}"})]
+        faults = [(lambda t: t[:-1], "expected {w} values, got {s}"),
+                  (lambda t: t + ["0.5"], "expected {w} values, got {l}"),
+                  (lambda t: ["x"] + t[1:], "not a number"),
+                  (lambda t: t[:-1] + ["inf"], "non-finite value")]
+        tried = 0
+        for text, load, headers in cases:
+            lines = text.splitlines()
+            for header, what in headers.items():
+                at = lines.index(header)
+                count, width = map(int, header.split()[-2:])
+                for row in sorted({0, count // 2, count - 1}):
+                    with pytest.raises(ValueError, match=rf"^line {at + 2 + row}: dump ends "
+                                                         rf"before {what.format(row)}$"):
+                        load("\n".join(lines[:at + 1 + row]))
+                    for edit, message in faults:
+                        bad = list(lines)
+                        bad[at + 1 + row] = " ".join(edit(bad[at + 1 + row].split()))
+                        message = message.format(w=width, s=width - 1, l=width + 1)
+                        with pytest.raises(ValueError, match=rf"^line {at + 2 + row}: "
+                                                             rf"{message}$"):
+                            load("\n".join(bad))
+                        tried += 1
+        assert tried == 4 * (3 + 1 + 3)  # a cut block is tried at the same rows
 
     def test_anfis_truncated(self):
         ds = Dataset(("x",), np.linspace(0, 1, 20)[:, None], np.linspace(0, 1, 20))
@@ -340,6 +373,17 @@ class TestLoaderChecks:
         with pytest.raises(ValueError, match=f"^line {3 + keep}: dump ends before {what}$"):
             cart.load_tree(text)
 
+    @pytest.mark.parametrize("node", ["leaf id=0 mean=0 count=1 sse=0.5",
+                                      "leaf  sse=0.5 count=1 mean=0 id=0"])
+    @pytest.mark.parametrize("indent", [0, 1, 4, 5])
+    def test_cart_bad_indentation_names_line(self, indent, node):
+        """An indent that does not read as the node's depth fails, whether
+        or not the rest of the line is as dump_tree writes it."""
+        nodes = ["split var=0 threshold=1 mean=0 count=2 sse=1",
+                 " " * indent + node, "  leaf id=1 mean=0 count=1 sse=0.5"]
+        with pytest.raises(ValueError, match="^line 4: bad indentation$"):
+            cart.load_tree("cart-tree v1\nfeatures 1\n" + "\n".join(nodes) + "\n")
+
     def test_cart_count_must_fit_the_count_array(self):
         with pytest.raises(ValueError, match="^line 3: 9223372036854775808 is out of range"):
             cart.load_tree("cart-tree v1\nfeatures 1\n"
@@ -431,3 +475,76 @@ class TestBenchDumpsReload:
         for cell in report.cells:
             loaded = loaders[cell.model](cell.dump)
             assert loaded is not None
+
+
+def _arrays(obj):
+    """Every array reachable through an engine's dataclass fields and tuples."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, tuple):
+        return [a for item in obj for a in _arrays(item)]
+    if hasattr(obj, "__dataclass_fields__"):
+        return [a for name in obj.__dataclass_fields__ for a in _arrays(getattr(obj, name))]
+    return []
+
+
+def _node_lines_rewritten(text, variant):
+    """``text`` with every CART node line's fields reversed, its spaces
+    doubled, or, below the root, one more space of indent (2·depth + 1,
+    which still reads as depth)."""
+    out = []
+    for line in text.splitlines():
+        body = line.lstrip(" ")
+        kind, *fields = body.split(" ")
+        indent = len(line) - len(body)
+        if kind in ("leaf", "split") and fields and all("=" in f for f in fields):
+            fields = fields[::-1] if "reordered" in variant else fields
+            if indent and "indent" in variant:
+                indent += 1
+            line = " " * indent + ("  " if "spaced" in variant else " ").join([kind, *fields])
+        out.append(line)
+    return "\n".join(out) + "\n"
+
+
+def _number_rows_rewritten(text, variant):
+    """``text`` with every line of numbers only (mlp weight and bias rows,
+    ANFIS consequent rows) split by doubled spaces or by tabs."""
+    out = []
+    for line in text.splitlines():
+        tokens = line.split()
+        try:
+            [float(tok) for tok in tokens]
+        except ValueError:
+            out.append(line)
+            continue
+        out.append("  ".join(tokens) if variant == "spaced" else "\t" + "\t".join(tokens))
+    return "\n".join(out) + "\n"
+
+
+class TestLayoutsStillAccepted:
+    """The loaders read dump_tree's node lines and the numeric row blocks
+    fastest as written, but still accept any field order and spacing."""
+
+    def _same_as_canonical(self, p, edited, series):
+        text = save_predictor(p)
+        assert edited != text
+        canonical, loaded = load_predictor(text), load_predictor(edited)
+        assert save_predictor(loaded) == text
+        pairs = list(zip(_arrays(canonical.engine), _arrays(loaded.engine), strict=True))
+        assert pairs and all(a.dtype == b.dtype and a.shape == b.shape
+                             and a.tobytes() == b.tobytes() for a, b in pairs)
+        (m0, f0), (m1, f1) = predict_rates(canonical, series), predict_rates(loaded, series)
+        assert m0.tobytes() == m1.tobytes() and f0.tobytes() == f1.tobytes()
+
+    @pytest.mark.parametrize("variant", ["reordered", "spaced", "indented",
+                                         "reordered-spaced-indented"])
+    @pytest.mark.parametrize("kind", ["cart", "hybrid"])
+    def test_node_fields_in_any_order_and_spacing(self, kind, variant, predictors, series):
+        p = predictors[kind]
+        self._same_as_canonical(p, _node_lines_rewritten(save_predictor(p), variant), series)
+
+    @pytest.mark.parametrize("variant", ["spaced", "tabbed"])
+    @pytest.mark.parametrize("kind", ["mlp", "anfis"])
+    def test_number_rows_with_any_spacing(self, kind, variant, predictors, series):
+        p = predictors[kind]
+        self._same_as_canonical(p, _number_rows_rewritten(save_predictor(p), variant), series)
