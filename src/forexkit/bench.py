@@ -26,7 +26,7 @@ from pathlib import Path
 
 from . import anfis, cart, charts, mars
 from .data import (RECIPES, Dataset, FeatureSpec, ScalerParams, apply_scaler,
-                   build_supervised, fit_scaler, load_csv, rmse, split)
+                   build_supervised, decode_text, fit_scaler, load_csv, rmse, split)
 from .kinds import KINDS, CellError
 
 MODELS = tuple(KINDS)
@@ -45,7 +45,7 @@ REFERENCE_CURRENCIES = ("JPY", "USD", "GBP", "SGD", "NZD")
 
 
 class BenchError(RuntimeError):
-    """A sub-operation failed; message carries the (currency, model) cell."""
+    """A sub-operation failed; message names its (currency, model) cell or artifact."""
 
 
 @dataclass(frozen=True)
@@ -292,8 +292,12 @@ def run_bench(cfg: ExperimentConfig) -> tuple:
 
     def emit(name: str, text: str):
         path = out / name
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text, encoding="utf-8")
+        except UnicodeEncodeError as exc:  # the file system's encoding, not the text's
+            raise BenchError(f"cannot name artifact {path} in the file system's "
+                             f"encoding ({exc.encoding})") from None
         written.append(path)
 
     emit("table.txt", emit_table(report))
@@ -348,9 +352,11 @@ def load_config(path) -> ExperimentConfig:
     raises ValueError naming its ``[section] key = value``.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    # utf-8-sig drops a byte-order mark, which would hide the first section
-    with open(path, encoding="utf-8-sig") as fh:  # a missing file names its path
-        parser.read_file(fh)
+    try:  # utf-8-sig drops a byte-order mark, which would hide the first section
+        text = decode_text(Path(path).read_bytes(), "utf-8-sig")  # a missing file names its path
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    parser.read_string(text, source=str(path))
     for section in parser.sections():
         if section not in _INI:
             raise ValueError(f"unknown config section [{section}] in {path}")

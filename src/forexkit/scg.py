@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -324,13 +325,15 @@ class _Workspace:
     biases given may be views into a buffer that the caller rewrites, and
     whoever rewrites it clears ``fresh``.  acts[0] is X as (K, n_rows,
     n_features) and acts[1:] hold its activations, current while ``fresh``
-    is set.  resid holds the output residual.  Every step, products
-    included, runs once per layer over the whole stack; the transposed
-    views the products take (weights_t, delta_t) are made once, as a view
-    costs about a tenth of a K = 1 product.  The backward buffers (a delta
-    per hidden layer, a scratch array per hidden width, and the (K,
-    n_params) gradient with a view per layer block) are made by the first
-    gradient that needs them, so forward alone never allocates them."""
+    is set.  resid holds the output residual.  Every step runs once per
+    layer over the whole stack, from per-layer plans made once, so a pass
+    makes no view (a tenth of a K = 1 product) and picks no call.
+    forward_plan holds each layer's input, transposed weights, bias, output
+    and whether tanh follows; backward_plan, top layer first, its bias-sum
+    call, gradient blocks, transposed delta (E's derivative at its output),
+    input and, above the first layer, a scratch array (one per hidden width)
+    and the back-product call.  The first gradient makes it and its buffers,
+    so forward alone never allocates them."""
 
     def __init__(self, sizes: tuple, weights, biases, X: np.ndarray):
         if X.shape[-1] != sizes[0]:
@@ -342,21 +345,35 @@ class _Workspace:
         self.acts = [X.reshape(K, n_rows, sizes[0])] + [np.empty((K, n_rows, s))
                                                          for s in sizes[1:]]
         self.resid = np.empty_like(self.acts[-1])
-        self.weights_t = [np.swapaxes(w, -1, -2) for w in self.weights]
+        self.forward_plan = tuple(
+            (self.acts[i], np.swapaxes(w, -1, -2), b, self.acts[i + 1], i < len(biases) - 1)
+            for i, (w, b) in enumerate(zip(self.weights, self.biases)))
         self.grad = None
 
     def backward_buffers(self):
         if self.grad is None:
-            K, n = self.resid.shape[:2]
-            hidden = self.sizes[1:-1]
-            self.deltas = [np.empty((K, n, s)) for s in hidden]
-            self.delta_at = self.deltas + [self.resid]  # E's derivative at layer i's output
-            self.delta_t = [np.swapaxes(d, -1, -2) for d in self.delta_at]
-            scratch = {s: np.empty((K, n, s)) for s in hidden}  # one per width
-            self.scratch = [scratch[s] for s in hidden]
-            self.grad = np.empty((K, sum((n_in + 1) * n_out for n_in, n_out
-                                         in zip(self.sizes, self.sizes[1:]))))
-            self.grad_w, self.grad_b = _unflatten(self.sizes, self.grad)
+            sizes, (K, n) = self.sizes, self.resid.shape[:2]
+            deltas = [np.empty((K, n, s)) for s in sizes[1:-1]] + [self.resid]
+            scratch = {s: np.empty((K, n, s)) for s in sizes[1:-1]}
+            self.grad = np.empty((K, sum((a + 1) * b for a, b in zip(sizes, sizes[1:]))))
+            grad_w, grad_b = _unflatten(sizes, self.grad)
+            plan = []
+            for i in range(len(deltas) - 1, -1, -1):
+                delta, w = deltas[i], self.weights[i]
+                # the bias gradient, delta's row sum per network: across a width
+                # >= 2 np.add.reduce adds the rows in order, and einsum gives those
+                # bits with less overhead; a width-1 delta is one contiguous run,
+                # which np.add.reduce sums pairwise and einsum does not
+                row_sum = (partial(np.add.reduce, delta, axis=1) if delta.shape[-1] == 1
+                           else partial(np.einsum, "knj->kj", delta))
+                # delta @ W_i; a one-output layer's is an outer product, with no
+                # sum to round, and einsum gives its bits with less overhead
+                product = partial(np.einsum, "kni,kij->knj") if w.shape[-2] == 1 else np.matmul
+                back = ((scratch[sizes[i]], partial(product, delta, w, out=deltas[i - 1]))
+                        if i > 0 else (None, None))
+                plan.append((row_sum, grad_b[i], grad_w[i], np.swapaxes(delta, -1, -2),
+                             self.acts[i], *back))
+            self.backward_plan = tuple(plan)
         return self
 
 
@@ -370,11 +387,10 @@ def _forward_cached(net, X: np.ndarray) -> _Workspace:
     if not isinstance(net, _Workspace):
         net = _Workspace(net.layer_sizes, net.weights, net.biases, X)
     if not net.fresh:
-        last = len(net.weights) - 1
-        for i, (w_t, b) in enumerate(zip(net.weights_t, net.biases)):
-            a = np.matmul(net.acts[i], w_t, out=net.acts[i + 1])
+        for a_in, w_t, b, a, hidden in net.forward_plan:
+            np.matmul(a_in, w_t, out=a)
             np.add(a, b, out=a)
-            if i != last:
+            if hidden:
                 np.tanh(a, out=a)
         net.fresh = True
     return net
@@ -408,28 +424,17 @@ def gradient(net, batch: Dataset) -> np.ndarray:
     if batch.n_rows == 0:
         raise ValueError("batch is empty")
     work = _forward_cached(net, batch.features).backward_buffers()
-    acts = work.acts
-    np.subtract(acts[-1], batch.targets[..., None], out=work.resid)
-    for i in range(len(work.weights) - 1, -1, -1):
-        delta, w = work.delta_at[i], work.weights[i]
-        # the bias gradient, delta's row sum per network: across a width
-        # >= 2 np.add.reduce adds the rows in order, and einsum gives those
-        # bits with less overhead; a width-1 delta is one contiguous run,
-        # which np.add.reduce sums pairwise and einsum does not
-        if delta.shape[-1] == 1:
-            np.add.reduce(delta, axis=1, out=work.grad_b[i])
-        else:
-            np.einsum("knj->kj", delta, out=work.grad_b[i])
-        np.matmul(work.delta_t[i], acts[i], out=work.grad_w[i])
-        if i > 0:
-            # delta @ W_i times (1 - a_i ** 2); numpy squares as a_i * a_i
-            scratch = np.multiply(acts[i], acts[i], out=work.scratch[i - 1])
+    np.subtract(work.acts[-1], batch.targets[..., None], out=work.resid)
+    for row_sum, grad_b, grad_w, delta_t, a, scratch, product in work.backward_plan:
+        row_sum(out=grad_b)
+        np.matmul(delta_t, a, out=grad_w)
+        if product:
+            # delta @ W_i times (1 - a_i ** 2), numpy squaring as a_i * a_i; for a
+            # zero residual a one-output layer's einsum gives +0.0, as np.matmul does
+            np.multiply(a, a, out=scratch)
             np.subtract(1.0, scratch, out=scratch)
-            # a one-output layer's product is an outer product, with no sum
-            # to round; np.multiply gives its bits with less overhead
-            product = np.multiply if w.shape[-2] == 1 else np.matmul
-            back = product(delta, w, out=work.deltas[i - 1])
-            np.multiply(back, scratch, out=back)
+            delta = product()
+            np.multiply(delta, scratch, out=delta)
     return work.grad.copy() if batch.features.ndim == 3 else work.grad[0].copy()
 
 

@@ -176,6 +176,22 @@ class TestMlpStack:
                                       self.EPOCHS)[1]
                 assert sum(a == b for a, b in zip(trace, trace[1:])) == 5
 
+    def test_every_evaluation_goes_through_the_module_functions(self, rates_csv,
+                                                                monkeypatch):
+        """The seed-7 paper stack calls scg.error and scg.gradient once per
+        stacked evaluation, the calls perfbench's scg spans count: 2,001 and
+        4,001 over its 2,000 epochs, each on all five networks."""
+        calls = {"error": [], "gradient": []}
+        for name, seen in calls.items():
+            def counted(net, batch, real=getattr(scg, name), seen=seen):
+                seen.append(batch.features.shape[0])
+                return real(net, batch)
+            monkeypatch.setattr(scg, name, counted)
+        run_experiment(ExperimentConfig(data_path=str(rates_csv), models=("mlp",)))
+        assert {name: len(seen) for name, seen in calls.items()} == \
+               {"error": 2001, "gradient": 4001}
+        assert set(calls["error"] + calls["gradient"]) == {5}
+
     def test_divergence_names_its_currency(self, rates_csv, monkeypatch):
         real = scg.gradient
         calls = {"n": 0}
@@ -438,6 +454,16 @@ dir = somewhere
         cfg = load_config(path)
         assert cfg.data_path == str(rates_csv)
         assert cfg.seed == 3
+
+    @pytest.mark.parametrize("bom, newline", [("", "\n"), ("", "\r\n"), ("\ufeff", "\n")],
+                             ids=["lf", "crlf", "bom"])
+    def test_non_utf8_byte_names_path_and_line(self, tmp_path, rates_csv, bom, newline):
+        path = tmp_path / "exp.ini"
+        lines = [f"{bom}[data]", f"path = {rates_csv}", "[split]", "seed = 3"]
+        path.write_bytes(newline.join(lines).encode("utf-8").replace(b"seed", b"\xffseed"))
+        with pytest.raises(ValueError) as info:
+            load_config(path)
+        assert str(info.value) == f"{path}: line 4: not UTF-8 (byte 0xff)"
 
     @pytest.mark.parametrize("section, key", [("mars", "gcv_penalty"), ("anfis", "rate")])
     def test_nan_value_rejected(self, tmp_path, rates_csv, section, key):

@@ -233,6 +233,24 @@ class TestFitPredict:
         assert "\ncurrency ÉUR\n".encode() in model_file.read_bytes()
         assert len(outputs[1].splitlines()) == 243
 
+    def test_bench_names_an_artifact_the_locale_cannot_encode(self, tmp_path):
+        """Under an ASCII locale, bench stops at the first artifact whose name
+        holds a currency code outside ASCII, with one error line naming it."""
+        gbp = forex5_series(seed=7)["GBP"]
+        csv = tmp_path / "rates.csv"
+        write_rates_csv(csv, {"ÉUR": data.RateSeries("ÉUR", gbp.start_year,
+                                                      gbp.start_month, gbp.values)})
+        cfg = _config(tmp_path, csv, f"[models]\nenabled = mars\n"
+                                     f"[output]\ndir = {tmp_path / 'out'}\n")
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0",
+               "PYTHONPATH": str(Path(forexkit.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-m", "forexkit", "bench", str(cfg)],
+                              env=env, capture_output=True, timeout=120)
+        assert done.returncode == 1
+        [line] = done.stderr.splitlines()
+        assert line == (f"error: cannot name artifact {tmp_path / 'out'}/pred_\\xc9UR.svg "
+                        f"in the file system's encoding (ascii)").encode()
+
     def test_predict_missing_model_file(self, tmp_path, rates_csv, capsys):
         assert main(["predict", str(tmp_path / "nope.model"), str(rates_csv)]) == 1
         assert "nope.model" in capsys.readouterr().err
