@@ -41,20 +41,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import Batches, Dataset, as_rows, require_finite
+from .data import Batches, Dataset, RowError, as_rows
 from .dumpfmt import Lines, expect, floats, fmt, integer, keyed
 
 _WIDTH_FLOOR = 1e-6
 _LOG_UNDERFLOW = -745.0  # below this, exp() is exactly 0.0 in double precision
 
 
-class NoRuleFires(ValueError):
+class NoRuleFires(RowError, ValueError):
     """All rule strengths underflowed to zero for some input.  ``row`` is the
     model's row in a lockstep stack, 0 for a single model."""
-
-    def __init__(self, message: str, row: int = 0):
-        super().__init__(message)
-        self.row = row
 
 
 @dataclass(frozen=True)
@@ -286,9 +282,8 @@ def premise_step(stack: _Stack, batch: Batches, rates) -> None:
 
 def init_model(train: Dataset, cfg: AnfisConfig) -> AnfisModel:
     """Centers equally spaced over each input's observed range; widths set to
-    spacing / sqrt(2 ln 2) so adjacent MFs cross near 0.5; zero consequents."""
-    if train.n_rows == 0:
-        raise ValueError("training set is empty")
+    spacing / sqrt(2 ln 2) so adjacent MFs cross near 0.5; zero consequents.
+    The set is one that Batches accepts."""
     centers, widths = [], []
     for i in range(train.n_features):
         col = train.features[:, i]
@@ -311,20 +306,15 @@ def hybrid_train(train, cfg: AnfisConfig = AnfisConfig()):
     post-LSE RMSE worsens.  Training is deterministic.  Returns (model,
     per-epoch RMSE trace).
 
-    Given a sequence of datasets of one row count and width instead, it
-    trains them as one lockstep stack (see the module docstring) and returns
-    (list of models, list of traces), each bit for bit what training on that
-    dataset alone gives; a single dataset is a stack of one."""
+    Given a sequence of datasets instead, it trains them as one lockstep
+    stack (see the module docstring) and returns (list of models, list of
+    traces), each bit for bit what training on that dataset alone gives; a
+    single dataset is a stack of one.  Batches checks the datasets; a set
+    that fails raises a data.RowError naming its index as ``row``."""
     single = isinstance(train, Dataset)
     trains = [train] if single else list(train)
-    if not trains:
-        raise ValueError("no training sets")
-    if len({(t.n_rows, t.n_features) for t in trains}) > 1:
-        raise ValueError("a stack's datasets share their row count and width")
-    for t in trains:
-        require_finite(t)
-    stack = _Stack([init_model(t, cfg) for t in trains])
     batch = Batches(trains)
+    stack = _Stack([init_model(t, cfg) for t in trains])
     X, y = batch.features, batch.targets
     rates = [cfg.rate] * len(trains)
     traces = [[] for _ in trains]

@@ -349,40 +349,32 @@ def load_config(path) -> ExperimentConfig:
     Only [data] path is required; every other key falls back to the defaults
     baked into ExperimentConfig.  Unknown sections or keys are errors, so
     typos fail loudly instead of silently running defaults, and a bad value
-    raises ValueError naming its ``[section] key = value``.
+    raises ValueError naming its ``[section] key = value``.  Keys are read
+    in file order, and the first faulty one is named.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    try:  # utf-8-sig drops a byte-order mark, which would hide the first section
-        text = decode_text(Path(path).read_bytes(), "utf-8-sig")  # a missing file names its path
+    try:
+        text = decode_text(Path(path).read_bytes())  # a missing file names its path
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     parser.read_string(text, source=str(path))
+    kw: dict = {}
     for section in parser.sections():
         if section not in _INI:
             raise ValueError(f"unknown config section [{section}] in {path}")
-        for key in parser[section]:
+        for key, raw in parser[section].items():
             if key not in _INI[section]:
                 raise ValueError(f"unknown key {section}.{key} in {path}")
-    if not parser.has_option("data", "path"):
+            name, parse = _INI[section][key]
+            outer, _, inner = name.partition(".")
+            try:
+                value = parse(raw)
+                if inner:  # a nested config checks each key as it is set
+                    value = replace(kw.get(outer, getattr(ExperimentConfig, outer)),
+                                    **{inner: value})
+            except ValueError as exc:
+                raise ValueError(f"[{section}] {key} = {raw}: {exc}") from None
+            kw[outer] = value
+    if "data_path" not in kw:
         raise ValueError(f"config {path} must set data.path")
-
-    kw: dict = {}
-    for section, keys in _INI.items():
-        nested: dict = {}
-        for key, (name, parse) in keys.items():
-            if parser.has_option(section, key):
-                outer, _, inner = name.partition(".")
-                raw = parser[section][key]
-                try:
-                    value = parse(raw)
-                    if inner:  # a nested config checks each of its keys alone
-                        replace(getattr(ExperimentConfig, outer), **{inner: value})
-                except ValueError as exc:
-                    raise ValueError(f"[{section}] {key} = {raw}: {exc}") from None
-                if inner:
-                    nested.setdefault(outer, {})[inner] = value
-                else:
-                    kw[outer] = value
-        for outer, values in nested.items():
-            kw[outer] = replace(getattr(ExperimentConfig, outer), **values)
     return ExperimentConfig(**kw)

@@ -93,25 +93,48 @@ class Dataset:
         return Dataset(self.feature_names, self.features[idx], self.targets[idx], prov)
 
 
-def require_finite(train: Dataset) -> None:
-    """Raise ValueError naming the first row (0-based) and column of a
-    training set that holds NaN or inf; every fit calls this first."""
+class RowError(Exception):
+    """A failure of one set of a lockstep stack, whose index is ``row`` (0 in
+    a stack of one).  Every stack engine's own failures derive from it."""
+
+    def __init__(self, message: str, row: int = 0):
+        super().__init__(message)
+        self.row = row
+
+
+class TrainingSetError(RowError, ValueError):
+    """A training set that no fit can use: empty, misshapen or not finite."""
+
+
+def require_finite(train: Dataset, row: int = 0) -> None:
+    """Raise TrainingSetError naming the first row (0-based) and column of a
+    training set that holds NaN or inf; ``row`` is the set's index in a stack."""
     table = np.column_stack([train.features, train.targets])
     bad = np.argwhere(~np.isfinite(table))
     if bad.size:
-        row, col = bad[0]
+        at, col = bad[0]
         name = "target" if col == train.n_features else \
             f"feature {train.feature_names[col]!r}"
-        raise ValueError(f"training row {row}, {name} is {table[row, col]}: "
-                         "a fit needs finite values")
+        raise TrainingSetError(f"training row {at}, {name} is {table[at, col]}: "
+                               "a fit needs finite values", row)
 
 
 class Batches:
     """K training sets of one row count and width as one batch for a
     lockstep stack: features (K, n_rows, n_features) and targets (K,
-    n_rows), both read-only."""
+    n_rows), both read-only.  It is every stack's one entry check: an empty
+    list, or the first set shaped unlike set 0, empty or not finite, raises
+    TrainingSetError naming the set's index as ``row``."""
 
     def __init__(self, trains):
+        if not trains:
+            raise TrainingSetError("no training sets")
+        for row, t in enumerate(trains):
+            if (t.n_rows, t.n_features) != (trains[0].n_rows, trains[0].n_features):
+                raise TrainingSetError("a stack's datasets share their row count and width", row)
+            if not t.n_rows:
+                raise TrainingSetError("training set is empty", row)
+            require_finite(t, row)
         self.features = np.stack([t.features for t in trains])
         self.targets = np.stack([t.targets for t in trains])
         self.features.flags.writeable = self.targets.flags.writeable = False
@@ -148,19 +171,26 @@ class FeatureSpec:
             raise ValueError(f"unknown recipe {self.recipe!r}; choose from {RECIPES}")
 
 
-def decode_text(raw: bytes, codec: str = "utf-8") -> str:
+def decode_text(raw: bytes) -> str:
     """The UTF-8 bytes of a file as text mode reads them, with universal
-    newlines.  A byte that is not UTF-8 raises ValueError naming its 1-based
-    line and the byte."""
+    newlines and without a leading byte-order mark.  A byte that is not UTF-8
+    raises ValueError naming its 1-based line and the byte."""
     # CR and LF bytes occur in UTF-8 only as those characters, so they can be
     # translated before decoding.
     lf = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in raw else raw
     try:
-        return lf.decode(codec)
+        return lf.decode("utf-8-sig")
     except UnicodeDecodeError as exc:  # exc.object is the input after any BOM
         line = exc.object[:exc.start].count(b"\n") + 1
         raise ValueError(f"line {line}: not UTF-8 "
                          f"(byte 0x{exc.object[exc.start]:02x})") from None
+
+
+def code_fault(code: str):
+    """Why ``code`` is no currency code, which is one word without quotes:
+    "empty", "quoted" or "spaced"; None for a good code."""
+    return ("empty" if not code else "quoted" if '"' in code else
+            "spaced" if code.split() != [code] else None)
 
 
 def load_csv(path) -> dict:
@@ -188,7 +218,7 @@ def load_csv(path) -> dict:
     last = _last  # read once: a concurrent load may replace the slot
     if last is not None and last[0] == raw:
         return dict(last[1])
-    lines = decode_text(raw, "utf-8-sig").split("\n")
+    lines = decode_text(raw).split("\n")
     if lines == [""]:
         raise ValueError(f"empty file: {path}")
     header = [h.strip() for h in lines[0].split(",")] if lines[0] else []
@@ -198,9 +228,8 @@ def load_csv(path) -> dict:
     if not codes:
         raise ValueError("no rate columns in header")
     for col, code in enumerate(codes, start=2):
-        if code.split() != [code] or '"' in code or code in codes[:col - 2]:
-            fault = ("empty" if not code else "quoted" if '"' in code else
-                     "duplicate" if code in codes[:col - 2] else "spaced")
+        fault = code_fault(code) or ("duplicate" if code in codes[:col - 2] else None)
+        if fault:
             raise ValueError(f"line 1: {fault} currency code {code!r} in column {col}")
 
     # Blank rows at the end (empty, whitespace or comma-only, as spreadsheets

@@ -66,8 +66,6 @@ def fit_hybrid(train: Dataset, selection: Dataset,
     # ``encoding`` is kept only for perfbench/run.py:fit_predictor; ROADMAP item 9 deletes it
     if encoding != "one_hot_leaf":
         raise ValueError(f"encoding {encoding!r}: the hybrid encodes leaves one_hot_leaf only")
-    if train.n_rows == 0:
-        raise ValueError("training set is empty")
     seq = cart.prune_sequence(cart.grow(train, cart_cfg), train)
     tree = cart.select_min_cost(seq, selection)
     model = mars.fit(augment(train, tree), mars_cfg)

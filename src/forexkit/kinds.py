@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 from . import anfis, cart, hybrid, mars, scg
-from .data import require_finite
+from .data import RowError
 
 
 class CellError(RuntimeError):
@@ -88,30 +88,24 @@ class _Stacked(Kind):
     """A family whose ``fit_cells`` trains every cell in one lockstep stack,
     each cell bit for bit as it trains in a stack of one; it has no ``fit``.
     A cell's seconds are its share, the stack's time over the number of
-    cells.  A cell whose training set is not finite fails before the stack
-    starts; ``row_error`` is the engine's exception that names a failing row
-    of the stack."""
+    cells.  Every failure of one cell, a training set that Batches refuses
+    or the engine's own, is a data.RowError naming the cell's row, so a
+    failed cell raises CellError with that row as its index."""
 
     def fit_cells(self, cfg, cells) -> list:
         if not cells:
             return []
-        for index, (train, _, _) in enumerate(cells):
-            try:
-                require_finite(train)
-            except ValueError as exc:
-                raise CellError(index, exc) from exc
         started = time.perf_counter()
         try:
             fitted = self.fit_stack(cfg, cells)
-        except self.row_error as exc:
+        except RowError as exc:
             raise CellError(exc.row, exc) from exc
         share = (time.perf_counter() - started) / len(cells)
         return [(engine, extras, share) for engine, extras in fitted]
 
 
 class _Mlp(_Stacked):
-    module, predict_name, row_error = scg, "forward", scg.ScgDivergence
-    dump_name, load_name = "dump_network", "load_network"
+    module, predict_name, dump_name, load_name = scg, "forward", "dump_network", "load_network"
 
     def fit_stack(self, cfg, cells) -> list:
         nets, _ = scg.scg_train([scg.init_network((train.n_features, *cfg.mlp_hidden, 1), key)
@@ -121,7 +115,7 @@ class _Mlp(_Stacked):
 
 
 class _Anfis(_Stacked):
-    module, row_error = anfis, anfis.NoRuleFires
+    module = anfis
 
     def fit_stack(self, cfg, cells) -> list:
         models, _ = anfis.hybrid_train([train for train, _, _ in cells], cfg.anfis_cfg)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import (RECIPES, FeatureSpec, ScalerParams, build_supervised,
+from .data import (RECIPES, FeatureSpec, ScalerParams, build_supervised, code_fault,
                    scale_features, unscale_target)
 from .dumpfmt import Lines, expect, floats, fmt, keyed, number, tail
 from .kinds import KINDS
@@ -79,7 +79,7 @@ def save_predictor(p: Predictor) -> str:
 def load_predictor(text: str) -> Predictor:
     """Inverse of save_predictor, reading the header in the order it writes
     it.  A header line out of that order, truncated, garbled or non-finite
-    input, an empty, padded or spaced currency (load_csv's rule for a code),
+    input, an empty, padded, spaced or quoted currency (load_csv's rule),
     an unknown kind or recipe, a scaler maximum below its minimum, and a
     scaler whose width is not the engine's raise ValueError naming a line."""
     lines = text.splitlines()
@@ -94,8 +94,10 @@ def load_predictor(text: str) -> Predictor:
     if kind not in KINDS:
         raise ValueError(f"line {no}: unknown model kind {kind!r}")
     no, currency = keyed(header.take("the currency line"), "currency")
-    if currency.split() != [currency]:
-        raise ValueError(f"line {no}: empty, padded or spaced currency {currency!r}")
+    fault = code_fault(currency)
+    if fault:
+        fault = "quoted" if fault == "quoted" else "empty, padded or spaced"
+        raise ValueError(f"line {no}: {fault} currency {currency!r}")
     no, recipe = keyed(header.take("the recipe line"), "recipe")
     if recipe not in RECIPES:
         raise ValueError(f"line {no}: unknown recipe {recipe!r}; choose from {RECIPES}")

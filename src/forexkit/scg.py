@@ -34,18 +34,17 @@ from functools import partial
 
 import numpy as np
 
-from .data import Batches, Dataset, as_rows, require_finite
+from .data import Batches, Dataset, RowError, as_rows
 from .dumpfmt import Lines, expect, floats, fmt
 
 
-class ScgDivergence(RuntimeError):
+class ScgDivergence(RowError, RuntimeError):
     """Raised when the training error or gradient turns non-finite.  ``row``
     is the problem's row in a lockstep stack, 0 for a single problem."""
 
     def __init__(self, epoch: int, message: str, row: int = 0):
-        super().__init__(message)
+        super().__init__(message, row)
         self.epoch = epoch
-        self.row = row
 
 
 SIGMA0 = 1e-4      # finite-difference step along p, over |p|
@@ -444,9 +443,10 @@ def scg_train(net, train, epochs: int, seed: int | None = None):
     Returns (trained network, per-epoch error trace).
 
     Given equal-length sequences of networks (of one layer-size tuple) and
-    datasets (of one row count) instead, it trains them as one lockstep
-    stack and returns (list of networks, list of traces), each bit for bit
-    what training that network alone gives.
+    datasets instead, it trains them as one lockstep stack and returns (list
+    of networks, list of traces), each bit for bit what training that
+    network alone gives.  It checks the epochs and networks, Batches the
+    datasets; a set that fails raises a data.RowError naming its ``row``.
 
     Every evaluation runs on one workspace over a (K, n_params) parameter
     buffer and the stacked features, through the module-level error and
@@ -462,19 +462,13 @@ def scg_train(net, train, epochs: int, seed: int | None = None):
         raise ValueError("epochs must be >= 1")
     if not nets or len(nets) != len(trains):
         raise ValueError(f"{len(nets)} networks for {len(trains)} datasets")
-    if (len({n.layer_sizes for n in nets}) > 1
-            or len({(t.n_rows, t.n_features) for t in trains}) > 1):
-        raise ValueError("a stack's networks share their layer sizes, and its "
-                         "datasets their row count and width")
-    for t in trains:
-        if t.n_rows == 0:
-            raise ValueError("training set is empty")
-        require_finite(t)
+    if len({n.layer_sizes for n in nets}) > 1:
+        raise ValueError("a stack's networks share their layer sizes")
+    batch = Batches(trains)
     if seed is not None:
         nets = [init_network(n.layer_sizes, seed) for n in nets]
     sizes = nets[0].layer_sizes
     flat = np.full((len(nets), nets[0].n_params), np.nan)  # so the first W is copied in
-    batch = Batches(trains)
     work = _Workspace(sizes, *_unflatten(sizes, flat), batch.features)
 
     def at(W):

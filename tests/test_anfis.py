@@ -560,12 +560,19 @@ class TestStack:
             hybrid_train([flat, _grid_problem(n=30, seed=1), flat], cfg)
         assert caught.value.row == 1
 
-    @pytest.mark.parametrize("trains, match", [
-        ([], "no training sets"),
+    # row: the index of the set named, 0 when there is none
+    @pytest.mark.parametrize("trains, match, row", [
+        ([], "no training sets", 0),
         ([_dataset(np.zeros((4, 1)), np.zeros(4)), _dataset(np.zeros((5, 1)), np.zeros(5))],
-         "row count and width"),
+         "row count and width", 1),
         ([_dataset(np.zeros((4, 1)), np.zeros(4)), _dataset(np.zeros((4, 2)), np.zeros(4))],
-         "row count and width")], ids=["empty", "rows", "width"])
-    def test_stack_shape_checked(self, trains, match):
-        with pytest.raises(ValueError, match=match):
+         "row count and width", 1),
+        ([_dataset(np.zeros((0, 1)), np.zeros(0))] * 2, "^training set is empty$", 0),
+        ([_dataset(np.zeros((4, 1)), np.zeros(4))] * 2
+         + [_dataset(np.zeros((4, 1)), [0.0, 0.0, np.inf, 0.0])],
+         "^training row 2, target is inf: ", 2)],
+        ids=["empty", "rows", "width", "empty-sets", "non-finite"])
+    def test_stack_shape_checked(self, trains, match, row):
+        with pytest.raises(ValueError, match=match) as caught:
             hybrid_train(trains, AnfisConfig(epochs=1))
+        assert caught.value.row == row

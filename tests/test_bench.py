@@ -249,28 +249,37 @@ class TestAnfisStack:
 
     @pytest.mark.parametrize("model", ["anfis", "mlp"])
     def test_non_finite_cell_names_its_currency(self, rates_csv, monkeypatch, model):
-        # either stacked family checks every cell before its stack starts
+        # either stacked family names the cell whose training set its stack
+        # refuses: a non-finite or misshapen one, or the first when all are empty
         cfg = ExperimentConfig(data_path=str(rates_csv), models=(model,))
         series = load_csv(rates_csv)
         real = bench.prepare_cell
 
-        def prepare_cell(cfg, series, code, model):
-            scaler, strain, stest = real(cfg, series, code, model)
-            if code == "SGD":
-                X = strain.features.copy()
-                X[5, 1] = np.nan
-                strain = Dataset(strain.feature_names, X, strain.targets)
-            return scaler, strain, stest
+        def non_finite(train):
+            X = train.features.copy()
+            X[5, 1] = np.nan
+            return Dataset(train.feature_names, X, train.targets)
 
-        cells = [(prepare_cell(cfg, series, code, model)[1], None, None) for code in series]
-        with pytest.raises(CellError) as caught:
-            KINDS[model].fit_cells(cfg, cells)
-        assert caught.value.index == list(series).index("SGD") == 3
-        assert str(caught.value).startswith("training row 5, feature ")
+        faults = [(non_finite, "SGD", "training row 5, feature "),
+                  (lambda t: t.take(np.arange(t.n_rows - 1)), "SGD",
+                   "a stack's datasets share their row count and width"),
+                  (lambda t: t.take(np.arange(0)), None, "training set is empty")]
+        for fault, faulty, message in faults:
+            def prepare_cell(cfg, series, code, model):
+                scaler, strain, stest = real(cfg, series, code, model)
+                return scaler, fault(strain) if faulty in (None, code) else strain, stest
 
-        monkeypatch.setattr(bench, "prepare_cell", prepare_cell)
-        with pytest.raises(BenchError, match=rf"^currency SGD, model {model}: training row 5, "):
-            run_experiment(cfg)
+            named = faulty or "JPY"
+            cells = [(prepare_cell(cfg, series, code, model)[1], None, None) for code in series]
+            with pytest.raises(CellError) as caught:
+                KINDS[model].fit_cells(cfg, cells)
+            assert caught.value.index == list(series).index(named) == (3 if faulty else 0)
+            assert str(caught.value).startswith(message)
+
+            monkeypatch.setattr(bench, "prepare_cell", prepare_cell)
+            with pytest.raises(BenchError,
+                               match=rf"^currency {named}, model {model}: {re.escape(message)}"):
+                run_experiment(cfg)
 
     def test_rank_deficient_count_equals_single_fits(self, monkeypatch):
         x = np.linspace(0.0, 1.0, 40)
@@ -521,6 +530,17 @@ dir = somewhere
         path = self._write(tmp_path, f"[data]\npath = {rates_csv}\n\n"
                                      "[hybrid]\nencoding = one_hot_leaf\n")
         with pytest.raises(ValueError, match="unknown key hybrid.encoding in "):
+            load_config(path)
+
+    def test_first_faulty_line_is_named(self, tmp_path, rates_csv):
+        # one pass in file order: of a bad value and an unknown key, the
+        # earlier line is the one named
+        bad, unknown = "[anfis]\nepochs = two\n", "[mars]\npruning = gcv\n"
+        path = self._write(tmp_path, f"[data]\npath = {rates_csv}\n{bad}{unknown}")
+        with pytest.raises(ValueError, match=r"^\[anfis\] epochs = two: "):
+            load_config(path)
+        path = self._write(tmp_path, f"[data]\npath = {rates_csv}\n{unknown}{bad}")
+        with pytest.raises(ValueError, match="^unknown key mars.pruning in "):
             load_config(path)
 
     def test_unknown_section_rejected(self, tmp_path, rates_csv):

@@ -198,14 +198,16 @@ class TestFitPredict:
         assert main(["serve", str(rates_csv)]) == 1
         assert capsys.readouterr().err == f"error: {bad}: line 5: not UTF-8 (byte 0xff)\n"
 
-    @pytest.mark.parametrize("ending", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+    # a leading byte-order mark is dropped, as in a rates or config file
+    @pytest.mark.parametrize("bom, ending", [(b"", b"\r\n"), (b"", b"\r"),
+                                             (b"\xef\xbb\xbf", b"\n")], ids=["crlf", "cr", "bom"])
     def test_predict_reads_any_line_ending_in_a_model_file(self, tmp_path, rates_csv,
-                                                           capsys, ending):
+                                                           capsys, bom, ending):
         cfg = _config(tmp_path, rates_csv)
         model_file = tmp_path / "m.model"
         assert main(["fit", "cart", str(cfg), "-o", str(model_file)]) == 0
         other = tmp_path / "other.model"
-        other.write_bytes(model_file.read_bytes().replace(b"\n", ending))
+        other.write_bytes(bom + model_file.read_bytes().replace(b"\n", ending))
         capsys.readouterr()
         assert main(["predict", str(model_file), str(rates_csv)]) == 0
         expected = capsys.readouterr().out

@@ -723,8 +723,12 @@ class TestTrainingStack:
         ("sizes", 2, "share their layer sizes"),
         (2, "rows", "row count"),
         (2, "width", "row count and width"),
+        (3, "empty", "^training set is empty$"),
+        (3, "nan", "^training row 4, feature 'x1' is nan: "),
     ])
     def test_stack_shape_checked(self, nets, trains, message):
+        # the failing set's index; a network check carries none
+        row = {"rows": 1, "width": 1, "empty": 0, "nan": 2}.get(trains)
         nets = ([init_network((2, 4, 1), 0), init_network((2, 5, 1), 0)] if nets == "sizes"
                 else self._nets(nets))
         if trains == "rows":
@@ -732,10 +736,18 @@ class TestTrainingStack:
         elif trains == "width":
             trains = self._batches(25, 1) + [Dataset(("a", "b", "c"), np.zeros((25, 3)),
                                                      np.zeros(25))]
+        elif trains == "empty":
+            trains = self._batches(0, 3)
+        elif trains == "nan":
+            trains = self._batches(25, 3)
+            X = trains[2].features.copy()
+            X[4, 1] = np.nan
+            trains[2] = Dataset(trains[2].feature_names, X, trains[2].targets)
         else:
             trains = self._batches(25, trains)
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=message) as caught:
             scg_train(nets, trains, epochs=5)
+        assert getattr(caught.value, "row", None) == row
 
 
 class TestSerialization:

@@ -216,11 +216,12 @@ class TestPredictorFile:
         (("currency JPY", "currency  JPY"), "^line 3: empty, padded or spaced currency ' JPY'"),
         (("currency JPY", "currency J PY"), "^line 3: empty, padded or spaced currency 'J PY'"),
         (("currency JPY", "currency J\tPY"), r"^line 3: empty, padded or spaced currency 'J\\tPY'"),
+        (("currency JPY", 'currency "JPY"'), """^line 3: quoted currency '"JPY"'"""),
         (("feature_max 1", "feature_max -1"), "^line 6: feature_max is below feature_min"),
         (("target_max 1", "target_max -0.5"), "^line 8: target_max is below target_min")],
         ids=["repeated-key", "unknown-key", "reordered", "unknown-recipe", "no-currency",
              "blank-currency", "padded-currency", "spaced-currency", "tab-currency",
-             "inverted-features", "inverted-target"])
+             "quoted-currency", "inverted-features", "inverted-target"])
     def test_bad_header_line_rejected(self, edit, match):
         text = ("forexkit-predictor v1\nmodel mars\ncurrency JPY\nrecipe mp1\n"
                 "feature_min 0\nfeature_max 1\ntarget_min 0\ntarget_max 1\n"
