@@ -352,7 +352,9 @@ def load_config(path) -> ExperimentConfig:
     raises ValueError naming its ``[section] key = value``.  Keys are read
     in file order, and the first faulty one is named.
     """
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    # No section name is empty, so [DEFAULT] is read as a section of its own
+    # and refused as unknown, not copied into every other section.
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), default_section="")
     try:
         text = decode_text(Path(path).read_bytes())  # a missing file names its path
     except ValueError as exc:

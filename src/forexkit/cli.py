@@ -7,7 +7,8 @@ Subcommands:
   predict <model-file> <csv>     one-step-ahead forecasts, one line per row
   serve <csv>                    answer each predictor-file path read from
                                  stdin with predict's lines and an empty line
-  synth <recipe> <out.csv>       generate a synthetic rates CSV
+  synth <recipe> <out.csv>       generate a synthetic rates CSV (forex5 takes
+                                 --seed and --months)
 
 All failures exit nonzero with a single diagnostic line on stderr; serve
 writes one such line per failed request and goes on.
@@ -50,6 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("recipe", choices=synth.RECIPES)
     p.add_argument("out_csv")
     p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--months", type=int, help="forex5's length (default 244)")
     return parser
 
 
@@ -87,9 +89,9 @@ def _forecast(model_file, csv) -> str:
     first = next(iter(series.values()))
     month0 = first.start_year * 12 + (first.start_month - 1)
     lines = []
-    for offset, value in zip(months, preds):
-        year, month = divmod(month0 + int(offset), 12)
-        lines.append(f"{year:04d}-{month + 1:02d},{value:.10g}\n")
+    for offset, value in zip(months.tolist(), preds.tolist()):
+        year, month = divmod(month0 + offset, 12)
+        lines.append("%04d-%02d,%.10g\n" % (year, month + 1, value))
     return "".join(lines)
 
 
@@ -115,7 +117,7 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    series = synth.make_recipe(args.recipe, args.seed)
+    series = synth.make_recipe(args.recipe, args.seed, args.months)
     synth.write_rates_csv(args.out_csv, series)
     print(f"wrote {args.out_csv}")
     return 0

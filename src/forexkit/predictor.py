@@ -31,6 +31,18 @@ class Predictor:
     def __post_init__(self):
         if self.model_kind not in KINDS:
             raise ValueError(f"unknown model kind {self.model_kind!r}")
+        fault = _currency_fault(self.currency)
+        if fault:  # load_predictor would refuse the file save_predictor writes
+            raise ValueError(fault)
+
+
+def _currency_fault(code: str):
+    """Why ``code`` cannot be a predictor's currency (load_csv's rule), or None."""
+    fault = code_fault(code)
+    if fault:
+        fault = "quoted" if fault == "quoted" else "empty, padded or spaced"
+        return f"{fault} currency {code!r}"
+    return None
 
 
 def predict_scaled(p: Predictor, X: np.ndarray) -> np.ndarray:
@@ -94,10 +106,9 @@ def load_predictor(text: str) -> Predictor:
     if kind not in KINDS:
         raise ValueError(f"line {no}: unknown model kind {kind!r}")
     no, currency = keyed(header.take("the currency line"), "currency")
-    fault = code_fault(currency)
+    fault = _currency_fault(currency)
     if fault:
-        fault = "quoted" if fault == "quoted" else "empty, padded or spaced"
-        raise ValueError(f"line {no}: {fault} currency {currency!r}")
+        raise ValueError(f"line {no}: {fault}")
     no, recipe = keyed(header.take("the recipe line"), "recipe")
     if recipe not in RECIPES:
         raise ValueError(f"line {no}: unknown recipe {recipe!r}; choose from {RECIPES}")

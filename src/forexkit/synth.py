@@ -6,12 +6,17 @@ Two recipes ship with the toolkit:
             strictly increasing level — the canonical tree-recovery fixture
             (a regression tree should come back with exactly 7 leaves).
 
-``forex5``  five 244-month currency series (JPY, USD, GBP, SGD, NZD against
-            a common base) generated as seasonal log-AR(1) walks with gentle
-            drift, rounded to 4 decimals like published monthly averages.
+``forex5``  five currency series (JPY, USD, GBP, SGD, NZD against a common
+            base), 244 months unless asked otherwise, generated as seasonal
+            log-AR(1) walks with gentle drift, rounded to 4 decimals like
+            published monthly averages.  The drift scales with t/months, so
+            a longer draw is not a shorter one extended.
 
 Values are written with ``%.4f`` so files parse back to the exact doubles
-they were generated from (the generators round to 4 decimals first).
+they were generated from (the generators round to 4 decimals first).  The
+AR(1) loop and the writer work on Python floats from ``tolist()``: a numpy
+scalar costs several times a float in each step of a per-value loop, and the
+floats are the same doubles, so every byte of a file stays as it was.
 """
 
 from __future__ import annotations
@@ -49,6 +54,8 @@ def forex5_series(seed: int = 7, months: int = STEP7_MONTHS) -> dict:
     """
     if seed < 0:  # numpy's own message names neither the seed nor its value
         raise ValueError(f"seed must be >= 0, got {seed}")
+    if months < 1:
+        raise ValueError(f"months must be >= 1, got {months}")
     t = np.arange(months)
     out = {}
     for code in FOREX5_CODES:
@@ -58,24 +65,28 @@ def forex5_series(seed: int = 7, months: int = STEP7_MONTHS) -> dict:
             2.0 * np.pi * t / 12.0 + rng.uniform(0.0, 2.0 * np.pi))
         rho, sigma = 0.95, 0.015
         shocks = rng.normal(0.0, sigma, size=months)
-        ar = np.empty(months)
+        ar = []
         level = 0.0
-        for i in range(months):
-            level = rho * level + shocks[i]
-            ar[i] = level
-        log_rate = np.log(_FOREX5_BASE[code]) + drift + season + ar
+        for shock in shocks.tolist():
+            level = rho * level + shock
+            ar.append(level)
+        log_rate = np.log(_FOREX5_BASE[code]) + drift + season + np.array(ar)
         out[code] = RateSeries(code, _START_YEAR, _START_MONTH,
                                np.round(np.exp(log_rate), 4))
     return out
 
 
-def make_recipe(name: str, seed: int = 7) -> dict:
-    """Recipe name -> dict of RateSeries, as written by ``write_rates_csv``."""
+def make_recipe(name: str, seed: int = 7, months: int | None = None) -> dict:
+    """Recipe name -> dict of RateSeries, as written by ``write_rates_csv``.
+    ``months`` (default 244) sets forex5's length; step7's is fixed."""
     if name == "step7":
+        if months is not None:
+            raise ValueError(f"step7 has a fixed {STEP7_MONTHS} months; "
+                             "only forex5 takes a length")
         s = step7_series()
         return {s.currency_code: s}
     if name == "forex5":
-        return forex5_series(seed)
+        return forex5_series(seed, STEP7_MONTHS if months is None else months)
     raise ValueError(f"unknown recipe {name!r}; choose from {RECIPES}")
 
 
@@ -90,10 +101,10 @@ def write_rates_csv(path, series_map: dict) -> None:
                                                      first.start_month):
             raise ValueError("all series must share start month and length")
     lines = ["date," + ",".join(s.currency_code for s in series)]
+    row = "%04d-%02d" + ",%.4f" * len(series)
     month0 = first.start_year * 12 + (first.start_month - 1)
-    for i in range(len(first)):
+    for i, values in enumerate(zip(*(s.values.tolist() for s in series))):
         year, month = divmod(month0 + i, 12)
-        cells = ",".join(format(s.values[i], ".4f") for s in series)
-        lines.append(f"{year:04d}-{month + 1:02d},{cells}")
-    with open(path, "w", newline="") as fh:
+        lines.append(row % (year, month + 1, *values))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -7,8 +7,9 @@ bug in an engine cannot hide in its own oracle.  The exceptions:
 its models dump in the engine's format, ``ReferenceAnfis`` likewise borrows
 ``AnfisModel``, ``ReferenceCart`` reads the engine's tree arrays into its
 own linked nodes and builds its grown trees with the engine's preorder
-constructor, ``ReferenceCsv`` borrows the ``RateSeries`` container, and
-``hessian_vector_approx`` differences the SCG engine's own gradient.
+constructor, ``ReferenceCsv`` and ``ReferenceSynth`` borrow the
+``RateSeries`` container, and ``hessian_vector_approx`` differences the SCG
+engine's own gradient.
 ``stack_of_one`` and ``with_consequents`` are test helpers, not oracles:
 they put one ``AnfisModel`` and its data in the form the ANFIS engine's
 steps take, and an ``lse_consequents`` result of that stack back into the
@@ -18,6 +19,7 @@ model.
 from __future__ import annotations
 
 import csv
+import zlib
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -713,3 +715,45 @@ class ReferenceCsv:
     def _month_str(index: int) -> str:
         year, month = divmod(index, 12)
         return f"{year:04d}-{month + 1:02d}"
+
+
+class ReferenceSynth:
+    """The forex5 generator and the rates-CSV writer as they were before they
+    ran on Python floats: the AR(1) recursion over numpy scalars, and one
+    ``format`` call per value.  Copied unchanged, so the package must write
+    the same bytes for every seed and length."""
+
+    BASE = {"JPY": 80.0, "USD": 0.55, "GBP": 0.35, "SGD": 1.05, "NZD": 1.15}
+
+    @staticmethod
+    def forex5_series(seed: int = 7, months: int = 244) -> dict:
+        t = np.arange(months)
+        out = {}
+        for code in ReferenceSynth.BASE:
+            rng = np.random.default_rng([seed, zlib.crc32(code.encode())])
+            drift = rng.uniform(-0.1, 0.1) * t / months
+            season = rng.uniform(0.01, 0.04) * np.sin(
+                2.0 * np.pi * t / 12.0 + rng.uniform(0.0, 2.0 * np.pi))
+            rho, sigma = 0.95, 0.015
+            shocks = rng.normal(0.0, sigma, size=months)
+            ar = np.empty(months)
+            level = 0.0
+            for i in range(months):
+                level = rho * level + shocks[i]
+                ar[i] = level
+            log_rate = np.log(ReferenceSynth.BASE[code]) + drift + season + ar
+            out[code] = RateSeries(code, 1981, 1, np.round(np.exp(log_rate), 4))
+        return out
+
+    @staticmethod
+    def write_rates_csv(path, series_map: dict) -> None:
+        series = list(series_map.values())
+        first = series[0]
+        lines = ["date," + ",".join(s.currency_code for s in series)]
+        month0 = first.start_year * 12 + (first.start_month - 1)
+        for i in range(len(first)):
+            year, month = divmod(month0 + i, 12)
+            cells = ",".join(format(s.values[i], ".4f") for s in series)
+            lines.append(f"{year:04d}-{month + 1:02d},{cells}")
+        with open(path, "w", newline="") as fh:
+            fh.write("\n".join(lines) + "\n")

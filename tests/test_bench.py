@@ -549,6 +549,17 @@ dir = somewhere
         with pytest.raises(ValueError, match="tuning"):
             load_config(path)
 
+    def test_default_section_is_an_unknown_section(self, tmp_path):
+        """configparser would copy [DEFAULT]'s keys into every section and
+        name one of them as an unknown key of a section that never sets it."""
+        path = self._write(tmp_path, "[DEFAULT]\nrecipe = mp5\n[data]\npath = r.csv\n")
+        with pytest.raises(ValueError) as err:
+            load_config(path)
+        assert str(err.value) == f"unknown config section [DEFAULT] in {path}"
+        path = self._write(tmp_path, "[data]\npath = r.csv\n[DEFAULT]\n")
+        with pytest.raises(ValueError, match=r"^unknown config section \[DEFAULT\] in "):
+            load_config(path)
+
     def test_missing_data_path_rejected(self, tmp_path):
         path = self._write(tmp_path, "[split]\nseed = 1\n")
         with pytest.raises(ValueError, match="data.path"):

@@ -13,7 +13,7 @@ from forexkit import data
 from forexkit.cli import main
 from forexkit.data import load_csv
 from forexkit.kinds import KINDS
-from forexkit.predictor import load_predictor
+from forexkit.predictor import load_predictor, predict_rates
 from forexkit.synth import forex5_series, write_rates_csv
 
 
@@ -50,6 +50,23 @@ class TestSynth:
         out = tmp_path / "fx.csv"
         assert main(["synth", "forex5", str(out), "--seed", "-1"]) == 1
         assert capsys.readouterr().err.splitlines() == ["error: seed must be >= 0, got -1"]
+        assert not out.exists()
+
+    def test_forex5_months(self, tmp_path):
+        out = tmp_path / "fx.csv"
+        assert main(["synth", "forex5", str(out), "--months", "2440"]) == 0
+        loaded = load_csv(out)
+        for code, s in forex5_series(seed=7, months=2440).items():
+            np.testing.assert_array_equal(loaded[code].values, s.values)
+
+    @pytest.mark.parametrize("args, message", [
+        (["forex5", "--months", "0"], "error: months must be >= 1, got 0"),
+        (["step7", "--months", "100"],
+         "error: step7 has a fixed 244 months; only forex5 takes a length")])
+    def test_bad_months_is_one_error_line(self, tmp_path, capsys, args, message):
+        out = tmp_path / "fx.csv"
+        assert main(["synth", args[0], str(out), *args[1:]]) == 1
+        assert capsys.readouterr().err.splitlines() == [message]
         assert not out.exists()
 
     def test_unknown_recipe_exits_nonzero(self, tmp_path, capsys):
@@ -142,6 +159,21 @@ class TestFitPredict:
         assert first_month == "1981-02"
         float(first_value)  # parses as a number
         assert lines[-1].split(",")[0] == "2001-04"
+
+    def test_predict_line_is_month_and_ten_significant_digits(self, tmp_path, rates_csv,
+                                                              capsys):
+        """One line per forecast, as ``f"{year:04d}-{month:02d},{value:.10g}"``
+        of the numpy values would write it."""
+        cfg = _config(tmp_path, rates_csv)
+        model_file = tmp_path / "m.model"
+        main(["fit", "anfis", str(cfg), "-o", str(model_file)])
+        capsys.readouterr()
+        assert main(["predict", str(model_file), str(rates_csv)]) == 0
+        fitted = load_predictor(model_file.read_text())
+        months, preds = predict_rates(fitted, load_csv(rates_csv))
+        expected = "".join(f"{1981 + m // 12:04d}-{m % 12 + 1:02d},{v:.10g}\n"
+                           for m, v in zip(months, preds))
+        assert capsys.readouterr().out == expected
 
     def test_fit_engine_dump_equals_bench_dump(self, tmp_path, rates_csv):
         out = tmp_path / "out"

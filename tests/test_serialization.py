@@ -182,6 +182,17 @@ class TestPredictorFile:
         with pytest.raises(ValueError, match="model kind"):
             Predictor("ridge", "JPY", "mp1", scaled_split[2], object())
 
+    @pytest.mark.parametrize("code, fault", [("G BP", "empty, padded or spaced"),
+                                             ("", "empty, padded or spaced"),
+                                             ('"GBP"', "quoted")])
+    def test_currency_that_load_refuses_is_rejected_on_save_path(self, scaled_split,
+                                                                 code, fault):
+        """No predictor exists whose saved file load_predictor refuses."""
+        engine = self._fit("mars", scaled_split).engine
+        with pytest.raises(ValueError) as err:
+            Predictor("mars", code, "mp1", scaled_split[2], engine)
+        assert str(err.value) == f"{fault} currency {code!r}"
+
     def test_unknown_kind_rejected_on_load(self):
         text = ("forexkit-predictor v1\nmodel ridge\ncurrency JPY\nrecipe mp1\n"
                 "feature_min 0\nfeature_max 1\ntarget_min 0\ntarget_max 1\n"

@@ -1,15 +1,20 @@
 """Synthetic data recipes and the SVG line-chart writer."""
 
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import forexkit
 from forexkit.charts import PALETTE, _nice_ticks, line_chart
 from forexkit.data import load_csv
 from forexkit.synth import (FOREX5_CODES, STEP7_LEVELS, STEP7_MONTHS,
                             forex5_series, make_recipe, step7_series,
                             write_rates_csv)
+from oracles import ReferenceSynth
 
 
 class TestStep7:
@@ -52,6 +57,13 @@ class TestForex5:
         np.testing.assert_array_equal(full.values, again.values)
 
 
+    @pytest.mark.parametrize("months", [0, -3])
+    def test_months_below_one_rejected(self, months):
+        with pytest.raises(ValueError) as err:
+            forex5_series(seed=7, months=months)
+        assert str(err.value) == f"months must be >= 1, got {months}"
+
+
 class TestMakeRecipe:
     def test_step7_recipe(self):
         series = make_recipe("step7")
@@ -85,6 +97,39 @@ class TestWriteRatesCsv:
         assert lines[0] == "date,JPY,USD,GBP,SGD,NZD"
         assert lines[1].startswith("1981-01,")
         assert lines[13].startswith("1982-01,")  # year rollover
+
+    @pytest.mark.parametrize("months", [1, 2, 13, 244, 976, 2440])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 123])
+    def test_bytes_equal_the_reference(self, tmp_path, seed, months):
+        """The float-based generator and writer keep every byte of the
+        numpy-scalar ones."""
+        ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
+        write_rates_csv(ours, forex5_series(seed, months=months))
+        ReferenceSynth.write_rates_csv(ref, ReferenceSynth.forex5_series(seed, months))
+        assert ours.read_bytes() == ref.read_bytes()
+
+    def test_step7_bytes_equal_the_reference(self, tmp_path):
+        ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
+        write_rates_csv(ours, make_recipe("step7"))
+        ReferenceSynth.write_rates_csv(ref, make_recipe("step7"))
+        assert ours.read_bytes() == ref.read_bytes()
+
+    def test_utf8_under_an_ascii_locale(self, tmp_path):
+        """A code that load_csv accepts is written as UTF-8 whatever the
+        locale's encoding."""
+        path = tmp_path / "rates.csv"
+        script = ("import sys\n"  # ASCII only: the locale cannot decode an argument
+                  "from forexkit.data import RateSeries\n"
+                  "from forexkit.synth import write_rates_csv\n"
+                  "code = '\\u20acUR'\n"
+                  "write_rates_csv(sys.argv[1], {code: RateSeries(code, 1999, 1, [1.1, 1.2])})\n")
+        env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0",
+               "PYTHONPATH": str(Path(forexkit.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", script, str(path)], env=env,
+                              capture_output=True, timeout=120)
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert path.read_bytes() == "date,€UR\n1999-01,1.1000\n1999-02,1.2000\n".encode()
+        assert list(load_csv(path)) == ["€UR"]
 
     def test_mismatched_series_rejected(self, tmp_path):
         from forexkit.data import RateSeries
